@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <iostream>
 #include <mutex>
 #include <set>
@@ -33,10 +34,54 @@ TrialJobPlan PlanTrialJob(const TrialSpec& spec,
   return plan;
 }
 
+namespace {
+
+// Folds one trial's counters into `fold`; the solved round itself goes to
+// the job's plane (RunTrialChunk).
+void FoldRun(const sim::RunResult& run, TrialSetResult& fold) {
+  fold.faults_injected += run.faults_injected;
+  fold.crashed_nodes += run.crashed_nodes;
+  fold.adv_jams_spent += run.adv_jams_spent;
+  fold.adv_jams_effective += run.adv_jams_effective;
+  fold.adv_rounds_held += run.adv_rounds_held;
+  fold.adv_jams_echo += run.adv_jams_echo;
+  fold.adv_jams_backoff += run.adv_jams_backoff;
+  fold.epochs_used += run.epochs_used;
+  fold.retries += run.retries;
+  fold.confirm_rounds += run.confirm_rounds;
+  fold.backoff_rounds += run.backoff_rounds;
+  fold.adaptive_confirm_extra += run.adaptive_confirm_extra;
+  fold.adaptive_backoff_trimmed += run.adaptive_backoff_trimmed;
+  fold.confirm_quorum_peak =
+      std::max(fold.confirm_quorum_peak, run.confirm_quorum_peak);
+  fold.probe_rounds_detected += run.probe_rounds_detected;
+  fold.obfuscation_rounds += run.obfuscation_rounds;
+  fold.rounds_total += run.rounds_executed;
+  fold.trial_lanes_peak = std::max(fold.trial_lanes_peak, run.trial_lanes);
+  if (run.trial_fallback) ++fold.trial_fallbacks;
+  fold.fused_rounds_total += run.fused_rounds;
+  if (run.solved) {
+    if (run.confirmed) ++fold.confirmed;
+  } else {
+    // Failed trials are counted, never folded into the round statistics:
+    // a timed-out trial's rounds_executed is just the max_rounds cap.
+    ++fold.unsolved;
+    if (run.timed_out) ++fold.timed_out;
+    if (run.assumption_violated) ++fold.aborted;
+    if (run.wedged) ++fold.wedged;
+    // The remainder terminated unsolved without violating an assumption:
+    // the nodes exited deluded (silent failure).
+    if (!run.timed_out && !run.assumption_violated) ++fold.deluded;
+  }
+}
+
+}  // namespace
+
 void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
                    const TrialJobPlan& plan, std::uint64_t job_id,
                    TrialWorkerCache& cache, std::int32_t first,
-                   std::int32_t count, std::span<sim::RunResult> out) {
+                   std::int32_t count, TrialJobOutput& output,
+                   TrialSetResult& fold) {
   if (cache.job_id != job_id) {
     cache.job_id = job_id;
     cache.program = plan.batch ? protocol.step_program() : nullptr;
@@ -50,7 +95,17 @@ void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
     } else {
       cache.trial_engine.reset();
     }
+    cache.scratch.resize(static_cast<std::size_t>(plan.stride));
   }
+
+  // Kept runs are written in place; otherwise the chunk lives in scratch
+  // only until it is folded.
+  const auto at = static_cast<std::size_t>(first);
+  const auto n = static_cast<std::size_t>(count);
+  const std::span<sim::RunResult> out =
+      output.runs.empty()
+          ? std::span<sim::RunResult>(cache.scratch).first(n)
+          : std::span<sim::RunResult>(output.runs).subspan(at, n);
 
   sim::EngineConfig config;
   config.population = spec.population;
@@ -65,67 +120,65 @@ void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
   config.robust = spec.robust;
   if (plan.lanes) {
     config.seed = spec.base_seed + static_cast<std::uint64_t>(first);
-    cache.seeds.resize(static_cast<std::size_t>(count));
-    for (std::int32_t i = 0; i < count; ++i) {
-      cache.seeds[static_cast<std::size_t>(i)] =
-          spec.base_seed + static_cast<std::uint64_t>(first + i);
+    cache.seeds.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      cache.seeds[i] = spec.base_seed + static_cast<std::uint64_t>(at + i);
     }
     cache.trial_engine->Run(config, *cache.program, cache.seeds, out);
-    return;
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      config.seed = spec.base_seed + static_cast<std::uint64_t>(at + i);
+      out[i] = plan.batch ? cache.batch_engine.Run(config, *cache.program)
+                          : sim::Engine::Run(config, protocol.coroutine);
+    }
   }
-  for (std::int32_t i = 0; i < count; ++i) {
-    config.seed = spec.base_seed + static_cast<std::uint64_t>(first + i);
-    out[static_cast<std::size_t>(i)] =
-        plan.batch ? cache.batch_engine.Run(config, *cache.program)
-                   : sim::Engine::Run(config, protocol.coroutine);
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::RunResult& run = out[i];
+    FoldRun(run, fold);
+    output.plane[at + i] = run.solved ? run.solved_round + 1 : 0;
   }
 }
 
-TrialSetResult AggregateTrialRuns(std::vector<sim::RunResult>&& runs,
-                                  bool keep_runs) {
-  TrialSetResult result;
-  result.solved_rounds.reserve(runs.size());
-  for (const sim::RunResult& run : runs) {
-    result.faults_injected += run.faults_injected;
-    result.crashed_nodes += run.crashed_nodes;
-    result.adv_jams_spent += run.adv_jams_spent;
-    result.adv_jams_effective += run.adv_jams_effective;
-    result.adv_rounds_held += run.adv_rounds_held;
-    result.adv_jams_echo += run.adv_jams_echo;
-    result.adv_jams_backoff += run.adv_jams_backoff;
-    result.epochs_used += run.epochs_used;
-    result.retries += run.retries;
-    result.confirm_rounds += run.confirm_rounds;
-    result.backoff_rounds += run.backoff_rounds;
-    result.adaptive_confirm_extra += run.adaptive_confirm_extra;
-    result.adaptive_backoff_trimmed += run.adaptive_backoff_trimmed;
-    result.confirm_quorum_peak =
-        std::max(result.confirm_quorum_peak, run.confirm_quorum_peak);
-    result.probe_rounds_detected += run.probe_rounds_detected;
-    result.obfuscation_rounds += run.obfuscation_rounds;
-    result.rounds_total += run.rounds_executed;
-    result.trial_lanes_peak =
-        std::max(result.trial_lanes_peak, run.trial_lanes);
-    if (run.trial_fallback) ++result.trial_fallbacks;
-    result.fused_rounds_total += run.fused_rounds;
-    if (run.solved) {
-      result.solved_rounds.push_back(run.solved_round + 1);
-      if (run.confirmed) ++result.confirmed;
-    } else {
-      // Failed trials are counted, never folded into the round statistics:
-      // a timed-out trial's rounds_executed is just the max_rounds cap.
-      ++result.unsolved;
-      if (run.timed_out) ++result.timed_out;
-      if (run.assumption_violated) ++result.aborted;
-      if (run.wedged) ++result.wedged;
-      // The remainder terminated unsolved without violating an assumption:
-      // the nodes exited deluded (silent failure).
-      if (!run.timed_out && !run.assumption_violated) ++result.deluded;
-    }
-  }
-  result.summary = Summarize(result.solved_rounds);
-  if (keep_runs) result.runs = std::move(runs);
-  return result;
+void MergeTrialFold(const TrialSetResult& part, TrialSetResult& total) {
+  total.unsolved += part.unsolved;
+  total.timed_out += part.timed_out;
+  total.aborted += part.aborted;
+  total.wedged += part.wedged;
+  total.deluded += part.deluded;
+  total.confirmed += part.confirmed;
+  total.epochs_used += part.epochs_used;
+  total.retries += part.retries;
+  total.confirm_rounds += part.confirm_rounds;
+  total.backoff_rounds += part.backoff_rounds;
+  total.adaptive_confirm_extra += part.adaptive_confirm_extra;
+  total.adaptive_backoff_trimmed += part.adaptive_backoff_trimmed;
+  total.confirm_quorum_peak =
+      std::max(total.confirm_quorum_peak, part.confirm_quorum_peak);
+  total.probe_rounds_detected += part.probe_rounds_detected;
+  total.obfuscation_rounds += part.obfuscation_rounds;
+  total.faults_injected += part.faults_injected;
+  total.crashed_nodes += part.crashed_nodes;
+  total.adv_jams_spent += part.adv_jams_spent;
+  total.adv_jams_effective += part.adv_jams_effective;
+  total.adv_rounds_held += part.adv_rounds_held;
+  total.adv_jams_echo += part.adv_jams_echo;
+  total.adv_jams_backoff += part.adv_jams_backoff;
+  total.rounds_total += part.rounds_total;
+  total.trial_lanes_peak =
+      std::max(total.trial_lanes_peak, part.trial_lanes_peak);
+  total.trial_fallbacks += part.trial_fallbacks;
+  total.fused_rounds_total += part.fused_rounds_total;
+}
+
+TrialSetResult FinishTrialJob(TrialSetResult fold, TrialJobOutput&& output) {
+  // Unsolved trials hold 0 (solved ones >= 1): dropping them in place
+  // leaves the solved rounds in trial order.
+  std::erase(output.plane, 0);
+  fold.solved_rounds = std::move(output.plane);
+  fold.summary = Summarize(fold.solved_rounds);
+  fold.runs = std::move(output.runs);
+  return fold;
 }
 
 std::uint64_t NextTrialJobId() {
@@ -217,19 +270,18 @@ TrialSetResult RunTrials(const TrialSpec& spec, const ProtocolHandle& protocol,
   threads = ResolveThreads(threads, trials);
 
   if (threads == 1) {
-    // Inline path: no pool involvement, same chunk runner — handy under
-    // sanitizers and for debugging, and bit-identical by construction.
-    std::vector<sim::RunResult> runs(static_cast<std::size_t>(trials));
+    // Inline path: no pool involvement, same chunk runner and fold — handy
+    // under sanitizers and for debugging, and bit-identical by construction.
+    internal::TrialJobOutput output(trials, keep_runs);
+    TrialSetResult fold;
     internal::TrialWorkerCache cache;
     const std::uint64_t job_id = internal::NextTrialJobId();
     for (std::int32_t t = 0; t < trials; t += plan.stride) {
-      const std::int32_t count = std::min(plan.stride, trials - t);
-      internal::RunTrialChunk(spec, protocol, plan, job_id, cache, t, count,
-                              std::span<sim::RunResult>(runs).subspan(
-                                  static_cast<std::size_t>(t),
-                                  static_cast<std::size_t>(count)));
+      internal::RunTrialChunk(spec, protocol, plan, job_id, cache, t,
+                              std::min(plan.stride, trials - t), output,
+                              fold);
     }
-    return internal::AggregateTrialRuns(std::move(runs), keep_runs);
+    return internal::FinishTrialJob(std::move(fold), std::move(output));
   }
 
   return SweepExecutor::Global()
@@ -248,30 +300,42 @@ TrialSetResult RunTrialsSpawn(const TrialSpec& spec,
   MaybeWarnLaneFallback(spec, protocol, plan);
   threads = ResolveThreads(threads, trials);
 
-  std::vector<sim::RunResult> runs(static_cast<std::size_t>(trials));
+  internal::TrialJobOutput output(trials, keep_runs);
   const std::uint64_t job_id = internal::NextTrialJobId();
   std::atomic<std::int32_t> next{0};
-  auto worker = [&]() {
+  // One partial fold per worker, merged after the join. A failing chunk
+  // cancels the unclaimed ones; the first failure is rethrown here.
+  std::vector<TrialSetResult> parts(static_cast<std::size_t>(threads));
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads));
+  auto worker = [&](std::size_t w) {
     internal::TrialWorkerCache cache;
-    for (;;) {
-      const std::int32_t t = next.fetch_add(plan.stride);
-      if (t >= trials) return;
-      const std::int32_t count = std::min(plan.stride, trials - t);
-      internal::RunTrialChunk(spec, protocol, plan, job_id, cache, t, count,
-                              std::span<sim::RunResult>(runs).subspan(
-                                  static_cast<std::size_t>(t),
-                                  static_cast<std::size_t>(count)));
+    TrialSetResult part;
+    try {
+      for (std::int32_t t = 0; (t = next.fetch_add(plan.stride)) < trials;) {
+        internal::RunTrialChunk(spec, protocol, plan, job_id, cache, t,
+                                std::min(plan.stride, trials - t), output,
+                                part);
+      }
+    } catch (...) {
+      errors[w] = std::current_exception();
+      next.store(trials);
     }
+    parts[w] = std::move(part);
   };
   if (threads == 1) {
-    worker();
+    worker(0);
   } else {
     std::vector<std::thread> pool;
     pool.reserve(static_cast<std::size_t>(threads));
-    for (std::int32_t i = 0; i < threads; ++i) pool.emplace_back(worker);
+    for (std::size_t w = 0; w < parts.size(); ++w) pool.emplace_back(worker, w);
     for (std::thread& th : pool) th.join();
   }
-  return internal::AggregateTrialRuns(std::move(runs), keep_runs);
+  TrialSetResult fold;
+  for (std::size_t w = 0; w < parts.size(); ++w) {
+    if (errors[w] != nullptr) std::rethrow_exception(errors[w]);
+    internal::MergeTrialFold(parts[w], fold);
+  }
+  return internal::FinishTrialJob(std::move(fold), std::move(output));
 }
 
 double MeanSolvedRounds(const TrialSpec& spec, const ProtocolHandle& protocol,

@@ -137,13 +137,17 @@ struct TrialSetResult {
   std::vector<sim::RunResult> runs;  // iff keep_runs was requested
 };
 
-// Runs `trials` executions with seeds base_seed + t. `keep_runs` retains
-// the full RunResult per trial (costs memory; used by instrumentation-heavy
-// experiments). Trials are distributed over up to `threads` workers
-// (0 = hardware concurrency) of the process-wide persistent pool
-// (harness/sweep_executor.h); threads == 1 runs inline on the caller's
-// thread. The solved-round metric is reported as solved_round + 1, i.e.
-// "the problem was solved in the R-th round".
+// Runs `trials` executions with seeds base_seed + t. Results stream: each
+// worker folds its chunk's RunResults into the counters above as soon as
+// the chunk finishes, so the only per-trial state a call holds is the
+// solved-round plane (8 bytes a trial) behind `solved_rounds`, which keeps
+// trial order. Only `keep_runs` materializes a RunResult per trial, in
+// `runs` (costs memory; used by instrumentation-heavy experiments). Trials
+// are distributed over up to `threads` workers (0 = hardware concurrency)
+// of the process-wide persistent pool (harness/sweep_executor.h);
+// threads == 1 runs inline on the caller's thread. The solved-round
+// metric is reported as solved_round + 1, i.e. "the problem was solved in
+// the R-th round".
 //
 // When the handle carries a step program, spec.use_batch_engine holds, and
 // keep_runs is off (step programs emit no node_reports), trials dispatch to
@@ -152,7 +156,8 @@ struct TrialSetResult {
 // the shipped step programs are draw-order identical to their coroutines,
 // and trial t runs with seed base_seed + t no matter which worker claims
 // it, so statistics are bit-identical across any threads x lane-width
-// split and across executors.
+// split and across executors: every counter is an integer sum or max,
+// merged in any order to the same bits.
 //
 // Throws std::invalid_argument when spec.lane_width < 1 (the CLI's --lanes
 // contract); a lane_width > 1 request for a protocol with no trial-program
@@ -163,10 +168,11 @@ TrialSetResult RunTrials(const TrialSpec& spec, const ProtocolHandle& protocol,
                          std::int32_t threads = 0);
 
 // The pre-pool executor: spawns and joins `threads` fresh std::threads for
-// this call only, static stride sharding, no cross-call reuse. Kept (and
-// exercised by tests) as the measured baseline for the sweep-throughput
-// block of BENCH_engine.json — bit-identical results to RunTrials by
-// construction, only scheduling differs.
+// this call only, no cross-call reuse. Kept (and exercised by tests) as the
+// measured baseline for the sweep-throughput block of BENCH_engine.json —
+// same chunk runner and fold as RunTrials, so bit-identical results by
+// construction; only scheduling differs. A worker exception cancels the
+// unclaimed chunks and is rethrown on the caller after the join.
 TrialSetResult RunTrialsSpawn(const TrialSpec& spec,
                               const ProtocolHandle& protocol,
                               std::int32_t trials, bool keep_runs = false,

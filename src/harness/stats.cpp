@@ -21,9 +21,68 @@ double QuantileSorted(const std::vector<std::int64_t>& sorted, double q) {
   return static_cast<double>(sorted[lo]) * (1.0 - frac) +
          static_cast<double>(sorted[hi]) * frac;
 }
+
+// SummarizeByCount on non-empty `values` whose extremes are known.
+Summary SummarizeCounted(const std::vector<std::int64_t>& values,
+                         std::int64_t min, std::int64_t max) {
+  Summary s;
+  s.min = min;
+  s.max = max;
+  // counts[v - min] = multiplicity of v. Offsets are computed unsigned so
+  // an extreme (min, max) pair cannot overflow.
+  const auto offset = [&](std::int64_t v) {
+    return static_cast<std::size_t>(static_cast<std::uint64_t>(v) -
+                                    static_cast<std::uint64_t>(min));
+  };
+  std::vector<std::int64_t> counts(offset(max) + 1, 0);
+  for (const std::int64_t v : values) ++counts[offset(v)];
+  // Each loop below adds the values in ascending order, one addition per
+  // copy, exactly as SummarizeBySort walks its sorted copy — so the sums
+  // round identically.
+  const auto value_at = [&](std::size_t i) {
+    return static_cast<std::int64_t>(static_cast<std::uint64_t>(min) + i);
+  };
+  s.count = static_cast<std::int64_t>(values.size());
+  double sum = 0.0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const auto v = static_cast<double>(value_at(i));
+    for (std::int64_t c = counts[i]; c > 0; --c) sum += v;
+  }
+  s.mean = sum / static_cast<double>(values.size());
+  double ss = 0.0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double d = static_cast<double>(value_at(i)) - s.mean;
+    for (std::int64_t c = counts[i]; c > 0; --c) ss += d * d;
+  }
+  s.stddev = values.size() > 1
+                 ? std::sqrt(ss / static_cast<double>(values.size() - 1))
+                 : 0.0;
+  // The value at rank k of the sorted order, found from the counts.
+  const auto at_rank = [&](std::int64_t k) {
+    std::int64_t below = 0;
+    for (std::size_t i = 0;; ++i) {
+      below += counts[i];
+      if (k < below) return static_cast<double>(value_at(i));
+    }
+  };
+  // QuantileSorted's interpolation, on ranks instead of a sorted copy.
+  const auto quantile = [&](double q) {
+    if (s.count == 1) return static_cast<double>(s.min);
+    const double pos = q * static_cast<double>(s.count - 1);
+    const auto lo = static_cast<std::int64_t>(pos);
+    const std::int64_t hi = std::min(lo + 1, s.count - 1);
+    const double frac = pos - static_cast<double>(lo);
+    return at_rank(lo) * (1.0 - frac) + at_rank(hi) * frac;
+  };
+  s.median = quantile(0.5);
+  s.p95 = quantile(0.95);
+  s.p99 = quantile(0.99);
+  return s;
+}
+
 }  // namespace
 
-Summary Summarize(const std::vector<std::int64_t>& values) {
+Summary SummarizeBySort(const std::vector<std::int64_t>& values) {
   Summary s;
   if (values.empty()) return s;
   std::vector<std::int64_t> sorted = values;
@@ -46,6 +105,24 @@ Summary Summarize(const std::vector<std::int64_t>& values) {
   s.p95 = QuantileSorted(sorted, 0.95);
   s.p99 = QuantileSorted(sorted, 0.99);
   return s;
+}
+
+Summary SummarizeByCount(const std::vector<std::int64_t>& values) {
+  if (values.empty()) return Summary{};
+  const auto [min_it, max_it] =
+      std::minmax_element(values.begin(), values.end());
+  return SummarizeCounted(values, *min_it, *max_it);
+}
+
+Summary Summarize(const std::vector<std::int64_t>& values) {
+  if (values.empty()) return Summary{};
+  const auto [min_it, max_it] =
+      std::minmax_element(values.begin(), values.end());
+  // Count when the counts array is no longer than a sorted copy would be.
+  const std::uint64_t span = static_cast<std::uint64_t>(*max_it) -
+                             static_cast<std::uint64_t>(*min_it);
+  return span < values.size() ? SummarizeCounted(values, *min_it, *max_it)
+                              : SummarizeBySort(values);
 }
 
 double Quantile(std::vector<std::int64_t> values, double q) {

@@ -19,9 +19,20 @@ struct Summary {
   std::int64_t max = 0;
 };
 
-// Computes order statistics and moments of `values` (copied and sorted
-// internally). Empty input yields a zero Summary.
+// Computes order statistics and moments of `values`. Empty input yields a
+// zero Summary. Picks SummarizeByCount when the values span fewer distinct
+// integers than there are values (solved rounds nearly always do), else
+// SummarizeBySort; the two return bit-identical Summaries.
 Summary Summarize(const std::vector<std::int64_t>& values);
+
+// Sorts a copy, then sums and interpolates over it in ascending order.
+Summary SummarizeBySort(const std::vector<std::int64_t>& values);
+
+// Counts each value's multiplicity instead of sorting, then visits the
+// values in ascending order, once per copy: the same floating-point
+// operations in the same order as SummarizeBySort. Allocates max - min + 1
+// counters, so it only pays on a narrow value range.
+Summary SummarizeByCount(const std::vector<std::int64_t>& values);
 
 // Quantile by linear interpolation on the sorted copy; q in [0, 1].
 double Quantile(std::vector<std::int64_t> values, double q);

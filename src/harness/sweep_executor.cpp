@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <span>
 #include <utility>
 
 #include "harness/trial_chunk.h"
@@ -12,28 +11,27 @@ namespace crmc::harness {
 
 namespace internal {
 
-// One enqueued sweep point. Queue bookkeeping (next/done/active/error) is
-// guarded by the executor mutex; `runs` slots are written lock-free by
-// whichever worker claimed the chunk (disjoint slices, published to the
-// waiter by the done-count handshake under the mutex).
+// One enqueued sweep point. Queue bookkeeping (next/done/active/error) and
+// `fold`, the merge of every finished chunk's partial fold, are guarded by
+// the executor mutex; `output` slots are written lock-free by whichever
+// worker claimed the chunk (disjoint trial ranges, published to the waiter
+// by the done-count handshake under the mutex).
 struct SweepJob {
   SweepJob(const TrialSpec& spec_in, const ProtocolHandle& protocol_in,
-           std::int32_t trials_in, bool keep_runs_in,
+           std::int32_t trials_in, bool keep_runs,
            std::int32_t max_threads_in, const TrialJobPlan& plan_in,
            std::uint64_t id_in)
       : spec(spec_in),
         protocol(protocol_in),
         trials(trials_in),
-        keep_runs(keep_runs_in),
         max_threads(max_threads_in),
         plan(plan_in),
         id(id_in),
-        runs(static_cast<std::size_t>(trials_in)) {}
+        output(trials_in, keep_runs) {}
 
   TrialSpec spec;
   ProtocolHandle protocol;
   std::int32_t trials;
-  bool keep_runs;
   std::int32_t max_threads;  // 0 = no per-job worker cap
   TrialJobPlan plan;
   std::uint64_t id;
@@ -41,7 +39,8 @@ struct SweepJob {
   std::int32_t done = 0;    // trials completed
   std::int32_t active = 0;  // workers currently on a chunk of this job
   std::exception_ptr error;  // first chunk failure; rethrown by Wait
-  std::vector<sim::RunResult> runs;
+  TrialJobOutput output;
+  TrialSetResult fold;
 
   // Complete = safe to hand to the waiter: every trial done, or a chunk
   // failed (further claims were cancelled) and no worker still touches us.
@@ -73,10 +72,11 @@ SweepExecutor& SweepExecutor::Global() {
   return executor;
 }
 
-void SweepExecutor::EnsureWorkersLocked() {
-  if (!workers_.empty()) return;
+void SweepExecutor::EnsureWorkersLocked(std::int32_t wanted) {
+  const auto target = static_cast<std::size_t>(std::min(wanted, threads_));
+  if (workers_.size() >= target) return;
   workers_.reserve(static_cast<std::size_t>(threads_));
-  for (std::int32_t i = 0; i < threads_; ++i) {
+  while (workers_.size() < target) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -94,17 +94,25 @@ SweepExecutor::Ticket SweepExecutor::Enqueue(const TrialSpec& spec,
   auto job = std::make_shared<internal::SweepJob>(
       spec, protocol, trials, keep_runs, max_threads, plan,
       internal::NextTrialJobId());
+  // Workers this job may use at once: its cap, and no more than it has
+  // chunks to hand out.
+  const std::int32_t cap = max_threads > 0 ? max_threads : threads_;
+  const std::int32_t chunks = (trials + plan.stride - 1) / plan.stride;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    EnsureWorkersLocked();
+    EnsureWorkersLocked(cap);
     jobs_.push_back(job);
   }
-  work_cv_.notify_all();
+  for (std::int32_t i = std::min(cap, chunks); i > 0; --i) {
+    work_cv_.notify_one();
+  }
   return Ticket(this, std::move(job));
 }
 
 void SweepExecutor::WorkerLoop() {
   internal::TrialWorkerCache cache;
+  // The job this worker just finished a chunk of, until it claims again.
+  std::shared_ptr<internal::SweepJob> left;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
     // FIFO scan: the oldest job with unclaimed work and a free worker slot
@@ -126,6 +134,12 @@ void SweepExecutor::WorkerLoop() {
       ++job->active;
       break;
     }
+    // Leaving a job with work still unclaimed frees its slot: wake one
+    // sleeper to take it. Coming straight back to it wakes nobody.
+    if (left != nullptr && left != job && left->next < left->trials) {
+      work_cv_.notify_one();
+    }
+    left.reset();
     if (!job) {
       if (stop_) return;
       work_cv_.wait(lock);
@@ -133,13 +147,11 @@ void SweepExecutor::WorkerLoop() {
     }
 
     lock.unlock();
+    TrialSetResult part;
     bool failed = false;
     try {
       internal::RunTrialChunk(job->spec, job->protocol, job->plan, job->id,
-                              cache, first, count,
-                              std::span<sim::RunResult>(job->runs)
-                                  .subspan(static_cast<std::size_t>(first),
-                                           static_cast<std::size_t>(count)));
+                              cache, first, count, job->output, part);
     } catch (...) {
       failed = true;
       lock.lock();
@@ -150,13 +162,15 @@ void SweepExecutor::WorkerLoop() {
     lock.lock();
 
     --job->active;
-    if (!failed) job->done += count;
+    if (!failed) {
+      job->done += count;
+      internal::MergeTrialFold(part, job->fold);
+    }
     if (job->Complete()) {
       jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
       done_cv_.notify_all();
-    } else if (job->max_threads > 0 && job->next < job->trials) {
-      // Our departure freed a capped slot; wake one sleeper to take it.
-      work_cv_.notify_one();
+    } else {
+      left = std::move(job);
     }
   }
 }
@@ -169,7 +183,8 @@ TrialSetResult SweepExecutor::Ticket::Wait() {
     owner_->done_cv_.wait(lock, [&] { return job->Complete(); });
   }
   if (job->error != nullptr) std::rethrow_exception(job->error);
-  return internal::AggregateTrialRuns(std::move(job->runs), job->keep_runs);
+  return internal::FinishTrialJob(std::move(job->fold),
+                                  std::move(job->output));
 }
 
 }  // namespace crmc::harness

@@ -10,10 +10,16 @@
 // its retiring workers backfill from the next — no join barrier, no spawn
 // cost, warm per-worker engine caches.
 //
+// Workers fold each chunk's results into the job as they finish it
+// (harness/trial_chunk.h): a job holds its solved-round plane, 8 bytes a
+// trial, and a RunResult per trial only under keep_runs. Ticket::Wait
+// compacts the plane and summarizes; nothing else is left to do serially.
+//
 // Bit-exactness: trial t of a job always runs with seed base_seed + t and
-// an EngineConfig built from the job's spec alone, so which worker claims
-// which chunk (and in what order) changes nothing but wall-clock. The
-// threads x lane-width statistics-identity tests run through this pool.
+// an EngineConfig built from the job's spec alone, and the fold's counters
+// are integer sums and maxes, so which worker claims which chunk (and in
+// what order) changes nothing but wall-clock. The threads x lane-width
+// statistics-identity tests run through this pool.
 #pragma once
 
 #include <condition_variable>
@@ -35,8 +41,9 @@ struct SweepJob;
 class SweepExecutor {
  public:
   // Handle to one enqueued job. Wait() blocks until every trial completed,
-  // then aggregates and returns — call it exactly once. Dropping a Ticket
-  // without waiting is allowed; the job still runs to completion.
+  // then compacts the solved rounds and returns — call it exactly once.
+  // Dropping a Ticket without waiting is allowed; the job still runs to
+  // completion.
   class Ticket {
    public:
     TrialSetResult Wait();
@@ -49,9 +56,11 @@ class SweepExecutor {
     std::shared_ptr<internal::SweepJob> job_;
   };
 
-  // threads == 0: hardware concurrency. Workers start lazily on the first
-  // Enqueue, so constructing an executor (including the Global one) is
-  // free until used.
+  // threads == 0: hardware concurrency. Workers start on demand: an
+  // Enqueue starts as many as its max_threads cap admits (all `threads`
+  // when uncapped), so constructing an executor (including the Global one)
+  // is free until used, and 2-thread sweeps never start the rest. Enqueue
+  // wakes only as many sleeping workers as the job can use at once.
   explicit SweepExecutor(std::int32_t threads = 0);
   // Joins the workers. Outstanding jobs must have been waited on; the
   // destructor finishes chunks already claimed but abandons unclaimed work.
@@ -76,7 +85,7 @@ class SweepExecutor {
 
  private:
   void WorkerLoop();
-  void EnsureWorkersLocked();
+  void EnsureWorkersLocked(std::int32_t wanted);
 
   std::int32_t threads_;
   std::mutex mu_;

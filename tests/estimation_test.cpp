@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "core/estimation.h"
@@ -50,7 +51,10 @@ double MedianError(const EstimateStats& stats, std::int32_t num_active) {
   return errors[errors.size() / 2];
 }
 
-using Params = std::tuple<std::int32_t, const char*>;
+// The estimator name is a std::string, not a const char*: gtest prints a
+// char pointer with its address, which would make the test names change
+// from one process to the next.
+using Params = std::tuple<std::int32_t, std::string>;
 class EstimatorSweep : public ::testing::TestWithParam<Params> {};
 
 TEST_P(EstimatorSweep, ConstantFactorAccuracy) {
@@ -70,7 +74,7 @@ TEST_P(EstimatorSweep, ConstantFactorAccuracy) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, EstimatorSweep,
     ::testing::Combine(::testing::Values<std::int32_t>(1, 4, 32, 256, 4096),
-                       ::testing::Values("geometric", "density")));
+                       ::testing::Values<std::string>("geometric", "density")));
 
 TEST(GeometricEstimate, SaturatesAtChannelBudget) {
   // With only 4 channels the estimator can't see above level 4: estimates

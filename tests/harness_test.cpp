@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/bisect.h"
@@ -18,6 +21,7 @@
 #include "mac/channel.h"
 #include "sim/node_context.h"
 #include "sim/task.h"
+#include "support/rng.h"
 
 namespace crmc::harness {
 namespace {
@@ -53,6 +57,57 @@ TEST(Stats, UnorderedInputIsSorted) {
   const Summary s = Summarize({5, 1, 4, 2, 3});
   EXPECT_DOUBLE_EQ(s.median, 3.0);
   EXPECT_EQ(s.min, 1);
+}
+
+// Bit for bit, not approximately: the counting path must perform the sort
+// path's floating-point additions in the same order.
+void ExpectSameSummaryBits(const Summary& want, const Summary& got) {
+  EXPECT_EQ(want.count, got.count);
+  EXPECT_EQ(want.min, got.min);
+  EXPECT_EQ(want.max, got.max);
+  for (const auto& [w, g] : {std::pair{want.mean, got.mean},
+                             std::pair{want.stddev, got.stddev},
+                             std::pair{want.median, got.median},
+                             std::pair{want.p95, got.p95},
+                             std::pair{want.p99, got.p99}}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(w), std::bit_cast<std::uint64_t>(g))
+        << w << " vs " << g;
+  }
+}
+
+TEST(Stats, CountingSummaryMatchesSortBitForBit) {
+  support::RandomSource rng(0x5ca1e);
+  const auto draw = [&](std::size_t n, std::int64_t lo, std::int64_t hi) {
+    std::vector<std::int64_t> v(n);
+    for (std::int64_t& x : v) x = rng.UniformInt(lo, hi);
+    return v;
+  };
+  // Solved-round-like: small values, heavy repeats, unsorted.
+  std::vector<std::int64_t> rounds;
+  for (std::int32_t i = 0; i < 32768; ++i) {
+    std::int64_t r = 1;
+    while (rng.UniformInt(0, 2) != 0 && r < 40) ++r;
+    rounds.push_back(r);
+  }
+  const std::vector<std::pair<const char*, std::vector<std::int64_t>>> inputs =
+      {{"single value", {7}},
+       {"all equal", std::vector<std::int64_t>(1000, 4)},
+       {"solved rounds", rounds},
+       {"wide range", draw(500, 1, 1'000'000)},
+       {"max_rounds scale", draw(5000, 3'999'000, 4'000'000)},
+       {"max_rounds with a cap spike",
+        [&] {
+          std::vector<std::int64_t> v = draw(3000, 3'999'990, 4'000'000);
+          v.insert(v.end(), 200, 4'000'000);
+          return v;
+        }()},
+       {"negative", {-3, -1, -3, 2, -1, 0}}};
+  for (const auto& [label, values] : inputs) {
+    SCOPED_TRACE(label);
+    const Summary sorted = SummarizeBySort(values);
+    ExpectSameSummaryBits(sorted, SummarizeByCount(values));
+    ExpectSameSummaryBits(sorted, Summarize(values));
+  }
 }
 
 TEST(Stats, JainFairnessDegenerateCasesPinnedAtOne) {

@@ -11,8 +11,11 @@
 // exceptions surfacing from Wait instead of terminating the pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,16 +24,21 @@
 #include "core/two_active.h"
 #include "harness/registry.h"
 #include "harness/runner.h"
+#include "harness/stats.h"
 #include "harness/sweep_executor.h"
+#include "sim/batch_engine.h"
+#include "sim/engine.h"
 #include "sim/step_program.h"
+#include "sim/trial_engine.h"
 #include "support/rng.h"
 
 namespace crmc::harness {
 namespace {
 
-void ExpectSameTrialSet(const TrialSetResult& want, const TrialSetResult& got,
-                        const char* label) {
-  SCOPED_TRACE(label);
+// Every model-output field, solved_rounds order and the Summary's bits
+// included — everything but the executor diagnostics below.
+void ExpectSameModelFields(const TrialSetResult& want,
+                           const TrialSetResult& got) {
   EXPECT_EQ(want.solved_rounds, got.solved_rounds);
   EXPECT_EQ(want.unsolved, got.unsolved);
   EXPECT_EQ(want.timed_out, got.timed_out);
@@ -40,15 +48,39 @@ void ExpectSameTrialSet(const TrialSetResult& want, const TrialSetResult& got,
   EXPECT_EQ(want.confirmed, got.confirmed);
   EXPECT_EQ(want.epochs_used, got.epochs_used);
   EXPECT_EQ(want.retries, got.retries);
+  EXPECT_EQ(want.confirm_rounds, got.confirm_rounds);
+  EXPECT_EQ(want.backoff_rounds, got.backoff_rounds);
+  EXPECT_EQ(want.adaptive_confirm_extra, got.adaptive_confirm_extra);
+  EXPECT_EQ(want.adaptive_backoff_trimmed, got.adaptive_backoff_trimmed);
+  EXPECT_EQ(want.confirm_quorum_peak, got.confirm_quorum_peak);
+  EXPECT_EQ(want.probe_rounds_detected, got.probe_rounds_detected);
+  EXPECT_EQ(want.obfuscation_rounds, got.obfuscation_rounds);
   EXPECT_EQ(want.faults_injected, got.faults_injected);
   EXPECT_EQ(want.crashed_nodes, got.crashed_nodes);
   EXPECT_EQ(want.adv_jams_spent, got.adv_jams_spent);
+  EXPECT_EQ(want.adv_jams_effective, got.adv_jams_effective);
+  EXPECT_EQ(want.adv_rounds_held, got.adv_rounds_held);
+  EXPECT_EQ(want.adv_jams_echo, got.adv_jams_echo);
+  EXPECT_EQ(want.adv_jams_backoff, got.adv_jams_backoff);
   EXPECT_EQ(want.rounds_total, got.rounds_total);
+  EXPECT_EQ(want.summary.count, got.summary.count);
+  EXPECT_EQ(want.summary.mean, got.summary.mean);
+  EXPECT_EQ(want.summary.stddev, got.summary.stddev);
+  EXPECT_EQ(want.summary.median, got.summary.median);
+  EXPECT_EQ(want.summary.p95, got.summary.p95);
+  EXPECT_EQ(want.summary.p99, got.summary.p99);
+  EXPECT_EQ(want.summary.min, got.summary.min);
+  EXPECT_EQ(want.summary.max, got.summary.max);
+}
+
+void ExpectSameTrialSet(const TrialSetResult& want, const TrialSetResult& got,
+                        const char* label) {
+  SCOPED_TRACE(label);
+  ExpectSameModelFields(want, got);
   EXPECT_EQ(want.trial_lanes_peak, got.trial_lanes_peak);
   EXPECT_EQ(want.trial_fallbacks, got.trial_fallbacks);
   EXPECT_EQ(want.fused_rounds_total, got.fused_rounds_total);
-  EXPECT_DOUBLE_EQ(want.summary.mean, got.summary.mean);
-  EXPECT_EQ(want.summary.max, got.summary.max);
+  EXPECT_EQ(want.runs.size(), got.runs.size());
 }
 
 TrialSpec TwoActiveSpec() {
@@ -201,6 +233,220 @@ TEST(SweepExecutor, FallbackCountersSurfaceAtHarnessLevel) {
   ExpectSameTrialSet(want, got, "faulty-inline-vs-pool");
   EXPECT_EQ(got.trial_fallbacks, 48);
   EXPECT_EQ(got.trial_lanes_peak, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Streamed fold vs materialized results. RunTrials folds each chunk's
+// results as it goes and keeps only a solved-round plane; these tests
+// rebuild every TrialSetResult field from per-trial RunResults produced by
+// direct engine calls and folded here, independently of the harness.
+// ---------------------------------------------------------------------------
+
+sim::EngineConfig ConfigFor(const TrialSpec& spec, std::uint64_t seed) {
+  sim::EngineConfig config;
+  config.population = spec.population;
+  config.num_active = spec.num_active;
+  config.channels = spec.channels;
+  config.max_rounds = spec.max_rounds;
+  config.stop_when_solved = spec.stop_when_solved;
+  config.rng = spec.rng;
+  config.faults = spec.faults;
+  config.adversary = spec.adversary;
+  config.robust = spec.robust;
+  config.seed = seed;
+  return config;
+}
+
+// Trials 0..trials-1 on the engine RunTrials dispatches to: the coroutine
+// engine (`coroutine`, or no step program), the trial-parallel engine when
+// lane_width > 1, else BatchEngine per trial.
+std::vector<sim::RunResult> DirectRuns(const TrialSpec& spec,
+                                       const ProtocolHandle& handle,
+                                       std::int32_t trials, bool coroutine) {
+  const auto n = static_cast<std::size_t>(trials);
+  std::vector<sim::RunResult> runs(n);
+  if (coroutine || handle.step_program == nullptr) {
+    for (std::size_t t = 0; t < n; ++t) {
+      runs[t] = sim::Engine::Run(ConfigFor(spec, spec.base_seed + t),
+                                 handle.coroutine);
+    }
+    return runs;
+  }
+  const std::unique_ptr<sim::StepProgram> program = handle.step_program();
+  if (spec.lane_width > 1) {
+    std::vector<std::uint64_t> seeds(n);
+    for (std::size_t t = 0; t < n; ++t) seeds[t] = spec.base_seed + t;
+    sim::TrialBatchEngine engine(spec.lane_width);
+    engine.Run(ConfigFor(spec, spec.base_seed), *program, seeds, runs);
+    return runs;
+  }
+  sim::BatchEngine engine;
+  for (std::size_t t = 0; t < n; ++t) {
+    runs[t] = engine.Run(ConfigFor(spec, spec.base_seed + t), *program);
+  }
+  return runs;
+}
+
+// The TrialSetResult contract (runner.h), folded by hand in trial order.
+TrialSetResult HandFold(const std::vector<sim::RunResult>& runs) {
+  TrialSetResult r;
+  for (const sim::RunResult& run : runs) {
+    if (run.solved) {
+      r.solved_rounds.push_back(run.solved_round + 1);
+      if (run.confirmed) ++r.confirmed;
+    } else {
+      ++r.unsolved;
+      if (run.timed_out) ++r.timed_out;
+      if (run.assumption_violated) ++r.aborted;
+      if (run.wedged) ++r.wedged;
+      if (!run.timed_out && !run.assumption_violated) ++r.deluded;
+    }
+    r.epochs_used += run.epochs_used;
+    r.retries += run.retries;
+    r.confirm_rounds += run.confirm_rounds;
+    r.backoff_rounds += run.backoff_rounds;
+    r.adaptive_confirm_extra += run.adaptive_confirm_extra;
+    r.adaptive_backoff_trimmed += run.adaptive_backoff_trimmed;
+    r.confirm_quorum_peak =
+        std::max(r.confirm_quorum_peak, run.confirm_quorum_peak);
+    r.probe_rounds_detected += run.probe_rounds_detected;
+    r.obfuscation_rounds += run.obfuscation_rounds;
+    r.faults_injected += run.faults_injected;
+    r.crashed_nodes += run.crashed_nodes;
+    r.adv_jams_spent += run.adv_jams_spent;
+    r.adv_jams_effective += run.adv_jams_effective;
+    r.adv_rounds_held += run.adv_rounds_held;
+    r.adv_jams_echo += run.adv_jams_echo;
+    r.adv_jams_backoff += run.adv_jams_backoff;
+    r.rounds_total += run.rounds_executed;
+    r.trial_lanes_peak = std::max(r.trial_lanes_peak, run.trial_lanes);
+    if (run.trial_fallback) ++r.trial_fallbacks;
+    r.fused_rounds_total += run.fused_rounds;
+  }
+  r.summary = SummarizeBySort(r.solved_rounds);
+  return r;
+}
+
+// For threads {1, 2, 3} x lanes {1, 8, 32}: RunTrials streamed (keep_runs
+// off) and RunTrialsSpawn against the hand fold of the dispatched engine,
+// and RunTrials with keep_runs against the hand fold of the coroutine
+// engine, its kept runs included. `last` gets the lane-32 streamed result.
+void CheckStreamedParity(TrialSpec spec, const ProtocolHandle& handle,
+                         std::int32_t trials, TrialSetResult& last) {
+  const std::vector<sim::RunResult> kept_want =
+      DirectRuns(spec, handle, trials, /*coroutine=*/true);
+  const TrialSetResult kept_fold = HandFold(kept_want);
+  for (const std::int32_t lanes : {1, 8, 32}) {
+    spec.lane_width = lanes;
+    const TrialSetResult want =
+        HandFold(DirectRuns(spec, handle, trials, /*coroutine=*/false));
+    // Executors differ only in diagnostics; the model output is one.
+    ExpectSameModelFields(kept_fold, want);
+    for (const std::int32_t threads : {1, 2, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "lanes=" << lanes << " threads=" << threads);
+      last = RunTrials(spec, handle, trials, /*keep_runs=*/false, threads);
+      ExpectSameTrialSet(want, last, "streamed");
+      ExpectSameTrialSet(
+          want, RunTrialsSpawn(spec, handle, trials, false, threads),
+          "spawn");
+      TrialSetResult kept =
+          RunTrials(spec, handle, trials, /*keep_runs=*/true, threads);
+      ASSERT_EQ(kept.runs.size(), kept_want.size());
+      for (std::size_t t = 0; t < kept_want.size(); ++t) {
+        SCOPED_TRACE(::testing::Message() << "trial=" << t);
+        EXPECT_EQ(kept.runs[t].solved, kept_want[t].solved);
+        EXPECT_EQ(kept.runs[t].solved_round, kept_want[t].solved_round);
+        EXPECT_EQ(kept.runs[t].rounds_executed, kept_want[t].rounds_executed);
+        EXPECT_EQ(kept.runs[t].epochs_used, kept_want[t].epochs_used);
+        EXPECT_EQ(kept.runs[t].adv_jams_spent, kept_want[t].adv_jams_spent);
+      }
+      kept.runs.clear();
+      ExpectSameTrialSet(kept_fold, kept, "kept");
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(SweepExecutor, StreamedFoldMatchesHandFoldPristine) {
+  TrialSetResult r;
+  CheckStreamedParity(TwoActiveSpec(), TwoActiveHandle(), 97, r);
+  EXPECT_EQ(r.trial_lanes_peak, 32);
+  EXPECT_EQ(r.trial_fallbacks, 0);
+  EXPECT_GT(r.fused_rounds_total, 0);
+}
+
+TEST(SweepExecutor, StreamedFoldMatchesHandFoldJammed) {
+  TrialSpec spec = TwoActiveSpec();
+  spec.max_rounds = 400;
+  spec.faults.jam_rate = 0.1;
+  TrialSetResult r;
+  CheckStreamedParity(spec, TwoActiveHandle(), 97, r);
+  EXPECT_GT(r.faults_injected, 0);
+  EXPECT_GT(r.unsolved, 0);
+  EXPECT_EQ(r.trial_fallbacks, 97);
+}
+
+TEST(SweepExecutor, StreamedFoldMatchesHandFoldProbingHardened) {
+  // The crmcbench robust_probing_hardened point, at fewer trials.
+  TrialSpec spec = TwoActiveSpec();
+  spec.population = 65536;
+  spec.channels = 64;
+  spec.adversary.kind = adversary::Kind::kProbing;
+  spec.adversary.budget = 4096;
+  spec.robust.enabled = true;
+  spec.robust.policy = robust::PolicyKind::kHardened;
+  TrialSetResult r;
+  CheckStreamedParity(spec, TwoActiveHandle(), 41, r);
+  EXPECT_GT(r.adv_jams_spent, 0);
+  EXPECT_GT(r.epochs_used, 0);
+  EXPECT_GT(r.confirm_rounds, 0);
+  EXPECT_GT(r.confirm_quorum_peak, 0);
+  EXPECT_GT(r.confirmed, 0);
+  EXPECT_GT(r.probe_rounds_detected, 0);
+  EXPECT_GT(r.obfuscation_rounds, 0);
+  EXPECT_GT(r.adv_jams_echo + r.adv_jams_backoff, 0);
+}
+
+TEST(SweepExecutor, StreamedFoldMatchesHandFoldCoroutineOnly) {
+  const ProtocolHandle coroutine_only(core::MakeTwoActive());
+  ::testing::internal::CaptureStderr();  // the twin-less --lanes notice
+  TrialSetResult r;
+  CheckStreamedParity(TwoActiveSpec(), coroutine_only, 53, r);
+  ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(r.trial_lanes_peak, 0);
+  EXPECT_EQ(r.fused_rounds_total, 0);
+}
+
+TEST(SweepExecutor, JobThrowingMidRunSurfacesFromEveryExecutor) {
+  // The factory fails once 40 node coroutines have been built: the first
+  // trials complete, a later one throws with other chunks still running.
+  auto calls = std::make_shared<std::atomic<std::int32_t>>(0);
+  const sim::ProtocolFactory two_active = core::MakeTwoActive();
+  const ProtocolHandle failing(
+      [calls, two_active](sim::NodeContext& ctx) -> sim::ProtocolTask {
+        if (calls->fetch_add(1) >= 40) {
+          throw std::runtime_error("injected mid-run failure");
+        }
+        return two_active(ctx);
+      });
+  const TrialSpec spec = TwoActiveSpec();
+  for (const std::int32_t threads : {1, 2, 3}) {
+    for (const bool keep_runs : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " keep_runs=" << keep_runs);
+      calls->store(0);
+      EXPECT_THROW(RunTrials(spec, failing, 64, keep_runs, threads),
+                   std::runtime_error);
+      calls->store(0);
+      EXPECT_THROW(RunTrialsSpawn(spec, failing, 64, keep_runs, threads),
+                   std::runtime_error);
+    }
+  }
+  // The pool keeps serving, and a failed job leaves nothing behind.
+  const TrialSetResult want = RunTrials(spec, TwoActiveHandle(), 64, false, 1);
+  ExpectSameTrialSet(want, RunTrials(spec, TwoActiveHandle(), 64, false, 3),
+                     "after-failure");
 }
 
 // ---------------------------------------------------------------------------
