@@ -12,15 +12,6 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
 
   const auto n = static_cast<std::size_t>(config.num_active);
 
-  // Same ID and per-node stream derivation as Engine::Run, so a program
-  // that consumes ctx.rng[s] sees the bit stream node s's coroutine would.
-  // Same ID derivation as Engine::Run. Sampled once from the original
-  // seed: a node keeps its identity across robust epoch restarts.
-  support::RandomSource id_rng =
-      support::RandomSource::ForStream(config.seed, 0x1d5eed, config.rng);
-  support::SampleWithoutReplacement(population, config.num_active, id_rng,
-                                    sample_scratch_, unique_ids_);
-
   robust::EpochDriver epochs(config.robust, population, config.channels,
                              config.seed);
 
@@ -28,7 +19,6 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   ctx.population = population;
   ctx.num_active = config.num_active;
   ctx.channels = config.channels;
-  ctx.unique_ids = unique_ids_;
 
   node_tx_.assign(n, 0);
   crashed_.assign(n, 0);

@@ -19,6 +19,8 @@
 // active_counts and trace all match. node_reports stays empty — step
 // programs carry no per-node instrumentation — and the coroutine engine's
 // auto-beacon (wakeup transform) mode has no step-program counterpart.
+// Unlike Engine::Run it samples no node IDs: step programs are anonymous,
+// and the ID sample has its own stream, so skipping it moves no other draw.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +57,6 @@ class BatchEngine {
  private:
   std::optional<mac::Resolver> resolver_;
   std::vector<support::RandomSource> rng_;
-  std::vector<std::int64_t> unique_ids_;
   std::vector<NodeId> alive_;
   std::vector<mac::Action> actions_;
   std::vector<mac::Feedback> feedback_;
@@ -69,7 +70,6 @@ class BatchEngine {
   // re-included in the alive set on epoch restart.
   std::vector<std::uint8_t> crashed_;
   std::vector<std::int64_t> node_tx_;
-  support::SampleScratch sample_scratch_;
   bool fused_rounds_enabled_ = true;
 };
 

@@ -42,8 +42,12 @@ std::int64_t PrimaryCoinRound(const BatchBernoulli& coin,
                               FastRoundEffects* fx) {
   mask.resize(alive.size());
   const std::int64_t tx = simd::CoinMask(coin, ctx.rng, alive, mask);
-  for (std::size_t k = 0; k < alive.size(); ++k) {
-    node_tx[static_cast<std::size_t>(alive[k])] += mask[k];
+  // No transmitter means every mask byte is 0: nothing to charge. Reduce's
+  // p = 1/n rounds land here in nearly every trial.
+  if (tx != 0) {
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      node_tx[static_cast<std::size_t>(alive[k])] += mask[k];
+    }
   }
   fx->transmissions += tx;
   if (tx == 1) {

@@ -45,7 +45,6 @@ struct BatchContext {
   std::int32_t channels = 1;
   std::int64_t round = 0;  // 0-based index of the round being executed
   std::span<support::RandomSource> rng;
-  std::span<const std::int64_t> unique_ids;  // distinct IDs from [1, n]
 };
 
 // What one fused fast round did to the world — the slice of
@@ -74,9 +73,9 @@ struct FastRoundEffects {
 // trial-parallel run. `rng[lane * num_active + node]` is the stream the
 // coroutine engine hands node `node` of the trial seeded seeds[lane]
 // (ForStream(seed, node + 1)). Spans stay valid for one TrialBatchEngine
-// chunk. There is no unique_ids plane: no shipped lane program consumes
-// sampled IDs (two_active's draws live on per-node streams), and the
-// engine's results do not depend on the separate ID stream.
+// chunk. Like BatchContext it carries no node IDs: only the coroutine
+// engine samples them, for baselines that read NodeContext::unique_id()
+// (none has a columnar twin), and no result depends on that ID stream.
 struct TrialContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;

@@ -347,9 +347,9 @@ class BatchBernoulli {
 };
 
 // Reusable scratch for SampleWithoutReplacement: the dense low-slot array
-// plus the flat linear-probe displacement table. A caller that samples once
-// per trial (the engines) keeps one of these per thread so the per-trial
-// cost is draws plus O(k) writes — no allocation, no O(capacity) clears
+// plus the flat linear-probe displacement table. A caller that samples every
+// round (random_budgeted jams, traffic burst placement) keeps one so each
+// call costs draws plus O(k) writes — no allocation, no O(capacity) clears
 // (dirty table slots are tracked and reset individually).
 struct SampleScratch {
   std::vector<std::int64_t> low;
@@ -369,7 +369,8 @@ struct SampleScratch {
 // The displaced-entry table is split: slots below k live in a dense array
 // (every i < k is read exactly once, in order), slots >= k in a flat
 // linear-probe map at load factor <= 1/2. This runs ~10x faster than the
-// obvious unordered_map, which dominated per-trial engine setup. The draw
+// obvious unordered_map, yet k = 4096 of 2^20 still cost a third of a batch
+// `general` trial, so only the coroutine engine samples IDs. The draw
 // sequence and output are identical for every table capacity >= 2k, so
 // scratch reuse across calls with different k cannot change results.
 inline void SampleWithoutReplacement(std::int64_t population, std::int64_t k,

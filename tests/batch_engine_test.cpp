@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/general.h"
@@ -64,11 +66,12 @@ void ExpectSameResult(const RunResult& coro, const RunResult& batch,
 // Runs `seeds` seeds of `config` through both engines and requires
 // bit-exact agreement. The BatchEngine and program instances are reused
 // across seeds, exercising the scratch-reuse path a Monte-Carlo sweep
-// takes.
+// takes. `fused` = false forces the materialized round on every round.
 void CheckParity(EngineConfig config, const ProtocolFactory& coroutine,
                  StepProgram& program, int seeds,
-                 std::uint64_t seed_base = 10'000) {
+                 std::uint64_t seed_base = 10'000, bool fused = true) {
   BatchEngine engine;
+  engine.set_fused_rounds(fused);
   for (int t = 0; t < seeds; ++t) {
     config.seed = seed_base + static_cast<std::uint64_t>(t);
     const RunResult coro = Engine::Run(config, coroutine);
@@ -125,6 +128,37 @@ TEST(BatchEngineParity, GeneralLargePopulation) {
   config.channels = 256;
   auto program = MakeGeneralProgram();
   CheckParity(config, core::MakeGeneral(), *program, 200);
+}
+
+// The crmcbench `sweep_general_large` point (n = 2^20, |A| = 4096, C = 256)
+// over both generators and both round paths, with per-node transmission
+// counts and the alive curve compared entry by entry. The batch engine
+// samples no node IDs while the coroutine engine still does, so this also
+// checks that no batch result depends on the ID stream at this size.
+TEST(BatchEngineParity, GeneralBenchmarkShape) {
+  EngineConfig config;
+  config.population = 1 << 20;
+  config.num_active = 4096;
+  config.channels = 256;
+  config.record_node_transmissions = true;
+  config.record_active_counts = true;
+  auto program = MakeGeneralProgram();
+  for (const support::RngKind kind :
+       {support::RngKind::kXoshiro, support::RngKind::kPhilox}) {
+    config.rng = kind;
+    for (const bool fused : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "philox=" << (kind == support::RngKind::kPhilox)
+                   << " fused=" << fused);
+      CheckParity(config, core::MakeGeneral(), *program, 16, 93'000, fused);
+      if (::testing::Test::HasFailure()) return;
+    }
+    EngineConfig jammed = config;
+    jammed.max_rounds = 2000;
+    jammed.faults.jam_rate = 0.1;
+    CheckParity(jammed, core::MakeGeneral(), *program, 4, 94'000);
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 TEST(BatchEngineParity, GeneralFewChannelsFallback) {
@@ -547,6 +581,25 @@ TEST(BatchEngine, RejectsBadConfig) {
   config.num_active = 8;
   config.population = 4;  // population < num_active
   EXPECT_THROW(engine.Run(config, *program), std::invalid_argument);
+}
+
+// The batch engine draws no ID sample, so the config validator is the only
+// guard on more active nodes than the population holds.
+TEST(BatchEngine, ActiveAbovePopulationNamesTheCause) {
+  auto program = MakeGeneralProgram();
+  BatchEngine engine;
+  EngineConfig config;
+  config.population = 4095;
+  config.num_active = 4096;
+  config.channels = 256;
+  try {
+    engine.Run(config, *program);
+    ADD_FAILURE() << "num_active > population was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds population"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
