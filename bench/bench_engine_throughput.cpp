@@ -319,10 +319,8 @@ void RunKernelBenches(std::vector<KernelTiming>& out) {
   touched.reserve(kKernelLanes);
   std::vector<std::uint8_t> lone(kKernelLanes);
 
-  const simd::Backend backends[] = {simd::Backend::kScalar,
-                                    simd::Backend::kSse42,
-                                    simd::Backend::kAvx2};
-  for (const simd::Backend b : backends) {
+  std::vector<support::RandomSource> seeded(kKernelLanes);
+  for (const simd::Backend b : simd::AllBackends()) {
     if (!simd::BackendAvailable(b)) continue;
     CRMC_CHECK(simd::SetBackend(b));
     const auto lanes = static_cast<std::int64_t>(kKernelLanes);
@@ -352,22 +350,16 @@ void RunKernelBenches(std::vector<KernelTiming>& out) {
                          lone);
                      benchmark::DoNotOptimize(occ.lone_channels);
                    })});
-  }
-
-  // SeedStreams shares the scalar expansion on every backend (see
-  // kernels.cpp), so it is timed once per kind rather than per backend.
-  // Xoshiro seeding is the engine-setup path the grid runs; philox shares
-  // the SplitMix64 premix but skips the state fill.
-  {
-    const auto lanes = static_cast<std::int64_t>(kKernelLanes);
-    std::vector<support::RandomSource> seeded(kKernelLanes);
-    out.push_back({"seed_streams_xoshiro", simd::Backend::kScalar, lanes,
+    // Xoshiro seeding is the engine-setup path the grid runs; philox
+    // shares the SplitMix64 premix but skips the state fill. Only the
+    // AVX-512 backend has its own seeding kernel (see kernels.cpp).
+    out.push_back({"seed_streams_xoshiro", b, lanes,
                    TimeKernelRate(lanes, 1000, [&] {
                      simd::SeedStreams(0x5eed, 1, support::RngKind::kXoshiro,
                                        seeded);
                      benchmark::DoNotOptimize(seeded.data());
                    })});
-    out.push_back({"seed_streams_philox", simd::Backend::kScalar, lanes,
+    out.push_back({"seed_streams_philox", b, lanes,
                    TimeKernelRate(lanes, 1000, [&] {
                      simd::SeedStreams(0x5eed, 1, support::RngKind::kPhilox,
                                        seeded);

@@ -14,12 +14,26 @@ bool CpuSupports(Backend backend) {
       return __builtin_cpu_supports("sse4.2") != 0;
     case Backend::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
+    case Backend::kAvx512:
+      // libgcc's probe reports the AVX-512 features only when XCR0 shows
+      // the OS saves zmm/opmask state, so this is also the OS check.
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512dq") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0;
   }
 #endif
   return backend == Backend::kScalar;
 }
 
-bool CompiledIn(Backend backend) {
+std::atomic<Backend>& ActiveSlot() {
+  static std::atomic<Backend> active{DetectBackend()};
+  return active;
+}
+
+}  // namespace
+
+bool BackendCompiled(Backend backend) {
   switch (backend) {
     case Backend::kScalar:
       return true;
@@ -35,16 +49,15 @@ bool CompiledIn(Backend backend) {
 #else
       return false;
 #endif
+    case Backend::kAvx512:
+#if defined(CRMC_SIMD_HAS_AVX512)
+      return true;
+#else
+      return false;
+#endif
   }
   return false;
 }
-
-std::atomic<Backend>& ActiveSlot() {
-  static std::atomic<Backend> active{DetectBackend()};
-  return active;
-}
-
-}  // namespace
 
 const char* ToString(Backend backend) {
   switch (backend) {
@@ -54,19 +67,23 @@ const char* ToString(Backend backend) {
       return "sse4.2";
     case Backend::kAvx2:
       return "avx2";
+    case Backend::kAvx512:
+      return "avx512";
   }
   return "?";
 }
 
 bool BackendAvailable(Backend backend) {
-  return CompiledIn(backend) && CpuSupports(backend);
+  return BackendCompiled(backend) && CpuSupports(backend);
 }
 
 Backend DetectBackend() {
   static const Backend detected = [] {
-    if (BackendAvailable(Backend::kAvx2)) return Backend::kAvx2;
-    if (BackendAvailable(Backend::kSse42)) return Backend::kSse42;
-    return Backend::kScalar;
+    Backend best = Backend::kScalar;
+    for (const Backend b : AllBackends()) {
+      if (BackendAvailable(b)) best = b;
+    }
+    return best;
   }();
   return detected;
 }
@@ -85,6 +102,7 @@ std::optional<Backend> ParseBackend(std::string_view name) {
   if (name == "scalar") return Backend::kScalar;
   if (name == "sse4.2" || name == "sse42") return Backend::kSse42;
   if (name == "avx2") return Backend::kAvx2;
+  if (name == "avx512") return Backend::kAvx512;
   if (name == "auto") return DetectBackend();
   return std::nullopt;
 }

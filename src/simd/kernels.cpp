@@ -57,8 +57,8 @@ void SeedStreamsScalar(std::uint64_t master_seed, std::uint64_t first_stream,
                        support::RngKind kind,
                        std::span<support::RandomSource> out) {
   for (std::size_t k = 0; k < out.size(); ++k) {
-    out[k] = support::RandomSource::ForStream(
-        master_seed, first_stream + static_cast<std::uint64_t>(k), kind);
+    out[k].SeedStream(master_seed, first_stream + static_cast<std::uint64_t>(k),
+                      kind);
   }
 }
 
@@ -115,6 +115,7 @@ std::int64_t CoinMask(const support::BatchBernoulli& coin,
   CRMC_CHECK(mask.size() == alive.size());
   switch (ActiveBackend()) {
 #if defined(CRMC_SIMD_HAS_AVX2)
+    case Backend::kAvx512:  // seeding-only backend: AVX2 for the rest
     case Backend::kAvx2:
       return internal::CoinMaskAvx2(coin, rng, alive, mask);
 #endif
@@ -135,6 +136,7 @@ void UniformFill(const support::BatchUniformInt& dist,
   CheckUniformFitsInt32(dist);
   switch (ActiveBackend()) {
 #if defined(CRMC_SIMD_HAS_AVX2)
+    case Backend::kAvx512:  // seeding-only backend: AVX2 for the rest
     case Backend::kAvx2:
       return internal::UniformFillAvx2(dist, rng, alive, out);
 #endif
@@ -151,6 +153,7 @@ std::size_t internal::CompactKeepDispatch(std::span<std::int32_t> ids,
                                           std::span<const std::uint8_t> drop) {
   switch (ActiveBackend()) {
 #if defined(CRMC_SIMD_HAS_AVX2)
+    case Backend::kAvx512:  // seeding-only backend: AVX2 for the rest
     case Backend::kAvx2:
       return internal::CompactKeepAvx2(ids, drop);
 #endif
@@ -166,13 +169,21 @@ std::size_t internal::CompactKeepDispatch(std::span<std::int32_t> ids,
 void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
                  support::RngKind kind,
                  std::span<support::RandomSource> out) {
-  // Every backend takes the scalar expansion. An AVX2 four-stream variant
-  // was benchmarked at 0.6x (xoshiro) / 0.3x (philox) of scalar on the
-  // reference machine: SplitMix64 is 64-bit-multiply-bound and pre-AVX-512
-  // vector units emulate that multiply with three 32-bit ones plus
-  // shifts, losing to scalar `imul`. The kernel's win over the old
-  // per-node push_back loop is the in-place batch fill, not vector math.
-  internal::SeedStreamsScalar(master_seed, first_stream, kind, out);
+  // SplitMix64 is 64-bit-multiply-bound. AVX-512DQ multiplies 64-bit
+  // lanes natively and seeds eight streams per step (~1.8x scalar at 4096
+  // streams). An AVX2 four-stream variant was benchmarked at 0.6x
+  // (xoshiro) / 0.3x (philox) of scalar: pre-AVX-512 vector units emulate
+  // that multiply with three 32-bit ones plus shifts, losing to scalar
+  // `imul`. So every other backend takes the scalar expansion, which still
+  // writes each record in place.
+  switch (ActiveBackend()) {
+#if defined(CRMC_SIMD_HAS_AVX512)
+    case Backend::kAvx512:
+      return internal::SeedStreamsAvx512(master_seed, first_stream, kind, out);
+#endif
+    default:
+      return internal::SeedStreamsScalar(master_seed, first_stream, kind, out);
+  }
 }
 
 Occupancy ClassifyChannels(std::span<const std::int32_t> channels,
@@ -183,6 +194,7 @@ Occupancy ClassifyChannels(std::span<const std::int32_t> channels,
   CRMC_CHECK(lone.size() == channels.size());
   switch (ActiveBackend()) {
 #if defined(CRMC_SIMD_HAS_AVX2)
+    case Backend::kAvx512:  // seeding-only backend: AVX2 for the rest
     case Backend::kAvx2:
       return internal::ClassifyChannelsAvx2(channels, primary, counts, touched,
                                             lone);

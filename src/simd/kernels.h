@@ -3,18 +3,23 @@
 // classification, and active-set stream compaction.
 //
 // Every kernel has a scalar reference implementation and (on x86 builds)
-// SSE4.2 / AVX2 variants selected at runtime through simd::ActiveBackend()
-// (dispatch.h). All variants are bit-identical: the draw kernels consume
-// each lane's RandomSource exactly as the scalar Draw() path would — same
-// per-lane draw count and order — so the batch engine stays draw-for-draw
-// parity-exact against the coroutine oracle under every backend.
+// SSE4.2 / AVX2 / AVX-512 variants selected at runtime through
+// simd::ActiveBackend() (dispatch.h). All variants are bit-identical: the
+// draw kernels consume each lane's RandomSource exactly as the scalar
+// Draw() path would — same per-lane draw count and order — so the batch
+// engine stays draw-for-draw parity-exact against the coroutine oracle
+// under every backend.
 //
-// The draw kernels only vectorize the generator math for Philox-mode lanes
-// (support::RngKind::kPhilox), where a lane's next draws are a pure
-// function of (key, stream, draw index) and a whole SIMD group can be
-// computed with no cross-draw dependency. Xoshiro-mode lanes are sequential
-// by construction and take the scalar loop regardless of backend — the
-// kernels accept them so callers need no mode check.
+// The draw kernels vectorize across streams, never along one. Philox-mode
+// lanes (support::RngKind::kPhilox) are counter-based: a lane's next draw
+// is a pure function of (key, stream, draw index), so SSE4.2 and AVX2 run
+// 4 / 8 block functions at once. Xoshiro-mode lanes are sequential within
+// a stream, but four streams' 32-byte states still step together: AVX2
+// transposes them 4x4, runs one xoshiro256++ step on 64-bit lanes and
+// transposes back. SSE4.2 (two 64-bit lanes) takes the scalar loop for
+// xoshiro. The kernels accept either kind, so callers need no mode check;
+// the kind of the first slot picks the path (the engines seed every stream
+// of a call with one kind). A slot list must not repeat a slot.
 //
 // Slot lists are just indices into the caller's RandomSource span; nothing
 // requires them to address one trial. The trial-parallel executor
@@ -44,8 +49,9 @@ std::size_t CompactKeepDispatch(std::span<std::int32_t> ids,
 // first_stream + k, kind) for every k, bit-exact with the scalar factory.
 // The engines re-derive one stream per node on every trial, which made
 // per-node stream construction a measurable slice of Monte-Carlo setup for
-// large active sets; this kernel fills the array in place (no per-stream
-// construction/copy). All backends share the scalar SplitMix64 expansion —
+// large active sets; this kernel writes each record in place (no
+// per-stream construction/copy). The AVX-512 backend runs the SplitMix64
+// expansion eight streams at a time; every other backend runs it scalar —
 // see the dispatch note in kernels.cpp for the measured reason.
 void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
                  support::RngKind kind,

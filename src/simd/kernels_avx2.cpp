@@ -1,11 +1,13 @@
-// AVX2 backend: 8-lane Philox4x32-10 for the draw kernels, permutevar-based
-// stream compaction, and gather-based lone-channel classification.
+// AVX2 backend: 8-lane Philox4x32-10 and 4-stream xoshiro256++ for the
+// draw kernels, permutevar-based stream compaction, and gather-based
+// lone-channel classification.
 //
 // Compiled with -mavx2 (see src/CMakeLists.txt); only reached through the
 // dispatch in kernels.cpp after a cpuid probe. Bit-exact with the scalar
-// reference: the vector Philox computes the identical block function, lanes
-// consume the identical number of draws, and the Lemire rejection test is
-// replicated exactly (rejections are ~2^-33 rare and finish scalar).
+// reference: the vector Philox computes the identical block function, the
+// vector xoshiro the identical state step, lanes consume the identical
+// number of draws, and the Lemire rejection test is replicated exactly
+// (rejections are ~2^-33 rare and finish scalar).
 #include <immintrin.h>
 
 #include <array>
@@ -81,10 +83,12 @@ inline void PhiloxBlocks8(const std::uint32_t c0[8], const std::uint32_t c1[8],
 }
 
 // Loads eight lanes' philox state into SoA counter/key arrays and produces
-// each lane's *next* draw (block = draws >> 1, half = draws & 1), without
-// advancing any lane. Callers advance via SkipPhiloxDraws afterwards.
+// each lane's *next* draw (block = draws >> 1, half = draws & 1) plus the
+// odd half of that block, without advancing any lane. Callers advance via
+// StepPhilox(odd[j]) afterwards, which keeps the one-draw memo.
 inline void NextDraws8(std::span<support::RandomSource> rng,
-                       const std::int32_t* lanes, std::uint64_t draws[8]) {
+                       const std::int32_t* lanes, std::uint64_t draws[8],
+                       std::uint64_t odd[8]) {
   std::uint32_t c0[8], c1[8], c2[8], c3[8], k0[8], k1[8];
   for (int j = 0; j < 8; ++j) {
     const auto& rs = rng[static_cast<std::size_t>(lanes[j])];
@@ -98,12 +102,70 @@ inline void NextDraws8(std::span<support::RandomSource> rng,
     k0[j] = static_cast<std::uint32_t>(key);
     k1[j] = static_cast<std::uint32_t>(key >> 32);
   }
-  std::uint64_t d0[8], d1[8];
-  PhiloxBlocks8(c0, c1, c2, c3, k0, k1, d0, d1);
+  std::uint64_t d0[8];
+  PhiloxBlocks8(c0, c1, c2, c3, k0, k1, d0, odd);
   for (int j = 0; j < 8; ++j) {
     const auto& rs = rng[static_cast<std::size_t>(lanes[j])];
-    draws[j] = (rs.philox_draws() & 1) ? d1[j] : d0[j];
+    draws[j] = (rs.philox_draws() & 1) ? odd[j] : d0[j];
   }
+}
+
+inline __m256i Rotl64(__m256i x, int k) {
+  return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
+}
+
+// One xoshiro256++ step of the four streams rng[lanes[0..4)]. Their 32-byte
+// states are loaded and transposed 4x4 so that vector i holds state word i
+// of all four streams; the step runs on 64-bit lanes; the states are
+// transposed back and stored. Returns the four outputs, stream j in lane j.
+inline __m256i XoshiroStep4(std::span<support::RandomSource> rng,
+                            const std::int32_t* lanes) {
+  std::uint64_t* state[4];
+  for (int j = 0; j < 4; ++j) {
+    state[j] = rng[static_cast<std::size_t>(lanes[j])].words();
+  }
+  const auto load = [](const std::uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  };
+  const __m256i r0 = load(state[0]);
+  const __m256i r1 = load(state[1]);
+  const __m256i r2 = load(state[2]);
+  const __m256i r3 = load(state[3]);
+  // t0 = (r0.w0, r1.w0 | r0.w2, r1.w2), t1 = (r0.w1, r1.w1 | r0.w3, r1.w3);
+  // t2, t3 likewise for r2, r3; then swap 128-bit halves across pairs.
+  const __m256i t0 = _mm256_unpacklo_epi64(r0, r1);
+  const __m256i t1 = _mm256_unpackhi_epi64(r0, r1);
+  const __m256i t2 = _mm256_unpacklo_epi64(r2, r3);
+  const __m256i t3 = _mm256_unpackhi_epi64(r2, r3);
+  __m256i s0 = _mm256_permute2x128_si256(t0, t2, 0x20);
+  __m256i s1 = _mm256_permute2x128_si256(t1, t3, 0x20);
+  __m256i s2 = _mm256_permute2x128_si256(t0, t2, 0x31);
+  __m256i s3 = _mm256_permute2x128_si256(t1, t3, 0x31);
+
+  const __m256i result =
+      _mm256_add_epi64(Rotl64(_mm256_add_epi64(s0, s3), 23), s0);
+  const __m256i t = _mm256_slli_epi64(s1, 17);
+  s2 = _mm256_xor_si256(s2, s0);
+  s3 = _mm256_xor_si256(s3, s1);
+  s1 = _mm256_xor_si256(s1, s2);
+  s0 = _mm256_xor_si256(s0, s3);
+  s2 = _mm256_xor_si256(s2, t);
+  s3 = Rotl64(s3, 45);
+
+  // u0 = (stream 0: w0, w1 | stream 2: w0, w1), u1 the same for streams 1
+  // and 3; u2, u3 carry words 2 and 3.
+  const __m256i u0 = _mm256_unpacklo_epi64(s0, s1);
+  const __m256i u1 = _mm256_unpackhi_epi64(s0, s1);
+  const __m256i u2 = _mm256_unpacklo_epi64(s2, s3);
+  const __m256i u3 = _mm256_unpackhi_epi64(s2, s3);
+  const auto store = [](std::uint64_t* p, __m256i v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  };
+  store(state[0], _mm256_permute2x128_si256(u0, u2, 0x20));
+  store(state[1], _mm256_permute2x128_si256(u1, u3, 0x20));
+  store(state[2], _mm256_permute2x128_si256(u0, u2, 0x31));
+  store(state[3], _mm256_permute2x128_si256(u1, u3, 0x31));
+  return result;
 }
 
 struct PermRow {
@@ -134,22 +196,36 @@ std::int64_t CoinMaskAvx2(const support::BatchBernoulli& coin,
                           std::span<support::RandomSource> rng,
                           std::span<const std::int32_t> alive,
                           std::span<std::uint8_t> mask) {
-  if (coin.fixed() >= 0 || !PhiloxLanes(rng, alive)) {
-    return CoinMaskScalar(coin, rng, alive, mask);
-  }
+  if (coin.fixed() >= 0) return CoinMaskScalar(coin, rng, alive, mask);
   const std::uint64_t threshold = coin.threshold();
   const std::size_t m = alive.size();
   std::int64_t successes = 0;
   std::size_t k = 0;
-  std::uint64_t draws[8];
-  for (; k + 8 <= m; k += 8) {
-    NextDraws8(rng, alive.data() + k, draws);
-    for (int j = 0; j < 8; ++j) {
-      rng[static_cast<std::size_t>(alive[k + static_cast<std::size_t>(j)])]
-          .SkipPhiloxDraws(1);
-      const bool hit = (draws[j] >> 11) < threshold;
-      mask[k + static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(hit);
-      successes += hit;
+  if (PhiloxLanes(rng, alive)) {
+    std::uint64_t draws[8], odd[8];
+    for (; k + 8 <= m; k += 8) {
+      NextDraws8(rng, alive.data() + k, draws, odd);
+      for (int j = 0; j < 8; ++j) {
+        rng[static_cast<std::size_t>(alive[k + static_cast<std::size_t>(j)])]
+            .StepPhilox(odd[j]);
+        const bool hit = (draws[j] >> 11) < threshold;
+        mask[k + static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(hit);
+        successes += hit;
+      }
+    }
+  } else {
+    // threshold <= 2^53 and x >> 11 < 2^53, so the signed compare is exact.
+    const __m256i thr = _mm256_set1_epi64x(static_cast<long long>(threshold));
+    for (; k + 4 <= m; k += 4) {
+      const __m256i x = XoshiroStep4(rng, alive.data() + k);
+      const auto bits = static_cast<std::uint32_t>(_mm256_movemask_pd(
+          _mm256_castsi256_pd(
+              _mm256_cmpgt_epi64(thr, _mm256_srli_epi64(x, 11)))));
+      // Spread bit j to byte j: the four 0/1 mask bytes, little-endian.
+      const std::uint32_t bytes = (bits & 1u) | (bits & 2u) << 7 |
+                                  (bits & 4u) << 14 | (bits & 8u) << 21;
+      std::memcpy(mask.data() + k, &bytes, sizeof(bytes));
+      successes += std::popcount(bits);
     }
   }
   for (; k < m; ++k) {
@@ -165,29 +241,31 @@ void UniformFillAvx2(const support::BatchUniformInt& dist,
                      std::span<support::RandomSource> rng,
                      std::span<const std::int32_t> alive,
                      std::span<std::int32_t> out) {
-  if (!PhiloxLanes(rng, alive)) {
-    return UniformFillScalar(dist, rng, alive, out);
-  }
-  const std::uint64_t range = dist.range();
-  const std::uint64_t threshold = dist.threshold();
-  const std::int64_t lo = dist.lo();
   const std::size_t m = alive.size();
   std::size_t k = 0;
-  std::uint64_t draws[8];
-  for (; k + 8 <= m; k += 8) {
-    NextDraws8(rng, alive.data() + k, draws);
-    for (int j = 0; j < 8; ++j) {
-      auto& rs =
-          rng[static_cast<std::size_t>(alive[k + static_cast<std::size_t>(j)])];
-      rs.SkipPhiloxDraws(1);
-      __uint128_t prod = static_cast<__uint128_t>(draws[j]) * range;
-      auto low = static_cast<std::uint64_t>(prod);
-      while (low < threshold) {  // P[reject] < 2^-33: effectively never
-        prod = static_cast<__uint128_t>(rs.NextU64()) * range;
-        low = static_cast<std::uint64_t>(prod);
+  if (PhiloxLanes(rng, alive)) {
+    std::uint64_t draws[8], odd[8];
+    for (; k + 8 <= m; k += 8) {
+      NextDraws8(rng, alive.data() + k, draws, odd);
+      for (int j = 0; j < 8; ++j) {
+        auto& rs = rng[static_cast<std::size_t>(
+            alive[k + static_cast<std::size_t>(j)])];
+        rs.StepPhilox(odd[j]);
+        out[k + static_cast<std::size_t>(j)] =
+            LemireFinish(dist, draws[j], rs);
       }
-      out[k + static_cast<std::size_t>(j)] =
-          static_cast<std::int32_t>(lo + static_cast<std::int64_t>(prod >> 64));
+    }
+  } else {
+    alignas(32) std::uint64_t draws[4];
+    for (; k + 4 <= m; k += 4) {
+      _mm256_store_si256(reinterpret_cast<__m256i*>(draws),
+                         XoshiroStep4(rng, alive.data() + k));
+      for (int j = 0; j < 4; ++j) {
+        out[k + static_cast<std::size_t>(j)] = LemireFinish(
+            dist, draws[j],
+            rng[static_cast<std::size_t>(
+                alive[k + static_cast<std::size_t>(j)])]);
+      }
     }
   }
   for (; k < m; ++k) {

@@ -75,9 +75,11 @@ inline void PhiloxBlocks4(const std::uint32_t c0[4], const std::uint32_t c1[4],
   }
 }
 
-// Each lane's next draw without advancing any lane (see NextDraws8).
+// Each lane's next draw and its block's odd half, without advancing any
+// lane (see NextDraws8).
 inline void NextDraws4(std::span<support::RandomSource> rng,
-                       const std::int32_t* lanes, std::uint64_t draws[4]) {
+                       const std::int32_t* lanes, std::uint64_t draws[4],
+                       std::uint64_t odd[4]) {
   std::uint32_t c0[4], c1[4], c2[4], c3[4], k0[4], k1[4];
   for (int j = 0; j < 4; ++j) {
     const auto& rs = rng[static_cast<std::size_t>(lanes[j])];
@@ -91,11 +93,11 @@ inline void NextDraws4(std::span<support::RandomSource> rng,
     k0[j] = static_cast<std::uint32_t>(key);
     k1[j] = static_cast<std::uint32_t>(key >> 32);
   }
-  std::uint64_t d0[4], d1[4];
-  PhiloxBlocks4(c0, c1, c2, c3, k0, k1, d0, d1);
+  std::uint64_t d0[4];
+  PhiloxBlocks4(c0, c1, c2, c3, k0, k1, d0, odd);
   for (int j = 0; j < 4; ++j) {
     const auto& rs = rng[static_cast<std::size_t>(lanes[j])];
-    draws[j] = (rs.philox_draws() & 1) ? d1[j] : d0[j];
+    draws[j] = (rs.philox_draws() & 1) ? odd[j] : d0[j];
   }
 }
 
@@ -137,12 +139,12 @@ std::int64_t CoinMaskSse42(const support::BatchBernoulli& coin,
   const std::size_t m = alive.size();
   std::int64_t successes = 0;
   std::size_t k = 0;
-  std::uint64_t draws[4];
+  std::uint64_t draws[4], odd[4];
   for (; k + 4 <= m; k += 4) {
-    NextDraws4(rng, alive.data() + k, draws);
+    NextDraws4(rng, alive.data() + k, draws, odd);
     for (int j = 0; j < 4; ++j) {
       rng[static_cast<std::size_t>(alive[k + static_cast<std::size_t>(j)])]
-          .SkipPhiloxDraws(1);
+          .StepPhilox(odd[j]);
       const bool hit = (draws[j] >> 11) < threshold;
       mask[k + static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(hit);
       successes += hit;
@@ -164,26 +166,16 @@ void UniformFillSse42(const support::BatchUniformInt& dist,
   if (!PhiloxLanes(rng, alive)) {
     return UniformFillScalar(dist, rng, alive, out);
   }
-  const std::uint64_t range = dist.range();
-  const std::uint64_t threshold = dist.threshold();
-  const std::int64_t lo = dist.lo();
   const std::size_t m = alive.size();
   std::size_t k = 0;
-  std::uint64_t draws[4];
+  std::uint64_t draws[4], odd[4];
   for (; k + 4 <= m; k += 4) {
-    NextDraws4(rng, alive.data() + k, draws);
+    NextDraws4(rng, alive.data() + k, draws, odd);
     for (int j = 0; j < 4; ++j) {
       auto& rs =
           rng[static_cast<std::size_t>(alive[k + static_cast<std::size_t>(j)])];
-      rs.SkipPhiloxDraws(1);
-      __uint128_t prod = static_cast<__uint128_t>(draws[j]) * range;
-      auto low = static_cast<std::uint64_t>(prod);
-      while (low < threshold) {  // P[reject] < 2^-33: effectively never
-        prod = static_cast<__uint128_t>(rs.NextU64()) * range;
-        low = static_cast<std::uint64_t>(prod);
-      }
-      out[k + static_cast<std::size_t>(j)] =
-          static_cast<std::int32_t>(lo + static_cast<std::int64_t>(prod >> 64));
+      rs.StepPhilox(odd[j]);
+      out[k + static_cast<std::size_t>(j)] = LemireFinish(dist, draws[j], rs);
     }
   }
   for (; k < m; ++k) {

@@ -29,56 +29,24 @@
 namespace crmc::support {
 
 // SplitMix64: used for seeding and for cheap stateless mixing.
+// The constants are public for the vector seeding kernel (src/simd/).
 class SplitMix64 {
  public:
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  static constexpr std::uint64_t kMul1 = 0xbf58476d1ce4e5b9ULL;
+  static constexpr std::uint64_t kMul2 = 0x94d049bb133111ebULL;
+
   explicit constexpr SplitMix64(std::uint64_t seed) : state_(seed) {}
 
   constexpr std::uint64_t Next() {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    std::uint64_t z = (state_ += kGamma);
+    z = (z ^ (z >> 30)) * kMul1;
+    z = (z ^ (z >> 27)) * kMul2;
     return z ^ (z >> 31);
   }
 
  private:
   std::uint64_t state_;
-};
-
-// xoshiro256++ 1.0.
-class Xoshiro256pp {
- public:
-  // Unseeded (all-zero state): a placeholder that is never drawn from.
-  constexpr Xoshiro256pp() = default;
-
-  explicit Xoshiro256pp(std::uint64_t seed) {
-    SplitMix64 sm(seed);
-    for (auto& s : state_) s = sm.Next();
-  }
-
-  // Raw-state constructor for the simd stream-seeding kernel, which runs
-  // the SplitMix64 expansion above for several streams at once and must
-  // land on the identical state words.
-  explicit Xoshiro256pp(const std::uint64_t state[4]) {
-    for (int i = 0; i < 4; ++i) state_[i] = state[i];
-  }
-
-  std::uint64_t Next() {
-    const std::uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = Rotl(state_[3], 45);
-    return result;
-  }
-
- private:
-  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-  std::uint64_t state_[4] = {};
 };
 
 // Which core generator a RandomSource stream runs on.
@@ -159,20 +127,30 @@ struct Philox4x32 {
 
 // High-level random source with the distributions the protocols need.
 //
-// In xoshiro mode the stream is the generator state. In philox mode the
-// stream is (key, stream id, next draw index) plus a one-block memo: the
-// memo caches the two draws of one block keyed by block index, so it can
-// never go stale — block values are pure functions of (key, stream, block),
-// and a SIMD kernel that advances draw_index out-of-line leaves any cached
-// block just as valid as before.
+// One stream is a 40-byte record: four state words plus the kind byte. The
+// batch engine seeds and draws one stream per node per trial (|A| = 4096 on
+// the large general sweep), so the record is kept small enough that four
+// streams' state words load as four 32-byte vectors (src/simd/).
+//
+//   - xoshiro: words() is the xoshiro256++ state.
+//   - philox: words() is (key, stream id, index of the next draw, odd half
+//     of block index >> 1). The fourth word is a one-draw memo, valid
+//     whenever the draw index is odd: every path that advances an even
+//     index by one (NextU64, SkipPhiloxDraws, the SIMD draw kernels) writes
+//     the odd half of the block it just computed, so two sequential draws
+//     cost one Philox block.
 class RandomSource {
  public:
+  // Stream premix multiplier: stream s seeds SplitMix64 at
+  // master_seed ^ (kStreamMix * (s + 1)).
+  static constexpr std::uint64_t kStreamMix = 0xa0761d6478bd642fULL;
+
   // Unseeded placeholder (xoshiro mode, all-zero state). Exists so scratch
   // slots that are never drawn from — e.g. the fault injector's streams on
   // a pristine run — skip the seeding work.
   RandomSource() = default;
 
-  explicit RandomSource(std::uint64_t seed) : gen_(seed) {}
+  explicit RandomSource(std::uint64_t seed) { SeedXoshiro(seed); }
 
   // Derive an independent stream (e.g., per node) from a master seed. Both
   // kinds mix (master_seed, stream) identically; philox uses the mixed
@@ -181,38 +159,57 @@ class RandomSource {
   static RandomSource ForStream(std::uint64_t master_seed,
                                 std::uint64_t stream,
                                 RngKind kind = RngKind::kXoshiro) {
-    SplitMix64 sm(master_seed ^ (0xa0761d6478bd642fULL * (stream + 1)));
-    if (kind == RngKind::kXoshiro) return RandomSource(sm.Next());
     RandomSource rs;
-    rs.kind_ = RngKind::kPhilox;
-    rs.philox_key_ = sm.Next();
-    rs.philox_stream_ = stream;
+    rs.SeedStream(master_seed, stream, kind);
     return rs;
   }
 
-  // Raw-state factories for the simd stream-seeding kernel (bit-exact with
-  // ForStream given the same expansion; see simd/kernels.h).
-  static RandomSource FromXoshiroState(const std::uint64_t state[4]) {
-    RandomSource rs;
-    rs.gen_ = Xoshiro256pp(state);
-    return rs;
+  // In-place form of ForStream: overwrites this record with stream `stream`
+  // of `master_seed`. The seeding kernel (simd::SeedStreams) writes its
+  // records through this rather than assigning ForStream results: a
+  // temporary per stream tripled the cost of seeding 4096 streams (GCC 12,
+  // -O3).
+  void SeedStream(std::uint64_t master_seed, std::uint64_t stream,
+                  RngKind kind) {
+    SplitMix64 sm(master_seed ^ (kStreamMix * (stream + 1)));
+    if (kind == RngKind::kXoshiro) {
+      SeedXoshiro(sm.Next());
+    } else {
+      w_[0] = sm.Next();
+      w_[1] = stream;
+      w_[2] = 0;
+      w_[3] = 0;
+    }
+    kind_ = kind;
   }
+
+  // Raw-key factory (bit-exact with ForStream given the same premix).
   static RandomSource FromPhiloxKey(std::uint64_t key, std::uint64_t stream) {
     RandomSource rs;
     rs.kind_ = RngKind::kPhilox;
-    rs.philox_key_ = key;
-    rs.philox_stream_ = stream;
+    rs.w_[0] = key;
+    rs.w_[1] = stream;
     return rs;
   }
 
   std::uint64_t NextU64() {
-    if (kind_ == RngKind::kXoshiro) return gen_.Next();
-    const std::uint64_t block = philox_draws_ >> 1;
-    if (block != cached_block_) {
-      Philox4x32::BlockU64(philox_key_, philox_stream_, block, cached_);
-      cached_block_ = block;
+    if (kind_ == RngKind::kXoshiro) {
+      const std::uint64_t result = Rotl(w_[0] + w_[3], 23) + w_[0];
+      const std::uint64_t t = w_[1] << 17;
+      w_[2] ^= w_[0];
+      w_[3] ^= w_[1];
+      w_[1] ^= w_[2];
+      w_[0] ^= w_[3];
+      w_[2] ^= t;
+      w_[3] = Rotl(w_[3], 45);
+      return result;
     }
-    return cached_[philox_draws_++ & 1];
+    const std::uint64_t index = w_[2]++;
+    if (index & 1) return w_[3];
+    std::uint64_t block[2];
+    Philox4x32::BlockU64(w_[0], w_[1], index >> 1, block);
+    w_[3] = block[1];
+    return block[0];
   }
 
   // Uniform integer in [lo, hi], inclusive. Unbiased (Lemire's method).
@@ -246,24 +243,52 @@ class RandomSource {
     return UniformDouble() < p;
   }
 
-  // ---- Philox state, exposed for the SIMD kernels (src/simd/). ----
+  // ---- Raw record, exposed for the SIMD kernels (src/simd/). ----
   RngKind kind() const { return kind_; }
-  std::uint64_t philox_key() const { return philox_key_; }
-  std::uint64_t philox_stream() const { return philox_stream_; }
-  std::uint64_t philox_draws() const { return philox_draws_; }
-  // A kernel that generated this stream's next `n` draws out-of-line
-  // advances the counter here; the block memo stays valid (see above).
-  void SkipPhiloxDraws(std::uint64_t n) { philox_draws_ += n; }
+  // The four state words laid out as described above the class. The
+  // kernels load and store them directly (xoshiro lanes four at a time,
+  // seeding eight records at a time) and must keep the philox memo rule.
+  std::uint64_t* words() { return w_; }
+  const std::uint64_t* words() const { return w_; }
+  void set_kind(RngKind kind) { kind_ = kind; }
+
+  std::uint64_t philox_key() const { return w_[0]; }
+  std::uint64_t philox_stream() const { return w_[1]; }
+  std::uint64_t philox_draws() const { return w_[2]; }
+  // A kernel that generated this stream's next draw out-of-line from the
+  // block it computed advances the counter here; `odd_half` is that
+  // block's second draw, memoized when the index was even.
+  void StepPhilox(std::uint64_t odd_half) {
+    if ((w_[2]++ & 1) == 0) w_[3] = odd_half;
+  }
+  // Skips the next `n` draws. Landing on an odd index computes that
+  // block's odd half, so the memo rule holds.
+  void SkipPhiloxDraws(std::uint64_t n) {
+    if (n == 0) return;
+    w_[2] += n;
+    if (w_[2] & 1) {
+      std::uint64_t block[2];
+      Philox4x32::BlockU64(w_[0], w_[1], w_[2] >> 1, block);
+      w_[3] = block[1];
+    }
+  }
 
  private:
-  Xoshiro256pp gen_;
-  std::uint64_t philox_key_ = 0;
-  std::uint64_t philox_stream_ = 0;
-  std::uint64_t philox_draws_ = 0;  // index of the next draw
-  std::uint64_t cached_[2] = {};
-  std::uint64_t cached_block_ = ~0ULL;  // no block memoized
+  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
+  void SeedXoshiro(std::uint64_t seed) {
+    SplitMix64 sm(seed);
+    for (auto& w : w_) w = sm.Next();
+  }
+
+  std::uint64_t w_[4] = {};
   RngKind kind_ = RngKind::kXoshiro;
 };
+
+static_assert(sizeof(RandomSource) == 40,
+              "four state words plus the kind byte, padded to 8");
 
 // Precomputed-range uniform sampler for batch draws.
 //

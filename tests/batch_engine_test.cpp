@@ -20,6 +20,7 @@
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
 #include "sim/step_program.h"
+#include "simd/dispatch.h"
 #include "support/rng.h"
 
 namespace crmc::sim {
@@ -131,10 +132,12 @@ TEST(BatchEngineParity, GeneralLargePopulation) {
 }
 
 // The crmcbench `sweep_general_large` point (n = 2^20, |A| = 4096, C = 256)
-// over both generators and both round paths, with per-node transmission
-// counts and the alive curve compared entry by entry. The batch engine
-// samples no node IDs while the coroutine engine still does, so this also
-// checks that no batch result depends on the ID stream at this size.
+// over both generators, both round paths and every available SIMD backend
+// (the AVX2 xoshiro coin rounds and the AVX-512 stream seeding only engage
+// at this width), with per-node transmission counts and the alive curve
+// compared entry by entry. The batch engine samples no node IDs while the
+// coroutine engine still does, so this also checks that no batch result
+// depends on the ID stream at this size.
 TEST(BatchEngineParity, GeneralBenchmarkShape) {
   EngineConfig config;
   config.population = 1 << 20;
@@ -143,22 +146,32 @@ TEST(BatchEngineParity, GeneralBenchmarkShape) {
   config.record_node_transmissions = true;
   config.record_active_counts = true;
   auto program = MakeGeneralProgram();
-  for (const support::RngKind kind :
-       {support::RngKind::kXoshiro, support::RngKind::kPhilox}) {
-    config.rng = kind;
-    for (const bool fused : {true, false}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "philox=" << (kind == support::RngKind::kPhilox)
-                   << " fused=" << fused);
-      CheckParity(config, core::MakeGeneral(), *program, 16, 93'000, fused);
-      if (::testing::Test::HasFailure()) return;
+  const simd::Backend original = simd::ActiveBackend();
+  for (const simd::Backend backend : simd::AllBackends()) {
+    if (!simd::BackendAvailable(backend)) continue;
+    simd::SetBackend(backend);
+    for (const support::RngKind kind :
+         {support::RngKind::kXoshiro, support::RngKind::kPhilox}) {
+      config.rng = kind;
+      for (const bool fused : {true, false}) {
+        SCOPED_TRACE(::testing::Message()
+                     << simd::ToString(backend)
+                     << " philox=" << (kind == support::RngKind::kPhilox)
+                     << " fused=" << fused);
+        CheckParity(config, core::MakeGeneral(), *program, 16, 93'000, fused);
+        if (::testing::Test::HasFailure()) break;
+      }
+      if (::testing::Test::HasFailure()) break;
+      EngineConfig jammed = config;
+      jammed.max_rounds = 2000;
+      jammed.faults.jam_rate = 0.1;
+      SCOPED_TRACE(simd::ToString(backend));
+      CheckParity(jammed, core::MakeGeneral(), *program, 4, 94'000);
+      if (::testing::Test::HasFailure()) break;
     }
-    EngineConfig jammed = config;
-    jammed.max_rounds = 2000;
-    jammed.faults.jam_rate = 0.1;
-    CheckParity(jammed, core::MakeGeneral(), *program, 4, 94'000);
-    if (::testing::Test::HasFailure()) return;
+    if (::testing::Test::HasFailure()) break;
   }
+  simd::SetBackend(original);
 }
 
 TEST(BatchEngineParity, GeneralFewChannelsFallback) {

@@ -84,6 +84,36 @@ TEST(Philox, CounterBasedDrawsAreRandomAccess) {
   EXPECT_EQ(skip.NextU64(), draws[38]);
 }
 
+TEST(Philox, MemoWordHoldsOddHalfUnderSkips) {
+  // The fourth state word memoizes the odd half of the current block and
+  // must be valid whenever the draw index is odd — after NextU64 and after
+  // skips by odd and even counts alike.
+  RandomSource seq = RandomSource::ForStream(0x77ULL, 3, RngKind::kPhilox);
+  std::vector<std::uint64_t> draws;
+  for (int i = 0; i < 256; ++i) draws.push_back(seq.NextU64());
+
+  RandomSource rs = RandomSource::ForStream(0x77ULL, 3, RngKind::kPhilox);
+  RandomSource script(0x5c1);
+  std::size_t index = 0;
+  while (index < 240) {
+    if (script.UniformInt(0, 1) == 0) {
+      ASSERT_EQ(rs.NextU64(), draws[index]) << "draw " << index;
+      ++index;
+    } else {
+      const auto n = static_cast<std::size_t>(script.UniformInt(0, 5));
+      rs.SkipPhiloxDraws(n);
+      index += n;
+    }
+    ASSERT_EQ(rs.philox_draws(), index);
+    if (index & 1) {
+      std::uint64_t block[2] = {};
+      Philox4x32::BlockU64(rs.philox_key(), rs.philox_stream(), index >> 1,
+                           block);
+      ASSERT_EQ(rs.words()[3], block[1]) << "index " << index;
+    }
+  }
+}
+
 TEST(Philox, ForStreamMatchesRawKeyFactory) {
   RandomSource a = RandomSource::ForStream(0xabcdefULL, 11, RngKind::kPhilox);
   RandomSource b = RandomSource::FromPhiloxKey(a.philox_key(), 11);

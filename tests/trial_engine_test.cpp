@@ -117,8 +117,7 @@ void CheckTrialParityAllBackends(const EngineConfig& config,
                                  bool expect_same_fused = true,
                                  std::int32_t lane_width = 32) {
   const simd::Backend original = simd::ActiveBackend();
-  for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2}) {
+  for (const simd::Backend backend : simd::AllBackends()) {
     if (!simd::BackendAvailable(backend)) continue;
     SCOPED_TRACE(simd::ToString(backend));
     simd::SetBackend(backend);
@@ -251,8 +250,7 @@ TEST(TrialEngineParity, AllBackendsBitExact) {
   config.channels = 16;
   auto program = MakeTwoActiveProgram();
   const simd::Backend original = simd::ActiveBackend();
-  for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2}) {
+  for (const simd::Backend backend : simd::AllBackends()) {
     if (!simd::BackendAvailable(backend)) continue;
     SCOPED_TRACE(simd::ToString(backend));
     simd::SetBackend(backend);
@@ -355,8 +353,7 @@ TEST(TrialEngineFamilyParity, GeneralTimeoutMidReduce) {
 void CheckLeafElectionTrialParity(bool force_binary) {
   constexpr std::int32_t kNumLeaves = 16;
   const simd::Backend original = simd::ActiveBackend();
-  for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2}) {
+  for (const simd::Backend backend : simd::AllBackends()) {
     if (!simd::BackendAvailable(backend)) continue;
     SCOPED_TRACE(simd::ToString(backend));
     simd::SetBackend(backend);

@@ -67,7 +67,8 @@ using namespace crmc;
       "            active — the perf tier's dispatch canary)\n"
       "  list      registered algorithms\n"
       "common flags: --active N  --population N  --channels C  --seed S\n"
-      "              --simd scalar|sse4.2|avx2|auto (force kernel backend)\n"
+      "              --simd scalar|sse4.2|avx2|avx512|auto (force kernel\n"
+      "              backend)\n"
       "run flags:    --algo NAME  --cd strong|receiver|none  --trace\n"
       "              --run-to-completion  --rng xoshiro|philox\n"
       "              --jam-rate P --erasure-rate P --flaky-cd P\n"
@@ -702,27 +703,11 @@ int CmdSimd(const harness::Flags& flags) {
   RejectUnknownFlags(flags);
   harness::Table table({"backend", "compiled", "available", "active"});
   const simd::Backend active = simd::ActiveBackend();
-  const struct {
-    simd::Backend backend;
-    bool compiled;
-  } rows[] = {
-      {simd::Backend::kScalar, true},
-#if defined(CRMC_SIMD_HAS_SSE42)
-      {simd::Backend::kSse42, true},
-#else
-      {simd::Backend::kSse42, false},
-#endif
-#if defined(CRMC_SIMD_HAS_AVX2)
-      {simd::Backend::kAvx2, true},
-#else
-      {simd::Backend::kAvx2, false},
-#endif
-  };
-  for (const auto& row : rows) {
-    table.Row().Cells(simd::ToString(row.backend),
-                      row.compiled ? "yes" : "no",
-                      simd::BackendAvailable(row.backend) ? "yes" : "no",
-                      row.backend == active ? "yes" : "no");
+  for (const simd::Backend backend : simd::AllBackends()) {
+    table.Row().Cells(simd::ToString(backend),
+                      simd::BackendCompiled(backend) ? "yes" : "no",
+                      simd::BackendAvailable(backend) ? "yes" : "no",
+                      backend == active ? "yes" : "no");
   }
   table.Print(std::cout);
   if (require_vector && active == simd::Backend::kScalar) {
