@@ -7,6 +7,24 @@
 
 namespace crmc::sim {
 
+void FinishRun(const EngineConfig& config, std::int64_t rounds,
+               std::int64_t stall_streak, bool terminated, bool timed_out,
+               std::span<const std::int64_t> node_tx, RunResult& result) {
+  result.rounds_executed = rounds;
+  result.stall_rounds = stall_streak;
+  result.all_terminated = terminated;
+  for (const std::int64_t tx : node_tx) {
+    result.max_node_transmissions = std::max(result.max_node_transmissions, tx);
+    result.mean_node_transmissions += static_cast<double>(tx);
+  }
+  result.mean_node_transmissions /= static_cast<double>(config.num_active);
+  if (config.record_node_transmissions) {
+    result.node_transmissions.assign(node_tx.begin(), node_tx.end());
+  }
+  result.timed_out = timed_out;
+  result.wedged = timed_out && stall_streak * 2 >= rounds;
+}
+
 RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   const std::int64_t population = ValidateEngineConfig(config);
 
@@ -37,41 +55,31 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   std::int64_t stall_streak = 0;
   bool aborted = false;
   // True iff the run hit max_rounds inside a between-epoch backoff pause
-  // (folded into timed_out below, same as Engine::Run).
+  // (folded into timed_out below; the round loop's own timeout leaves
+  // alive_ nonempty and is detected from that).
   bool out_of_rounds = false;
   // Fused-round gate: FastRound assumes feedback is a pure function of the
-  // emitted actions (strong CD, no faults) and produces no trace. The
-  // conditions are per-run constants, so the whole run takes one path —
-  // except a program may decline a specific round (e.g. the general
-  // algorithm's LeafElection stage), which falls through to the generic
-  // materialized round below. An observation-reading adversary pins the
-  // whole run to materialized rounds (FastRound never runs the resolver it
-  // would eavesdrop on), and so does the robust layer: epoch boundaries,
-  // confirmation echoes and watchdog bookkeeping all need materialized
-  // rounds, and a wrapped run is only interesting under adversarial
-  // pressure anyway. Wrapped pristine runs stay bit-identical regardless —
-  // the fused path's contract is bit-exactness with the generic one.
+  // emitted actions (strong CD, no faults) and produces no trace. These are
+  // per-run constants, though a program may decline a single round (e.g.
+  // the general algorithm's LeafElection stage). An observation-reading
+  // adversary pins the run to materialized rounds (FastRound never runs
+  // the resolver it would eavesdrop on), and so does the robust layer,
+  // whose echoes, epochs and watchdogs need them. Either path is bit-exact.
   const bool fast_rounds = fused_rounds_enabled_ && !injector.active() &&
                            config.cd_model == mac::CdModel::kStrong &&
                            !config.record_trace &&
                            !adversary.needs_observation() &&
                            !config.robust.enabled;
-  // FastRound implementations also lean on lockstep invariants ("survivors
-  // share identical bounds/phase") that only hold while every past round
-  // was pristine: a single jam can split previously-lockstep node states
-  // (one node sees a forced collision where its peer saw a clean delivery),
-  // and the programs do not re-verify the invariant per round. A
-  // materialized jam therefore drops the run to the generic path — but only
-  // until the program reports the split healed: on every later jam-free
-  // round the engine asks LockstepRestored whether the survivors are back
-  // in a fused-representable shape and re-fuses when they are, so a
-  // budget-k adversary costs O(k) materialized windows instead of pinning
-  // the whole run (an observation-free adversary with budget 0, or one
-  // that never fires, still fuses every round).
+  // FastRound also leans on lockstep invariants ("survivors share bounds
+  // and phase") that a single jam can split. A materialized jam drops the
+  // run to the generic path until the program reports the split healed:
+  // on every later jam-free round LockstepRestored is asked whether the
+  // survivors are fused-representable again, so a budget-k adversary costs
+  // O(k) materialized windows instead of pinning the whole run.
   bool adv_perturbed = false;
 
   // Shared accounting for every resolved round, protocol and fabricated
-  // alike — mirrors Engine::Run's lambda exactly.
+  // alike: totals, trace, solved-detection, round advance.
   const auto account_round = [&](const mac::RoundSummary& summary) {
     result.total_transmissions += summary.total_transmissions;
     result.adv_jams_spent += summary.adv_jams;
@@ -86,24 +94,20 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       }
       result.trace.push_back(std::move(rt));
     }
-    if (summary.primary_lone_delivered) {
-      if (!result.solved) {
-        result.solved = true;
-        result.solved_round = round;
-      }
-      result.all_solved_rounds.push_back(round);
-    }
+    if (summary.primary_lone_delivered) RecordLoneDelivery(result, round);
     ++round;
   };
 
-  // One engine-fabricated round, bit-exact with Engine::Run's: the dense
-  // alive-ordered action array carries the same non-idle actions in the
-  // same ascending-node order as the coroutine engine's full array, so the
-  // resolver touches channels — and draws faults — identically. Crash
-  // draws are skipped and the program does not advance. `winner_slot`
-  // >= 0 indexes alive_ and fabricates a confirmation echo; -1 fabricates
-  // an all-idle backoff round. Returns the round summary so the call sites
-  // can feed the adaptive policy and the echo/backoff spend breakdown.
+  // One engine-fabricated round. The adversary plans and observes it like
+  // any protocol round (backoff silence is a honeypot: a reactive jammer
+  // cannot tell it from an all-listen round), but crash draws are skipped
+  // and the program does not advance: node state is frozen while the
+  // engine holds the floor. `winner_slot` >= 0 indexes alive_ and
+  // fabricates a confirmation echo (the candidate retransmits its message
+  // on the primary channel, every other live node listens there); -1
+  // fabricates an all-idle backoff round. Returns the round summary so the
+  // call sites can feed the adaptive policy and the echo/backoff spend
+  // breakdown.
   const auto fabricated_round =
       [&](std::int32_t winner_slot) -> mac::RoundSummary {
     const std::size_t m = alive_.size();
@@ -112,12 +116,10 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     }
     fab_actions_.assign(m, mac::Action::Listen(mac::kPrimaryChannel));
     if (winner_slot >= 0) {
-      fab_actions_[static_cast<std::size_t>(winner_slot)] =
-          mac::Action::Transmit(
-              mac::kPrimaryChannel,
-              actions_[static_cast<std::size_t>(winner_slot)].message);
-      ++node_tx_[static_cast<std::size_t>(
-          alive_[static_cast<std::size_t>(winner_slot)])];
+      const auto k = static_cast<std::size_t>(winner_slot);
+      fab_actions_[k] =
+          mac::Action::Transmit(mac::kPrimaryChannel, actions_[k].message);
+      ++node_tx_[static_cast<std::size_t>(alive_[k])];
     } else {
       fab_actions_.clear();  // backoff: nobody participates
     }
@@ -131,12 +133,14 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     return summary;
   };
 
-  // Quorum-obfuscating dummy confirm round, bit-exact with Engine::Run's:
-  // the two lowest-index alive nodes (alive_ is ascending, so slots 0 and 1)
-  // transmit together on the primary channel — a guaranteed collision —
-  // while every other live node listens there. Faults apply as usual, so an
-  // erasure thinning the pair to a lone transmission genuinely solves the
-  // run. Requires alive_.size() >= 2 (call sites gate).
+  // Quorum-obfuscating dummy confirm round (the hardened policy's timing
+  // obfuscation): the two lowest-index alive nodes (alive_ is ascending, so
+  // slots 0 and 1) transmit together on the primary channel — a guaranteed
+  // collision — while every other live node listens there. To the
+  // adversary it is indistinguishable from a sparse endgame or echo round;
+  // faults apply as usual, so an erasure thinning the pair to a lone
+  // transmission genuinely solves the run. Node state stays frozen, like
+  // every fabricated round. Requires alive_.size() >= 2 (call sites gate).
   const auto fabricated_dummy_round = [&]() -> mac::RoundSummary {
     const std::size_t m = alive_.size();
     if (config.record_active_counts) {
@@ -158,9 +162,11 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   };
 
   while (true) {  // one iteration per robust epoch (single pass when off)
-    // Bounded exponential backoff before every retry epoch — all-idle
-    // rounds the adversary still plans against (and, being reactive,
-    // typically wastes budget on).
+    // Bounded exponential backoff before every retry epoch (epoch 0 starts
+    // immediately). All-idle rounds: the protocol is silent, but the
+    // adversary still plans and observes — and every reactive strategy
+    // falls back to camping the primary channel on silence, so the pause
+    // drains its budget.
     for (std::int64_t pause = epochs.PauseRounds();
          pause > 0 && round < config.max_rounds; --pause) {
       const mac::RoundSummary pause_summary = fabricated_round(-1);
@@ -174,23 +180,27 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     }
 
     // (Re)seed per-node streams and reset program state for this epoch.
-    // Epoch 0 uses the unsalted seed — the historical construction — and
-    // crashed nodes are excluded from the rebuilt alive set for good.
+    // Epoch 0 uses the unsalted seed, so a wrapped pristine run stays
+    // bit-identical to an unwrapped one. Crashed nodes never rejoin.
     rng_.resize(n);
     simd::SeedStreams(epochs.SeedFor(config.seed), 1, config.rng, rng_);
     ctx.rng = rng_;
     program.Reset(ctx);
 
-    alive_.clear();
+    alive_.resize(n);
+    std::size_t live = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!crashed_[i]) alive_.push_back(static_cast<NodeId>(i));
+      alive_[live] = static_cast<NodeId>(i);
+      live += crashed_[i] ? 0 : 1;
     }
+    alive_.resize(live);
+    program.Start(ctx, alive_);
     stall_streak = 0;
 
     bool epoch_failed = false;
     while (!alive_.empty() && round < config.max_rounds) {
-      // Crash-stop sweep, bit-exact with Engine::Run: one draw per alive
-      // node in ascending node order at the start of the round.
+      // Crash-stop sweep: one draw per alive node in ascending node order,
+      // at the start of the round, before the node gets to act.
       if (injector.has_crashes()) {
         std::size_t write = 0;
         for (std::size_t read = 0; read < alive_.size(); ++read) {
@@ -209,9 +219,9 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       }
       ctx.round = round;
 
-      // Planned before the round resolves, from strictly earlier
-      // observations — same call point as Engine::Run, so strategy, ledger
-      // and RNG state advance in lockstep across executors.
+      // Plan this round's adversary jams from rounds < round only (the
+      // observation recorded after the previous Resolve): jamming is a bet
+      // on where activity will land, never a reaction to it.
       const std::span<const mac::ChannelId> adv_jams =
           adversary.PlanRound(round, config.channels);
       adv_perturbed = adv_perturbed || !adv_jams.empty();
@@ -226,16 +236,10 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
         if (program.FastRound(ctx, alive_, node_tx_, finished_, &fx)) {
           ++result.fused_rounds;
           result.total_transmissions += fx.transmissions;
-          if (fx.primary_lone_delivered) {
-            if (!result.solved) {
-              result.solved = true;
-              result.solved_round = round;
-            }
-            result.all_solved_rounds.push_back(round);
-          }
+          if (fx.primary_lone_delivered) RecordLoneDelivery(result, round);
           ++round;
-          // Same order as the generic path: the solving round ends the run
-          // before the alive set is compacted.
+          // Same order as the materialized path: the solving round ends
+          // the run before the alive set is compacted.
           if (result.solved && config.stop_when_solved) break;
           const std::size_t write = simd::CompactKeep(alive_, finished_);
           alive_.resize(write);
@@ -261,21 +265,27 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       adversary.ObserveRound(*resolver_, round);
       account_round(summary);
       epochs.CountRound();
-      // Hardened jam credit, mirroring Engine::Run: a jammed protocol
-      // round extends the epoch budget and holds the stall clock.
+      // Hardened jam credit: a jammed protocol round is adversary-bought
+      // time — it extends the epoch budget and holds the stall clock
+      // (applied at the streak update below).
       const bool jam_credit = epochs.NoteProtocolRound(summary.adv_jams);
 
-      // Delivery confirmation, mirroring Engine::Run: a suppressed
-      // candidate (lone primary transmitter, delivery jammed/erased)
-      // triggers echo rounds until one delivers or attempts run out.
+      // Delivery confirmation: exactly one primary-channel transmitter
+      // whose message was suppressed is a *candidate* — insert echo rounds
+      // until one delivers or attempts run out. A delivered candidate needs
+      // no echo (strong CD already acked it: the transmitter observed its
+      // own kMessage), and a delivered echo is itself the solving lone
+      // delivery.
       if (epochs.enabled() && !result.solved &&
           summary.primary_transmitters == 1 &&
           !summary.primary_lone_delivered) {
         const std::int32_t winner_slot = robust::FindPrimaryWinner(actions_);
         CRMC_CHECK(winner_slot >= 0);
         epochs.NoteCandidate();
-        // Bound re-evaluated after every echo — the adaptive quorum
-        // escalates in place, same as Engine::Run.
+        // The loop bound is re-evaluated after every echo: under the
+        // adaptive policy a suppressed echo raises the quorum, so the
+        // exchange escalates in place until an echo delivers or
+        // kMaxConfirmQuorum caps it.
         for (std::int32_t attempt = 0;
              attempt < epochs.confirm_attempts() &&
              round < config.max_rounds && !result.solved;
@@ -287,9 +297,11 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
           epochs.CountRound();
         }
       }
-      // Hardened reactive chaff, same call point as Engine::Run: retry-
-      // epoch non-lone activity is answered with a dummy-round burst that
-      // extends one round per jammed dummy up to the epoch's chaff window.
+      // Hardened reactive chaff: retry-epoch non-lone activity, the trigger
+      // a calibrated striker waits for, is answered with a burst of dummy
+      // rounds, extended one round per jammed dummy up to the epoch's chaff
+      // window. A trigger never opens the confirmation exchange above (that
+      // needs a lone primary transmitter), so the two are exclusive.
       if (epochs.ChaffTriggered(summary.total_transmissions,
                                 summary.primary_transmitters) &&
           alive_.size() >= 2 && !result.solved) {
@@ -304,17 +316,16 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       }
       if (result.solved && config.stop_when_solved) break;
 
+      // Advance sees the index of the round about to execute, after any
+      // echo or chaff rounds. Assumption checks fire only in Advance: a
+      // ProtocolAssumptionViolation aborts the run gracefully (or, under
+      // the robust layer, fails the epoch) when an adversarial layer really
+      // broke the guarantee it checks; otherwise it is a bug and propagates.
       finished_.assign(m, 0);
-      // All step-program assumption checks fire in Advance (Emit paths use
-      // hard CRMC_CHECKs only), so wrapping Advance alone keeps the
-      // graceful abort bit-exact with the coroutine engine's resume loop.
+      ctx.round = round;
       try {
         program.Advance(ctx, alive_, actions_, feedback_, finished_);
       } catch (const support::ProtocolAssumptionViolation&) {
-        // Same graceful-abort rule as Engine::Run: an active adversary
-        // layer (oblivious faults or adaptive jammer) legitimately breaks
-        // protocol model assumptions. Under the robust layer the violation
-        // fails the epoch and retries instead.
         if (!injector.active() && !adversary.active()) throw;
         if (epochs.CanRetry()) {
           epoch_failed = true;
@@ -326,9 +337,9 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       }
       const std::size_t write = simd::CompactKeep(alive_, finished_);
       alive_.resize(write);
-      // Livelock watchdog, identical to Engine::Run: progress means a lone
-      // message got through somewhere or a node terminated. Jam-credited
-      // rounds hold the clock.
+      // Livelock watchdog: a round made progress iff some channel delivered
+      // a lone message or some node terminated (crashes are not progress).
+      // Jam-credited rounds hold the clock.
       const bool progress = summary.lone_deliveries > 0 || write < m;
       if (progress) {
         stall_streak = 0;
@@ -336,8 +347,10 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
         ++stall_streak;
       }
 
-      // Phase watchdogs (see Engine::Run): the final permitted epoch runs
-      // to its natural end.
+      // Phase watchdogs: a jammed stage restarts the epoch instead of
+      // stalling to max_rounds. The final permitted epoch runs to its
+      // natural end (CanRetry gates the check), preserving the timeout and
+      // wedge diagnostics when retries are exhausted.
       if (!result.solved && epochs.CanRetry() &&
           epochs.WatchdogExpired(stall_streak)) {
         epoch_failed = true;
@@ -346,7 +359,8 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     }
 
     // Deluded exit: every node terminated (or crashed) without a confirmed
-    // delivery. Retry iff someone is left to restart.
+    // delivery — the silent failure E23 measures. Retry iff someone is
+    // left to restart.
     if (!epoch_failed && !aborted && !result.solved && alive_.empty() &&
         epochs.CanRetry()) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -358,32 +372,23 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     }
     if (!epoch_failed || round >= config.max_rounds) break;
     epochs.BeginNextEpoch();
+    // A watchdog-failed epoch leaves mid-flight nodes behind; they are
+    // discarded (the backoff pause sees an empty network).
     alive_.clear();
   }
 
-  result.rounds_executed = round;
   const mac::FaultCounters& fc = injector.counters();
   result.jams_injected = fc.jams;
   result.erasures_injected = fc.erasures;
   result.cd_flips_injected = fc.cd_flips;
   result.faults_injected = fc.Total();
   result.crashed_nodes = static_cast<std::int32_t>(fc.crashes);
-  result.stall_rounds = stall_streak;
-  result.all_terminated =
-      !aborted && !out_of_rounds && alive_.empty() && fc.crashes == 0;
-  for (const std::int64_t tx : node_tx_) {
-    result.max_node_transmissions = std::max(result.max_node_transmissions, tx);
-    result.mean_node_transmissions += static_cast<double>(tx);
-  }
-  result.mean_node_transmissions /= static_cast<double>(config.num_active);
-  if (config.record_node_transmissions) {
-    result.node_transmissions = node_tx_;
-  }
-  result.timed_out = (!alive_.empty() && round >= config.max_rounds &&
-                      !(result.solved && config.stop_when_solved)) ||
-                     out_of_rounds;
-  result.wedged =
-      result.timed_out && stall_streak * 2 >= result.rounds_executed;
+  const bool timed_out = (!alive_.empty() && round >= config.max_rounds &&
+                          !(result.solved && config.stop_when_solved)) ||
+                         out_of_rounds;
+  FinishRun(config, round, stall_streak,
+            !aborted && !out_of_rounds && alive_.empty() && fc.crashes == 0,
+            timed_out, node_tx_, result);
   result.adv_rounds_held = adversary.rounds_held();
   if (epochs.enabled()) {
     result.epochs_used = epochs.epoch() + 1;

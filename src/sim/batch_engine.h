@@ -1,30 +1,28 @@
-// Columnar fast-path executor for step programs.
+// The round loop: the one executor of the synchronous multi-channel model.
 //
-// BatchEngine::Run executes the same model as Engine::Run (sim/engine.h)
-// but drives a StepProgram (sim/step_program.h) instead of per-node
-// coroutines: node state lives in flat arrays, each round is two linear
-// sweeps over the alive prefix, and only alive nodes' actions are handed to
-// mac::Resolver — whose touched_channels scratch keeps resolution O(alive)
-// per round instead of O(num_active) or O(C).
+// BatchEngine::Run simulates one execution of a StepProgram
+// (sim/step_program.h). Each round: crash sweep, the program's EmitActions
+// over the alive prefix, adversary PlanRound, mac::Resolver (O(alive) via
+// its touched_channels scratch), adversary ObserveRound, the program's
+// Advance. Around that sit the robust layer's echo, chaff and backoff
+// rounds, jam credit, watchdogs and epoch restarts. Engine::Run
+// (sim/engine.h) runs coroutine protocols through this loop via an
+// adapter program.
 //
-// The engine instance owns all scratch (RNG columns, action/feedback
-// buffers, the resolver) and reuses it across Run calls, so a Monte-Carlo
-// sweep of trials is allocation-free after the first trial of a given
-// shape. One instance per thread; Run is not reentrant.
+// A run is solved in the first round in which exactly one node transmits
+// on the primary channel and that transmission is delivered (Section 3;
+// not jammed or erased), whether or not the protocol knows it.
 //
-// For programs with identical_draw_order() (all shipped ones), the
-// RunResult is bit-exact against Engine::Run on the same EngineConfig:
-// solved/solved_round/all_solved_rounds, rounds_executed, timed_out,
-// all_terminated, total_transmissions, the node-transmission summaries,
-// active_counts and trace all match. node_reports stays empty — step
-// programs carry no per-node instrumentation — and the coroutine engine's
-// auto-beacon (wakeup transform) mode has no step-program counterpart.
-// Unlike Engine::Run it samples no node IDs: step programs are anonymous,
-// and the ID sample has its own stream, so skipping it moves no other draw.
+// The instance owns all scratch and reuses it across Run calls, so a sweep
+// is allocation-free after its first trial of a given shape. One instance
+// per thread; Run is not reentrant. node_reports stays empty (Engine::Run
+// appends them) and no node IDs are sampled: columnar programs are
+// anonymous, and the ID stream is separate, so skipping it moves no draw.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "mac/resolver.h"
@@ -34,14 +32,34 @@
 
 namespace crmc::sim {
 
+// Lone-delivery bookkeeping shared by every executor: a lone primary
+// delivery in `round` is recorded, and the first one solves the run.
+inline void RecordLoneDelivery(RunResult& result, std::int64_t round) {
+  if (!result.solved) {
+    result.solved = true;
+    result.solved_round = round;
+  }
+  result.all_solved_rounds.push_back(round);
+}
+
+// End-of-run fields shared by every executor: round count, trailing stall
+// streak, termination, timeout and wedge flags, and the energy summaries
+// over `node_tx` (one transmission count per node, copied into
+// node_transmissions when config asks for it).
+void FinishRun(const EngineConfig& config, std::int64_t rounds,
+               std::int64_t stall_streak, bool terminated, bool timed_out,
+               std::span<const std::int64_t> node_tx, RunResult& result);
+
 class BatchEngine {
  public:
-  // Runs one execution of `program` under `config`. The program is Reset
-  // at the start of the run; it must outlive the call.
+  // Runs one execution of `program` under `config`. Throws
+  // std::invalid_argument on bad config and propagates exceptions escaping
+  // the program. The program is Reset at the start of every epoch; it must
+  // outlive the call.
   RunResult Run(const EngineConfig& config, StepProgram& program);
 
-  // One-shot convenience mirroring Engine::Run (pays the scratch
-  // allocations every call; sweeps should hold a BatchEngine instead).
+  // One-shot convenience (pays the scratch allocations every call; sweeps
+  // should hold a BatchEngine instead).
   static RunResult RunOnce(const EngineConfig& config, StepProgram& program) {
     BatchEngine engine;
     return engine.Run(config, program);
@@ -61,8 +79,8 @@ class BatchEngine {
   std::vector<mac::Action> actions_;
   std::vector<mac::Feedback> feedback_;
   // Scratch for engine-fabricated rounds under the robust layer
-  // (confirmation echoes, backoff pauses): kept separate so the protocol
-  // round held in actions_/feedback_ survives for Advance.
+  // (confirmation echoes, chaff, backoff pauses): kept separate so the
+  // protocol round held in actions_/feedback_ survives for Advance.
   std::vector<mac::Action> fab_actions_;
   std::vector<mac::Feedback> fab_feedback_;
   std::vector<std::uint8_t> finished_;

@@ -1,9 +1,10 @@
 #include "sim/engine.h"
 
-#include <algorithm>
 #include <deque>
+#include <string_view>
 
-#include "mac/resolver.h"
+#include "sim/batch_engine.h"
+#include "sim/step_program.h"
 #include "support/assert.h"
 #include "support/rng.h"
 
@@ -108,462 +109,141 @@ mac::FaultSpec EffectiveFaultSpec(const EngineConfig& config) {
   return spec;
 }
 
+// Runs per-node protocol coroutines as a StepProgram, so they execute on
+// BatchEngine's round loop. Node state lives in the NodeContexts and the
+// coroutine frames, indexed by node: EmitActions and Advance walk the
+// alive set in ascending node order, so the dense action array carries
+// the same actions in the same order as a columnar twin's, and every
+// resolver, fault and adversary draw lines up.
+class CoroutineProgram final : public StepProgram {
+ public:
+  // Unique IDs for baselines that assume them, sampled from [1, n] once
+  // per run from the unsalted seed: a node keeps its identity across
+  // robust epoch restarts.
+  CoroutineProgram(const EngineConfig& config, std::int64_t population,
+                   const ProtocolFactory& protocol)
+      : protocol_(protocol) {
+    support::RandomSource id_rng =
+        support::RandomSource::ForStream(config.seed, 0x1d5eed, config.rng);
+    unique_ids_ = support::SampleWithoutReplacement(
+        population, config.num_active, id_rng);
+  }
+
+  std::string_view name() const override { return "coroutine"; }
+
+  // Fresh contexts for every node, crashed ones included, on the epoch's
+  // streams. The tasks go first: their frames refer to the contexts.
+  void Reset(const BatchContext& ctx) override {
+    tasks_.clear();
+    contexts_.clear();
+    for (NodeId i = 0; i < ctx.num_active; ++i) {
+      const auto s = static_cast<std::size_t>(i);
+      contexts_.emplace_back(i, ctx.population, ctx.num_active, ctx.channels,
+                             unique_ids_[s], ctx.rng[s]);
+    }
+    beacon_emitted_.assign(static_cast<std::size_t>(ctx.num_active), 0);
+  }
+
+  // Builds every live node's coroutine, then kicks each to its first round
+  // request; one that finishes instead leaves the alive set. Crashed
+  // slots keep an empty placeholder task.
+  void Start(const BatchContext& ctx, std::vector<NodeId>& alive) override {
+    tasks_.resize(static_cast<std::size_t>(ctx.num_active));
+    for (const NodeId i : alive) {
+      ProtocolTask& task = tasks_[static_cast<std::size_t>(i)];
+      task = protocol_(contexts_[static_cast<std::size_t>(i)]);
+      CRMC_CHECK_MSG(task.Valid(), "protocol factory returned no task");
+    }
+    std::size_t write = 0;
+    for (const NodeId i : alive) {
+      ProtocolTask& task = tasks_[static_cast<std::size_t>(i)];
+      task.Resume();
+      if (task.Done()) {
+        task.RethrowIfFailed();
+        continue;
+      }
+      CRMC_CHECK_MSG(contexts_[static_cast<std::size_t>(i)].has_pending_,
+                     "protocol suspended without submitting a round action");
+      alive[write++] = i;
+    }
+    alive.resize(write);
+  }
+
+  // A node in auto-beacon mode (the wakeup transform) transmits on the
+  // primary channel in the round *before* each of its protocol rounds.
+  // beacon_emitted_[i] == 1 means the beacon for node i's pending action
+  // went out this round, so the action itself runs next round.
+  void EmitActions(const BatchContext&, std::span<const NodeId> alive,
+                   std::span<mac::Action> actions) override {
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      const auto s = static_cast<std::size_t>(alive[k]);
+      NodeContext& node = contexts_[s];
+      if (node.auto_beacon_ && !beacon_emitted_[s]) {
+        actions[k] = mac::Action::Transmit(mac::kPrimaryChannel);
+        beacon_emitted_[s] = 1;
+        continue;
+      }
+      actions[k] = node.pending_action_;
+      node.has_pending_ = false;
+      beacon_emitted_[s] = 0;
+    }
+  }
+
+  // Resumes every live coroutine with its feedback, up to its next round
+  // request or completion. A node that spent the round on a beacon is not
+  // resumed: its protocol action is still pending.
+  void Advance(const BatchContext& ctx, std::span<const NodeId> alive,
+               std::span<const mac::Action>,
+               std::span<const mac::Feedback> feedback,
+               std::span<std::uint8_t> finished) override {
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      const auto s = static_cast<std::size_t>(alive[k]);
+      NodeContext& node = contexts_[s];
+      node.round_ = ctx.round;
+      if (beacon_emitted_[s]) continue;
+      node.feedback_ = feedback[k];
+      CRMC_CHECK(node.resume_point_);
+      node.resume_point_.resume();
+      ProtocolTask& task = tasks_[s];
+      if (task.Done()) {
+        task.RethrowIfFailed();
+        finished[k] = 1;
+      } else {
+        CRMC_CHECK_MSG(node.has_pending_,
+                       "protocol suspended without submitting a round action");
+      }
+    }
+  }
+
+  // Instrumentation from the final epoch's nodes (earlier epochs' state is
+  // discarded on restart), for nodes that produced any.
+  void AppendReports(RunResult& result) const {
+    for (const NodeContext& node : contexts_) {
+      if (node.phase_marks().empty() && node.metrics().empty()) continue;
+      NodeReport report;
+      report.index = node.index();
+      report.finished = tasks_[static_cast<std::size_t>(node.index())].Done();
+      report.phase_marks = node.phase_marks();
+      report.metrics = node.metrics();
+      result.node_reports.push_back(std::move(report));
+    }
+  }
+
+ private:
+  const ProtocolFactory& protocol_;
+  std::vector<std::int64_t> unique_ids_;
+  std::deque<NodeContext> contexts_;  // NodeContext is immovable
+  std::vector<ProtocolTask> tasks_;   // destroyed before contexts_
+  std::vector<std::uint8_t> beacon_emitted_;
+};
+
 RunResult Engine::Run(const EngineConfig& config,
                       const ProtocolFactory& protocol) {
   const std::int64_t population = ValidateEngineConfig(config);
   CRMC_REQUIRE(protocol != nullptr);
-
-  // Unique IDs for baselines that assume them (sampled from [1, n]).
-  // Sampled once from the original seed: a node keeps its identity across
-  // robust epoch restarts.
-  support::RandomSource id_rng =
-      support::RandomSource::ForStream(config.seed, 0x1d5eed, config.rng);
-  const std::vector<std::int64_t> unique_ids = support::SampleWithoutReplacement(
-      population, config.num_active, id_rng);
-
-  robust::EpochDriver epochs(config.robust, population, config.channels,
-                             config.seed);
-
-  std::deque<NodeContext> contexts;
-  std::vector<ProtocolTask> tasks;
-  std::vector<NodeId> alive;
-  alive.reserve(static_cast<std::size_t>(config.num_active));
-  // Crash-stop is permanent across epochs: a crashed node never restarts.
-  std::vector<std::uint8_t> crashed(
-      static_cast<std::size_t>(config.num_active), 0);
-
-  RunResult result;
-  mac::FaultInjector injector(EffectiveFaultSpec(config), config.seed);
-  mac::FaultInjector* const fault_ptr =
-      injector.active() ? &injector : nullptr;
-  adversary::AdversaryRun adversary(config.adversary, config.seed);
-  mac::Resolver resolver(config.channels, config.cd_model);
-  std::vector<mac::Action> actions(
-      static_cast<std::size_t>(config.num_active));
-  std::vector<mac::Feedback> feedback;
-  // Scratch for engine-fabricated rounds (confirmation echoes and backoff
-  // pauses): they must not clobber `actions`/`feedback`, which still hold
-  // the protocol round the suspended coroutines are waiting on.
-  std::vector<mac::Action> fab_actions;
-  std::vector<mac::Feedback> fab_feedback;
-  std::vector<std::int64_t> node_tx(
-      static_cast<std::size_t>(config.num_active), 0);
-  // Wakeup-transform bookkeeping: a node in auto-beacon mode transmits on
-  // the primary channel in the round *before* each of its protocol rounds.
-  // beacon_emitted[i] == 1 means the beacon for node i's currently pending
-  // action already went out, so the action itself runs next.
-  std::vector<std::uint8_t> beacon_emitted(
-      static_cast<std::size_t>(config.num_active), 0);
-
-  std::int64_t round = 0;
-  std::int64_t stall_streak = 0;
-  bool aborted = false;
-  // True iff the run hit max_rounds inside a between-epoch backoff pause
-  // (folded into timed_out below; the round loop's own timeout leaves
-  // alive nonempty and is detected the historical way).
-  bool out_of_rounds = false;
-
-  // Shared accounting for every resolved round, protocol and fabricated
-  // alike: totals, trace, solved-detection, round advance.
-  const auto account_round = [&](const mac::RoundSummary& summary) {
-    result.total_transmissions += summary.total_transmissions;
-    result.adv_jams_spent += summary.adv_jams;
-    result.adv_jams_effective += summary.adv_jams_effective;
-    if (config.record_trace) {
-      RoundTrace rt;
-      rt.round = round;
-      for (const mac::ChannelId ch : resolver.touched_channels()) {
-        const mac::ChannelActivity& act = resolver.ActivityOf(ch);
-        rt.events.push_back(
-            ChannelTraceEvent{ch, act.transmitters, act.listeners});
-      }
-      result.trace.push_back(std::move(rt));
-    }
-    if (summary.primary_lone_delivered) {
-      if (!result.solved) {
-        result.solved = true;
-        result.solved_round = round;
-      }
-      result.all_solved_rounds.push_back(round);
-    }
-    ++round;
-  };
-
-  // One engine-fabricated round. The adversary plans and observes it like
-  // any protocol round (backoff silence is a honeypot: a reactive jammer
-  // cannot tell it from an all-listen round), but crash draws are skipped
-  // and no coroutine advances — node state is frozen while the engine
-  // holds the floor. `winner` >= 0 fabricates a confirmation echo (the
-  // candidate retransmits its message on the primary channel, every other
-  // live node listens there); -1 fabricates an all-idle backoff round.
-  // Returns the round summary so the call sites can feed the adaptive
-  // policy and the echo/backoff spend breakdown.
-  const auto fabricated_round = [&](std::int32_t winner) -> mac::RoundSummary {
-    if (config.record_active_counts) {
-      result.active_counts.push_back(
-          static_cast<std::int64_t>(alive.size()));
-    }
-    fab_actions.assign(static_cast<std::size_t>(config.num_active),
-                       mac::Action::Idle());
-    if (winner >= 0) {
-      for (const NodeId idx : alive) {
-        fab_actions[static_cast<std::size_t>(idx)] =
-            mac::Action::Listen(mac::kPrimaryChannel);
-      }
-      fab_actions[static_cast<std::size_t>(winner)] = mac::Action::Transmit(
-          mac::kPrimaryChannel,
-          actions[static_cast<std::size_t>(winner)].message);
-      ++node_tx[static_cast<std::size_t>(winner)];
-    }
-    const std::span<const mac::ChannelId> adv_jams =
-        adversary.PlanRound(round, config.channels);
-    const mac::RoundSummary summary =
-        resolver.Resolve(fab_actions, fab_feedback, fault_ptr, adv_jams);
-    adversary.ObserveRound(resolver, round);
-    account_round(summary);
-    return summary;
-  };
-
-  // Quorum-obfuscating dummy confirm round (the hardened policy's timing
-  // obfuscation): the two lowest-index alive nodes transmit together on the
-  // primary channel — a guaranteed collision that cannot deliver — while
-  // every other live node listens there. To the adversary it is
-  // indistinguishable from a sparse endgame or echo round; faults apply as
-  // usual, so an erasure thinning the pair to a lone transmission is a real
-  // delivery that genuinely solves the run. Node state stays frozen, like
-  // every fabricated round. Requires alive.size() >= 2 (call sites gate).
-  const auto fabricated_dummy_round = [&]() -> mac::RoundSummary {
-    if (config.record_active_counts) {
-      result.active_counts.push_back(
-          static_cast<std::int64_t>(alive.size()));
-    }
-    fab_actions.assign(static_cast<std::size_t>(config.num_active),
-                       mac::Action::Idle());
-    for (const NodeId idx : alive) {
-      fab_actions[static_cast<std::size_t>(idx)] =
-          mac::Action::Listen(mac::kPrimaryChannel);
-    }
-    for (std::size_t i = 0; i < 2; ++i) {  // alive is in ascending id order
-      const auto s = static_cast<std::size_t>(alive[i]);
-      fab_actions[s] = mac::Action::Transmit(mac::kPrimaryChannel);
-      ++node_tx[s];
-    }
-    const std::span<const mac::ChannelId> adv_jams =
-        adversary.PlanRound(round, config.channels);
-    const mac::RoundSummary summary =
-        resolver.Resolve(fab_actions, fab_feedback, fault_ptr, adv_jams);
-    adversary.ObserveRound(resolver, round);
-    account_round(summary);
-    return summary;
-  };
-
-  while (true) {  // one iteration per robust epoch (single pass when off)
-    // Bounded exponential backoff before every retry epoch (epoch 0 starts
-    // immediately). All-idle rounds: the protocol is silent, but the
-    // adversary still plans and observes — and every reactive strategy
-    // falls back to camping the primary channel on silence, so the pause
-    // drains its budget.
-    for (std::int64_t pause = epochs.PauseRounds();
-         pause > 0 && round < config.max_rounds; --pause) {
-      const mac::RoundSummary pause_summary = fabricated_round(-1);
-      ++result.backoff_rounds;
-      result.adv_jams_backoff += pause_summary.adv_jams;
-      epochs.NoteBackoffRound(pause_summary.adv_jams);
-    }
-    if (round >= config.max_rounds) {
-      out_of_rounds = true;
-      break;
-    }
-
-    // (Re)build node state for this epoch. Epoch 0 uses the unsalted seed
-    // — byte-for-byte the historical construction — so a wrapped pristine
-    // run stays bit-identical to an unwrapped one. Later epochs re-salt
-    // every per-node stream; unique IDs persist (sampled once above) and
-    // crashed slots hold finished placeholder tasks.
-    const std::uint64_t epoch_seed = epochs.SeedFor(config.seed);
-    contexts.clear();
-    tasks.clear();
-    alive.clear();
-    for (NodeId i = 0; i < config.num_active; ++i) {
-      contexts.emplace_back(
-          i, population, config.num_active, config.channels,
-          unique_ids[static_cast<std::size_t>(i)],
-          support::RandomSource::ForStream(
-              epoch_seed, static_cast<std::uint64_t>(i) + 1, config.rng));
-    }
-    for (NodeId i = 0; i < config.num_active; ++i) {
-      if (crashed[static_cast<std::size_t>(i)]) {
-        tasks.emplace_back();
-        continue;
-      }
-      tasks.push_back(protocol(contexts[static_cast<std::size_t>(i)]));
-      CRMC_CHECK_MSG(tasks.back().Valid(), "protocol factory returned no task");
-    }
-    std::fill(actions.begin(), actions.end(), mac::Action::Idle());
-    std::fill(beacon_emitted.begin(), beacon_emitted.end(), 0);
-    stall_streak = 0;
-
-    // Kick every coroutine to its first round request (or completion).
-    for (NodeId i = 0; i < config.num_active; ++i) {
-      if (crashed[static_cast<std::size_t>(i)]) continue;
-      auto& task = tasks[static_cast<std::size_t>(i)];
-      task.Resume();
-      if (task.Done()) {
-        task.RethrowIfFailed();
-      } else {
-        CRMC_CHECK_MSG(contexts[static_cast<std::size_t>(i)].has_pending_,
-                       "protocol suspended without submitting a round action");
-        alive.push_back(i);
-      }
-    }
-
-    bool epoch_failed = false;
-    while (!alive.empty() && round < config.max_rounds) {
-      // Crash-stop sweep: one draw per alive node in ascending node order,
-      // at the start of the round, before the node gets to act. A crashed
-      // node's action slot is reset so a stale transmission cannot leak
-      // into this round's resolution.
-      if (injector.has_crashes()) {
-        std::size_t write = 0;
-        for (std::size_t read = 0; read < alive.size(); ++read) {
-          const NodeId idx = alive[read];
-          if (injector.DrawCrash()) {
-            crashed[static_cast<std::size_t>(idx)] = 1;
-            actions[static_cast<std::size_t>(idx)] = mac::Action::Idle();
-          } else {
-            alive[write++] = idx;
-          }
-        }
-        alive.resize(write);
-        if (alive.empty()) break;
-      }
-      if (config.record_active_counts) {
-        result.active_counts.push_back(
-            static_cast<std::int64_t>(alive.size()));
-      }
-
-      // Idle out slots owned by finished nodes, then collect live actions.
-      // (Finished slots keep Action::Idle from initialization or from the
-      // explicit reset below.)
-      for (const NodeId idx : alive) {
-        const auto s = static_cast<std::size_t>(idx);
-        NodeContext& ctx = contexts[s];
-        if (ctx.auto_beacon_ && !beacon_emitted[s]) {
-          actions[s] = mac::Action::Transmit(mac::kPrimaryChannel);
-          beacon_emitted[s] = 1;  // the held action runs next round
-          continue;
-        }
-        actions[s] = ctx.pending_action_;
-        ctx.has_pending_ = false;
-        beacon_emitted[s] = 0;
-      }
-
-      for (const NodeId idx : alive) {
-        const auto s = static_cast<std::size_t>(idx);
-        if (actions[s].channel != mac::kIdleChannel && actions[s].transmit) {
-          ++node_tx[s];
-        }
-      }
-
-      // Plan this round's adversary jams from rounds < round only (the
-      // observation recorded after the previous Resolve) — jamming is a bet
-      // on where activity will land, never a reaction to it.
-      const std::span<const mac::ChannelId> adv_jams =
-          adversary.PlanRound(round, config.channels);
-      const mac::RoundSummary summary =
-          resolver.Resolve(actions, feedback, fault_ptr, adv_jams);
-      adversary.ObserveRound(resolver, round);
-      account_round(summary);
-      epochs.CountRound();
-      // Hardened jam credit: a jammed protocol round is adversary-bought
-      // time — it extends the epoch budget and holds the stall clock
-      // (applied at the streak update below).
-      const bool jam_credit = epochs.NoteProtocolRound(summary.adv_jams);
-
-      // Delivery confirmation: exactly one primary-channel transmitter
-      // whose message was suppressed is a *candidate* — insert echo rounds
-      // until one delivers or attempts run out. A delivered candidate needs
-      // no echo (strong CD already acked it: the transmitter observed its
-      // own kMessage), and a delivered echo is itself the solving lone
-      // delivery.
-      if (epochs.enabled() && !result.solved &&
-          summary.primary_transmitters == 1 &&
-          !summary.primary_lone_delivered) {
-        const std::int32_t winner = robust::FindPrimaryWinner(actions);
-        CRMC_CHECK(winner >= 0);
-        epochs.NoteCandidate();
-        // The loop bound is re-evaluated after every echo: under the
-        // adaptive policy a suppressed echo raises the quorum, so the
-        // exchange escalates in place until an echo delivers or
-        // kMaxConfirmQuorum caps it.
-        for (std::int32_t attempt = 0;
-             attempt < epochs.confirm_attempts() &&
-             round < config.max_rounds && !result.solved;
-             ++attempt) {
-          const mac::RoundSummary echo = fabricated_round(winner);
-          ++result.confirm_rounds;
-          result.adv_jams_echo += echo.adv_jams;
-          epochs.NoteEchoRound(echo.primary_lone_delivered, echo.adv_jams);
-          epochs.CountRound();
-        }
-      }
-      // Hardened obfuscation (reactive chaff): retry-epoch non-lone
-      // activity — the trigger a calibrated striker waits for — is
-      // answered with a burst of dummy confirm rounds, extended one round
-      // per jammed dummy up to the epoch's chaff window, so the strike
-      // lands on chaff instead of the fragile rounds behind the trigger.
-      // A triggering round never opens the confirmation exchange above
-      // (that needs a lone primary transmitter), so the two insertions are
-      // mutually exclusive. Both engines run this block at the same point.
-      if (epochs.ChaffTriggered(summary.total_transmissions,
-                                summary.primary_transmitters) &&
-          alive.size() >= 2 && !result.solved) {
-        for (std::int32_t burst = epochs.TakeChaffBurst();
-             burst > 0 && round < config.max_rounds && !result.solved;) {
-          const mac::RoundSummary dummy = fabricated_dummy_round();
-          epochs.NoteDummyRound(dummy.adv_jams);
-          epochs.CountRound();
-          --burst;
-          if (burst == 0 && dummy.adv_jams > 0) burst = epochs.ExtendChaff();
-        }
-      }
-      if (result.solved && config.stop_when_solved) break;
-
-      // Deliver feedback and advance every live coroutine to its next round
-      // request (or completion). A node that spent this round on an engine-
-      // issued beacon is not resumed: its protocol action is still pending.
-      // When faults are active, a ProtocolAssumptionViolation raised by a
-      // protocol fed fault-corrupted feedback aborts the run gracefully
-      // instead of propagating (the model guarantee it checks really was
-      // broken — by the adversary, not by a bug); under the robust layer
-      // the violation instead fails the epoch and retries.
-      const std::size_t alive_before_advance = alive.size();
-      std::size_t write = 0;
-      try {
-        for (std::size_t read = 0; read < alive.size(); ++read) {
-          const NodeId idx = alive[read];
-          const auto s = static_cast<std::size_t>(idx);
-          NodeContext& ctx = contexts[s];
-          ctx.round_ = round;
-          if (beacon_emitted[s]) {
-            alive[write++] = idx;  // beacon round: protocol runs next round
-            continue;
-          }
-          ctx.feedback_ = feedback[s];
-          CRMC_CHECK(ctx.resume_point_);
-          ctx.resume_point_.resume();
-          auto& task = tasks[s];
-          if (task.Done()) {
-            task.RethrowIfFailed();
-            actions[s] = mac::Action::Idle();
-          } else {
-            CRMC_CHECK_MSG(
-                ctx.has_pending_,
-                "protocol suspended without submitting a round action");
-            alive[write++] = idx;
-          }
-        }
-      } catch (const support::ProtocolAssumptionViolation&) {
-        // Graceful abort only when some adversarial layer really did break
-        // the model guarantee the protocol checks — oblivious faults or an
-        // adaptive jammer. Otherwise it is a bug and must propagate.
-        if (!injector.active() && !adversary.active()) throw;
-        if (epochs.CanRetry()) {
-          epoch_failed = true;  // retry instead of aborting
-          break;
-        }
-        result.assumption_violated = true;
-        aborted = true;
-        break;
-      }
-      alive.resize(write);
-      // Livelock watchdog: a round made progress iff some channel delivered
-      // a lone message or some node terminated. (Crashes are not progress.)
-      const bool progress =
-          summary.lone_deliveries > 0 || write < alive_before_advance;
-      if (progress) {
-        stall_streak = 0;
-      } else if (!jam_credit) {
-        ++stall_streak;
-      }
-
-      // Phase watchdogs: a jammed stage restarts the epoch instead of
-      // stalling to max_rounds. The final permitted epoch runs to its
-      // natural end (CanRetry gates the check), preserving the historical
-      // timeout/wedge diagnostics when retries are exhausted.
-      if (!result.solved && epochs.CanRetry() &&
-          epochs.WatchdogExpired(stall_streak)) {
-        epoch_failed = true;
-        break;
-      }
-    }
-
-    // Deluded exit: every node terminated (or crashed) without a confirmed
-    // delivery — the silent failure E23 measures. Retry iff someone is
-    // left to restart.
-    if (!epoch_failed && !aborted && !result.solved && alive.empty() &&
-        epochs.CanRetry()) {
-      for (NodeId i = 0; i < config.num_active; ++i) {
-        if (!crashed[static_cast<std::size_t>(i)]) {
-          epoch_failed = true;
-          break;
-        }
-      }
-    }
-    if (!epoch_failed || round >= config.max_rounds) break;
-    epochs.BeginNextEpoch();
-    // A watchdog-failed epoch leaves mid-flight nodes behind; they are
-    // discarded (the backoff pause and the next epoch rebuild see an empty
-    // network, not half-restarted stragglers).
-    alive.clear();
-  }
-
-  result.rounds_executed = round;
-  const mac::FaultCounters& fc = injector.counters();
-  result.jams_injected = fc.jams;
-  result.erasures_injected = fc.erasures;
-  result.cd_flips_injected = fc.cd_flips;
-  result.faults_injected = fc.Total();
-  result.crashed_nodes = static_cast<std::int32_t>(fc.crashes);
-  result.stall_rounds = stall_streak;
-  result.all_terminated =
-      !aborted && !out_of_rounds && alive.empty() && fc.crashes == 0;
-  for (const std::int64_t tx : node_tx) {
-    result.max_node_transmissions =
-        std::max(result.max_node_transmissions, tx);
-    result.mean_node_transmissions += static_cast<double>(tx);
-  }
-  result.mean_node_transmissions /= static_cast<double>(config.num_active);
-  if (config.record_node_transmissions) {
-    result.node_transmissions = std::move(node_tx);
-  }
-  result.timed_out = (!alive.empty() && round >= config.max_rounds &&
-                      !(result.solved && config.stop_when_solved)) ||
-                     out_of_rounds;
-  result.wedged =
-      result.timed_out && stall_streak * 2 >= result.rounds_executed;
-  result.adv_rounds_held = adversary.rounds_held();
-  if (epochs.enabled()) {
-    result.epochs_used = epochs.epoch() + 1;
-    result.retries = epochs.epoch();
-    result.confirmed = result.solved;
-    result.adaptive_confirm_extra = epochs.adaptive_confirm_extra();
-    result.adaptive_backoff_trimmed = epochs.adaptive_backoff_trimmed();
-    result.confirm_quorum_peak = epochs.confirm_quorum_peak();
-    result.probe_rounds_detected = epochs.probe_rounds_detected();
-    result.obfuscation_rounds = epochs.obfuscation_rounds();
-  }
-
-  for (const NodeContext& ctx : contexts) {
-    if (ctx.phase_marks().empty() && ctx.metrics().empty()) continue;
-    NodeReport report;
-    report.index = ctx.index();
-    report.finished =
-        tasks[static_cast<std::size_t>(ctx.index())].Done();
-    report.phase_marks = ctx.phase_marks();
-    report.metrics = ctx.metrics();
-    result.node_reports.push_back(std::move(report));
-  }
+  CoroutineProgram program(config, population, protocol);
+  RunResult result = BatchEngine::RunOnce(config, program);
+  program.AppendReports(result);
   return result;
 }
 

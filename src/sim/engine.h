@@ -1,15 +1,11 @@
-// The lockstep round executor.
+// Run configuration and results, and the coroutine entry point.
 //
-// Engine::Run simulates one execution: it activates `num_active` nodes (out
-// of a population of `population` possible nodes), hands each a protocol
-// coroutine, and advances synchronous rounds until the protocol terminates
-// everywhere, the problem is solved (optional), or a round limit is hit.
-//
-// Solved-detection is the model-level ground truth from Section 3 of the
-// paper: the run is solved in the first round in which *exactly one* node
-// transmits on the primary channel — and, when fault injection is active,
-// that lone transmission is actually delivered (not jammed or erased) —
-// whether or not the protocol knows it.
+// EngineConfig and RunResult are shared by every executor. Engine::Run
+// runs one execution of a coroutine protocol, one coroutine per activated
+// node, on BatchEngine's round loop (sim/batch_engine.h) through an
+// adapter StepProgram in engine.cpp. The coroutine protocols read like the
+// paper's pseudocode and are the reference the columnar step programs are
+// checked against.
 #pragma once
 
 #include <cstdint>
@@ -77,16 +73,17 @@ struct EngineConfig {
   robust::RobustSpec robust;
   // Core generator for the per-node (and ID-sampling) streams. kXoshiro
   // keeps the historical bit streams; kPhilox is counter-based and lets the
-  // batch engine's SIMD kernels (src/simd/) vectorize the draws. Either
-  // kind, both engines stay bit-exact against each other — the parity
-  // suite runs in both modes. Fault-injection streams are unaffected.
+  // SIMD kernels (src/simd/) vectorize the draws. Either kind, coroutine
+  // protocols and step programs stay bit-exact against each other — the
+  // parity suite runs in both modes. Fault-injection streams are
+  // unaffected.
   support::RngKind rng = support::RngKind::kXoshiro;
 };
 
 // Validates `config` (distinct std::invalid_argument message per violated
 // constraint, fault rates included) and returns the effective population
-// (population == 0 defaults to num_active). Shared by both engines so their
-// rejection behaviour cannot drift.
+// (population == 0 defaults to num_active). Shared by every executor so
+// their rejection behaviour cannot drift.
 std::int64_t ValidateEngineConfig(const EngineConfig& config);
 
 // The fault spec the injector actually runs: config.faults, with an
@@ -94,7 +91,7 @@ std::int64_t ValidateEngineConfig(const EngineConfig& config);
 // driving oblivious jams through AdversaryRun — keeps such runs bit-
 // identical to the equivalent --jam-rate runs (the resolver interleaves jam
 // and erasure draws on one stream; an external jam source could not
-// replicate that sequence). Shared by both engines.
+// replicate that sequence). Shared by every executor.
 mac::FaultSpec EffectiveFaultSpec(const EngineConfig& config);
 
 // Instrumentation emitted by one node (only nodes that produced any).
@@ -248,8 +245,9 @@ struct RunResult {
 
 class Engine {
  public:
-  // Runs one execution. Throws std::invalid_argument on bad config and
-  // propagates exceptions escaping protocol coroutines.
+  // Runs one execution of `protocol` on BatchEngine's round loop and
+  // appends the final epoch's node_reports. Throws std::invalid_argument
+  // on bad config and propagates exceptions escaping protocol coroutines.
   static RunResult Run(const EngineConfig& config,
                        const ProtocolFactory& protocol);
 };

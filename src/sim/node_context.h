@@ -6,6 +6,11 @@
 //   co_await ctx.Sleep()            — do not participate this round
 // Each returns the mac::Feedback the node observed. Everything else on the
 // context is local information (indices, RNG, metrics).
+//
+// The private mailbox is driven by CoroutineProgram, the StepProgram that
+// runs coroutine protocols on BatchEngine's round loop (sim/engine.cpp):
+// its EmitActions reads each node's pending action and its Advance stores
+// the feedback and round index and resumes the coroutine.
 #pragma once
 
 #include <coroutine>
@@ -21,7 +26,7 @@
 
 namespace crmc::sim {
 
-class Engine;
+class CoroutineProgram;
 
 using NodeId = std::int32_t;
 
@@ -130,7 +135,7 @@ class NodeContext {
   }
 
  private:
-  friend class Engine;
+  friend class CoroutineProgram;
 
   NodeId index_;
   std::int64_t population_;

@@ -1,19 +1,18 @@
-// Explicit per-round state machines ("step programs") for the batch engine.
+// Explicit per-round state machines ("step programs") for the round loop.
 //
-// The coroutine engine (sim/engine.h) is the reference semantics: protocols
-// read like the paper's pseudocode, at the cost of a heap-allocated frame
-// and an indirect resume per node per round. A StepProgram is the same
-// protocol flattened into columnar state: per-node registers live in flat
-// arrays owned by the program, and each round is two linear sweeps over the
-// alive prefix (EmitActions, then Advance). BatchEngine (sim/batch_engine.h)
-// drives the sweeps; mac::Resolver keeps channel resolution O(alive) via its
-// touched_channels scratch.
+// BatchEngine (sim/batch_engine.h) owns the one round loop; a StepProgram
+// is what it drives. Each round is two linear sweeps over the alive prefix
+// (EmitActions, then Advance), with per-node state in whatever form the
+// program keeps it. The columnar programs in this file keep per-node
+// registers in flat arrays; the coroutine adapter behind Engine::Run
+// (sim/engine.h) keeps them in per-node coroutine frames, which read like
+// the paper's pseudocode and serve as the reference semantics.
 //
 // Every program shipped here is *draw-order identical* to its coroutine
 // twin: it makes exactly the RNG draws the coroutine makes, in the same
-// order, on the same per-node stream — so a BatchEngine run is bit-exact
-// against Engine::Run for the same EngineConfig, which is what the parity
-// suite (tests/batch_engine_test.cpp) enforces.
+// order, on the same per-node stream — so it reproduces Engine::Run
+// bit-exactly for the same EngineConfig, which is what the parity suite
+// (tests/batch_engine_test.cpp) enforces.
 //
 // Programs provided: TwoActive, Reduce, IDReduction, LeafElection, the
 // single-channel CD knockout, and the composed general algorithm
@@ -37,13 +36,15 @@ using NodeId = std::int32_t;
 
 // Read-only model parameters plus the engine-owned per-node columns a
 // program may use. Spans stay valid for the duration of one BatchEngine
-// run; `rng[slot]` is the same stream the coroutine engine hands node
-// `slot` (ForStream(seed, slot + 1)).
+// run; `rng[slot]` is stream ForStream(epoch seed, slot + 1).
 struct BatchContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;
   std::int32_t channels = 1;
-  std::int64_t round = 0;  // 0-based index of the round being executed
+  // 0-based index of the round being executed; during Advance, of the
+  // round about to execute (any echo or chaff rounds the robust layer
+  // inserted after the protocol round are already counted).
+  std::int64_t round = 0;
   std::span<support::RandomSource> rng;
 };
 
@@ -70,12 +71,13 @@ struct FastRoundEffects {
 // lockstep round for every live lane per call.
 
 // Read-only parameters plus the engine-owned flat planes for one
-// trial-parallel run. `rng[lane * num_active + node]` is the stream the
-// coroutine engine hands node `node` of the trial seeded seeds[lane]
+// trial-parallel run. `rng[lane * num_active + node]` is the stream node
+// `node` of the trial seeded seeds[lane] gets per trial
 // (ForStream(seed, node + 1)). Spans stay valid for one TrialBatchEngine
-// chunk. Like BatchContext it carries no node IDs: only the coroutine
-// engine samples them, for baselines that read NodeContext::unique_id()
-// (none has a columnar twin), and no result depends on that ID stream.
+// chunk. Like BatchContext it carries no node IDs: only Engine::Run's
+// coroutine adapter samples them, for baselines that read
+// NodeContext::unique_id() (none has a columnar twin), and no result
+// depends on that ID stream.
 struct TrialContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;
@@ -142,10 +144,13 @@ class TrialProgram {
 
 // One protocol as an explicit state machine over columnar node state.
 //
-// Contract (mirrors one engine round):
+// Contract (one engine round):
 //   Reset(ctx)        — size the columns for ctx.num_active nodes and set
-//                       initial state; called once per run, reusing
-//                       capacity across runs.
+//                       initial state; called once per epoch (once per
+//                       run without the robust layer), reusing capacity
+//                       across runs.
+//   Start(ctx, alive) — optional: drop nodes that terminate before their
+//                       first round from the epoch's alive set.
 //   EmitActions(...)  — write actions[k] (the round action of node
 //                       alive[k]) for every k; RNG draws happen here, in
 //                       alive order, so per-node draw order matches the
@@ -173,6 +178,16 @@ class StepProgram {
   virtual bool identical_draw_order() const { return true; }
 
   virtual void Reset(const BatchContext& ctx) = 0;
+
+  // Called after Reset with the epoch's alive set (nodes not crashed in an
+  // earlier epoch, ascending). Erasing a node whose protocol ends before
+  // its first round spares it an alive slot and a crash draw. Columnar
+  // programs start every node in a round-0 state, so the default keeps all.
+  virtual void Start(const BatchContext& ctx, std::vector<NodeId>& alive) {
+    (void)ctx;
+    (void)alive;
+  }
+
   virtual void EmitActions(const BatchContext& ctx,
                            std::span<const NodeId> alive,
                            std::span<mac::Action> actions) = 0;

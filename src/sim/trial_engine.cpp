@@ -1,6 +1,7 @@
 #include "sim/trial_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "simd/kernels.h"
@@ -52,12 +53,9 @@ void TrialBatchEngine::Run(const EngineConfig& config, StepProgram& program,
       !EffectiveFaultSpec(config).Any() &&
       config.adversary.kind == adversary::Kind::kNone;
   if (!lane_fusible) {
-    EngineConfig solo = config;
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      solo.seed = seeds[i];
-      results[i] = fallback_.Run(solo, program);
-      results[i].trial_fallback = true;
-    }
+    live_.resize(seeds.size());
+    std::iota(live_.begin(), live_.end(), 0);
+    RunFallback(config, program, seeds, results, live_);
     return;
   }
 
@@ -112,47 +110,27 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
   ctx.rng = rng_;
 
   fallback_lanes_.clear();
+  live_.resize(w);
+  std::iota(live_.begin(), live_.end(), 0);
   if (!trial.Reset(ctx, static_cast<std::int32_t>(w))) {
-    live_.resize(w);
-    for (std::size_t lane = 0; lane < w; ++lane) {
-      live_[lane] = static_cast<std::int32_t>(lane);
-    }
     RunFallback(config, program, seeds, results, live_);
     return;
   }
 
   node_tx_.assign(w * n, 0);
   stall_.assign(w, 0);
-  live_.resize(w);
-  for (std::size_t lane = 0; lane < w; ++lane) {
-    live_[lane] = static_cast<std::int32_t>(lane);
-    results[lane] = RunResult{};
-  }
+  std::fill(results.begin(), results.end(), RunResult{});
 
   // Finalizes one retired lane's result. Every executed lane round is a
-  // fused round; the energy summaries mirror BatchEngine's epilogue.
+  // fused round.
   const auto finalize = [&](std::int32_t lane, std::int64_t rounds,
                             bool terminated, bool timed_out) {
-    RunResult& r = results[static_cast<std::size_t>(lane)];
-    r.rounds_executed = rounds;
+    const auto i = static_cast<std::size_t>(lane);
+    RunResult& r = results[i];
     r.fused_rounds = rounds;
     r.trial_lanes = static_cast<std::int32_t>(w);
-    r.all_terminated = terminated;
-    r.stall_rounds = stall_[static_cast<std::size_t>(lane)];
-    const std::size_t base = static_cast<std::size_t>(lane) * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::int64_t tx = node_tx_[base + j];
-      r.max_node_transmissions = std::max(r.max_node_transmissions, tx);
-      r.mean_node_transmissions += static_cast<double>(tx);
-    }
-    r.mean_node_transmissions /= static_cast<double>(config.num_active);
-    if (config.record_node_transmissions) {
-      r.node_transmissions.assign(
-          node_tx_.begin() + static_cast<std::ptrdiff_t>(base),
-          node_tx_.begin() + static_cast<std::ptrdiff_t>(base + n));
-    }
-    r.timed_out = timed_out;
-    r.wedged = timed_out && r.stall_rounds * 2 >= r.rounds_executed;
+    FinishRun(config, rounds, stall_[i], terminated, timed_out,
+              std::span<const std::int64_t>(node_tx_).subspan(i * n, n), r);
   };
 
   std::int64_t round = 0;
@@ -172,13 +150,7 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
       }
       RunResult& r = results[static_cast<std::size_t>(lane)];
       r.total_transmissions += fx.transmissions;
-      if (fx.primary_lone_delivered) {
-        if (!r.solved) {
-          r.solved = true;
-          r.solved_round = round;
-        }
-        r.all_solved_rounds.push_back(round);
-      }
+      if (fx.primary_lone_delivered) RecordLoneDelivery(r, round);
       // Retirement order mirrors BatchEngine's fused path: the solving
       // round ends the run *before* the alive set is compacted (so
       // all_terminated stays false and the stall streak keeps its

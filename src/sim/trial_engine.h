@@ -69,7 +69,7 @@ class TrialBatchEngine {
   void RunLaneChunk(const EngineConfig& config, StepProgram& program,
                     TrialProgram& trial, std::span<const std::uint64_t> seeds,
                     std::span<RunResult> results);
-  // Per-trial BatchEngine reruns for `lanes` (chunk lane ids).
+  // Per-trial BatchEngine runs for `lanes` (indices into seeds/results).
   void RunFallback(const EngineConfig& config, StepProgram& program,
                    std::span<const std::uint64_t> seeds,
                    std::span<RunResult> results,

@@ -7,6 +7,7 @@
 // and the general algorithm).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -215,6 +216,66 @@ TEST(BatchEngineParity, GeneralTimeout) {
   CheckParity(config, core::MakeGeneral(), *program, 100);
 }
 
+// Materialized-path parity for the standalone Reduce and IDReduction
+// programs. Their EmitActions/Advance (and Reduce's LockstepRestored) only
+// run off the fused path: with fused rounds off, under faults, adversaries
+// and the robust layer. Each variant runs under both generators.
+void CheckMaterializedParity(const EngineConfig& base,
+                             const ProtocolFactory& coroutine,
+                             StepProgram& program, int seeds) {
+  struct Variant {
+    const char* name;
+    bool fused;
+    void (*apply)(EngineConfig&);
+  };
+  const Variant variants[] = {
+      {"materialized", false, [](EngineConfig&) {}},
+      {"crash", true, [](EngineConfig& c) { c.faults.crash_rate = 0.02; }},
+      {"erasure", true,
+       [](EngineConfig& c) { c.faults.erasure_rate = 0.05; }},
+      {"flaky_cd", true,
+       [](EngineConfig& c) { c.faults.flaky_cd_rate = 0.05; }},
+      {"jam", true, [](EngineConfig& c) { c.faults.jam_rate = 0.1; }},
+      // Observation-free, so the run stays fused between jams and asks
+      // LockstepRestored whether to re-fuse after each one. The first two
+      // jams hit a top channel that a primary-channel knockout never uses,
+      // so the run outlives them; the third hits the primary.
+      {"scripted_jams", true,
+       [](EngineConfig& c) {
+         c.channels = std::max(c.channels, 2);
+         c.adversary.kind = adversary::Kind::kScripted;
+         c.adversary.budget = 3;
+         c.adversary.script = {{1, c.channels}, {3, c.channels}, {5, 1}};
+       }},
+      {"greedy_reactive", true,
+       [](EngineConfig& c) {
+         c.adversary.kind = adversary::Kind::kGreedyReactive;
+         c.adversary.budget = 20;
+       }},
+      {"robust_hardened", true,
+       [](EngineConfig& c) {
+         c.robust.enabled = true;
+         c.robust.policy = robust::PolicyKind::kHardened;
+         c.adversary.kind = adversary::Kind::kProbing;
+         c.adversary.budget = 40;
+       }},
+  };
+  for (const support::RngKind kind :
+       {support::RngKind::kXoshiro, support::RngKind::kPhilox}) {
+    for (const Variant& v : variants) {
+      EngineConfig config = base;
+      config.rng = kind;
+      config.max_rounds = 2000;
+      v.apply(config);
+      SCOPED_TRACE(::testing::Message()
+                   << v.name
+                   << " philox=" << (kind == support::RngKind::kPhilox));
+      CheckParity(config, coroutine, program, seeds, 20'000, v.fused);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 TEST(BatchEngineParity, ReduceOnly) {
   EngineConfig config;
   config.population = 4096;
@@ -223,6 +284,7 @@ TEST(BatchEngineParity, ReduceOnly) {
   config.stop_when_solved = false;
   auto program = MakeReduceProgram();
   CheckParity(config, core::MakeReduceOnly(), *program, 500);
+  CheckMaterializedParity(config, core::MakeReduceOnly(), *program, 60);
 }
 
 TEST(BatchEngineParity, IdReductionOnly) {
@@ -233,6 +295,7 @@ TEST(BatchEngineParity, IdReductionOnly) {
   config.stop_when_solved = false;
   auto program = MakeIdReductionProgram();
   CheckParity(config, core::MakeIdReductionOnly(), *program, 500);
+  CheckMaterializedParity(config, core::MakeIdReductionOnly(), *program, 60);
 }
 
 TEST(BatchEngineParity, KnockoutCd) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "adversary/adversary.h"
 #include "mac/channel.h"
 #include "sim/engine.h"
 #include "sim/node_context.h"
@@ -383,6 +384,57 @@ Task<void> StopAfterTransmitting(NodeContext& ctx) {
   co_await ctx.Transmit(kPrimaryChannel);  // solves in round 0
   co_await ctx.Listen(kPrimaryChannel);
   co_await ctx.Listen(kPrimaryChannel);
+}
+
+// --- coroutine behaviours hosted by the shared round loop --------------------
+
+Task<void> ReturnAtOnceOrListen(NodeContext& ctx) {
+  if (ctx.index() == 0) co_return;  // ends before its first round
+  for (;;) co_await ctx.Listen(2);
+}
+
+// A node whose protocol ends when first kicked never enters the alive set:
+// it takes no crash draw in round 0's sweep, which crashes everyone else.
+TEST(Engine, NodeEndingBeforeRoundZeroTakesNoCrashDraw) {
+  EngineConfig c = Config(3, 2);
+  c.faults.crash_rate = 1.0;
+  const RunResult r = Engine::Run(c, [](NodeContext& ctx) {
+    return ReturnAtOnceOrListen(ctx);
+  });
+  EXPECT_EQ(r.crashed_nodes, 2);
+  EXPECT_EQ(r.rounds_executed, 0);
+  EXPECT_FALSE(r.all_terminated);
+}
+
+// Node 0 transmits alone on the primary channel in round 0, which a
+// scripted jam suppresses; the robust layer then inserts a confirmation
+// echo (round 1) before the nodes advance, so the round the nodes resume
+// into, and the one they see, is round 2.
+Task<void> MarkAfterJammedLoneTransmission(NodeContext& ctx) {
+  if (ctx.index() == 0) {
+    co_await ctx.Transmit(kPrimaryChannel);
+  } else {
+    co_await ctx.Listen(2);
+  }
+  ctx.MarkPhase("resumed");
+  co_await ctx.Sleep();
+}
+
+TEST(Engine, RoundAfterRobustEchoIsTheRoundAboutToExecute) {
+  EngineConfig c = Config(2, 2);
+  c.stop_when_solved = false;
+  c.robust.enabled = true;
+  c.adversary.kind = adversary::Kind::kScripted;
+  c.adversary.budget = 1;
+  c.adversary.script.push_back({0, kPrimaryChannel});
+  const RunResult r = Engine::Run(c, [](NodeContext& ctx) {
+    return MarkAfterJammedLoneTransmission(ctx);
+  });
+  EXPECT_EQ(r.confirm_rounds, 1);
+  EXPECT_TRUE(r.solved);
+  EXPECT_EQ(r.solved_round, 1);  // the echo delivered
+  EXPECT_EQ(r.LastPhaseMark("resumed"), 2);
+  EXPECT_EQ(r.rounds_executed, 3);
 }
 
 // --- RunResult accessors ----------------------------------------------------

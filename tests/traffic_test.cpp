@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -148,6 +149,22 @@ TEST(TrafficSpecValidation, DistinctMessagesPerConstraint) {
   const TrafficSpec ok = PoissonSpec(0.5, 8, 100);
   EXPECT_NO_THROW(ok.Validate());
   EXPECT_NO_THROW(ValidateTrafficSpec(ok));
+}
+
+// --arrival's names: every kind round-trips through its spelling, and an
+// unknown name parses to nullopt (the CLI turns that into its "unknown
+// arrival" usage error; tools/CMakeLists.txt checks the message).
+TEST(TrafficArrivalKind, NamesRoundTrip) {
+  for (const ArrivalKind kind :
+       {ArrivalKind::kPoisson, ArrivalKind::kBursty, ArrivalKind::kScripted,
+        ArrivalKind::kAdversarial}) {
+    const std::optional<ArrivalKind> parsed = ParseArrivalKind(ToString(kind));
+    ASSERT_TRUE(parsed.has_value()) << ToString(kind);
+    EXPECT_EQ(*parsed, kind) << ToString(kind);
+  }
+  EXPECT_FALSE(ParseArrivalKind("nonsense").has_value());
+  EXPECT_FALSE(ParseArrivalKind("").has_value());
+  EXPECT_FALSE(ParseArrivalKind("Poisson").has_value());  // case-sensitive
 }
 
 TEST(TrafficComposition, LanesRejectAdversarialArrivalNamingBothFlags) {
