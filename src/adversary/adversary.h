@@ -10,16 +10,17 @@
 //   - An Adversary strategy plans, each round, which channels to jam given
 //     last round's RoundObservation (observation.h) and the round allowance
 //     its BudgetLedger (budget.h) grants.
-//   - AdversaryRun is the per-run driver the engines own: it derives a
+//   - AdversaryRun is the per-run driver the round loop owns: it derives a
 //     dedicated RNG stream (independent of protocol and fault streams),
 //     enforces the budget/cap/validity contract on whatever the strategy
 //     returns, and records observations after each resolved round.
 //
 // Determinism contract: the planned jam set for round R is a pure function
-// of (engine seed, adv_seed, strategy, observations of rounds < R). Both
-// engines call PlanRound / Observe at the same points of the round loop, so
-// strategy state — and therefore the whole RunResult — stays bit-identical
-// between the coroutine and batch executors.
+// of (engine seed, adv_seed, strategy, observations of rounds < R). The one
+// round loop (sim::BatchEngine::Run) calls PlanRound / ObserveRound at the
+// same points for every round, protocol or fabricated, and runs coroutine
+// protocols and their columnar step programs alike, so strategy state — and
+// therefore the whole RunResult — is identical between the two forms.
 #pragma once
 
 #include <cstdint>
@@ -147,9 +148,9 @@ class Adversary {
 // kObliviousRate (not driver-backed; see Kind). `spec` must validate.
 std::unique_ptr<Adversary> MakeAdversary(const AdversarySpec& spec);
 
-// The per-run driver. Engines construct one per run, call PlanRound before
-// resolving each round and ObserveRound after, and feed the returned jam
-// span to mac::Resolver::Resolve.
+// The per-run driver. The round loop constructs one per run, calls
+// PlanRound before resolving each round and ObserveRound after, and feeds
+// the returned jam span to mac::Resolver::Resolve (or Tally).
 class AdversaryRun {
  public:
   // Inactive driver: PlanRound always returns an empty span.
@@ -176,8 +177,8 @@ class AdversaryRun {
   // Records what the adversary saw in the round just resolved (channels
   // with at least one transmitter, in the resolver's first-touched order;
   // counts censored under ObsMode::kActivity). No-op unless the strategy
-  // needs observations — both engines follow the same rule, keeping
-  // strategy state identical across executors.
+  // needs observations. It reads only the resolver's channel activity, so
+  // a tallied round is observed exactly like a resolved one.
   void ObserveRound(const mac::Resolver& resolver, std::int64_t round);
 
   const BudgetLedger& ledger() const { return ledger_; }

@@ -40,9 +40,9 @@ inline std::optional<ObsMode> ParseObsMode(std::string_view name) {
 }
 
 // One active channel as the adversary saw it. Sightings are listed in
-// first-touched order (the resolver's canonical channel order), which both
-// engines reproduce identically — strategy state therefore stays
-// bit-identical between the coroutine and batch executors.
+// first-touched order (the resolver's canonical channel order), a pure
+// function of the round's actions — strategy state therefore stays
+// bit-identical whether a protocol runs as coroutines or as a step program.
 struct ChannelSighting {
   mac::ChannelId channel = mac::kIdleChannel;
   // Transmitter count under ObsMode::kFull; -1 (censored) under kActivity.

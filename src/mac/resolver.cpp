@@ -19,6 +19,20 @@ RoundSummary Resolver::Resolve(std::span<const Action> actions,
                                std::vector<Feedback>& feedback,
                                FaultInjector* faults,
                                std::span<const ChannelId> adversary_jams) {
+  return ResolveRound<true>(actions, &feedback, faults, adversary_jams);
+}
+
+RoundSummary Resolver::Tally(std::span<const Action> actions,
+                             FaultInjector* faults,
+                             std::span<const ChannelId> adversary_jams) {
+  return ResolveRound<false>(actions, nullptr, faults, adversary_jams);
+}
+
+template <bool kWriteFeedback>
+RoundSummary Resolver::ResolveRound(std::span<const Action> actions,
+                                    std::vector<Feedback>* feedback,
+                                    FaultInjector* faults,
+                                    std::span<const ChannelId> adversary_jams) {
   // Clear only the channels dirtied last round: rounds usually touch a
   // handful of channels even in huge networks. Adversary jams on untouched
   // channels are tracked in adv_marked_ so their marks get cleared too.
@@ -87,10 +101,11 @@ RoundSummary Resolver::Resolve(std::span<const Action> actions,
       }
     }
     summary.primary_lone_delivered = summary.primary_transmitters == 1;
-    feedback.resize(actions.size());
+    if constexpr (!kWriteFeedback) return summary;
+    feedback->resize(actions.size());
     for (std::size_t i = 0; i < actions.size(); ++i) {
       const Action& a = actions[i];
-      Feedback& fb = feedback[i];
+      Feedback& fb = (*feedback)[i];
       if (a.channel == kIdleChannel) {
         fb = Feedback{};
         continue;
@@ -141,10 +156,20 @@ RoundSummary Resolver::Resolve(std::span<const Action> actions,
       channel_fault_[static_cast<std::size_t>(kPrimaryChannel)] ==
           ChannelFault::kClean;
 
-  feedback.resize(actions.size());
+  if constexpr (!kWriteFeedback) {
+    // No feedback to flip, but the flaky-CD stream still advances once per
+    // non-idle action, exactly as in the loop below.
+    if (inject) {
+      for (const Action& a : actions) {
+        if (a.channel != kIdleChannel) faults->DrawCdFlip();
+      }
+    }
+    return summary;
+  }
+  feedback->resize(actions.size());
   for (std::size_t i = 0; i < actions.size(); ++i) {
     const Action& a = actions[i];
-    Feedback& fb = feedback[i];
+    Feedback& fb = (*feedback)[i];
     if (a.channel == kIdleChannel) {
       fb = Feedback{};  // idle nodes learn nothing
       continue;

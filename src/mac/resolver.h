@@ -74,6 +74,15 @@ class Resolver {
                        FaultInjector* faults = nullptr,
                        std::span<const ChannelId> adversary_jams = {});
 
+  // Resolve without the per-node feedback: the same summary, channel
+  // activity and fault draws — the CD-flip draw per non-idle action
+  // included, so the fault streams stay in step with Resolve — for rounds
+  // whose participants read nothing (the round loop's fabricated echo,
+  // chaff and backoff rounds, during which node state is frozen).
+  RoundSummary Tally(std::span<const Action> actions,
+                     FaultInjector* faults = nullptr,
+                     std::span<const ChannelId> adversary_jams = {});
+
   // Activity of a single channel in the most recent Resolve call. Intended
   // for tests and tracing.
   const ChannelActivity& ActivityOf(ChannelId ch) const;
@@ -86,6 +95,13 @@ class Resolver {
 
  private:
   enum class ChannelFault : std::uint8_t { kClean = 0, kJammed, kErased };
+
+  // Resolve and Tally: `feedback` is written iff kWriteFeedback.
+  template <bool kWriteFeedback>
+  RoundSummary ResolveRound(std::span<const Action> actions,
+                            std::vector<Feedback>* feedback,
+                            FaultInjector* faults,
+                            std::span<const ChannelId> adversary_jams);
 
   std::int32_t num_channels_;
   CdModel cd_model_;

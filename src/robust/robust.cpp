@@ -18,7 +18,7 @@ constexpr std::uint64_t kEpochSeedSalt = 0xE90C4B0FF5A1D3ULL;
 // from the epoch, fault and adversary salts, so the jitter/dummy draws are
 // independent of every other stream even for colliding seeds. Stream id is
 // the epoch index: the per-epoch schedule is a pure function of
-// (run seed, epoch), identical no matter which engine asks.
+// (run seed, epoch).
 constexpr std::uint64_t kHardenedSeedSalt = 0x8A11D5EEDB0B5ULL;
 
 std::int64_t CeilLg(std::int64_t x) {
@@ -155,9 +155,9 @@ std::int32_t ConfirmQuorum(double suppress_rate, std::int64_t population,
   if (floor_attempts <= 0) return 0;  // confirmation explicitly disabled
   if (suppress_rate <= 0.0) return floor_attempts;
   if (suppress_rate >= 1.0) return kMaxConfirmQuorum;
-  // Smallest k with p^k <= 1/n  ⇔  k >= ln(n) / -ln(p). Both engines
-  // evaluate this in the same translation unit on the same inputs, so the
-  // floating-point result — and therefore the quorum — is identical.
+  // Smallest k with p^k <= 1/n  ⇔  k >= ln(n) / -ln(p). This is the one
+  // quorum formula: EpochDriver caches its result rather than re-deriving
+  // it, so a run's quorum sequence is a pure function of the echo outcomes.
   const double n = static_cast<double>(population < 2 ? 2 : population);
   const double k = std::ceil(std::log(n) / -std::log(suppress_rate));
   if (k >= static_cast<double>(kMaxConfirmQuorum)) return kMaxConfirmQuorum;
@@ -196,7 +196,14 @@ void EpochDriver::NoteEchoRound(bool delivered, std::int32_t adv_jams) {
   // watchdog one round of credit per echo so a long quorum cannot trip it.
   ++budget_extension_;
   if (exchange_echoes_ > spec_.confirm_attempts) ++adaptive_confirm_extra_;
-  confirm_quorum_peak_ = std::max(confirm_quorum_peak_, confirm_attempts());
+  RefreshQuorum();
+  confirm_quorum_peak_ = std::max(confirm_quorum_peak_, quorum_);
+}
+
+void EpochDriver::RefreshQuorum() {
+  quorum_ = adaptive() ? ConfirmQuorum(SuppressionEstimate(), population_,
+                                       spec_.confirm_attempts)
+                       : spec_.confirm_attempts;
 }
 
 void EpochDriver::BeginNextEpoch() {
@@ -234,6 +241,7 @@ void EpochDriver::BeginNextEpoch() {
     sample_count_ = std::min(sample_count_ + 1, kEstimatorSamples);
     epoch_echo_rounds_ = 0;
     epoch_echo_failures_ = 0;
+    RefreshQuorum();  // the in-flight sample moved into the ring
   }
   // Honeypot-trim accounting: PauseRounds() below is what the engine will
   // actually schedule for this epoch.

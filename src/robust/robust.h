@@ -36,12 +36,13 @@
 //      bounds rounds without observable progress. A jammed stage restarts
 //      the epoch instead of stalling to max_rounds.
 //
-// Both engines (sim/engine.cpp, sim/batch_engine.cpp) drive the layer
-// through the EpochDriver below at identical points of their round loops,
-// so wrapped runs stay bit-exact across executors; with the layer disabled
-// — or enabled over a pristine, unjammed run — execution is bit-identical
-// to an unwrapped run (epoch 0 uses the unsalted seed, and the
-// confirmation path inserts zero rounds when the candidate delivers).
+// The one round loop (sim::BatchEngine::Run, which also runs the coroutine
+// protocols through an adapter program) drives the layer through the
+// EpochDriver below, so wrapped runs are bit-exact whichever form the
+// protocol takes; with the layer disabled — or enabled over a pristine,
+// unjammed run — execution is bit-identical to an unwrapped run (epoch 0
+// uses the unsalted seed, and the confirmation path inserts zero rounds
+// when the candidate delivers).
 // The *adaptive* policy (PolicyKind::kAdaptive, PR 7) closes the arms-race
 // loop the static constants leave open: a wrapper-aware jammer (the
 // lookahead/learning strategies) holds its budget through the honeypot and
@@ -179,7 +180,7 @@ inline constexpr std::int32_t kHardenedDummyWindow = 48;
 
 // Engine-facing robust-execution configuration (embedded in
 // sim::EngineConfig and harness::TrialSpec). Defaults are inert: enabled
-// == false leaves both engines on their historical code paths.
+// == false inserts no round and leaves the round loop unwrapped.
 struct RobustSpec {
   bool enabled = false;
   // Static: PR 5 constants. Adaptive: confirmation quorum, epoch budgets
@@ -255,17 +256,15 @@ std::int32_t ConfirmQuorum(double suppress_rate, std::int64_t population,
                            std::int32_t floor_attempts);
 
 // Index (into `actions`) of the round's lone primary-channel transmitter,
-// or -1 if there is none. Engines call this on a candidate round to pick
-// the echo-round winner; passing the coroutine engine's full action array
-// yields the node id directly, passing the batch engine's dense alive-
-// ordered array yields the alive index.
+// or -1 if there is none. The round loop calls this on a candidate round
+// to pick the echo-round winner; it passes its dense alive-ordered action
+// array, so the result is the winner's alive slot.
 std::int32_t FindPrimaryWinner(std::span<const mac::Action> actions);
 
-// Per-run robust bookkeeping, owned once per engine run and driven at
-// identical points by both executors (the shared state machine is what
-// keeps wrapped runs bit-exact across engines):
+// Per-run robust bookkeeping, owned once per run by the round loop
+// (sim::BatchEngine::Run), which drives it at these points:
 //
-//   - CountRound() after every protocol or echo round of the epoch;
+//   - CountRound() after every protocol, echo or chaff round of the epoch;
 //   - ChaffTriggered(primary_tx) after each protocol round, then
 //     TakeChaffBurst() / ExtendChaff() around NoteDummyRound(adv_jams) for
 //     each fabricated dummy confirm round the trigger inserts;
@@ -283,11 +282,12 @@ std::int32_t FindPrimaryWinner(std::span<const mac::Action> actions);
 // PauseRounds() and the watchdog budget (see file comment). Under
 // kHardened the retry-epoch schedule additionally carries the jitter and
 // dummy-round obfuscation, drawn from a dedicated salted stream of
-// `run_seed` at BeginNextEpoch — both engines call it at the same point,
-// so wrapped runs stay bit-exact across executors.
+// `run_seed` at BeginNextEpoch, so the schedule is a pure function of the
+// run seed and the epoch index.
 //
 // With spec.enabled == false the driver is inert: WatchdogExpired and
-// CanRetry are always false, and the engines never reach the other calls.
+// CanRetry are always false, and the round loop never reaches the other
+// calls.
 class EpochDriver {
  public:
   EpochDriver(const RobustSpec& spec, std::int64_t population,
@@ -298,22 +298,22 @@ class EpochDriver {
         epoch_budget_(spec.enabled ? EpochRoundBudget(spec, population,
                                                       channels)
                                    : 0),
-        stall_budget_(spec.enabled ? StallRoundBudget(spec, population) : 0) {}
+        stall_budget_(spec.enabled ? StallRoundBudget(spec, population) : 0) {
+    RefreshQuorum();
+  }
 
   bool enabled() const { return spec_.enabled; }
   bool adaptive() const { return spec_.Adaptive(); }
   bool hardened() const { return spec_.Hardened(); }
   std::int32_t epoch() const { return epoch_; }
   // Static: the spec constant. Adaptive: the w.h.p. quorum for the current
-  // suppression-rate estimate. The engines' confirmation loops re-evaluate
-  // this bound after every echo, so an exchange escalates *while it runs*:
-  // each suppressed echo raises the estimate, which raises the quorum,
-  // until an echo delivers or kMaxConfirmQuorum caps the exchange.
-  std::int32_t confirm_attempts() const {
-    if (!adaptive()) return spec_.confirm_attempts;
-    return ConfirmQuorum(SuppressionEstimate(), population_,
-                         spec_.confirm_attempts);
-  }
+  // suppression-rate estimate. The round loop's confirmation exchange
+  // re-reads this bound after every echo, so an exchange escalates *while
+  // it runs*: each suppressed echo raises the estimate, which raises the
+  // quorum, until an echo delivers or kMaxConfirmQuorum caps the exchange.
+  // A cached read: RefreshQuorum recomputes it wherever the estimator's
+  // inputs change.
+  std::int32_t confirm_attempts() const { return quorum_; }
   std::int64_t epoch_budget() const { return epoch_budget_; }
   std::int64_t stall_budget() const { return stall_budget_; }
 
@@ -440,6 +440,10 @@ class EpochDriver {
   // suppressed (jammed or erased — the wrapper cannot tell and does not
   // care). See robust.cpp.
   double SuppressionEstimate() const;
+  // Recomputes quorum_ from the current estimate. Called exactly where the
+  // estimator's inputs change: construction, NoteEchoRound and
+  // BeginNextEpoch's ring bank.
+  void RefreshQuorum();
 
   RobustSpec spec_;
   std::int64_t population_ = 0;
@@ -463,6 +467,7 @@ class EpochDriver {
   std::int64_t adaptive_confirm_extra_ = 0;
   std::int64_t adaptive_backoff_trimmed_ = 0;
   std::int32_t confirm_quorum_peak_ = 0;
+  std::int32_t quorum_ = 0;  // confirm_attempts(), refreshed by RefreshQuorum
   // Hardened obfuscation state, redrawn per retry epoch (BeginNextEpoch).
   std::int64_t jittered_pause_ = 1;
   std::int32_t chaff_burst_ = 0;  // initial burst per trigger, drawn per epoch

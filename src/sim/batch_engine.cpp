@@ -98,64 +98,25 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     ++round;
   };
 
-  // One engine-fabricated round. The adversary plans and observes it like
-  // any protocol round (backoff silence is a honeypot: a reactive jammer
-  // cannot tell it from an all-listen round), but crash draws are skipped
-  // and the program does not advance: node state is frozen while the
-  // engine holds the floor. `winner_slot` >= 0 indexes alive_ and
-  // fabricates a confirmation echo (the candidate retransmits its message
-  // on the primary channel, every other live node listens there); -1
-  // fabricates an all-idle backoff round. Returns the round summary so the
-  // call sites can feed the adaptive policy and the echo/backoff spend
-  // breakdown.
+  // One engine-fabricated round over `fab` (confirmation echo, chaff, or
+  // an empty span for a backoff pause). The adversary plans and observes it
+  // like any protocol round (backoff silence is a honeypot: a reactive
+  // jammer cannot tell it from an all-listen round), but crash draws are
+  // skipped and the program does not advance: node state is frozen while
+  // the engine holds the floor, so the round is tallied, not resolved into
+  // feedback. Callers charge node_tx_ for the fabricated transmissions.
+  // Returns the round summary so the call sites can feed the adaptive
+  // policy and the echo/chaff/backoff spend breakdown.
   const auto fabricated_round =
-      [&](std::int32_t winner_slot) -> mac::RoundSummary {
-    const std::size_t m = alive_.size();
+      [&](std::span<const mac::Action> fab) -> mac::RoundSummary {
     if (config.record_active_counts) {
-      result.active_counts.push_back(static_cast<std::int64_t>(m));
-    }
-    fab_actions_.assign(m, mac::Action::Listen(mac::kPrimaryChannel));
-    if (winner_slot >= 0) {
-      const auto k = static_cast<std::size_t>(winner_slot);
-      fab_actions_[k] =
-          mac::Action::Transmit(mac::kPrimaryChannel, actions_[k].message);
-      ++node_tx_[static_cast<std::size_t>(alive_[k])];
-    } else {
-      fab_actions_.clear();  // backoff: nobody participates
+      result.active_counts.push_back(static_cast<std::int64_t>(alive_.size()));
     }
     const std::span<const mac::ChannelId> adv_jams =
         adversary.PlanRound(round, config.channels);
     adv_perturbed = adv_perturbed || !adv_jams.empty();
     const mac::RoundSummary summary =
-        resolver_->Resolve(fab_actions_, fab_feedback_, fault_ptr, adv_jams);
-    adversary.ObserveRound(*resolver_, round);
-    account_round(summary);
-    return summary;
-  };
-
-  // Quorum-obfuscating dummy confirm round (the hardened policy's timing
-  // obfuscation): the two lowest-index alive nodes (alive_ is ascending, so
-  // slots 0 and 1) transmit together on the primary channel — a guaranteed
-  // collision — while every other live node listens there. To the
-  // adversary it is indistinguishable from a sparse endgame or echo round;
-  // faults apply as usual, so an erasure thinning the pair to a lone
-  // transmission genuinely solves the run. Node state stays frozen, like
-  // every fabricated round. Requires alive_.size() >= 2 (call sites gate).
-  const auto fabricated_dummy_round = [&]() -> mac::RoundSummary {
-    const std::size_t m = alive_.size();
-    if (config.record_active_counts) {
-      result.active_counts.push_back(static_cast<std::int64_t>(m));
-    }
-    fab_actions_.assign(m, mac::Action::Listen(mac::kPrimaryChannel));
-    for (std::size_t k = 0; k < 2; ++k) {
-      fab_actions_[k] = mac::Action::Transmit(mac::kPrimaryChannel);
-      ++node_tx_[static_cast<std::size_t>(alive_[k])];
-    }
-    const std::span<const mac::ChannelId> adv_jams =
-        adversary.PlanRound(round, config.channels);
-    adv_perturbed = adv_perturbed || !adv_jams.empty();
-    const mac::RoundSummary summary =
-        resolver_->Resolve(fab_actions_, fab_feedback_, fault_ptr, adv_jams);
+        resolver_->Tally(fab, fault_ptr, adv_jams);
     adversary.ObserveRound(*resolver_, round);
     account_round(summary);
     return summary;
@@ -169,7 +130,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     // drains its budget.
     for (std::int64_t pause = epochs.PauseRounds();
          pause > 0 && round < config.max_rounds; --pause) {
-      const mac::RoundSummary pause_summary = fabricated_round(-1);
+      const mac::RoundSummary pause_summary = fabricated_round({});
       ++result.backoff_rounds;
       result.adv_jams_backoff += pause_summary.adv_jams;
       epochs.NoteBackoffRound(pause_summary.adv_jams);
@@ -282,15 +243,25 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
         const std::int32_t winner_slot = robust::FindPrimaryWinner(actions_);
         CRMC_CHECK(winner_slot >= 0);
         epochs.NoteCandidate();
-        // The loop bound is re-evaluated after every echo: under the
-        // adaptive policy a suppressed echo raises the quorum, so the
-        // exchange escalates in place until an echo delivers or
-        // kMaxConfirmQuorum caps it.
+        // Every echo of the exchange is the same round: the candidate
+        // retransmits its message on the primary channel while every other
+        // live node listens there.
+        const auto winner = static_cast<std::size_t>(winner_slot);
+        fab_actions_.assign(m, mac::Action::Listen(mac::kPrimaryChannel));
+        fab_actions_[winner] = mac::Action::Transmit(
+            mac::kPrimaryChannel, actions_[winner].message);
+        std::int64_t& winner_tx =
+            node_tx_[static_cast<std::size_t>(alive_[winner])];
+        // The loop bound is re-read after every echo: under the adaptive
+        // policy a suppressed echo raises the quorum, so the exchange
+        // escalates in place until an echo delivers or kMaxConfirmQuorum
+        // caps it.
         for (std::int32_t attempt = 0;
              attempt < epochs.confirm_attempts() &&
              round < config.max_rounds && !result.solved;
              ++attempt) {
-          const mac::RoundSummary echo = fabricated_round(winner_slot);
+          ++winner_tx;
+          const mac::RoundSummary echo = fabricated_round(fab_actions_);
           ++result.confirm_rounds;
           result.adv_jams_echo += echo.adv_jams;
           epochs.NoteEchoRound(echo.primary_lone_delivered, echo.adv_jams);
@@ -305,9 +276,21 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       if (epochs.ChaffTriggered(summary.total_transmissions,
                                 summary.primary_transmitters) &&
           alive_.size() >= 2 && !result.solved) {
+        // Quorum-obfuscating dummy confirm round: the two lowest-index
+        // alive nodes (alive_ is ascending, so slots 0 and 1) transmit
+        // together on the primary channel — a guaranteed collision — while
+        // every other live node listens there. To the adversary it is
+        // indistinguishable from a sparse endgame or echo round; faults
+        // apply as usual, so an erasure thinning the pair to a lone
+        // transmission genuinely solves the run.
+        fab_actions_.assign(m, mac::Action::Listen(mac::kPrimaryChannel));
+        fab_actions_[0] = mac::Action::Transmit(mac::kPrimaryChannel);
+        fab_actions_[1] = mac::Action::Transmit(mac::kPrimaryChannel);
         for (std::int32_t burst = epochs.TakeChaffBurst();
              burst > 0 && round < config.max_rounds && !result.solved;) {
-          const mac::RoundSummary dummy = fabricated_dummy_round();
+          ++node_tx_[static_cast<std::size_t>(alive_[0])];
+          ++node_tx_[static_cast<std::size_t>(alive_[1])];
+          const mac::RoundSummary dummy = fabricated_round(fab_actions_);
           epochs.NoteDummyRound(dummy.adv_jams);
           epochs.CountRound();
           --burst;

@@ -78,11 +78,10 @@ class BatchEngine {
   std::vector<NodeId> alive_;
   std::vector<mac::Action> actions_;
   std::vector<mac::Feedback> feedback_;
-  // Scratch for engine-fabricated rounds under the robust layer
-  // (confirmation echoes, chaff, backoff pauses): kept separate so the
-  // protocol round held in actions_/feedback_ survives for Advance.
+  // Actions of the robust layer's fabricated echo and chaff rounds: kept
+  // separate so the protocol round held in actions_/feedback_ survives for
+  // Advance. Fabricated rounds are tallied, so they need no feedback.
   std::vector<mac::Action> fab_actions_;
-  std::vector<mac::Feedback> fab_feedback_;
   std::vector<std::uint8_t> finished_;
   // Crash-stop is permanent across robust epochs: marked nodes are never
   // re-included in the alive set on epoch restart.

@@ -1,10 +1,14 @@
 // Unit tests for the MAC model: per-round resolution semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "mac/channel.h"
+#include "mac/faults.h"
 #include "mac/resolver.h"
+#include "support/rng.h"
 
 namespace crmc::mac {
 namespace {
@@ -202,6 +206,108 @@ TEST(Resolver, SummaryCountsLoneDeliveries) {
       std::vector<Action>{Action::Transmit(1), Action::Transmit(1)}, fb);
   EXPECT_EQ(s2.lone_deliveries, 0);
   EXPECT_FALSE(s2.primary_lone_delivered);
+}
+
+// Tally is Resolve minus the feedback write. Two resolvers fed the same
+// random rounds — one resolving, one tallying, each with its own injector on
+// the same seed — must agree on the summary, the channel activity and every
+// fault counter, and their injectors must stay in step afterwards (a missed
+// CD-flip draw would shift every later fault).
+TEST(Resolver, TallyMatchesResolve) {
+  FaultSpec jam;
+  jam.jam_rate = 0.3;
+  FaultSpec erasure;
+  erasure.erasure_rate = 0.4;
+  FaultSpec flaky;
+  flaky.flaky_cd_rate = 0.25;
+  FaultSpec mixed;
+  mixed.jam_rate = 0.15;
+  mixed.erasure_rate = 0.3;
+  mixed.flaky_cd_rate = 0.2;
+  const FaultSpec specs[] = {FaultSpec{}, jam, erasure, flaky, mixed};
+  std::uint64_t seed = 0;
+  for (const std::int32_t channels : {1, 4, 64}) {
+    for (const CdModel model :
+         {CdModel::kStrong, CdModel::kReceiverOnly, CdModel::kNone}) {
+      for (const FaultSpec& spec : specs) {
+        for (const bool adversary : {false, true}) {
+          ++seed;
+          SCOPED_TRACE(::testing::Message()
+                       << "C=" << channels << " model "
+                       << static_cast<int>(model) << " jam " << spec.jam_rate
+                       << " erasure " << spec.erasure_rate << " flaky "
+                       << spec.flaky_cd_rate << " adversary " << adversary);
+          Resolver resolved(channels, model);
+          Resolver tallied(channels, model);
+          FaultInjector resolve_faults(spec, seed);
+          FaultInjector tally_faults(spec, seed);
+          support::RandomSource rng(seed);
+          std::vector<Action> actions;
+          std::vector<Feedback> feedback;
+          std::vector<ChannelId> jams;
+          for (std::int32_t round = 0; round < 200; ++round) {
+            actions.clear();
+            const std::int64_t m = rng.UniformInt(0, 12);  // 0: backoff
+            for (std::int64_t i = 0; i < m; ++i) {
+              const auto ch =
+                  static_cast<ChannelId>(rng.UniformInt(1, channels));
+              switch (rng.UniformInt(0, 2)) {
+                case 0:
+                  actions.push_back(Action::Idle());
+                  break;
+                case 1:
+                  actions.push_back(Action::Listen(ch));
+                  break;
+                default:
+                  actions.push_back(Action::Transmit(
+                      ch, Message{static_cast<std::uint64_t>(round * 16 + i)}));
+              }
+            }
+            jams.clear();
+            const std::int64_t jam_count =
+                adversary ? rng.UniformInt(0, std::min(channels, 3)) : 0;
+            while (static_cast<std::int64_t>(jams.size()) < jam_count) {
+              const auto ch =
+                  static_cast<ChannelId>(rng.UniformInt(1, channels));
+              if (std::find(jams.begin(), jams.end(), ch) == jams.end()) {
+                jams.push_back(ch);
+              }
+            }
+
+            const RoundSummary want =
+                resolved.Resolve(actions, feedback, &resolve_faults, jams);
+            const RoundSummary got =
+                tallied.Tally(actions, &tally_faults, jams);
+            EXPECT_EQ(got.total_transmissions, want.total_transmissions);
+            EXPECT_EQ(got.total_participants, want.total_participants);
+            EXPECT_EQ(got.primary_transmitters, want.primary_transmitters);
+            EXPECT_EQ(got.lone_deliveries, want.lone_deliveries);
+            EXPECT_EQ(got.primary_lone_delivered, want.primary_lone_delivered);
+            EXPECT_EQ(got.adv_jams, want.adv_jams);
+            EXPECT_EQ(got.adv_jams_effective, want.adv_jams_effective);
+            EXPECT_EQ(tallied.touched_channels(), resolved.touched_channels());
+            for (ChannelId ch = 1; ch <= channels; ++ch) {
+              const ChannelActivity& a = tallied.ActivityOf(ch);
+              const ChannelActivity& b = resolved.ActivityOf(ch);
+              EXPECT_EQ(a.transmitters, b.transmitters);
+              EXPECT_EQ(a.listeners, b.listeners);
+              EXPECT_EQ(a.lone_message, b.lone_message);
+            }
+            const FaultCounters& tc = tally_faults.counters();
+            const FaultCounters& rc = resolve_faults.counters();
+            EXPECT_EQ(tc.jams, rc.jams);
+            EXPECT_EQ(tc.erasures, rc.erasures);
+            EXPECT_EQ(tc.cd_flips, rc.cd_flips);
+          }
+          for (int draw = 0; draw < 64; ++draw) {
+            EXPECT_EQ(tally_faults.DrawJam(), resolve_faults.DrawJam());
+            EXPECT_EQ(tally_faults.DrawErasure(), resolve_faults.DrawErasure());
+            EXPECT_EQ(tally_faults.DrawCdFlip(), resolve_faults.DrawCdFlip());
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

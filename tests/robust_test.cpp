@@ -7,6 +7,7 @@
 // wrapped runs under reactive adversaries and oblivious faults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -511,6 +512,79 @@ TEST(RobustAdaptive, HarnessAggregatesAdaptiveAndHoldAccounting) {
   EXPECT_GT(r.confirm_quorum_peak, 3);
   EXPECT_GT(r.adaptive_confirm_extra, 0);
   EXPECT_GT(r.rounds_total, 0);
+}
+
+TEST(RobustAdaptive, CachedQuorumMatchesRecomputation) {
+  // EpochDriver caches confirm_attempts() and refreshes it where the
+  // estimator's inputs change. A test-local model of the estimator (the
+  // last kEstimatorSamples banked epoch samples plus the running epoch's,
+  // upper median, ConfirmQuorum) must agree with it after every step of
+  // random candidate / echo / epoch sequences, for every policy.
+  for (const robust::PolicyKind policy :
+       {robust::PolicyKind::kStatic, robust::PolicyKind::kAdaptive,
+        robust::PolicyKind::kHardened}) {
+    for (const std::int64_t n : {std::int64_t{2}, std::int64_t{65536},
+                                 std::int64_t{1} << 20}) {
+      for (const double suppress : {0.1, 0.5, 0.9, 1.0}) {
+        SCOPED_TRACE(::testing::Message()
+                     << robust::ToString(policy) << " n=" << n
+                     << " suppress=" << suppress);
+        RobustSpec spec;
+        spec.enabled = true;
+        spec.policy = policy;
+        const bool adaptive = policy != robust::PolicyKind::kStatic;
+        robust::EpochDriver driver(spec, n, 16, /*run_seed=*/n);
+        std::vector<double> ring;  // banked samples, oldest first
+        std::int64_t echoes = 0;
+        std::int64_t failures = 0;
+        std::int32_t peak = 0;
+        const auto expected_quorum = [&] {
+          if (!adaptive) return spec.confirm_attempts;
+          std::vector<double> samples = ring;
+          if (echoes > 0) {
+            samples.push_back(static_cast<double>(failures + 1) /
+                              static_cast<double>(echoes + 2));
+          }
+          double estimate = 0.0;
+          if (!samples.empty()) {
+            std::sort(samples.begin(), samples.end());
+            estimate = samples[samples.size() / 2];
+          }
+          return robust::ConfirmQuorum(estimate, n, spec.confirm_attempts);
+        };
+        support::RandomSource rng(static_cast<std::uint64_t>(n) ^
+                                  static_cast<std::uint64_t>(suppress * 64));
+        for (int step = 0; step < 600; ++step) {
+          const std::int64_t pick = rng.UniformInt(0, 99);
+          if (pick < 5) {
+            driver.BeginNextEpoch();
+            if (adaptive && echoes > 0) {
+              ring.push_back(static_cast<double>(failures + 1) /
+                             static_cast<double>(echoes + 2));
+              if (ring.size() > robust::kEstimatorSamples) {
+                ring.erase(ring.begin());
+              }
+              echoes = 0;
+              failures = 0;
+            }
+          } else if (pick < 15) {
+            driver.NoteCandidate();
+          } else {
+            const bool delivered = !rng.Bernoulli(suppress);
+            driver.NoteEchoRound(delivered, delivered ? 0 : 1);
+            if (adaptive) {
+              ++echoes;
+              failures += delivered ? 0 : 1;
+              peak = std::max(peak, expected_quorum());
+            }
+          }
+          ASSERT_EQ(driver.confirm_attempts(), expected_quorum())
+              << "step " << step;
+          ASSERT_EQ(driver.confirm_quorum_peak(), peak) << "step " << step;
+        }
+      }
+    }
+  }
 }
 
 // --- hardened policy ---------------------------------------------------------
