@@ -279,13 +279,11 @@ double TimeKernelRate(std::int64_t items_per_iter, int iters, Body&& body) {
 void RunKernelBenches(std::vector<KernelTiming>& out) {
   const simd::Backend prior = simd::ActiveBackend();
 
-  std::vector<support::RandomSource> rng;
-  rng.reserve(kKernelLanes);
-  for (std::size_t i = 0; i < kKernelLanes; ++i) {
-    rng.push_back(support::RandomSource::ForStream(
-        0x5eed, static_cast<std::uint64_t>(i) + 1,
-        support::RngKind::kPhilox));
-  }
+  // The kernels run on the engines' layout, a stream plane (the record
+  // overloads are copy-in/copy-out adapters and would time the copies).
+  support::StreamPlane rng;
+  rng.Resize(kKernelLanes, support::RngKind::kPhilox);
+  simd::SeedStreams(0x5eed, 1, rng.view());
   std::vector<std::int32_t> lanes_idx(kKernelLanes);
   for (std::size_t i = 0; i < kKernelLanes; ++i) {
     lanes_idx[i] = static_cast<std::int32_t>(i);
@@ -319,7 +317,10 @@ void RunKernelBenches(std::vector<KernelTiming>& out) {
   touched.reserve(kKernelLanes);
   std::vector<std::uint8_t> lone(kKernelLanes);
 
-  std::vector<support::RandomSource> seeded(kKernelLanes);
+  support::StreamPlane seeded_xoshiro;
+  seeded_xoshiro.Resize(kKernelLanes, support::RngKind::kXoshiro);
+  support::StreamPlane seeded_philox;
+  seeded_philox.Resize(kKernelLanes, support::RngKind::kPhilox);
   for (const simd::Backend b : simd::AllBackends()) {
     if (!simd::BackendAvailable(b)) continue;
     CRMC_CHECK(simd::SetBackend(b));
@@ -328,12 +329,12 @@ void RunKernelBenches(std::vector<KernelTiming>& out) {
     out.push_back({"coin_mask", b, lanes,
                    TimeKernelRate(lanes, 1000, [&] {
                      const std::int64_t tx =
-                         simd::CoinMask(coin, rng, lanes_idx, mask);
+                         simd::CoinMask(coin, rng.view(), lanes_idx, mask);
                      benchmark::DoNotOptimize(tx);
                    })});
     out.push_back({"uniform_fill", b, lanes,
                    TimeKernelRate(lanes, 1000, [&] {
-                     simd::UniformFill(dist, rng, lanes_idx, fill);
+                     simd::UniformFill(dist, rng.view(), lanes_idx, fill);
                      benchmark::DoNotOptimize(fill.data());
                    })});
     out.push_back({"compact_keep", b, lanes,
@@ -355,15 +356,17 @@ void RunKernelBenches(std::vector<KernelTiming>& out) {
     // AVX-512 backend has its own seeding kernel (see kernels.cpp).
     out.push_back({"seed_streams_xoshiro", b, lanes,
                    TimeKernelRate(lanes, 1000, [&] {
-                     simd::SeedStreams(0x5eed, 1, support::RngKind::kXoshiro,
-                                       seeded);
-                     benchmark::DoNotOptimize(seeded.data());
+                     const support::StreamPlaneView view =
+                         seeded_xoshiro.view();
+                     simd::SeedStreams(0x5eed, 1, view);
+                     benchmark::DoNotOptimize(view.plane(0));
                    })});
     out.push_back({"seed_streams_philox", b, lanes,
                    TimeKernelRate(lanes, 1000, [&] {
-                     simd::SeedStreams(0x5eed, 1, support::RngKind::kPhilox,
-                                       seeded);
-                     benchmark::DoNotOptimize(seeded.data());
+                     const support::StreamPlaneView view =
+                         seeded_philox.view();
+                     simd::SeedStreams(0x5eed, 1, view);
+                     benchmark::DoNotOptimize(view.plane(0));
                    })});
   }
   CRMC_CHECK(simd::SetBackend(prior));

@@ -74,7 +74,7 @@ class BatchEngine {
 
  private:
   std::optional<mac::Resolver> resolver_;
-  std::vector<support::RandomSource> rng_;
+  support::StreamPlane rng_;  // one stream per node, reseeded per epoch
   std::vector<NodeId> alive_;
   std::vector<mac::Action> actions_;
   std::vector<mac::Feedback> feedback_;

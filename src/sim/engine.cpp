@@ -131,15 +131,17 @@ class CoroutineProgram final : public StepProgram {
 
   std::string_view name() const override { return "coroutine"; }
 
-  // Fresh contexts for every node, crashed ones included, on the epoch's
-  // streams. The tasks go first: their frames refer to the contexts.
+  // Fresh contexts for every node, crashed ones included, each holding
+  // its own record of the epoch's stream (a copy of its plane slot, which
+  // the coroutine then draws from). The tasks go first: their frames refer
+  // to the contexts.
   void Reset(const BatchContext& ctx) override {
     tasks_.clear();
     contexts_.clear();
     for (NodeId i = 0; i < ctx.num_active; ++i) {
       const auto s = static_cast<std::size_t>(i);
       contexts_.emplace_back(i, ctx.population, ctx.num_active, ctx.channels,
-                             unique_ids_[s], ctx.rng[s]);
+                             unique_ids_[s], ctx.rng[s].Record());
     }
     beacon_emitted_.assign(static_cast<std::size_t>(ctx.num_active), 0);
   }

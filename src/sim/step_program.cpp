@@ -191,7 +191,7 @@ class TwoActiveProgram final : public StepProgram {
                    std::span<Action> actions) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
-      support::RandomSource& rng = ctx.rng[s];
+      support::StreamRef rng = ctx.rng[s];
       switch (phase_[s]) {
         case kDuel:
           actions[k] = coin_.Draw(rng) ? Action::Transmit(kPrimaryChannel)
@@ -1614,7 +1614,7 @@ class GeneralProgram final : public StepProgram {
                    std::span<Action> actions) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
-      support::RandomSource& rng = ctx.rng[s];
+      support::StreamRef rng = ctx.rng[s];
       switch (stage_[s]) {
         case kFallback:
           actions[k] = coin_.Draw(rng) ? Action::Transmit(kPrimaryChannel)

@@ -35,8 +35,10 @@ namespace crmc::sim {
 using NodeId = std::int32_t;
 
 // Read-only model parameters plus the engine-owned per-node columns a
-// program may use. Spans stay valid for the duration of one BatchEngine
-// run; `rng[slot]` is stream ForStream(epoch seed, slot + 1).
+// program may use. Views stay valid for the duration of one BatchEngine
+// run. `rng` is the engine's stream plane: `rng[slot]` is a StreamRef to
+// stream ForStream(epoch seed, slot + 1), and the simd:: draw kernels take
+// `rng` whole.
 struct BatchContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;
@@ -45,7 +47,7 @@ struct BatchContext {
   // round about to execute (any echo or chaff rounds the robust layer
   // inserted after the protocol round are already counted).
   std::int64_t round = 0;
-  std::span<support::RandomSource> rng;
+  support::StreamPlaneView rng;
 };
 
 // What one fused fast round did to the world — the slice of
@@ -71,19 +73,19 @@ struct FastRoundEffects {
 // lockstep round for every live lane per call.
 
 // Read-only parameters plus the engine-owned flat planes for one
-// trial-parallel run. `rng[lane * num_active + node]` is the stream node
-// `node` of the trial seeded seeds[lane] gets per trial
-// (ForStream(seed, node + 1)). Spans stay valid for one TrialBatchEngine
-// chunk. Like BatchContext it carries no node IDs: only Engine::Run's
-// coroutine adapter samples them, for baselines that read
-// NodeContext::unique_id() (none has a columnar twin), and no result
-// depends on that ID stream.
+// trial-parallel run. `rng` is one stream plane over every lane:
+// `rng[lane * num_active + node]` is the stream node `node` of the trial
+// seeded seeds[lane] gets per trial (ForStream(seed, node + 1)). Views
+// stay valid for one TrialBatchEngine chunk. Like BatchContext it carries
+// no node IDs: only Engine::Run's coroutine adapter samples them, for
+// baselines that read NodeContext::unique_id() (none has a columnar twin),
+// and no result depends on that ID stream.
 struct TrialContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;
   std::int32_t channels = 1;
   std::int64_t round = 0;  // 0-based lockstep round being executed
-  std::span<support::RandomSource> rng;
+  support::StreamPlaneView rng;
 };
 
 // What one lockstep round did to one lane — FastRoundEffects plus the

@@ -96,18 +96,18 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
   ctx.channels = config.channels;
   ctx.round = 0;
 
-  // One philox stream per (lane, node) plane slot; node `node` of lane
-  // `lane` gets exactly the stream the coroutine engine would hand it for
-  // seed seeds[lane] (ForStream(seed, node + 1)). The separate ID-sampling
-  // stream (0x1d5eed) is not materialized: no trial program consumes
-  // sampled IDs and no result field depends on that stream.
-  rng_.resize(w * n);
+  // One philox stream per (lane, node) slot of one plane; node `node` of
+  // lane `lane` gets exactly the stream the coroutine engine would hand it
+  // for seed seeds[lane] (ForStream(seed, node + 1)). Each lane seeds its
+  // own window of the plane (Subspan), straight into the word planes. The
+  // separate ID-sampling stream (0x1d5eed) is not materialized: no trial
+  // program consumes sampled IDs and no result field depends on that
+  // stream.
+  rng_.Resize(w * n, config.rng);
+  ctx.rng = rng_.view();
   for (std::size_t lane = 0; lane < w; ++lane) {
-    simd::SeedStreams(seeds[lane], 1, config.rng,
-                      std::span<support::RandomSource>(rng_).subspan(
-                          lane * n, n));
+    simd::SeedStreams(seeds[lane], 1, ctx.rng.Subspan(lane * n, n));
   }
-  ctx.rng = rng_;
 
   fallback_lanes_.clear();
   live_.resize(w);

@@ -86,7 +86,7 @@ class TrialBatchEngine {
   std::unique_ptr<TrialProgram> trial_;
 
   // Flat per-chunk planes and scratch, reused across chunks and calls.
-  std::vector<support::RandomSource> rng_;  // [lane * num_active + node]
+  support::StreamPlane rng_;           // [lane * num_active + node]
   std::vector<std::int64_t> node_tx_;       // [lane * num_active + node]
   std::vector<std::int32_t> live_;          // live lane ids, ascending
   std::vector<std::uint8_t> drop_;

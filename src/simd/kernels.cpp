@@ -15,7 +15,7 @@ namespace crmc::simd {
 namespace internal {
 
 std::int64_t CoinMaskScalar(const support::BatchBernoulli& coin,
-                            std::span<support::RandomSource> rng,
+                            support::StreamPlaneView rng,
                             std::span<const std::int32_t> alive,
                             std::span<std::uint8_t> mask) {
   if (coin.fixed() >= 0) {
@@ -35,7 +35,7 @@ std::int64_t CoinMaskScalar(const support::BatchBernoulli& coin,
 }
 
 void UniformFillScalar(const support::BatchUniformInt& dist,
-                       std::span<support::RandomSource> rng,
+                       support::StreamPlaneView rng,
                        std::span<const std::int32_t> alive,
                        std::span<std::int32_t> out) {
   for (std::size_t k = 0; k < alive.size(); ++k) {
@@ -54,11 +54,15 @@ std::size_t CompactKeepScalar(std::span<std::int32_t> ids,
 }
 
 void SeedStreamsScalar(std::uint64_t master_seed, std::uint64_t first_stream,
-                       support::RngKind kind,
-                       std::span<support::RandomSource> out) {
+                       support::StreamPlaneView out) {
+  std::uint64_t* w0 = out.plane(0);
+  std::uint64_t* w1 = out.plane(1);
+  std::uint64_t* w2 = out.plane(2);
+  std::uint64_t* w3 = out.plane(3);
   for (std::size_t k = 0; k < out.size(); ++k) {
-    out[k].SeedStream(master_seed, first_stream + static_cast<std::uint64_t>(k),
-                      kind);
+    support::StreamCore::Seed(master_seed,
+                              first_stream + static_cast<std::uint64_t>(k),
+                              out.kind(), w0[k], w1[k], w2[k], w3[k]);
   }
 }
 
@@ -93,6 +97,43 @@ Occupancy ClassifyChannelsScalar(std::span<const std::int32_t> channels,
 
 namespace {
 
+// The record adapters' per-thread scratch plane, sized for `n` streams of
+// `kind`.
+support::StreamPlaneView ScratchPlane(std::size_t n, support::RngKind kind) {
+  thread_local support::StreamPlane scratch;
+  scratch.Resize(n, kind);
+  return scratch.view();
+}
+
+// Copies `records` into the scratch plane. The kind is the first slot's:
+// the records of one draw call share a kind.
+support::StreamPlaneView LoadRecords(
+    std::span<const support::RandomSource> records,
+    std::span<const std::int32_t> slots) {
+  const support::RngKind kind =
+      slots.empty() ? support::RngKind::kXoshiro
+                    : records[static_cast<std::size_t>(slots.front())].kind();
+  const support::StreamPlaneView plane = ScratchPlane(records.size(), kind);
+  for (int w = 0; w < 4; ++w) {
+    std::uint64_t* dst = plane.plane(w);
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      dst[k] = records[k].words()[w];
+    }
+  }
+  return plane;
+}
+
+// Copies the plane's words back into `records` (their kinds untouched).
+void StoreWords(support::StreamPlaneView plane,
+                std::span<support::RandomSource> records) {
+  for (int w = 0; w < 4; ++w) {
+    const std::uint64_t* src = plane.plane(w);
+    for (std::size_t k = 0; k < records.size(); ++k) {
+      records[k].words()[w] = src[k];
+    }
+  }
+}
+
 void CheckUniformFitsInt32(const support::BatchUniformInt& dist) {
   CRMC_CHECK_MSG(dist.range() != 0 &&
                      dist.range() <= static_cast<std::uint64_t>(
@@ -109,7 +150,7 @@ void CheckUniformFitsInt32(const support::BatchUniformInt& dist) {
 }  // namespace
 
 std::int64_t CoinMask(const support::BatchBernoulli& coin,
-                      std::span<support::RandomSource> rng,
+                      support::StreamPlaneView rng,
                       std::span<const std::int32_t> alive,
                       std::span<std::uint8_t> mask) {
   CRMC_CHECK(mask.size() == alive.size());
@@ -129,7 +170,7 @@ std::int64_t CoinMask(const support::BatchBernoulli& coin,
 }
 
 void UniformFill(const support::BatchUniformInt& dist,
-                 std::span<support::RandomSource> rng,
+                 support::StreamPlaneView rng,
                  std::span<const std::int32_t> alive,
                  std::span<std::int32_t> out) {
   CRMC_CHECK(out.size() == alive.size());
@@ -167,23 +208,52 @@ std::size_t internal::CompactKeepDispatch(std::span<std::int32_t> ids,
 }
 
 void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
-                 support::RngKind kind,
-                 std::span<support::RandomSource> out) {
+                 support::StreamPlaneView out) {
   // SplitMix64 is 64-bit-multiply-bound. AVX-512DQ multiplies 64-bit
   // lanes natively and seeds eight streams per step (~1.8x scalar at 4096
   // streams). An AVX2 four-stream variant was benchmarked at 0.6x
   // (xoshiro) / 0.3x (philox) of scalar: pre-AVX-512 vector units emulate
   // that multiply with three 32-bit ones plus shifts, losing to scalar
   // `imul`. So every other backend takes the scalar expansion, which still
-  // writes each record in place.
-  switch (ActiveBackend()) {
+  // writes the word planes in place. A span shorter than one eight-stream
+  // step (the trial engine seeds two streams per lane for two_active) goes
+  // scalar under every backend: through the AVX-512 kernel, 32 two-stream
+  // calls took ~25% longer.
+  switch (out.size() < 8 ? Backend::kScalar : ActiveBackend()) {
 #if defined(CRMC_SIMD_HAS_AVX512)
     case Backend::kAvx512:
-      return internal::SeedStreamsAvx512(master_seed, first_stream, kind, out);
+      return internal::SeedStreamsAvx512(master_seed, first_stream, out);
 #endif
     default:
-      return internal::SeedStreamsScalar(master_seed, first_stream, kind, out);
+      return internal::SeedStreamsScalar(master_seed, first_stream, out);
   }
+}
+
+void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
+                 support::RngKind kind,
+                 std::span<support::RandomSource> out) {
+  const support::StreamPlaneView plane = ScratchPlane(out.size(), kind);
+  SeedStreams(master_seed, first_stream, plane);
+  for (std::size_t k = 0; k < out.size(); ++k) out[k] = plane[k].Record();
+}
+
+std::int64_t CoinMask(const support::BatchBernoulli& coin,
+                      std::span<support::RandomSource> rng,
+                      std::span<const std::int32_t> alive,
+                      std::span<std::uint8_t> mask) {
+  const support::StreamPlaneView plane = LoadRecords(rng, alive);
+  const std::int64_t successes = CoinMask(coin, plane, alive, mask);
+  StoreWords(plane, rng);
+  return successes;
+}
+
+void UniformFill(const support::BatchUniformInt& dist,
+                 std::span<support::RandomSource> rng,
+                 std::span<const std::int32_t> alive,
+                 std::span<std::int32_t> out) {
+  const support::StreamPlaneView plane = LoadRecords(rng, alive);
+  UniformFill(dist, plane, alive, out);
+  StoreWords(plane, rng);
 }
 
 Occupancy ClassifyChannels(std::span<const std::int32_t> channels,

@@ -5,24 +5,29 @@
 // Every kernel has a scalar reference implementation and (on x86 builds)
 // SSE4.2 / AVX2 / AVX-512 variants selected at runtime through
 // simd::ActiveBackend() (dispatch.h). All variants are bit-identical: the
-// draw kernels consume each lane's RandomSource exactly as the scalar
-// Draw() path would — same per-lane draw count and order — so the batch
-// engine stays draw-for-draw parity-exact against the coroutine oracle
-// under every backend.
+// draw kernels consume each slot's stream exactly as the scalar Draw()
+// path would — same per-slot draw count and order — so the batch engine
+// stays draw-for-draw parity-exact against the coroutine oracle under
+// every backend.
 //
-// The draw kernels vectorize across streams, never along one. Philox-mode
-// lanes (support::RngKind::kPhilox) are counter-based: a lane's next draw
-// is a pure function of (key, stream, draw index), so SSE4.2 and AVX2 run
-// 4 / 8 block functions at once. Xoshiro-mode lanes are sequential within
-// a stream, but four streams' 32-byte states still step together: AVX2
-// transposes them 4x4, runs one xoshiro256++ step on 64-bit lanes and
-// transposes back. SSE4.2 (two 64-bit lanes) takes the scalar loop for
-// xoshiro. The kernels accept either kind, so callers need no mode check;
-// the kind of the first slot picks the path (the engines seed every stream
-// of a call with one kind). A slot list must not repeat a slot.
+// The streams live in a support::StreamPlane: four contiguous word planes
+// (state word w of slot s at plane(w)[s]) and one RngKind for the whole
+// plane. The draw kernels vectorize across streams, never along one.
+// Philox-mode planes (support::RngKind::kPhilox) are counter-based: a
+// slot's next draw is a pure function of (key, stream, draw index), so
+// SSE4.2 and AVX2 run 4 / 8 block functions at once. Xoshiro-mode planes
+// are sequential within a stream, but AVX2 steps four streams at once;
+// SSE4.2 (two 64-bit lanes) takes the scalar loop for xoshiro. AVX2 takes
+// the slot list in blocks (8 slots for Philox, 4 for xoshiro) as they
+// come: a contiguous block (slots[k..k+w) == slots[k] + 0..w-1, e.g. every
+// block of a full-width round) loads and stores the word planes as
+// vectors; any other block (a sparse round after compaction, a lane-major
+// or shuffled list) gathers its words and scatters them back. SSE4.2
+// gathers every Philox block slot by slot. A slot list must not repeat a
+// slot.
 //
-// Slot lists are just indices into the caller's RandomSource span; nothing
-// requires them to address one trial. The trial-parallel executor
+// Slot lists are just indices into the caller's plane; nothing requires
+// them to address one trial. The trial-parallel executor
 // (sim/trial_engine.h) exploits exactly this: it flattens W independent
 // trials' per-node streams into one [lane * num_active + node] plane and
 // hands the draw kernels slot lists spanning every lane, so a single
@@ -30,6 +35,11 @@
 // the regime where per-trial batches are too short to fill vector lanes.
 // Per-slot draw order is unchanged (each slot is an independent stream),
 // so every lane stays bit-exact against a solo run of its seed.
+//
+// The std::span<RandomSource> overloads are adapters for callers that keep
+// 40-byte records: they copy the records into a scratch plane, run the
+// plane kernel and copy the words back. They are for tools and tests, not
+// hot loops.
 #pragma once
 
 #include <cstdint>
@@ -45,30 +55,44 @@ std::size_t CompactKeepDispatch(std::span<std::int32_t> ids,
                                 std::span<const std::uint8_t> drop);
 }  // namespace internal
 
-// Seeds out[k] = support::RandomSource::ForStream(master_seed,
-// first_stream + k, kind) for every k, bit-exact with the scalar factory.
-// The engines re-derive one stream per node on every trial, which made
-// per-node stream construction a measurable slice of Monte-Carlo setup for
-// large active sets; this kernel writes each record in place (no
-// per-stream construction/copy). The AVX-512 backend runs the SplitMix64
-// expansion eight streams at a time; every other backend runs it scalar —
-// see the dispatch note in kernels.cpp for the measured reason.
+// Seeds slot k of `out` with stream first_stream + k of master_seed, of
+// the plane's kind — bit-exact with support::RandomSource::ForStream. The
+// engines re-derive one stream per node on every trial, which made per-node
+// stream construction a measurable slice of Monte-Carlo setup for large
+// active sets. The AVX-512 backend runs the SplitMix64 expansion eight
+// streams at a time and stores whole vectors into the word planes; every
+// other backend runs it scalar — see the dispatch note in kernels.cpp for
+// the measured reason.
+void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
+                 support::StreamPlaneView out);
+
+// Draws one Bernoulli per slot: mask[k] = coin.Draw(rng[alive[k]]) for
+// every k, bit-exact with the scalar call (including consuming no draw for
+// fixed-outcome coins). Returns the number of successes.
+std::int64_t CoinMask(const support::BatchBernoulli& coin,
+                      support::StreamPlaneView rng,
+                      std::span<const std::int32_t> alive,
+                      std::span<std::uint8_t> mask);
+
+// Draws one bounded uniform integer per slot:
+// out[k] = int32(dist.Draw(rng[alive[k]])), bit-exact with the scalar call
+// (Lemire rejection included). Requires dist.range() to fit in int32 — the
+// channel-pick use case; enforced with a check.
+void UniformFill(const support::BatchUniformInt& dist,
+                 support::StreamPlaneView rng,
+                 std::span<const std::int32_t> alive,
+                 std::span<std::int32_t> out);
+
+// Record adapters of the three kernels above (see the header comment):
+// out[k] becomes ForStream(master_seed, first_stream + k, kind); the draw
+// adapters require every record of `rng` to share one kind.
 void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
                  support::RngKind kind,
                  std::span<support::RandomSource> out);
-
-// Draws one Bernoulli per lane: mask[k] = coin.Draw(rng[alive[k]]) for
-// every k, bit-exact with the scalar call (including consuming no draw for
-// fixed-outcome coins). Returns the number of successes.
 std::int64_t CoinMask(const support::BatchBernoulli& coin,
                       std::span<support::RandomSource> rng,
                       std::span<const std::int32_t> alive,
                       std::span<std::uint8_t> mask);
-
-// Draws one bounded uniform integer per lane:
-// out[k] = int32(dist.Draw(rng[alive[k]])), bit-exact with the scalar call
-// (Lemire rejection included). Requires dist.range() to fit in int32 — the
-// channel-pick use case; enforced with a check.
 void UniformFill(const support::BatchUniformInt& dist,
                  std::span<support::RandomSource> rng,
                  std::span<const std::int32_t> alive,

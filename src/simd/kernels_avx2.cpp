@@ -2,6 +2,11 @@
 // draw kernels, permutevar-based stream compaction, and gather-based
 // lone-channel classification.
 //
+// The draw kernels take the slot list in blocks, 8 slots for Philox and 4
+// for xoshiro, with vector i holding state word i of the block's streams:
+// a contiguous block loads and stores it straight from word plane i, any
+// other block gathers it and scatters it back.
+//
 // Compiled with -mavx2 (see src/CMakeLists.txt); only reached through the
 // dispatch in kernels.cpp after a cpuid probe. Bit-exact with the scalar
 // reference: the vector Philox computes the identical block function, the
@@ -33,20 +38,12 @@ inline __m256i MulHi32(__m256i a, __m256i b) {
   return _mm256_or_si256(even, _mm256_and_si256(odd, hi_mask));
 }
 
-// Eight independent Philox4x32-10 blocks, structure-of-arrays: lane j uses
-// counter (c0[j], c1[j], c2[j], c3[j]) and key (k0[j], k1[j]). Outputs the
-// two uint64 draws of each lane's block, matching Philox4x32::BlockU64.
-inline void PhiloxBlocks8(const std::uint32_t c0[8], const std::uint32_t c1[8],
-                          const std::uint32_t c2[8], const std::uint32_t c3[8],
-                          const std::uint32_t k0in[8],
-                          const std::uint32_t k1in[8], std::uint64_t out0[8],
-                          std::uint64_t out1[8]) {
-  __m256i x0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c0));
-  __m256i x1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c1));
-  __m256i x2 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c2));
-  __m256i x3 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c3));
-  __m256i k0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k0in));
-  __m256i k1 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k1in));
+// Ten Philox4x32 rounds on eight blocks in place, structure-of-arrays:
+// lane j holds counter (x0[j], x1[j], x2[j], x3[j]) and key (k0[j], k1[j]).
+// On return x0..x3 hold each block's four output words, matching
+// Philox4x32::Block.
+inline void PhiloxRounds8(__m256i& x0, __m256i& x1, __m256i& x2, __m256i& x3,
+                          __m256i k0, __m256i k1) {
   const __m256i m0 = _mm256_set1_epi32(
       static_cast<int>(support::Philox4x32::kMult0));
   const __m256i m1 = _mm256_set1_epi32(
@@ -71,42 +68,110 @@ inline void PhiloxBlocks8(const std::uint32_t c0[8], const std::uint32_t c1[8],
     k0 = _mm256_add_epi32(k0, w0);
     k1 = _mm256_add_epi32(k1, w1);
   }
-  alignas(32) std::uint32_t w0s[8], w1s[8], w2s[8], w3s[8];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(w0s), x0);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(w1s), x1);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(w2s), x2);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(w3s), x3);
-  for (int j = 0; j < 8; ++j) {
-    out0[j] = w0s[j] | (static_cast<std::uint64_t>(w1s[j]) << 32);
-    out1[j] = w2s[j] | (static_cast<std::uint64_t>(w3s[j]) << 32);
-  }
 }
 
-// Loads eight lanes' philox state into SoA counter/key arrays and produces
-// each lane's *next* draw (block = draws >> 1, half = draws & 1) plus the
-// odd half of that block, without advancing any lane. Callers advance via
-// StepPhilox(odd[j]) afterwards, which keeps the one-draw memo.
-inline void NextDraws8(std::span<support::RandomSource> rng,
-                       const std::int32_t* lanes, std::uint64_t draws[8],
-                       std::uint64_t odd[8]) {
-  std::uint32_t c0[8], c1[8], c2[8], c3[8], k0[8], k1[8];
-  for (int j = 0; j < 8; ++j) {
-    const auto& rs = rng[static_cast<std::size_t>(lanes[j])];
-    const std::uint64_t block = rs.philox_draws() >> 1;
-    const std::uint64_t stream = rs.philox_stream();
-    const std::uint64_t key = rs.philox_key();
-    c0[j] = static_cast<std::uint32_t>(block);
-    c1[j] = static_cast<std::uint32_t>(block >> 32);
-    c2[j] = static_cast<std::uint32_t>(stream);
-    c3[j] = static_cast<std::uint32_t>(stream >> 32);
-    k0[j] = static_cast<std::uint32_t>(key);
-    k1[j] = static_cast<std::uint32_t>(key >> 32);
+// Eight uint64 words, 0-3 in `a` and 4-7 in `b`, split into their low and
+// high 32-bit halves: lane j of *lo / *hi is the low / high half of word j.
+inline void SplitHalves(__m256i a, __m256i b, __m256i* lo, __m256i* hi) {
+  const __m256i halves = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+  const __m256i pa = _mm256_permutevar8x32_epi32(a, halves);
+  const __m256i pb = _mm256_permutevar8x32_epi32(b, halves);
+  *lo = _mm256_permute2x128_si256(pa, pb, 0x20);
+  *hi = _mm256_permute2x128_si256(pa, pb, 0x31);
+}
+
+// The inverse of SplitHalves: word j = lo[j] | hi[j] << 32, words 0-3 in
+// *a and 4-7 in *b.
+inline void JoinHalves(__m256i lo, __m256i hi, __m256i* a, __m256i* b) {
+  const __m256i low_pairs = _mm256_unpacklo_epi32(lo, hi);   // 0, 1 | 4, 5
+  const __m256i high_pairs = _mm256_unpackhi_epi32(lo, hi);  // 2, 3 | 6, 7
+  *a = _mm256_permute2x128_si256(low_pairs, high_pairs, 0x20);
+  *b = _mm256_permute2x128_si256(low_pairs, high_pairs, 0x31);
+}
+
+inline __m256i Load4(const std::uint64_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+
+inline void Store4(std::uint64_t* p, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+// True when slots[0..8) == slots[0] + (0, 1, ..., 7).
+inline bool Contiguous8(const std::int32_t* slots) {
+  const __m256i got =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slots));
+  const __m256i want = _mm256_add_epi32(
+      _mm256_set1_epi32(slots[0]), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  return _mm256_movemask_epi8(_mm256_cmpeq_epi32(got, want)) == -1;
+}
+
+// Advances the eight philox streams in slots[0..8) by one draw each and
+// writes the draws to draws[0..8). Draw d of a stream is half d & 1 of
+// block d >> 1; advancing from an even index memoizes the block's odd half
+// (StreamCore::StepPhilox). A contiguous block loads and stores the word
+// planes as vectors; any other block assembles the counter and key lanes
+// slot by slot.
+inline void PhiloxNext8(support::StreamPlaneView rng,
+                        const std::int32_t* slots, std::uint64_t draws[8]) {
+  const std::uint64_t* keys = rng.plane(0);
+  const std::uint64_t* streams = rng.plane(1);
+  std::uint64_t* counts = rng.plane(2);
+  std::uint64_t* memos = rng.plane(3);
+  const bool contiguous = Contiguous8(slots);
+  const auto first = static_cast<std::size_t>(slots[0]);
+  // The block's draw counters, stream ids and keys, eight words each.
+  const std::uint64_t* words[3] = {counts + first, streams + first,
+                                   keys + first};
+  alignas(32) std::uint64_t gathered[3][8];
+  if (!contiguous) {
+    for (int j = 0; j < 8; ++j) {
+      const auto s = static_cast<std::size_t>(slots[j]);
+      gathered[0][j] = counts[s];
+      gathered[1][j] = streams[s];
+      gathered[2][j] = keys[s];
+    }
+    for (int i = 0; i < 3; ++i) words[i] = gathered[i];
   }
-  std::uint64_t d0[8];
-  PhiloxBlocks8(c0, c1, c2, c3, k0, k1, d0, odd);
+  const __m256i count[2] = {Load4(words[0]), Load4(words[0] + 4)};
+  __m256i x0, x1, x2, x3, k0, k1;
+  SplitHalves(_mm256_srli_epi64(count[0], 1), _mm256_srli_epi64(count[1], 1),
+              &x0, &x1);  // the block index
+  SplitHalves(Load4(words[1]), Load4(words[1] + 4), &x2, &x3);
+  SplitHalves(Load4(words[2]), Load4(words[2] + 4), &k0, &k1);
+  PhiloxRounds8(x0, x1, x2, x3, k0, k1);
+  __m256i even[2], odd[2];
+  JoinHalves(x0, x1, &even[0], &even[1]);
+  JoinHalves(x2, x3, &odd[0], &odd[1]);
+
+  const __m256i one = _mm256_set1_epi64x(1);
+  __m256d odd_index[2];
+  for (int h = 0; h < 2; ++h) {
+    odd_index[h] = _mm256_castsi256_pd(
+        _mm256_cmpeq_epi64(_mm256_and_si256(count[h], one), one));
+    Store4(draws + 4 * h,
+           _mm256_castpd_si256(_mm256_blendv_pd(_mm256_castsi256_pd(even[h]),
+                                                _mm256_castsi256_pd(odd[h]),
+                                                odd_index[h])));
+  }
+  if (contiguous) {
+    for (int h = 0; h < 2; ++h) {
+      const std::size_t at = first + 4 * static_cast<std::size_t>(h);
+      Store4(counts + at, _mm256_add_epi64(count[h], one));
+      // From an odd index the memo already holds this block's odd half.
+      Store4(memos + at, _mm256_castpd_si256(_mm256_blendv_pd(
+                             _mm256_castsi256_pd(odd[h]),
+                             _mm256_castsi256_pd(Load4(memos + at)),
+                             odd_index[h])));
+    }
+    return;
+  }
+  alignas(32) std::uint64_t odd_half[8];
+  Store4(odd_half, odd[0]);
+  Store4(odd_half + 4, odd[1]);
   for (int j = 0; j < 8; ++j) {
-    const auto& rs = rng[static_cast<std::size_t>(lanes[j])];
-    draws[j] = (rs.philox_draws() & 1) ? odd[j] : d0[j];
+    const auto s = static_cast<std::size_t>(slots[j]);
+    support::StreamCore::StepPhilox(odd_half[j], counts[s], memos[s]);
   }
 }
 
@@ -114,59 +179,76 @@ inline __m256i Rotl64(__m256i x, int k) {
   return _mm256_or_si256(_mm256_slli_epi64(x, k), _mm256_srli_epi64(x, 64 - k));
 }
 
-// One xoshiro256++ step of the four streams rng[lanes[0..4)]. Their 32-byte
-// states are loaded and transposed 4x4 so that vector i holds state word i
-// of all four streams; the step runs on 64-bit lanes; the states are
-// transposed back and stored. Returns the four outputs, stream j in lane j.
-inline __m256i XoshiroStep4(std::span<support::RandomSource> rng,
-                            const std::int32_t* lanes) {
-  std::uint64_t* state[4];
-  for (int j = 0; j < 4; ++j) {
-    state[j] = rng[static_cast<std::size_t>(lanes[j])].words();
-  }
-  const auto load = [](const std::uint64_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  };
-  const __m256i r0 = load(state[0]);
-  const __m256i r1 = load(state[1]);
-  const __m256i r2 = load(state[2]);
-  const __m256i r3 = load(state[3]);
-  // t0 = (r0.w0, r1.w0 | r0.w2, r1.w2), t1 = (r0.w1, r1.w1 | r0.w3, r1.w3);
-  // t2, t3 likewise for r2, r3; then swap 128-bit halves across pairs.
-  const __m256i t0 = _mm256_unpacklo_epi64(r0, r1);
-  const __m256i t1 = _mm256_unpackhi_epi64(r0, r1);
-  const __m256i t2 = _mm256_unpacklo_epi64(r2, r3);
-  const __m256i t3 = _mm256_unpackhi_epi64(r2, r3);
-  __m256i s0 = _mm256_permute2x128_si256(t0, t2, 0x20);
-  __m256i s1 = _mm256_permute2x128_si256(t1, t3, 0x20);
-  __m256i s2 = _mm256_permute2x128_si256(t0, t2, 0x31);
-  __m256i s3 = _mm256_permute2x128_si256(t1, t3, 0x31);
+// True when slots[0..4) == slots[0] + (0, 1, 2, 3).
+inline bool Contiguous4(const std::int32_t* slots) {
+  const __m128i got = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slots));
+  const __m128i want =
+      _mm_add_epi32(_mm_set1_epi32(slots[0]), _mm_setr_epi32(0, 1, 2, 3));
+  return _mm_movemask_epi8(_mm_cmpeq_epi32(got, want)) == 0xFFFF;
+}
 
+// One xoshiro256++ step of four streams, state word w of stream j in lane
+// j of s[w]. Returns the four outputs.
+inline __m256i XoshiroAdvance(__m256i (&s)[4]) {
   const __m256i result =
-      _mm256_add_epi64(Rotl64(_mm256_add_epi64(s0, s3), 23), s0);
-  const __m256i t = _mm256_slli_epi64(s1, 17);
-  s2 = _mm256_xor_si256(s2, s0);
-  s3 = _mm256_xor_si256(s3, s1);
-  s1 = _mm256_xor_si256(s1, s2);
-  s0 = _mm256_xor_si256(s0, s3);
-  s2 = _mm256_xor_si256(s2, t);
-  s3 = Rotl64(s3, 45);
-
-  // u0 = (stream 0: w0, w1 | stream 2: w0, w1), u1 the same for streams 1
-  // and 3; u2, u3 carry words 2 and 3.
-  const __m256i u0 = _mm256_unpacklo_epi64(s0, s1);
-  const __m256i u1 = _mm256_unpackhi_epi64(s0, s1);
-  const __m256i u2 = _mm256_unpacklo_epi64(s2, s3);
-  const __m256i u3 = _mm256_unpackhi_epi64(s2, s3);
-  const auto store = [](std::uint64_t* p, __m256i v) {
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
-  };
-  store(state[0], _mm256_permute2x128_si256(u0, u2, 0x20));
-  store(state[1], _mm256_permute2x128_si256(u1, u3, 0x20));
-  store(state[2], _mm256_permute2x128_si256(u0, u2, 0x31));
-  store(state[3], _mm256_permute2x128_si256(u1, u3, 0x31));
+      _mm256_add_epi64(Rotl64(_mm256_add_epi64(s[0], s[3]), 23), s[0]);
+  const __m256i t = _mm256_slli_epi64(s[1], 17);
+  s[2] = _mm256_xor_si256(s[2], s[0]);
+  s[3] = _mm256_xor_si256(s[3], s[1]);
+  s[1] = _mm256_xor_si256(s[1], s[2]);
+  s[0] = _mm256_xor_si256(s[0], s[3]);
+  s[2] = _mm256_xor_si256(s[2], t);
+  s[3] = Rotl64(s[3], 45);
   return result;
 }
+
+// One xoshiro256++ step of the streams in slots[0..4). A contiguous block
+// loads and stores each word plane's four words as one vector; any other
+// block gathers them and scatters them back. Returns the four outputs,
+// slot j in lane j.
+inline __m256i XoshiroStep4(support::StreamPlaneView rng,
+                            const std::int32_t* slots) {
+  __m256i s[4];
+  if (Contiguous4(slots)) {
+    const auto first = static_cast<std::size_t>(slots[0]);
+    for (int w = 0; w < 4; ++w) {
+      s[w] = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(rng.plane(w) + first));
+    }
+    const __m256i result = XoshiroAdvance(s);
+    for (int w = 0; w < 4; ++w) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(rng.plane(w) + first),
+                          s[w]);
+    }
+    return result;
+  }
+  const __m128i idx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slots));
+  for (int w = 0; w < 4; ++w) {
+    s[w] = _mm256_i32gather_epi64(
+        reinterpret_cast<const long long*>(rng.plane(w)), idx, 8);
+  }
+  const __m256i result = XoshiroAdvance(s);
+  alignas(32) std::uint64_t words[4];
+  for (int w = 0; w < 4; ++w) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(words), s[w]);
+    for (int j = 0; j < 4; ++j) {
+      rng.plane(w)[static_cast<std::size_t>(slots[j])] = words[j];
+    }
+  }
+  return result;
+}
+
+// kSpread4[bits] has byte j = bit j of `bits`: four 0/1 mask bytes,
+// little-endian.
+constexpr std::array<std::uint32_t, 16> MakeSpreadLut() {
+  std::array<std::uint32_t, 16> lut{};
+  for (std::uint32_t bits = 0; bits < 16; ++bits) {
+    for (int j = 0; j < 4; ++j) lut[bits] |= ((bits >> j) & 1u) << (8 * j);
+  }
+  return lut;
+}
+
+constexpr std::array<std::uint32_t, 16> kSpread4 = MakeSpreadLut();
 
 struct PermRow {
   std::uint32_t idx[8];
@@ -193,7 +275,7 @@ constexpr std::array<PermRow, 256> kCompactLut = MakeCompactLut();
 }  // namespace
 
 std::int64_t CoinMaskAvx2(const support::BatchBernoulli& coin,
-                          std::span<support::RandomSource> rng,
+                          support::StreamPlaneView rng,
                           std::span<const std::int32_t> alive,
                           std::span<std::uint8_t> mask) {
   if (coin.fixed() >= 0) return CoinMaskScalar(coin, rng, alive, mask);
@@ -201,13 +283,11 @@ std::int64_t CoinMaskAvx2(const support::BatchBernoulli& coin,
   const std::size_t m = alive.size();
   std::int64_t successes = 0;
   std::size_t k = 0;
-  if (PhiloxLanes(rng, alive)) {
-    std::uint64_t draws[8], odd[8];
+  if (rng.kind() == support::RngKind::kPhilox) {
+    alignas(32) std::uint64_t draws[8];
     for (; k + 8 <= m; k += 8) {
-      NextDraws8(rng, alive.data() + k, draws, odd);
+      PhiloxNext8(rng, alive.data() + k, draws);
       for (int j = 0; j < 8; ++j) {
-        rng[static_cast<std::size_t>(alive[k + static_cast<std::size_t>(j)])]
-            .StepPhilox(odd[j]);
         const bool hit = (draws[j] >> 11) < threshold;
         mask[k + static_cast<std::size_t>(j)] = static_cast<std::uint8_t>(hit);
         successes += hit;
@@ -215,18 +295,20 @@ std::int64_t CoinMaskAvx2(const support::BatchBernoulli& coin,
     }
   } else {
     // threshold <= 2^53 and x >> 11 < 2^53, so the signed compare is exact.
+    // Hits count down in `hits` (a lane's compare is -1 on success).
     const __m256i thr = _mm256_set1_epi64x(static_cast<long long>(threshold));
+    __m256i hits = _mm256_setzero_si256();
     for (; k + 4 <= m; k += 4) {
       const __m256i x = XoshiroStep4(rng, alive.data() + k);
-      const auto bits = static_cast<std::uint32_t>(_mm256_movemask_pd(
-          _mm256_castsi256_pd(
-              _mm256_cmpgt_epi64(thr, _mm256_srli_epi64(x, 11)))));
-      // Spread bit j to byte j: the four 0/1 mask bytes, little-endian.
-      const std::uint32_t bytes = (bits & 1u) | (bits & 2u) << 7 |
-                                  (bits & 4u) << 14 | (bits & 8u) << 21;
-      std::memcpy(mask.data() + k, &bytes, sizeof(bytes));
-      successes += std::popcount(bits);
+      const __m256i hit = _mm256_cmpgt_epi64(thr, _mm256_srli_epi64(x, 11));
+      const auto bits = static_cast<std::uint32_t>(
+          _mm256_movemask_pd(_mm256_castsi256_pd(hit)));
+      std::memcpy(mask.data() + k, &kSpread4[bits], sizeof(std::uint32_t));
+      hits = _mm256_sub_epi64(hits, hit);
     }
+    alignas(32) std::int64_t lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), hits);
+    successes = lanes[0] + lanes[1] + lanes[2] + lanes[3];
   }
   for (; k < m; ++k) {
     const bool hit =
@@ -238,21 +320,20 @@ std::int64_t CoinMaskAvx2(const support::BatchBernoulli& coin,
 }
 
 void UniformFillAvx2(const support::BatchUniformInt& dist,
-                     std::span<support::RandomSource> rng,
+                     support::StreamPlaneView rng,
                      std::span<const std::int32_t> alive,
                      std::span<std::int32_t> out) {
   const std::size_t m = alive.size();
   std::size_t k = 0;
-  if (PhiloxLanes(rng, alive)) {
-    std::uint64_t draws[8], odd[8];
+  if (rng.kind() == support::RngKind::kPhilox) {
+    alignas(32) std::uint64_t draws[8];
     for (; k + 8 <= m; k += 8) {
-      NextDraws8(rng, alive.data() + k, draws, odd);
+      PhiloxNext8(rng, alive.data() + k, draws);
       for (int j = 0; j < 8; ++j) {
-        auto& rs = rng[static_cast<std::size_t>(
-            alive[k + static_cast<std::size_t>(j)])];
-        rs.StepPhilox(odd[j]);
-        out[k + static_cast<std::size_t>(j)] =
-            LemireFinish(dist, draws[j], rs);
+        out[k + static_cast<std::size_t>(j)] = LemireFinish(
+            dist, draws[j],
+            rng[static_cast<std::size_t>(
+                alive[k + static_cast<std::size_t>(j)])]);
       }
     }
   } else {

@@ -15,11 +15,11 @@
 namespace crmc::simd::internal {
 
 std::int64_t CoinMaskScalar(const support::BatchBernoulli& coin,
-                            std::span<support::RandomSource> rng,
+                            support::StreamPlaneView rng,
                             std::span<const std::int32_t> alive,
                             std::span<std::uint8_t> mask);
 void UniformFillScalar(const support::BatchUniformInt& dist,
-                       std::span<support::RandomSource> rng,
+                       support::StreamPlaneView rng,
                        std::span<const std::int32_t> alive,
                        std::span<std::int32_t> out);
 std::size_t CompactKeepScalar(std::span<std::int32_t> ids,
@@ -30,25 +30,14 @@ Occupancy ClassifyChannelsScalar(std::span<const std::int32_t> channels,
                                  std::vector<std::int32_t>& touched,
                                  std::span<std::uint8_t> lone);
 void SeedStreamsScalar(std::uint64_t master_seed, std::uint64_t first_stream,
-                       support::RngKind kind,
-                       std::span<support::RandomSource> out);
-
-// True when this call's lanes are Philox-mode, false for xoshiro lanes or
-// an empty call. The engines derive every node stream with one RngKind, so
-// checking the first lane suffices.
-inline bool PhiloxLanes(std::span<support::RandomSource> rng,
-                        std::span<const std::int32_t> alive) {
-  return !alive.empty() &&
-         rng[static_cast<std::size_t>(alive.front())].kind() ==
-             support::RngKind::kPhilox;
-}
+                       support::StreamPlaneView out);
 
 // Finishes one bounded draw whose first 64-bit draw `x` was generated out
 // of line and already consumed from `rs`: Lemire's multiply, with a
 // rejection (P < 2^-33 for channel ranges) redrawing from `rs` exactly as
 // BatchUniformInt::Draw would.
 inline std::int32_t LemireFinish(const support::BatchUniformInt& dist,
-                                 std::uint64_t x, support::RandomSource& rs) {
+                                 std::uint64_t x, support::StreamRef rs) {
   __uint128_t prod = static_cast<__uint128_t>(x) * dist.range();
   while (static_cast<std::uint64_t>(prod) < dist.threshold()) {
     prod = static_cast<__uint128_t>(rs.NextU64()) * dist.range();
@@ -59,11 +48,11 @@ inline std::int32_t LemireFinish(const support::BatchUniformInt& dist,
 
 #if defined(CRMC_SIMD_HAS_SSE42)
 std::int64_t CoinMaskSse42(const support::BatchBernoulli& coin,
-                           std::span<support::RandomSource> rng,
+                           support::StreamPlaneView rng,
                            std::span<const std::int32_t> alive,
                            std::span<std::uint8_t> mask);
 void UniformFillSse42(const support::BatchUniformInt& dist,
-                      std::span<support::RandomSource> rng,
+                      support::StreamPlaneView rng,
                       std::span<const std::int32_t> alive,
                       std::span<std::int32_t> out);
 std::size_t CompactKeepSse42(std::span<std::int32_t> ids,
@@ -72,11 +61,11 @@ std::size_t CompactKeepSse42(std::span<std::int32_t> ids,
 
 #if defined(CRMC_SIMD_HAS_AVX2)
 std::int64_t CoinMaskAvx2(const support::BatchBernoulli& coin,
-                          std::span<support::RandomSource> rng,
+                          support::StreamPlaneView rng,
                           std::span<const std::int32_t> alive,
                           std::span<std::uint8_t> mask);
 void UniformFillAvx2(const support::BatchUniformInt& dist,
-                     std::span<support::RandomSource> rng,
+                     support::StreamPlaneView rng,
                      std::span<const std::int32_t> alive,
                      std::span<std::int32_t> out);
 std::size_t CompactKeepAvx2(std::span<std::int32_t> ids,
@@ -90,8 +79,7 @@ Occupancy ClassifyChannelsAvx2(std::span<const std::int32_t> channels,
 
 #if defined(CRMC_SIMD_HAS_AVX512)
 void SeedStreamsAvx512(std::uint64_t master_seed, std::uint64_t first_stream,
-                       support::RngKind kind,
-                       std::span<support::RandomSource> out);
+                       support::StreamPlaneView out);
 #endif
 
 }  // namespace crmc::simd::internal

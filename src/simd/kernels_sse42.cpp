@@ -75,17 +75,20 @@ inline void PhiloxBlocks4(const std::uint32_t c0[4], const std::uint32_t c1[4],
   }
 }
 
-// Each lane's next draw and its block's odd half, without advancing any
-// lane (see NextDraws8).
-inline void NextDraws4(std::span<support::RandomSource> rng,
-                       const std::int32_t* lanes, std::uint64_t draws[4],
+// Each slot's next draw and its block's odd half, without advancing any
+// slot (see NextDraws8).
+inline void NextDraws4(support::StreamPlaneView rng,
+                       const std::int32_t* slots, std::uint64_t draws[4],
                        std::uint64_t odd[4]) {
+  const std::uint64_t* keys = rng.plane(0);
+  const std::uint64_t* streams = rng.plane(1);
+  const std::uint64_t* counts = rng.plane(2);
   std::uint32_t c0[4], c1[4], c2[4], c3[4], k0[4], k1[4];
   for (int j = 0; j < 4; ++j) {
-    const auto& rs = rng[static_cast<std::size_t>(lanes[j])];
-    const std::uint64_t block = rs.philox_draws() >> 1;
-    const std::uint64_t stream = rs.philox_stream();
-    const std::uint64_t key = rs.philox_key();
+    const auto s = static_cast<std::size_t>(slots[j]);
+    const std::uint64_t block = counts[s] >> 1;
+    const std::uint64_t stream = streams[s];
+    const std::uint64_t key = keys[s];
     c0[j] = static_cast<std::uint32_t>(block);
     c1[j] = static_cast<std::uint32_t>(block >> 32);
     c2[j] = static_cast<std::uint32_t>(stream);
@@ -96,8 +99,8 @@ inline void NextDraws4(std::span<support::RandomSource> rng,
   std::uint64_t d0[4];
   PhiloxBlocks4(c0, c1, c2, c3, k0, k1, d0, odd);
   for (int j = 0; j < 4; ++j) {
-    const auto& rs = rng[static_cast<std::size_t>(lanes[j])];
-    draws[j] = (rs.philox_draws() & 1) ? odd[j] : d0[j];
+    draws[j] = (counts[static_cast<std::size_t>(slots[j])] & 1) ? odd[j]
+                                                                 : d0[j];
   }
 }
 
@@ -129,10 +132,10 @@ constexpr std::array<ShufRow, 16> kCompactLut = MakeCompactLut();
 }  // namespace
 
 std::int64_t CoinMaskSse42(const support::BatchBernoulli& coin,
-                           std::span<support::RandomSource> rng,
+                           support::StreamPlaneView rng,
                            std::span<const std::int32_t> alive,
                            std::span<std::uint8_t> mask) {
-  if (coin.fixed() >= 0 || !PhiloxLanes(rng, alive)) {
+  if (coin.fixed() >= 0 || rng.kind() != support::RngKind::kPhilox) {
     return CoinMaskScalar(coin, rng, alive, mask);
   }
   const std::uint64_t threshold = coin.threshold();
@@ -160,10 +163,10 @@ std::int64_t CoinMaskSse42(const support::BatchBernoulli& coin,
 }
 
 void UniformFillSse42(const support::BatchUniformInt& dist,
-                      std::span<support::RandomSource> rng,
+                      support::StreamPlaneView rng,
                       std::span<const std::int32_t> alive,
                       std::span<std::int32_t> out) {
-  if (!PhiloxLanes(rng, alive)) {
+  if (rng.kind() != support::RngKind::kPhilox) {
     return UniformFillScalar(dist, rng, alive, out);
   }
   const std::size_t m = alive.size();
@@ -172,7 +175,7 @@ void UniformFillSse42(const support::BatchUniformInt& dist,
   for (; k + 4 <= m; k += 4) {
     NextDraws4(rng, alive.data() + k, draws, odd);
     for (int j = 0; j < 4; ++j) {
-      auto& rs =
+      const support::StreamRef rs =
           rng[static_cast<std::size_t>(alive[k + static_cast<std::size_t>(j)])];
       rs.StepPhilox(odd[j]);
       out[k + static_cast<std::size_t>(j)] = LemireFinish(dist, draws[j], rs);

@@ -16,8 +16,14 @@
 //
 // RandomSource::ForStream selects the generator via RngKind; the default
 // stays xoshiro so existing seeds keep their historical bit streams.
+//
+// A stream lives in one of two layouts with identical bit streams: a
+// RandomSource record (one stream, 40 bytes) or one slot of a StreamPlane
+// (many streams of one kind, each state word in its own contiguous plane),
+// addressed through a StreamRef. StreamCore is the one step both share.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -125,62 +131,180 @@ struct Philox4x32 {
   }
 };
 
-// High-level random source with the distributions the protocols need.
+// The one implementation of seeding and stepping a stream held in four
+// state words, shared by RandomSource (the words of one record) and
+// StreamRef (one slot of a StreamPlane's four word planes); the four
+// references always name four distinct words.
 //
-// One stream is a 40-byte record: four state words plus the kind byte. The
-// batch engine seeds and draws one stream per node per trial (|A| = 4096 on
-// the large general sweep), so the record is kept small enough that four
-// streams' state words load as four 32-byte vectors (src/simd/).
-//
-//   - xoshiro: words() is the xoshiro256++ state.
-//   - philox: words() is (key, stream id, index of the next draw, odd half
-//     of block index >> 1). The fourth word is a one-draw memo, valid
+//   - xoshiro: the words are the xoshiro256++ state.
+//   - philox: the words are (key, stream id, index of the next draw, odd
+//     half of block index >> 1). The fourth word is a one-draw memo, valid
 //     whenever the draw index is odd: every path that advances an even
-//     index by one (NextU64, SkipPhiloxDraws, the SIMD draw kernels) writes
-//     the odd half of the block it just computed, so two sequential draws
-//     cost one Philox block.
-class RandomSource {
- public:
+//     index by one (Next, StepPhilox, SkipPhilox, the SIMD draw kernels)
+//     writes the odd half of the block it just computed, so two sequential
+//     draws cost one Philox block.
+struct StreamCore {
   // Stream premix multiplier: stream s seeds SplitMix64 at
   // master_seed ^ (kStreamMix * (s + 1)).
   static constexpr std::uint64_t kStreamMix = 0xa0761d6478bd642fULL;
 
+  // Stream `stream` of `master_seed`. Both kinds mix (master_seed, stream)
+  // identically; philox uses the mixed value as the block-function key and
+  // keeps the raw stream id in the upper counter words as collision
+  // insurance.
+  static void Seed(std::uint64_t master_seed, std::uint64_t stream,
+                   RngKind kind, std::uint64_t& w0, std::uint64_t& w1,
+                   std::uint64_t& w2, std::uint64_t& w3) {
+    SplitMix64 sm(master_seed ^ (kStreamMix * (stream + 1)));
+    if (kind == RngKind::kXoshiro) {
+      SeedXoshiro(sm.Next(), w0, w1, w2, w3);
+    } else {
+      w0 = sm.Next();
+      w1 = stream;
+      w2 = 0;
+      w3 = 0;
+    }
+  }
+
+  // Xoshiro state words i = 0..3 are outputs i + 1 of SplitMix64(seed).
+  static void SeedXoshiro(std::uint64_t seed, std::uint64_t& w0,
+                          std::uint64_t& w1, std::uint64_t& w2,
+                          std::uint64_t& w3) {
+    SplitMix64 sm(seed);
+    w0 = sm.Next();
+    w1 = sm.Next();
+    w2 = sm.Next();
+    w3 = sm.Next();
+  }
+
+  // The stream's next draw; advances the words.
+  static std::uint64_t Next(RngKind kind, std::uint64_t& w0,
+                            std::uint64_t& w1, std::uint64_t& w2,
+                            std::uint64_t& w3) {
+    if (kind == RngKind::kXoshiro) {
+      std::uint64_t s0 = w0, s1 = w1, s2 = w2, s3 = w3;
+      const std::uint64_t result = Rotl(s0 + s3, 23) + s0;
+      const std::uint64_t t = s1 << 17;
+      s2 ^= s0;
+      s3 ^= s1;
+      s1 ^= s2;
+      s0 ^= s3;
+      s2 ^= t;
+      s3 = Rotl(s3, 45);
+      w0 = s0;
+      w1 = s1;
+      w2 = s2;
+      w3 = s3;
+      return result;
+    }
+    const std::uint64_t index = w2;
+    w2 = index + 1;
+    if (index & 1) return w3;
+    std::uint64_t block[2];
+    Philox4x32::BlockU64(w0, w1, index >> 1, block);
+    w3 = block[1];
+    return block[0];
+  }
+
+  // A kernel that generated a philox stream's next draw out of line from
+  // the block it computed advances the counter here; `odd_half` is that
+  // block's second draw, memoized when the index was even.
+  static void StepPhilox(std::uint64_t odd_half, std::uint64_t& draws,
+                         std::uint64_t& memo) {
+    const std::uint64_t index = draws;
+    draws = index + 1;
+    if ((index & 1) == 0) memo = odd_half;
+  }
+
+  // Skips the next `n` draws of a philox stream. Landing on an odd index
+  // computes that block's odd half, so the memo rule holds.
+  static void SkipPhilox(std::uint64_t n, std::uint64_t key,
+                         std::uint64_t stream, std::uint64_t& draws,
+                         std::uint64_t& memo) {
+    if (n == 0) return;
+    const std::uint64_t index = draws + n;
+    draws = index;
+    if (index & 1) {
+      std::uint64_t block[2];
+      Philox4x32::BlockU64(key, stream, index >> 1, block);
+      memo = block[1];
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+};
+
+// The distributions the protocols draw, over any stream type with
+// NextU64() (CRTP): RandomSource and StreamRef inherit the one copy.
+template <class Stream>
+class StreamDistributions {
+ public:
+  // Uniform integer in [lo, hi], inclusive. Unbiased (Lemire's method).
+  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi) {
+    CRMC_CHECK(lo <= hi);
+    const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
+    if (range == 0) return static_cast<std::int64_t>(Next());  // full range
+    std::uint64_t x = Next();
+    __uint128_t m = static_cast<__uint128_t>(x) * range;
+    auto low = static_cast<std::uint64_t>(m);
+    if (low < range) {
+      const std::uint64_t threshold = (0 - range) % range;
+      while (low < threshold) {
+        x = Next();
+        m = static_cast<__uint128_t>(x) * range;
+        low = static_cast<std::uint64_t>(m);
+      }
+    }
+    return lo + static_cast<std::int64_t>(m >> 64);
+  }
+
+  // Uniform double in [0, 1).
+  double UniformDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
+
+  // Bernoulli trial with success probability p (clamped to [0, 1]).
+  bool Bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return UniformDouble() < p;
+  }
+
+ private:
+  std::uint64_t Next() { return static_cast<Stream&>(*this).NextU64(); }
+};
+
+// High-level random source with the distributions the protocols need.
+//
+// One stream is a 40-byte record: four state words (laid out as described
+// at StreamCore) plus the kind byte. The batch engines keep their per-node
+// streams in a StreamPlane instead; the record serves every stream that is
+// drawn one at a time: the coroutine protocols' NodeContext, the fault
+// injector, the adversary and the ID sampler.
+class RandomSource : public StreamDistributions<RandomSource> {
+ public:
   // Unseeded placeholder (xoshiro mode, all-zero state). Exists so scratch
   // slots that are never drawn from — e.g. the fault injector's streams on
   // a pristine run — skip the seeding work.
   RandomSource() = default;
 
-  explicit RandomSource(std::uint64_t seed) { SeedXoshiro(seed); }
+  explicit RandomSource(std::uint64_t seed) {
+    StreamCore::SeedXoshiro(seed, w_[0], w_[1], w_[2], w_[3]);
+  }
 
-  // Derive an independent stream (e.g., per node) from a master seed. Both
-  // kinds mix (master_seed, stream) identically; philox uses the mixed
-  // value as the block-function key and keeps the raw stream id in the
-  // upper counter words as collision insurance.
+  // Derive an independent stream (e.g., per node) from a master seed
+  // (StreamCore::Seed).
   static RandomSource ForStream(std::uint64_t master_seed,
                                 std::uint64_t stream,
                                 RngKind kind = RngKind::kXoshiro) {
     RandomSource rs;
-    rs.SeedStream(master_seed, stream, kind);
+    StreamCore::Seed(master_seed, stream, kind, rs.w_[0], rs.w_[1], rs.w_[2],
+                     rs.w_[3]);
+    rs.kind_ = kind;
     return rs;
-  }
-
-  // In-place form of ForStream: overwrites this record with stream `stream`
-  // of `master_seed`. The seeding kernel (simd::SeedStreams) writes its
-  // records through this rather than assigning ForStream results: a
-  // temporary per stream tripled the cost of seeding 4096 streams (GCC 12,
-  // -O3).
-  void SeedStream(std::uint64_t master_seed, std::uint64_t stream,
-                  RngKind kind) {
-    SplitMix64 sm(master_seed ^ (kStreamMix * (stream + 1)));
-    if (kind == RngKind::kXoshiro) {
-      SeedXoshiro(sm.Next());
-    } else {
-      w_[0] = sm.Next();
-      w_[1] = stream;
-      w_[2] = 0;
-      w_[3] = 0;
-    }
-    kind_ = kind;
   }
 
   // Raw-key factory (bit-exact with ForStream given the same premix).
@@ -192,97 +316,37 @@ class RandomSource {
     return rs;
   }
 
+  // A record holding `kind` and the four state words `w` (e.g. one slot of
+  // a StreamPlane, copied out).
+  static RandomSource FromWords(RngKind kind, std::uint64_t w0,
+                                std::uint64_t w1, std::uint64_t w2,
+                                std::uint64_t w3) {
+    RandomSource rs;
+    rs.kind_ = kind;
+    rs.w_[0] = w0;
+    rs.w_[1] = w1;
+    rs.w_[2] = w2;
+    rs.w_[3] = w3;
+    return rs;
+  }
+
   std::uint64_t NextU64() {
-    if (kind_ == RngKind::kXoshiro) {
-      const std::uint64_t result = Rotl(w_[0] + w_[3], 23) + w_[0];
-      const std::uint64_t t = w_[1] << 17;
-      w_[2] ^= w_[0];
-      w_[3] ^= w_[1];
-      w_[1] ^= w_[2];
-      w_[0] ^= w_[3];
-      w_[2] ^= t;
-      w_[3] = Rotl(w_[3], 45);
-      return result;
-    }
-    const std::uint64_t index = w_[2]++;
-    if (index & 1) return w_[3];
-    std::uint64_t block[2];
-    Philox4x32::BlockU64(w_[0], w_[1], index >> 1, block);
-    w_[3] = block[1];
-    return block[0];
+    return StreamCore::Next(kind_, w_[0], w_[1], w_[2], w_[3]);
   }
 
-  // Uniform integer in [lo, hi], inclusive. Unbiased (Lemire's method).
-  std::int64_t UniformInt(std::int64_t lo, std::int64_t hi) {
-    CRMC_CHECK(lo <= hi);
-    const std::uint64_t range = static_cast<std::uint64_t>(hi - lo) + 1;
-    if (range == 0) return static_cast<std::int64_t>(NextU64());  // full range
-    std::uint64_t x = NextU64();
-    __uint128_t m = static_cast<__uint128_t>(x) * range;
-    auto low = static_cast<std::uint64_t>(m);
-    if (low < range) {
-      const std::uint64_t threshold = (0 - range) % range;
-      while (low < threshold) {
-        x = NextU64();
-        m = static_cast<__uint128_t>(x) * range;
-        low = static_cast<std::uint64_t>(m);
-      }
-    }
-    return lo + static_cast<std::int64_t>(m >> 64);
-  }
-
-  // Uniform double in [0, 1).
-  double UniformDouble() {
-    return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
-  }
-
-  // Bernoulli trial with success probability p (clamped to [0, 1]).
-  bool Bernoulli(double p) {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return UniformDouble() < p;
-  }
-
-  // ---- Raw record, exposed for the SIMD kernels (src/simd/). ----
   RngKind kind() const { return kind_; }
-  // The four state words laid out as described above the class. The
-  // kernels load and store them directly (xoshiro lanes four at a time,
-  // seeding eight records at a time) and must keep the philox memo rule.
+  // The four state words (see StreamCore).
   std::uint64_t* words() { return w_; }
   const std::uint64_t* words() const { return w_; }
-  void set_kind(RngKind kind) { kind_ = kind; }
 
   std::uint64_t philox_key() const { return w_[0]; }
   std::uint64_t philox_stream() const { return w_[1]; }
   std::uint64_t philox_draws() const { return w_[2]; }
-  // A kernel that generated this stream's next draw out-of-line from the
-  // block it computed advances the counter here; `odd_half` is that
-  // block's second draw, memoized when the index was even.
-  void StepPhilox(std::uint64_t odd_half) {
-    if ((w_[2]++ & 1) == 0) w_[3] = odd_half;
-  }
-  // Skips the next `n` draws. Landing on an odd index computes that
-  // block's odd half, so the memo rule holds.
   void SkipPhiloxDraws(std::uint64_t n) {
-    if (n == 0) return;
-    w_[2] += n;
-    if (w_[2] & 1) {
-      std::uint64_t block[2];
-      Philox4x32::BlockU64(w_[0], w_[1], w_[2] >> 1, block);
-      w_[3] = block[1];
-    }
+    StreamCore::SkipPhilox(n, w_[0], w_[1], w_[2], w_[3]);
   }
 
  private:
-  static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
-  void SeedXoshiro(std::uint64_t seed) {
-    SplitMix64 sm(seed);
-    for (auto& w : w_) w = sm.Next();
-  }
-
   std::uint64_t w_[4] = {};
   RngKind kind_ = RngKind::kXoshiro;
 };
@@ -290,14 +354,169 @@ class RandomSource {
 static_assert(sizeof(RandomSource) == 40,
               "four state words plus the kind byte, padded to 8");
 
+class StreamPlaneView;
+
+// One stream held in a StreamPlane: one slot's four state words, one in
+// each word plane, plus the plane's kind. A 16-byte value (a pointer, the
+// plane stride and the kind); drawing through it advances the plane.
+class StreamRef : public StreamDistributions<StreamRef> {
+ public:
+  std::uint64_t NextU64() {
+    return StreamCore::Next(kind_, word(0), word(1), word(2), word(3));
+  }
+
+  RngKind kind() const { return kind_; }
+  // State word `w` (0..3, see StreamCore).
+  std::uint64_t& word(int w) const {
+    return w0_[static_cast<std::size_t>(w) * stride_];
+  }
+
+  std::uint64_t philox_draws() const { return word(2); }
+  void StepPhilox(std::uint64_t odd_half) const {
+    StreamCore::StepPhilox(odd_half, word(2), word(3));
+  }
+  void SkipPhiloxDraws(std::uint64_t n) const {
+    StreamCore::SkipPhilox(n, word(0), word(1), word(2), word(3));
+  }
+
+  // This stream as a standalone record (copies the state; the plane slot
+  // does not advance when the record draws).
+  RandomSource Record() const {
+    return RandomSource::FromWords(kind_, word(0), word(1), word(2), word(3));
+  }
+  // Overwrites this slot's state with `record`'s (whose kind must match).
+  void Assign(const RandomSource& record) const {
+    CRMC_CHECK(record.kind() == kind_);
+    for (int w = 0; w < 4; ++w) word(w) = record.words()[w];
+  }
+
+ private:
+  friend class StreamPlaneView;
+  StreamRef(std::uint64_t* w0, std::uint32_t stride, RngKind kind)
+      : w0_(w0), stride_(stride), kind_(kind) {}
+
+  std::uint64_t* w0_;
+  std::uint32_t stride_;
+  RngKind kind_;
+};
+
+// A window onto a StreamPlane: `size()` streams of one kind, stream k's
+// state word w at plane(w)[k]. Copies share the plane; Subspan narrows the
+// window (e.g. one trial's nodes out of a [lane * num_active + node]
+// plane) without moving any word.
+//
+// The view is 16 bytes so that it is passed in registers: the word planes'
+// stride is a whole number of 64-byte lines, which leaves its low bits
+// free to carry the kind. (At 32 bytes the view went through memory, and
+// copying it stalled on store forwarding: a two-stream seeding call cost
+// twice the seeding.)
+class StreamPlaneView {
+ public:
+  StreamPlaneView() = default;
+
+  std::size_t size() const { return size_; }
+  RngKind kind() const {
+    return static_cast<RngKind>(stride_kind_ & kKindMask);
+  }
+  // Word plane `w`: state word w of streams 0..size() - 1, contiguous.
+  std::uint64_t* plane(int w) const {
+    return w0_ + static_cast<std::size_t>(w) * stride();
+  }
+
+  StreamRef operator[](std::size_t slot) const {
+    return StreamRef(w0_ + slot, stride(), kind());
+  }
+
+  StreamPlaneView Subspan(std::size_t offset, std::size_t count) const {
+    CRMC_CHECK(offset <= size_ && count <= size_ - offset);
+    return StreamPlaneView(w0_ + offset, static_cast<std::uint32_t>(count),
+                           stride_kind_);
+  }
+
+ private:
+  friend class StreamPlane;
+  static constexpr std::uint32_t kKindMask = 7;  // stride is a multiple of 8
+
+  StreamPlaneView(std::uint64_t* w0, std::uint32_t size,
+                  std::uint32_t stride_kind)
+      : w0_(w0), size_(size), stride_kind_(stride_kind) {}
+  std::uint32_t stride() const { return stride_kind_ & ~kKindMask; }
+
+  std::uint64_t* w0_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint32_t stride_kind_ = 0;  // plane stride in words | RngKind
+};
+
+// Owner of a structure-of-arrays block of streams of one kind: four word
+// planes in one allocation, each 64-byte aligned. The batch engines keep
+// their per-node streams here so the SIMD draw kernels (src/simd/) load
+// and store whole vectors of one state word straight from the planes:
+// 32 bytes per stream, against the 40-byte record's kind byte and padding.
+class StreamPlane {
+ public:
+  // Sizes the plane for `n` streams of `kind`. Slot contents are
+  // unspecified until seeded (simd::SeedStreams); the allocation is kept
+  // when the plane shrinks.
+  void Resize(std::size_t n, RngKind kind) {
+    CRMC_CHECK(n <= std::numeric_limits<std::int32_t>::max() -
+                        2 * kWordsPerLine);
+    // n rounded up to whole lines, plus one spare line. Without it the
+    // planes of |A| = 4096 streams sit exactly 32 KB apart, a power of two
+    // like every other per-node column of the engine, and a general trial
+    // at |A| = 4096 measured ~51 us instead of ~43 us (direct
+    // BatchEngine::Run calls on a Sapphire Rapids Xeon, 48 KB L1d).
+    stride_ = (n + 2 * kWordsPerLine - 1) / kWordsPerLine * kWordsPerLine;
+    // One more line of slack lets plane 0 start on a 64-byte boundary. (An
+    // over-aligned element type instead would allocate through aligned
+    // operator new, which raised crmcbench's peak RSS on the large general
+    // sweep from 4.3 to 5.0 MB.)
+    words_.resize(4 * stride_ + kWordsPerLine);
+    const auto address = reinterpret_cast<std::uintptr_t>(words_.data());
+    first_ = (kWordsPerLine - address / sizeof(std::uint64_t) % kWordsPerLine) %
+             kWordsPerLine;
+    size_ = n;
+    kind_ = kind;
+  }
+
+  std::size_t size() const { return size_; }
+  StreamPlaneView view() {
+    const auto stride_kind = static_cast<std::uint32_t>(stride_) |
+                             static_cast<std::uint32_t>(kind_);
+    return StreamPlaneView(words_.empty() ? nullptr : words_.data() + first_,
+                           static_cast<std::uint32_t>(size_), stride_kind);
+  }
+  StreamRef operator[](std::size_t slot) { return view()[slot]; }
+
+ private:
+  static constexpr std::size_t kWordsPerLine = 8;
+
+  // Plane w occupies words [first_ + w * stride_, first_ + (w + 1) *
+  // stride_).
+  std::vector<std::uint64_t> words_;
+  std::size_t first_ = 0;   // plane 0's first word: 64-byte aligned
+  std::size_t stride_ = 0;  // words per plane (see Resize)
+  std::size_t size_ = 0;
+  RngKind kind_ = RngKind::kXoshiro;
+};
+
+static_assert(sizeof(StreamRef) == 16 && sizeof(StreamPlaneView) == 16,
+              "stream references and views travel in two registers");
+
+// Either stream layout: what BatchUniformInt / BatchBernoulli draw from.
+template <class S>
+concept DrawSource = requires(S& s) {
+  { s.NextU64() } -> std::same_as<std::uint64_t>;
+};
+
 // Precomputed-range uniform sampler for batch draws.
 //
 // RandomSource::UniformInt recomputes Lemire's rejection threshold on every
 // (rejecting) call. When a whole round of a simulation draws from the same
 // [lo, hi] — one draw per active node — the threshold is a loop invariant;
-// this class hoists it. Draw(rs) consumes rs exactly like
-// rs.UniformInt(lo, hi) and returns the bit-identical result, so batched
-// and scalar code paths stay interchangeable in parity tests.
+// this class hoists it. Draw(rs), from a record or a StreamRef, consumes
+// rs exactly like rs.UniformInt(lo, hi) and returns the bit-identical
+// result, so batched and scalar code paths stay interchangeable in parity
+// tests.
 class BatchUniformInt {
  public:
   BatchUniformInt(std::int64_t lo, std::int64_t hi) : lo_(lo) {
@@ -306,7 +525,8 @@ class BatchUniformInt {
     threshold_ = range_ == 0 ? 0 : (0 - range_) % range_;
   }
 
-  std::int64_t Draw(RandomSource& rs) const {
+  template <DrawSource Stream>
+  std::int64_t Draw(Stream&& rs) const {
     std::uint64_t x = rs.NextU64();
     if (range_ == 0) return static_cast<std::int64_t>(x);  // full range
     __uint128_t m = static_cast<__uint128_t>(x) * range_;
@@ -356,7 +576,8 @@ class BatchBernoulli {
     }
   }
 
-  bool Draw(RandomSource& rs) const {
+  template <DrawSource Stream>
+  bool Draw(Stream&& rs) const {
     if (fixed_ >= 0) return fixed_ != 0;
     return (rs.NextU64() >> 11) < threshold_;
   }

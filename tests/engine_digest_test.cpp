@@ -1,0 +1,204 @@
+// Engine digest gate: a change that is meant to move no draw (a faster RNG
+// layout, a kernel rewrite, a loop refactor) must leave every run of the
+// benchmark shapes bit-identical. Each case folds the per-run RunResult
+// fields of a few thousand seeds into one 64-bit digest and compares it with
+// a constant committed below, under every SIMD backend the CPU has.
+//
+// The constants pin today's bit streams. If a change moves them on purpose
+// (a new protocol rule, a different seeding), regenerate them and say why in
+// the change description; a speed-only change must never need to.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "harness/registry.h"
+#include "sim/batch_engine.h"
+#include "sim/engine.h"
+#include "sim/step_program.h"
+#include "sim/trial_engine.h"
+#include "simd/dispatch.h"
+#include "support/rng.h"
+
+namespace crmc::sim {
+namespace {
+
+using support::RngKind;
+
+// Order-sensitive fold: SplitMix64's output function over (digest ^ value).
+class Digest {
+ public:
+  void Add(std::uint64_t v) {
+    std::uint64_t z = (h_ ^ v) + 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    h_ = z ^ (z >> 31);
+  }
+  void Add(std::int64_t v) { Add(static_cast<std::uint64_t>(v)); }
+  void Add(bool v) { Add(static_cast<std::uint64_t>(v)); }
+  void Add(double v) { Add(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0;
+};
+
+void AddRun(const RunResult& r, Digest& d) {
+  d.Add(r.solved);
+  d.Add(r.solved_round);
+  d.Add(r.rounds_executed);
+  d.Add(r.total_transmissions);
+  d.Add(r.fused_rounds);
+  d.Add(r.max_node_transmissions);
+  d.Add(r.mean_node_transmissions);
+}
+
+// The robust wrapper's confirm, jam and epoch counters on top of AddRun.
+void AddRobustRun(const RunResult& r, Digest& d) {
+  AddRun(r, d);
+  d.Add(r.confirmed);
+  d.Add(r.confirm_rounds);
+  d.Add(r.backoff_rounds);
+  d.Add(static_cast<std::int64_t>(r.epochs_used));
+  d.Add(static_cast<std::int64_t>(r.retries));
+  d.Add(r.adv_jams_spent);
+  d.Add(r.adv_jams_effective);
+  d.Add(r.adv_jams_echo);
+  d.Add(r.adv_jams_backoff);
+  d.Add(r.obfuscation_rounds);
+  d.Add(r.probe_rounds_detected);
+  d.Add(static_cast<std::int64_t>(r.confirm_quorum_peak));
+}
+
+std::vector<simd::Backend> AvailableBackends() {
+  std::vector<simd::Backend> out;
+  for (const simd::Backend b : simd::AllBackends()) {
+    if (simd::BackendAvailable(b)) out.push_back(b);
+  }
+  return out;
+}
+
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(simd::Backend b) : prior_(simd::ActiveBackend()) {
+    EXPECT_TRUE(simd::SetBackend(b));
+  }
+  ~ScopedBackend() { simd::SetBackend(prior_); }
+
+ private:
+  simd::Backend prior_;
+};
+
+std::unique_ptr<StepProgram> ProgramFor(const std::string& algo) {
+  return harness::AlgorithmByName(algo).make_step()();
+}
+
+// The harness's defaults for the fields the shapes below leave alone.
+EngineConfig BaseConfig() {
+  const harness::TrialSpec spec;
+  EngineConfig config;
+  config.max_rounds = spec.max_rounds;
+  config.stop_when_solved = spec.stop_when_solved;
+  return config;
+}
+
+// sweep_general_large: general, n = 2^20, |A| = 4096, C = 256, one run per
+// seed on BatchEngine.
+std::uint64_t GeneralLargeDigest(RngKind kind) {
+  EngineConfig config = BaseConfig();
+  config.population = std::int64_t{1} << 20;
+  config.num_active = 4096;
+  config.channels = 256;
+  config.rng = kind;
+  const auto program = ProgramFor("general");
+  BatchEngine engine;
+  Digest d;
+  for (std::uint64_t seed = 1; seed <= 3000; ++seed) {
+    config.seed = seed;
+    AddRun(engine.Run(config, *program), d);
+  }
+  return d.value();
+}
+
+// sweep_small_lanes: two_active, n = 2^20, C = 1024, philox, 32-lane
+// lockstep chunks on TrialBatchEngine.
+std::uint64_t SmallLanesDigest() {
+  EngineConfig config = BaseConfig();
+  config.population = std::int64_t{1} << 20;
+  config.num_active = 2;
+  config.channels = 1024;
+  config.rng = RngKind::kPhilox;
+  const auto program = ProgramFor("two_active");
+  TrialBatchEngine engine(32);
+  std::vector<std::uint64_t> seeds(32768);
+  for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 1 + i;
+  std::vector<RunResult> results(seeds.size());
+  engine.Run(config, *program, seeds, results);
+  Digest d;
+  for (const RunResult& r : results) {
+    AddRun(r, d);
+    d.Add(static_cast<std::int64_t>(r.trial_lanes));
+    d.Add(r.trial_fallback);
+  }
+  return d.value();
+}
+
+// robust_probing_hardened: two_active, n = 65536, C = 64, xoshiro, probing
+// adversary with budget 4096 against the hardened robust policy.
+std::uint64_t RobustHardenedDigest() {
+  EngineConfig config = BaseConfig();
+  config.population = 65536;
+  config.num_active = 2;
+  config.channels = 64;
+  config.rng = RngKind::kXoshiro;
+  config.adversary.kind = adversary::Kind::kProbing;
+  config.adversary.budget = 4096;
+  config.robust.enabled = true;
+  config.robust.policy = robust::PolicyKind::kHardened;
+  const auto program = ProgramFor("two_active");
+  BatchEngine engine;
+  Digest d;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    config.seed = seed;
+    AddRobustRun(engine.Run(config, *program), d);
+  }
+  return d.value();
+}
+
+TEST(EngineDigest, SweepGeneralLargeXoshiro) {
+  for (const simd::Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    EXPECT_EQ(GeneralLargeDigest(RngKind::kXoshiro), 0x1911207b845429cfULL)
+        << simd::ToString(backend);
+  }
+}
+
+TEST(EngineDigest, SweepGeneralLargePhilox) {
+  for (const simd::Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    EXPECT_EQ(GeneralLargeDigest(RngKind::kPhilox), 0x342a20904cd2ed37ULL)
+        << simd::ToString(backend);
+  }
+}
+
+TEST(EngineDigest, SweepSmallLanes) {
+  for (const simd::Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    EXPECT_EQ(SmallLanesDigest(), 0x7f986bcb5c474847ULL)
+        << simd::ToString(backend);
+  }
+}
+
+TEST(EngineDigest, RobustProbingHardened) {
+  for (const simd::Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    EXPECT_EQ(RobustHardenedDigest(), 0x29b8f53e8e047f59ULL)
+        << simd::ToString(backend);
+  }
+}
+
+}  // namespace
+}  // namespace crmc::sim

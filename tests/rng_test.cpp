@@ -1,11 +1,13 @@
 // RNG correctness tests: Philox4x32-10 known-answer vectors (Random123),
 // the counter-based draw contract, batch-sampler bit parity against the
-// scalar RandomSource calls, and chi-square uniformity smoke tests for
-// BatchUniformInt / BatchBernoulli under both generator kinds.
+// scalar RandomSource calls, the stream plane's parity with the record
+// layout, and chi-square uniformity smoke tests for BatchUniformInt /
+// BatchBernoulli under both generator kinds.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -165,6 +167,152 @@ TEST(BatchSamplers, FixedOutcomesConsumeNoDraw) {
   EXPECT_FALSE(BatchBernoulli(-3.0).Draw(rs));
   EXPECT_TRUE(BatchBernoulli(2.0).Draw(rs));
   EXPECT_EQ(rs.philox_draws(), before);
+}
+
+// ---------------------------------------------------------------------------
+// Stream plane: a StreamRef into a StreamPlane slot is the same stream as a
+// RandomSource record — same draws through every entry point, same four
+// state words after each one (the philox memo word included).
+// ---------------------------------------------------------------------------
+
+// A plane of `n` streams of `kind` whose slot i holds ForStream(seed, i),
+// written word by word through StreamRef::Assign.
+StreamPlane PlaneOfRecords(std::size_t n, RngKind kind, std::uint64_t seed) {
+  StreamPlane plane;
+  plane.Resize(n, kind);
+  for (std::size_t i = 0; i < n; ++i) {
+    plane[i].Assign(RandomSource::ForStream(seed, i, kind));
+  }
+  return plane;
+}
+
+void ExpectSameWords(StreamRef ref, const RandomSource& record,
+                     const std::string& where) {
+  ASSERT_EQ(ref.kind(), record.kind()) << where;
+  for (int w = 0; w < 4; ++w) {
+    ASSERT_EQ(ref.word(w), record.words()[w]) << where << " word " << w;
+  }
+}
+
+TEST(StreamPlane, RefDrawsMatchRecordBothKinds) {
+  constexpr std::size_t kStreams = 11;
+  for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
+    StreamPlane plane = PlaneOfRecords(kStreams, kind, 0x1234);
+    std::vector<RandomSource> records;
+    for (std::size_t i = 0; i < kStreams; ++i) {
+      records.push_back(RandomSource::ForStream(0x1234, i, kind));
+    }
+    RandomSource script(0x5c2);
+    const BatchUniformInt channel(1, 37);  // rejects on some draws
+    const BatchBernoulli coin(0.3);
+    for (int step = 0; step < 600; ++step) {
+      const auto i = static_cast<std::size_t>(
+          script.UniformInt(0, static_cast<std::int64_t>(kStreams) - 1));
+      StreamRef ref = plane[i];
+      RandomSource& rec = records[i];
+      const std::string where = std::string(ToString(kind)) + " step " +
+                                std::to_string(step) + " stream " +
+                                std::to_string(i);
+      switch (script.UniformInt(0, 7)) {
+        case 0:
+          ASSERT_EQ(ref.NextU64(), rec.NextU64()) << where;
+          break;
+        case 1:
+          ASSERT_EQ(ref.UniformInt(-5, 37), rec.UniformInt(-5, 37)) << where;
+          break;
+        case 2: {
+          const std::int64_t hi = (std::int64_t{1} << 62) + 12345;
+          ASSERT_EQ(ref.UniformInt(0, hi), rec.UniformInt(0, hi)) << where;
+          break;
+        }
+        case 3:
+          ASSERT_EQ(ref.Bernoulli(0.37), rec.Bernoulli(0.37)) << where;
+          break;
+        case 4:
+          ASSERT_EQ(ref.UniformDouble(), rec.UniformDouble()) << where;
+          break;
+        case 5:
+          ASSERT_EQ(channel.Draw(ref), channel.Draw(rec)) << where;
+          break;
+        case 6:
+          ASSERT_EQ(coin.Draw(ref), coin.Draw(rec)) << where;
+          break;
+        default:
+          if (kind == RngKind::kPhilox) {
+            const auto n = static_cast<std::uint64_t>(script.UniformInt(0, 5));
+            ref.SkipPhiloxDraws(n);
+            rec.SkipPhiloxDraws(n);
+          }
+          break;
+      }
+      ExpectSameWords(ref, rec, where);
+      // Copying the slot out gives back the record.
+      const RandomSource copy = ref.Record();
+      EXPECT_EQ(copy.kind(), rec.kind()) << where;
+      for (int w = 0; w < 4; ++w) {
+        EXPECT_EQ(copy.words()[w], rec.words()[w]) << where;
+      }
+    }
+  }
+}
+
+TEST(StreamPlane, RefKeepsPhiloxMemoAtOddIndices) {
+  // The same script as Philox.MemoWordHoldsOddHalfUnderSkips, through a
+  // plane slot whose neighbours must not move.
+  RandomSource seq = RandomSource::ForStream(0x77ULL, 3, RngKind::kPhilox);
+  std::vector<std::uint64_t> draws;
+  for (int i = 0; i < 256; ++i) draws.push_back(seq.NextU64());
+
+  StreamPlane plane = PlaneOfRecords(5, RngKind::kPhilox, 0x77ULL);
+  StreamRef rs = plane[3];
+  RandomSource script(0x5c1);
+  std::size_t index = 0;
+  while (index < 240) {
+    if (script.UniformInt(0, 1) == 0) {
+      ASSERT_EQ(rs.NextU64(), draws[index]) << "draw " << index;
+      ++index;
+    } else {
+      const auto n = static_cast<std::size_t>(script.UniformInt(0, 5));
+      rs.SkipPhiloxDraws(n);
+      index += n;
+    }
+    ASSERT_EQ(rs.philox_draws(), index);
+    if (index & 1) {
+      std::uint64_t block[2] = {};
+      Philox4x32::BlockU64(rs.word(0), rs.word(1), index >> 1, block);
+      ASSERT_EQ(rs.word(3), block[1]) << "index " << index;
+    }
+    // StepPhilox, the kernels' out-of-line advance, keeps the rule too.
+    if (index < 240 && script.UniformInt(0, 3) == 0) {
+      std::uint64_t block[2] = {};
+      Philox4x32::BlockU64(rs.word(0), rs.word(1), index >> 1, block);
+      rs.StepPhilox(block[1]);
+      ++index;
+      ASSERT_EQ(rs.word(3), block[1]) << "index " << index;
+    }
+  }
+  for (const std::size_t other : {0u, 1u, 2u, 4u}) {
+    ExpectSameWords(plane[other],
+                    RandomSource::ForStream(0x77ULL, other, RngKind::kPhilox),
+                    "untouched slot " + std::to_string(other));
+  }
+}
+
+TEST(StreamPlane, SubspanAddressesTheSameSlots) {
+  StreamPlane plane = PlaneOfRecords(19, RngKind::kXoshiro, 5);
+  const StreamPlaneView all = plane.view();
+  const StreamPlaneView window = all.Subspan(7, 9);
+  EXPECT_EQ(window.size(), 9u);
+  EXPECT_EQ(window.kind(), RngKind::kXoshiro);
+  for (int w = 0; w < 4; ++w) EXPECT_EQ(window.plane(w), all.plane(w) + 7);
+  EXPECT_EQ(window[2].NextU64(),
+            RandomSource::ForStream(5, 9, RngKind::kXoshiro).NextU64());
+  ExpectSameWords(all[9], [] {
+    RandomSource r = RandomSource::ForStream(5, 9, RngKind::kXoshiro);
+    r.NextU64();
+    return r;
+  }(), "slot 9 after one draw through the window");
+  EXPECT_EQ(all.Subspan(19, 0).size(), 0u);
 }
 
 // ---------------------------------------------------------------------------

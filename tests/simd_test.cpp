@@ -1,8 +1,13 @@
 // Scalar-vs-vector bit-exactness for the simd kernel layer: every kernel
-// must produce identical outputs AND leave identical per-lane RNG state
+// must produce identical outputs AND leave identical per-slot RNG state
 // under every backend available on this binary+CPU. Backends are forced
 // via simd::SetBackend over simd::AllBackends(), so on an AVX-512 host a
 // single run covers scalar, SSE4.2, AVX2 and AVX-512.
+//
+// The draw kernels run on a support::StreamPlane. Their reference is
+// independent of every kernel: RandomSource records from ForStream, drawn
+// one at a time through the scalar Draw() calls; a plane slot must end up
+// holding exactly the record's four state words.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +28,7 @@ using support::BatchBernoulli;
 using support::BatchUniformInt;
 using support::RandomSource;
 using support::RngKind;
+using support::StreamPlane;
 
 std::vector<Backend> AvailableBackends() {
   std::vector<Backend> out;
@@ -45,30 +51,41 @@ class ScopedBackend {
   Backend prior_;
 };
 
-std::vector<RandomSource> MakeLanes(std::size_t n, RngKind kind,
-                                    std::uint64_t master = 0x5eedULL) {
+// Stream i + 1 of `master` for slot i, with slot i advanced i % 5 draws so
+// kernels are exercised at odd block offsets, not just counter zero.
+std::vector<RandomSource> RefLanes(std::size_t n, RngKind kind,
+                                   std::uint64_t master = 0x5eedULL) {
   std::vector<RandomSource> rng(n);
-  SeedStreams(master, 1, kind, rng);
-  // Stagger the draw counters so kernels are exercised at odd block
-  // offsets, not just counter zero.
   for (std::size_t i = 0; i < n; ++i) {
+    rng[i] = RandomSource::ForStream(master, i + 1, kind);
     for (std::size_t d = 0; d < i % 5; ++d) rng[i].NextU64();
   }
   return rng;
 }
 
-void ExpectSameLaneState(std::vector<RandomSource>& a,
-                         std::vector<RandomSource>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    // Drawing once from each compares the full generator state for both
-    // kinds (counter + key for philox, state words for xoshiro).
-    EXPECT_EQ(a[i].NextU64(), b[i].NextU64()) << "lane " << i;
+// The same streams as RefLanes, in a plane seeded by the active backend's
+// SeedStreams and staggered through StreamRefs.
+StreamPlane MakePlane(std::size_t n, RngKind kind,
+                      std::uint64_t master = 0x5eedULL) {
+  StreamPlane plane;
+  plane.Resize(n, kind);
+  SeedStreams(master, 1, plane.view());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < i % 5; ++d) plane[i].NextU64();
+  }
+  return plane;
+}
+
+// Whole-stream equality: kind plus all four state words (the philox memo
+// word included — every advancing path writes it identically).
+void ExpectSameStream(support::StreamRef got, const RandomSource& want,
+                      const std::string& where) {
+  EXPECT_EQ(got.kind(), want.kind()) << where;
+  for (int w = 0; w < 4; ++w) {
+    EXPECT_EQ(got.word(w), want.words()[w]) << where << " word " << w;
   }
 }
 
-// Whole-record equality: kind plus all four state words (the philox memo
-// word included — every advancing path writes it identically).
 void ExpectSameRecord(const RandomSource& got, const RandomSource& want,
                       const std::string& where) {
   EXPECT_EQ(got.kind(), want.kind()) << where;
@@ -77,35 +94,63 @@ void ExpectSameRecord(const RandomSource& got, const RandomSource& want,
   }
 }
 
+// Every slot of `got` against `want`, touched or not.
+void ExpectSamePlane(StreamPlane& got, const std::vector<RandomSource>& want,
+                     const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ExpectSameStream(got[i], want[i], where + " slot " + std::to_string(i));
+  }
+}
+
 TEST(SeedStreams, MatchesForStreamEveryBackendBothKinds) {
   // 133: odd size, exercises the vector tail; 0-9 straddle one 8-stream
-  // step. The records are pre-filled with the other kind's garbage so a
-  // kernel that skips a word or the kind byte shows.
+  // step. The planes are pre-filled with the other kind's words so a
+  // kernel that skips a word shows. Each size is seeded once at the start
+  // of its plane and once into a window at offset 3 (how the trial engine
+  // seeds one lane), whose neighbours must keep their words.
   std::vector<std::size_t> sizes = {133};
   for (std::size_t n = 0; n <= 9; ++n) sizes.push_back(n);
   for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
     const RngKind other =
         kind == RngKind::kXoshiro ? RngKind::kPhilox : RngKind::kXoshiro;
     for (const std::size_t n : sizes) {
-      for (const Backend backend : AvailableBackends()) {
-        ScopedBackend forced(backend);
-        std::vector<RandomSource> got(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          got[i] = RandomSource::ForStream(99, i, other);
-          got[i].NextU64();
-        }
-        SeedStreams(0xfeedface12345678ULL, 17, kind, got);
-        for (std::size_t i = 0; i < n; ++i) {
-          RandomSource want = RandomSource::ForStream(
-              0xfeedface12345678ULL, 17 + static_cast<std::uint64_t>(i), kind);
-          const std::string where =
-              std::string(ToString(backend)) +
-              " kind=" + support::ToString(kind) + " n=" + std::to_string(n) +
-              " lane=" + std::to_string(i);
-          ExpectSameRecord(got[i], want, where);
-          for (int d = 0; d < 8; ++d) {
-            EXPECT_EQ(got[i].NextU64(), want.NextU64())
-                << where << " draw=" << d;
+      for (const std::size_t offset : {std::size_t{0}, std::size_t{3}}) {
+        for (const Backend backend : AvailableBackends()) {
+          ScopedBackend forced(backend);
+          const std::size_t total = offset + n + 2;
+          StreamPlane got;
+          got.Resize(total, kind);
+          std::vector<RandomSource> garbage(total);
+          for (std::size_t i = 0; i < total; ++i) {
+            garbage[i] = RandomSource::ForStream(99, i, other);
+            garbage[i].NextU64();
+            for (int w = 0; w < 4; ++w) {
+              got[i].word(w) = garbage[i].words()[w];
+            }
+          }
+          SeedStreams(0xfeedface12345678ULL, 17,
+                      got.view().Subspan(offset, n));
+          for (std::size_t i = 0; i < total; ++i) {
+            const std::string where =
+                std::string(ToString(backend)) +
+                " kind=" + support::ToString(kind) + " n=" +
+                std::to_string(n) + " offset=" + std::to_string(offset) +
+                " slot=" + std::to_string(i);
+            if (i < offset || i >= offset + n) {
+              for (int w = 0; w < 4; ++w) {
+                EXPECT_EQ(got[i].word(w), garbage[i].words()[w]) << where;
+              }
+              continue;
+            }
+            RandomSource want = RandomSource::ForStream(
+                0xfeedface12345678ULL,
+                17 + static_cast<std::uint64_t>(i - offset), kind);
+            ExpectSameStream(got[i], want, where);
+            for (int d = 0; d < 8; ++d) {
+              EXPECT_EQ(got[i].NextU64(), want.NextU64())
+                  << where << " draw=" << d;
+            }
           }
         }
       }
@@ -121,7 +166,7 @@ TEST(CoinMask, BitExactAcrossBackends) {
     for (const double p : {0.0, 0.37, 0.5, 1.0}) {
       const BatchBernoulli coin(p);
       // Scalar reference: the exact Draw() loop.
-      std::vector<RandomSource> ref_rng = MakeLanes(kLanes, kind);
+      std::vector<RandomSource> ref_rng = RefLanes(kLanes, kind);
       std::vector<std::uint8_t> ref_mask(kLanes);
       std::int64_t ref_successes = 0;
       for (std::size_t i = 0; i < kLanes; ++i) {
@@ -130,18 +175,15 @@ TEST(CoinMask, BitExactAcrossBackends) {
       }
       for (const Backend backend : AvailableBackends()) {
         ScopedBackend forced(backend);
-        std::vector<RandomSource> rng = MakeLanes(kLanes, kind);
+        const std::string where = std::string(ToString(backend)) +
+                                  " kind=" + support::ToString(kind) +
+                                  " p=" + std::to_string(p);
+        StreamPlane rng = MakePlane(kLanes, kind);
         std::vector<std::uint8_t> mask(kLanes, 0xcc);
-        const std::int64_t successes = CoinMask(coin, rng, alive, mask);
-        EXPECT_EQ(successes, ref_successes)
-            << ToString(backend) << " kind=" << support::ToString(kind)
-            << " p=" << p;
-        EXPECT_EQ(mask, ref_mask) << ToString(backend) << " p=" << p;
-        ExpectSameLaneState(rng, ref_rng);
-        // ref_rng advanced one draw in ExpectSameLaneState; rebuild it for
-        // the next backend by replaying the reference.
-        ref_rng = MakeLanes(kLanes, kind);
-        for (std::size_t i = 0; i < kLanes; ++i) coin.Draw(ref_rng[i]);
+        const std::int64_t successes = CoinMask(coin, rng.view(), alive, mask);
+        EXPECT_EQ(successes, ref_successes) << where;
+        EXPECT_EQ(mask, ref_mask) << where;
+        ExpectSamePlane(rng, ref_rng, where);
       }
     }
   }
@@ -158,22 +200,22 @@ TEST(UniformFill, BitExactAcrossBackends) {
         {1, 64}, {1, 37}, {0, 2}};
     for (const auto& [lo, hi] : ranges) {
       const BatchUniformInt dist(lo, hi);
-      std::vector<RandomSource> ref_rng = MakeLanes(kLanes, kind);
+      std::vector<RandomSource> ref_rng = RefLanes(kLanes, kind);
       std::vector<std::int32_t> ref_out(kLanes);
       for (std::size_t i = 0; i < kLanes; ++i) {
         ref_out[i] = static_cast<std::int32_t>(dist.Draw(ref_rng[i]));
       }
       for (const Backend backend : AvailableBackends()) {
         ScopedBackend forced(backend);
-        std::vector<RandomSource> rng = MakeLanes(kLanes, kind);
+        const std::string where = std::string(ToString(backend)) +
+                                  " kind=" + support::ToString(kind) +
+                                  " range=[" + std::to_string(lo) + "," +
+                                  std::to_string(hi) + "]";
+        StreamPlane rng = MakePlane(kLanes, kind);
         std::vector<std::int32_t> out(kLanes, -1);
-        UniformFill(dist, rng, alive, out);
-        EXPECT_EQ(out, ref_out)
-            << ToString(backend) << " kind=" << support::ToString(kind)
-            << " range=[" << lo << "," << hi << "]";
-        ExpectSameLaneState(rng, ref_rng);
-        ref_rng = MakeLanes(kLanes, kind);
-        for (std::size_t i = 0; i < kLanes; ++i) dist.Draw(ref_rng[i]);
+        UniformFill(dist, rng.view(), alive, out);
+        EXPECT_EQ(out, ref_out) << where;
+        ExpectSamePlane(rng, ref_rng, where);
       }
     }
   }
@@ -189,7 +231,7 @@ TEST(CoinMask, SparseAliveSubset) {
   }
   const BatchBernoulli coin(0.43);
   for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
-    std::vector<RandomSource> ref_rng = MakeLanes(kLanes, kind);
+    std::vector<RandomSource> ref_rng = RefLanes(kLanes, kind);
     std::vector<std::uint8_t> ref_mask(alive.size());
     for (std::size_t k = 0; k < alive.size(); ++k) {
       ref_mask[k] =
@@ -197,16 +239,13 @@ TEST(CoinMask, SparseAliveSubset) {
     }
     for (const Backend backend : AvailableBackends()) {
       ScopedBackend forced(backend);
-      std::vector<RandomSource> rng = MakeLanes(kLanes, kind);
+      StreamPlane rng = MakePlane(kLanes, kind);
       std::vector<std::uint8_t> mask(alive.size());
-      CoinMask(coin, rng, alive, mask);
+      CoinMask(coin, rng.view(), alive, mask);
       const std::string where = std::string(ToString(backend)) +
                                 " kind=" + support::ToString(kind);
       EXPECT_EQ(mask, ref_mask) << where;
-      for (std::size_t i = 0; i < kLanes; ++i) {
-        ExpectSameRecord(rng[i], ref_rng[i],
-                         where + " lane " + std::to_string(i));
-      }
+      ExpectSamePlane(rng, ref_rng, where);
     }
   }
 }
@@ -219,7 +258,7 @@ TEST(UniformFill, SparseAliveSubset) {
   }
   const BatchUniformInt dist(1, 37);
   for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
-    std::vector<RandomSource> ref_rng = MakeLanes(kLanes, kind);
+    std::vector<RandomSource> ref_rng = RefLanes(kLanes, kind);
     std::vector<std::int32_t> ref_out(alive.size());
     for (std::size_t k = 0; k < alive.size(); ++k) {
       ref_out[k] = static_cast<std::int32_t>(
@@ -227,16 +266,13 @@ TEST(UniformFill, SparseAliveSubset) {
     }
     for (const Backend backend : AvailableBackends()) {
       ScopedBackend forced(backend);
-      std::vector<RandomSource> rng = MakeLanes(kLanes, kind);
+      StreamPlane rng = MakePlane(kLanes, kind);
       std::vector<std::int32_t> out(alive.size(), -1);
-      UniformFill(dist, rng, alive, out);
+      UniformFill(dist, rng.view(), alive, out);
       const std::string where = std::string(ToString(backend)) +
                                 " kind=" + support::ToString(kind);
       EXPECT_EQ(out, ref_out) << where;
-      for (std::size_t i = 0; i < kLanes; ++i) {
-        ExpectSameRecord(rng[i], ref_rng[i],
-                         where + " lane " + std::to_string(i));
-      }
+      ExpectSamePlane(rng, ref_rng, where);
     }
   }
 }
@@ -271,11 +307,46 @@ std::vector<std::int32_t> NonAscendingAlive(std::size_t n, bool shuffled,
   return alive;
 }
 
+// Runs CoinMask then UniformFill over `alive` on a plane of `pool` streams
+// under every backend, against the scalar Draw loops on records: outputs,
+// hit count, and all four words of every slot, touched or not.
+void ExpectDrawKernelsMatchReference(const std::vector<std::int32_t>& alive,
+                                     std::size_t pool, RngKind kind,
+                                     const std::string& label) {
+  const BatchBernoulli coin(0.37);
+  const BatchUniformInt dist(1, 37);  // rejects on some draws
+  const std::size_t n = alive.size();
+  std::vector<RandomSource> ref_rng = RefLanes(pool, kind);
+  std::vector<std::uint8_t> ref_mask(n);
+  std::vector<std::int32_t> ref_out(n);
+  std::int64_t ref_hits = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    ref_mask[k] = coin.Draw(ref_rng[static_cast<std::size_t>(alive[k])]);
+    ref_hits += ref_mask[k];
+  }
+  for (std::size_t k = 0; k < n; ++k) {
+    ref_out[k] = static_cast<std::int32_t>(
+        dist.Draw(ref_rng[static_cast<std::size_t>(alive[k])]));
+  }
+  for (const Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    const std::string where = std::string(ToString(backend)) + " kind=" +
+                              support::ToString(kind) + " " + label;
+    StreamPlane rng = MakePlane(pool, kind);
+    std::vector<std::uint8_t> mask(n, 0xcc);
+    std::vector<std::int32_t> out(n, -1);
+    EXPECT_EQ(CoinMask(coin, rng.view(), alive, mask), ref_hits) << where;
+    UniformFill(dist, rng.view(), alive, out);
+    EXPECT_EQ(mask, ref_mask) << where;
+    EXPECT_EQ(out, ref_out) << where;
+    ExpectSamePlane(rng, ref_rng, where);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 TEST(DrawKernels, NonAscendingAliveListsEverySize) {
   std::vector<std::size_t> sizes = {519, 4096};
   for (std::size_t n = 0; n <= 9; ++n) sizes.push_back(n);
-  const BatchBernoulli coin(0.37);
-  const BatchUniformInt dist(1, 37);  // rejects on some draws
   for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
     for (const std::size_t n : sizes) {
       for (const bool shuffled : {false, true}) {
@@ -283,40 +354,45 @@ TEST(DrawKernels, NonAscendingAliveListsEverySize) {
         const std::vector<std::int32_t> alive =
             NonAscendingAlive(n, shuffled, pool);
         ASSERT_EQ(alive.size(), n);
-        // Reference: coin then fill, both as scalar Draw loops.
-        std::vector<RandomSource> ref_rng = MakeLanes(pool, kind);
-        std::vector<std::uint8_t> ref_mask(n);
-        std::vector<std::int32_t> ref_out(n);
-        std::int64_t ref_hits = 0;
-        for (std::size_t k = 0; k < n; ++k) {
-          ref_mask[k] = coin.Draw(ref_rng[static_cast<std::size_t>(alive[k])]);
-          ref_hits += ref_mask[k];
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          ref_out[k] = static_cast<std::int32_t>(
-              dist.Draw(ref_rng[static_cast<std::size_t>(alive[k])]));
-        }
-        for (const Backend backend : AvailableBackends()) {
-          ScopedBackend forced(backend);
-          const std::string where =
-              std::string(ToString(backend)) + " kind=" +
-              support::ToString(kind) + " n=" + std::to_string(n) +
-              (shuffled ? " shuffled" : " lane-major");
-          std::vector<RandomSource> rng = MakeLanes(pool, kind);
-          std::vector<std::uint8_t> mask(n, 0xcc);
-          std::vector<std::int32_t> out(n, -1);
-          EXPECT_EQ(CoinMask(coin, rng, alive, mask), ref_hits) << where;
-          UniformFill(dist, rng, alive, out);
-          EXPECT_EQ(mask, ref_mask) << where;
-          EXPECT_EQ(out, ref_out) << where;
-          // Touched streams advanced exactly like the reference; untouched
-          // ones (half the pool) did not move.
-          for (std::size_t i = 0; i < pool; ++i) {
-            ExpectSameRecord(rng[i], ref_rng[i],
-                             where + " slot " + std::to_string(i));
+        ExpectDrawKernelsMatchReference(
+            alive, pool, kind,
+            "n=" + std::to_string(n) +
+                (shuffled ? " shuffled" : " lane-major"));
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
+// Slot lists that mix contiguous blocks (loaded straight from the word
+// planes) with blocks that must be gathered. The list ascends from `start`
+// (0, or 13 for a dense sub-range that begins mid-plane and off every
+// vector boundary); in every odd 8-entry block the run breaks at offset
+// `brk` (a gap of 1-3 unused slots before that entry), and in every
+// (4q + 2)-th block the entries at offsets brk and brk + 1 (mod 8) swap, a
+// permuted block whose slots still span exactly w consecutive slots. A
+// 5-entry tail follows the 12 full blocks.
+TEST(DrawKernels, ContiguousAndGatheredBlocksMix) {
+  for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
+    for (const std::int32_t start : {0, 13}) {
+      for (std::size_t brk = 0; brk < 8; ++brk) {
+        std::vector<std::int32_t> alive;
+        std::int32_t slot = start;
+        for (std::size_t p = 0; p < 8 * 12 + 5; ++p) {
+          const std::size_t block = p / 8;
+          if (p % 8 == brk && block % 2 == 1) {
+            slot += 1 + static_cast<std::int32_t>((block / 2) % 3);
           }
-          if (::testing::Test::HasFailure()) return;
+          alive.push_back(slot++);
         }
+        for (std::size_t q = 2; q < 12; q += 4) {
+          std::swap(alive[8 * q + brk], alive[8 * q + (brk + 1) % 8]);
+        }
+        const std::size_t pool = static_cast<std::size_t>(slot) + 3;
+        ExpectDrawKernelsMatchReference(
+            alive, pool, kind,
+            "start=" + std::to_string(start) + " brk=" + std::to_string(brk));
+        if (::testing::Test::HasFailure()) return;
       }
     }
   }
@@ -340,10 +416,12 @@ TEST(DrawKernels, PhiloxMemoSurvivesInterleavedCalls) {
   for (const Backend backend : AvailableBackends()) {
     ScopedBackend forced(backend);
     SCOPED_TRACE(ToString(backend));
-    std::vector<RandomSource> rng(kStreams);
+    StreamPlane plane;
+    plane.Resize(kStreams, RngKind::kPhilox);
+    const support::StreamPlaneView rng = plane.view();
     std::vector<std::size_t> next(kStreams, 0);  // expected draw index
     for (std::size_t i = 0; i < kStreams; ++i) {
-      rng[i] = RandomSource::ForStream(0xabc, i, RngKind::kPhilox);
+      rng[i].Assign(RandomSource::ForStream(0xabc, i, RngKind::kPhilox));
       rng[i].SkipPhiloxDraws(i % 3);  // start at odd and even offsets
       next[i] = i % 3;
     }
@@ -394,6 +472,56 @@ TEST(DrawKernels, PhiloxMemoSurvivesInterleavedCalls) {
     }
     for (std::size_t i = 0; i < kStreams; ++i) {
       EXPECT_EQ(rng[i].NextU64(), seq[i][next[i]]) << "stream " << i;
+    }
+  }
+}
+
+// The std::span<RandomSource> overloads are adapters over the plane
+// kernels: same outputs, and every record (touched or not) ends holding
+// what the plane slot holds.
+TEST(RecordAdapters, MatchPlaneKernels) {
+  const std::size_t kPool = 211;
+  const BatchBernoulli coin(0.41);
+  const BatchUniformInt dist(1, 37);
+  for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
+    const std::vector<std::int32_t> alive =
+        NonAscendingAlive(kPool / 2, true, kPool);
+    for (const Backend backend : AvailableBackends()) {
+      ScopedBackend forced(backend);
+      const std::string where = std::string(ToString(backend)) +
+                                " kind=" + support::ToString(kind);
+      std::vector<RandomSource> records(kPool);
+      SeedStreams(0x5eedULL, 1, kind, records);
+      StreamPlane plane;
+      plane.Resize(kPool, kind);
+      SeedStreams(0x5eedULL, 1, plane.view());
+      for (std::size_t i = 0; i < kPool; ++i) {
+        ExpectSameStream(plane[i], records[i],
+                         where + " seeded slot " + std::to_string(i));
+      }
+      std::vector<std::uint8_t> record_mask(alive.size());
+      std::vector<std::uint8_t> plane_mask(alive.size());
+      EXPECT_EQ(CoinMask(coin, records, alive, record_mask),
+                CoinMask(coin, plane.view(), alive, plane_mask))
+          << where;
+      EXPECT_EQ(record_mask, plane_mask) << where;
+      std::vector<std::int32_t> record_out(alive.size());
+      std::vector<std::int32_t> plane_out(alive.size());
+      UniformFill(dist, records, alive, record_out);
+      UniformFill(dist, plane.view(), alive, plane_out);
+      EXPECT_EQ(record_out, plane_out) << where;
+      for (std::size_t i = 0; i < kPool; ++i) {
+        ExpectSameRecord(records[i], plane[i].Record(),
+                         where + " slot " + std::to_string(i));
+      }
+      // An empty call leaves every record's kind and words alone.
+      const std::vector<RandomSource> before = records;
+      EXPECT_EQ(CoinMask(coin, records, {}, {}), 0) << where;
+      UniformFill(dist, records, {}, {});
+      for (std::size_t i = 0; i < kPool; ++i) {
+        ExpectSameRecord(records[i], before[i],
+                         where + " empty call, slot " + std::to_string(i));
+      }
     }
   }
 }
