@@ -19,37 +19,31 @@ RoundSummary Resolver::Resolve(std::span<const Action> actions,
                                std::vector<Feedback>& feedback,
                                FaultInjector* faults,
                                std::span<const ChannelId> adversary_jams) {
-  return ResolveRound<true>(actions, &feedback, faults, adversary_jams);
+  Accumulate(actions);
+  return Judge<true>(actions, &feedback, faults, adversary_jams);
 }
 
 RoundSummary Resolver::Tally(std::span<const Action> actions,
                              FaultInjector* faults,
                              std::span<const ChannelId> adversary_jams) {
-  return ResolveRound<false>(actions, nullptr, faults, adversary_jams);
+  Accumulate(actions);
+  return Judge<false>({}, nullptr, faults, adversary_jams);
 }
 
-template <bool kWriteFeedback>
-RoundSummary Resolver::ResolveRound(std::span<const Action> actions,
-                                    std::vector<Feedback>* feedback,
-                                    FaultInjector* faults,
-                                    std::span<const ChannelId> adversary_jams) {
+RoundSummary Resolver::Retally(FaultInjector* faults,
+                               std::span<const ChannelId> adversary_jams) {
+  return Judge<false>({}, nullptr, faults, adversary_jams);
+}
+
+void Resolver::Accumulate(std::span<const Action> actions) {
   // Clear only the channels dirtied last round: rounds usually touch a
-  // handful of channels even in huge networks. Adversary jams on untouched
-  // channels are tracked in adv_marked_ so their marks get cleared too.
+  // handful of channels even in huge networks.
   for (const ChannelId ch : touched_channels_) {
     activity_[static_cast<std::size_t>(ch)] = ChannelActivity{};
-    channel_fault_[static_cast<std::size_t>(ch)] = ChannelFault::kClean;
   }
   touched_channels_.clear();
-  for (const ChannelId ch : adv_marked_) {
-    channel_fault_[static_cast<std::size_t>(ch)] = ChannelFault::kClean;
-  }
-  adv_marked_.clear();
 
-  const bool inject = faults != nullptr && faults->active();
-  const bool adv = !adversary_jams.empty();
-
-  RoundSummary summary;
+  RoundSummary counts;
   for (const Action& a : actions) {
     if (a.channel == kIdleChannel) continue;
     CRMC_CHECK_MSG(a.channel >= 1 && a.channel <= num_channels_,
@@ -59,17 +53,36 @@ RoundSummary Resolver::ResolveRound(std::span<const Action> actions,
     if (act.transmitters == 0 && act.listeners == 0) {
       touched_channels_.push_back(a.channel);
     }
-    ++summary.total_participants;
+    ++counts.total_participants;
     if (a.transmit) {
-      ++summary.total_transmissions;
+      ++counts.total_transmissions;
       if (++act.transmitters == 1) act.lone_message = a.message;
     } else {
       ++act.listeners;
     }
   }
-  summary.primary_transmitters =
+  counts.primary_transmitters =
       activity_[static_cast<std::size_t>(kPrimaryChannel)].transmitters;
+  counts_ = counts;
+}
 
+template <bool kWriteFeedback>
+RoundSummary Resolver::Judge(std::span<const Action> actions,
+                             std::vector<Feedback>* feedback,
+                             FaultInjector* faults,
+                             std::span<const ChannelId> adversary_jams) {
+  // Clear the previous judgement's marks. They can sit on channels no node
+  // touches this round (an adversary may jam an idle channel), so they are
+  // tracked on their own list rather than through touched_channels_.
+  for (const ChannelId ch : fault_marked_) {
+    channel_fault_[static_cast<std::size_t>(ch)] = ChannelFault::kClean;
+  }
+  fault_marked_.clear();
+
+  const bool inject = faults != nullptr && faults->active();
+  const bool adv = !adversary_jams.empty();
+
+  RoundSummary summary = counts_;
   // The adaptive adversary's jams land before any oblivious draw: it spends
   // budget with certainty, the fault layer only with probability. A jam is
   // "effective" iff it suppressed a lone delivery.
@@ -82,7 +95,7 @@ RoundSummary Resolver::ResolveRound(std::span<const Action> actions,
       CRMC_CHECK_MSG(fault == ChannelFault::kClean,
                      "adversary jammed channel " << ch << " twice");
       fault = ChannelFault::kJammed;
-      adv_marked_.push_back(ch);
+      fault_marked_.push_back(ch);
       ++summary.adv_jams;
       if (activity_[static_cast<std::size_t>(ch)].transmitters == 1) {
         ++summary.adv_jams_effective;
@@ -131,18 +144,19 @@ RoundSummary Resolver::ResolveRound(std::span<const Action> actions,
   // order keeps the draw sequence a function of the action sequence alone.
   if (inject) {
     for (const ChannelId ch : touched_channels_) {
+      ChannelFault& fault = channel_fault_[static_cast<std::size_t>(ch)];
       // The adversary got here first: no oblivious draw on this channel, so
       // the fault draw sequence depends only on (actions, jam set).
-      if (channel_fault_[static_cast<std::size_t>(ch)] !=
-          ChannelFault::kClean) {
+      if (fault != ChannelFault::kClean) continue;
+      if (faults->DrawJam()) {
+        fault = ChannelFault::kJammed;
+      } else if (activity_[static_cast<std::size_t>(ch)].transmitters == 1 &&
+                 faults->DrawErasure()) {
+        fault = ChannelFault::kErased;
+      } else {
         continue;
       }
-      const ChannelActivity& act = activity_[static_cast<std::size_t>(ch)];
-      if (faults->DrawJam()) {
-        channel_fault_[static_cast<std::size_t>(ch)] = ChannelFault::kJammed;
-      } else if (act.transmitters == 1 && faults->DrawErasure()) {
-        channel_fault_[static_cast<std::size_t>(ch)] = ChannelFault::kErased;
-      }
+      fault_marked_.push_back(ch);
     }
   }
   for (const ChannelId ch : touched_channels_) {
@@ -160,8 +174,8 @@ RoundSummary Resolver::ResolveRound(std::span<const Action> actions,
     // No feedback to flip, but the flaky-CD stream still advances once per
     // non-idle action, exactly as in the loop below.
     if (inject) {
-      for (const Action& a : actions) {
-        if (a.channel != kIdleChannel) faults->DrawCdFlip();
+      for (std::int64_t i = 0; i < summary.total_participants; ++i) {
+        faults->DrawCdFlip();
       }
     }
     return summary;

@@ -83,7 +83,20 @@ class Resolver {
                      FaultInjector* faults = nullptr,
                      std::span<const ChannelId> adversary_jams = {});
 
-  // Activity of a single channel in the most recent Resolve call. Intended
+  // Judges the most recent round's channel activity again under a new jam
+  // set and fresh fault draws, without re-reading its actions: for a round
+  // loop that repeats one action array round after round (the robust
+  // layer's echo trains and chaff bursts). Contract: bit-identical to
+  // Tally on the actions of the most recent Resolve or Tally call — the
+  // same summary, ActivityOf and touched_channels(), and the same draws
+  // from every fault stream, one CD flip per non-idle action included — so
+  // it serves rounds with an active injector too. It clears the previous
+  // round's fault marks exactly as Tally does.
+  RoundSummary Retally(FaultInjector* faults = nullptr,
+                       std::span<const ChannelId> adversary_jams = {});
+
+  // Activity of a single channel in the most recent round (Resolve or
+  // Tally; Retally leaves it as it was). Intended
   // for tests and tracing.
   const ChannelActivity& ActivityOf(ChannelId ch) const;
 
@@ -96,22 +109,30 @@ class Resolver {
  private:
   enum class ChannelFault : std::uint8_t { kClean = 0, kJammed, kErased };
 
-  // Resolve and Tally: `feedback` is written iff kWriteFeedback.
+  // Every round is accumulate, then judge. Accumulate resets the previous
+  // round's activity and counts this round's transmitters and listeners per
+  // channel, the totals and the primary count (counts_). Judge clears the
+  // previous fault marks, applies the adversary's jams and the oblivious
+  // jam/erasure draws in first-touched order, counts lone deliveries, and
+  // makes the CD-flip draws — writing `feedback` iff kWriteFeedback.
+  // Retally is Judge alone.
+  void Accumulate(std::span<const Action> actions);
   template <bool kWriteFeedback>
-  RoundSummary ResolveRound(std::span<const Action> actions,
-                            std::vector<Feedback>* feedback,
-                            FaultInjector* faults,
-                            std::span<const ChannelId> adversary_jams);
+  RoundSummary Judge(std::span<const Action> actions,
+                     std::vector<Feedback>* feedback, FaultInjector* faults,
+                     std::span<const ChannelId> adversary_jams);
 
   std::int32_t num_channels_;
   CdModel cd_model_;
   std::vector<ChannelActivity> activity_;    // index 0 unused, 1..C
   std::vector<ChannelFault> channel_fault_;  // parallel to activity_
   std::vector<ChannelId> touched_channels_;  // channels dirtied this round
-  // Adversary-jammed channels this round. Tracked separately from
-  // touched_channels_ because the adversary may jam a channel no node
-  // touched — its fault mark must still be cleared next round.
-  std::vector<ChannelId> adv_marked_;
+  // Channels the last judgement marked jammed or erased. Tracked apart
+  // from touched_channels_ because the adversary may jam a channel no node
+  // touched, and because Retally judges again without a new accumulate.
+  std::vector<ChannelId> fault_marked_;
+  // The accumulated half of the most recent round's summary.
+  RoundSummary counts_;
 };
 
 }  // namespace crmc::mac

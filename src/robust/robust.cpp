@@ -150,19 +150,32 @@ std::int64_t StallRoundBudget(const RobustSpec& spec,
   return 32 + 4 * CeilLg(population);
 }
 
+QuorumModel::QuorumModel(std::int64_t population,
+                         std::int32_t floor_attempts)
+    : log_n_(std::log(static_cast<double>(population < 2 ? 2 : population))),
+      cap_rate_(std::exp(-log_n_ / (kMaxConfirmQuorum + 1))),
+      floor_(floor_attempts) {}
+
+std::int32_t QuorumModel::Quorum(double suppress_rate) const {
+  if (floor_ <= 0) return 0;  // confirmation explicitly disabled
+  if (suppress_rate <= 0.0) return floor_;
+  const std::int32_t capped = std::max(floor_, kMaxConfirmQuorum);
+  // Smallest k with p^k <= 1/n  ⇔  k >= ln(n) / -ln(p). At p >= p* the
+  // exact ratio is >= kMaxConfirmQuorum + 1 = 513, and the formula below
+  // returns the cap for any computed ratio above 511 (ceil >= 512). The
+  // computed p*, log and division each err by a few ulps, which moves the
+  // ratio at p* by well under 1e-9 for any int64 n: there are whole
+  // echoes of margin, so the shortcut returns exactly what the formula
+  // would, without its log. p >= 1 lands here too (p* < 1 for n >= 2).
+  if (suppress_rate >= cap_rate_) return capped;
+  const double k = std::ceil(log_n_ / -std::log(suppress_rate));
+  if (k >= static_cast<double>(kMaxConfirmQuorum)) return capped;
+  return std::max(static_cast<std::int32_t>(k), floor_);
+}
+
 std::int32_t ConfirmQuorum(double suppress_rate, std::int64_t population,
                            std::int32_t floor_attempts) {
-  if (floor_attempts <= 0) return 0;  // confirmation explicitly disabled
-  if (suppress_rate <= 0.0) return floor_attempts;
-  if (suppress_rate >= 1.0) return kMaxConfirmQuorum;
-  // Smallest k with p^k <= 1/n  ⇔  k >= ln(n) / -ln(p). This is the one
-  // quorum formula: EpochDriver caches its result rather than re-deriving
-  // it, so a run's quorum sequence is a pure function of the echo outcomes.
-  const double n = static_cast<double>(population < 2 ? 2 : population);
-  const double k = std::ceil(std::log(n) / -std::log(suppress_rate));
-  if (k >= static_cast<double>(kMaxConfirmQuorum)) return kMaxConfirmQuorum;
-  const auto quorum = static_cast<std::int32_t>(k);
-  return std::max(quorum, floor_attempts);
+  return QuorumModel(population, floor_attempts).Quorum(suppress_rate);
 }
 
 double EpochDriver::SuppressionEstimate() const {
@@ -171,19 +184,17 @@ double EpochDriver::SuppressionEstimate() const {
   // Each sample is the epoch's Laplace-smoothed echo-suppression ratio
   // (failures + 1) / (echoes + 2); the running epoch contributes its
   // in-flight sample so an exchange under attack escalates immediately.
-  double samples[kEstimatorSamples + 1];
-  std::int32_t count = 0;
-  for (std::int32_t i = 0; i < sample_count_; ++i) {
-    samples[count++] = sample_ring_[i];
-  }
-  if (epoch_echo_rounds_ > 0) {
-    samples[count++] =
-        static_cast<double>(epoch_echo_failures_ + 1) /
-        static_cast<double>(epoch_echo_rounds_ + 2);
-  }
-  if (count == 0) return 0.0;
-  std::sort(samples, samples + count);
-  return samples[count / 2];  // upper median for even counts
+  const std::int32_t c = sample_count_;
+  if (epoch_echo_rounds_ == 0) return c == 0 ? 0.0 : sorted_ring_[c / 2];
+  // The upper median of the c banked samples r (ascending) and the running
+  // sample x is element j = (c + 1) / 2 of their merged order, which is x
+  // clamped to [r[j - 1], r[j]] (a missing bound is -inf or +inf).
+  const double x = static_cast<double>(epoch_echo_failures_ + 1) /
+                   static_cast<double>(epoch_echo_rounds_ + 2);
+  const std::int32_t j = (c + 1) / 2;
+  if (j > 0 && x < sorted_ring_[j - 1]) return sorted_ring_[j - 1];
+  if (j < c && x > sorted_ring_[j]) return sorted_ring_[j];
+  return x;
 }
 
 void EpochDriver::NoteEchoRound(bool delivered, std::int32_t adv_jams) {
@@ -201,8 +212,7 @@ void EpochDriver::NoteEchoRound(bool delivered, std::int32_t adv_jams) {
 }
 
 void EpochDriver::RefreshQuorum() {
-  quorum_ = adaptive() ? ConfirmQuorum(SuppressionEstimate(), population_,
-                                       spec_.confirm_attempts)
+  quorum_ = adaptive() ? quorum_model_.Quorum(SuppressionEstimate())
                        : spec_.confirm_attempts;
 }
 
@@ -239,6 +249,8 @@ void EpochDriver::BeginNextEpoch() {
     sample_ring_[sample_next_] = sample;
     sample_next_ = (sample_next_ + 1) % kEstimatorSamples;
     sample_count_ = std::min(sample_count_ + 1, kEstimatorSamples);
+    std::copy(sample_ring_, sample_ring_ + sample_count_, sorted_ring_);
+    std::sort(sorted_ring_, sorted_ring_ + sample_count_);
     epoch_echo_rounds_ = 0;
     epoch_echo_failures_ = 0;
     RefreshQuorum();  // the in-flight sample moved into the ring

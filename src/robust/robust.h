@@ -56,8 +56,9 @@
 //      not care — is estimated as a median over the last
 //      kEstimatorSamples per-epoch samples (Laplace-smoothed), and the
 //      confirmation loop runs until the w.h.p. quorum ConfirmQuorum(p, n)
-//      is met: the smallest k with p^k <= 1/n, clamped to
-//      [spec.confirm_attempts, kMaxConfirmQuorum]. Under erasure/flaky-CD
+//      is met: the smallest k with p^k <= 1/n, capped at
+//      kMaxConfirmQuorum and never below spec.confirm_attempts (the floor
+//      wins over the cap). Under erasure/flaky-CD
 //      a dropped echo no longer burns the whole epoch (the quorum grows
 //      just enough to push the failure probability back below 1/n); under
 //      a reactive jammer every suppressed echo *raises* the estimate,
@@ -248,10 +249,31 @@ std::int64_t EpochRoundBudget(const RobustSpec& spec, std::int64_t population,
 // observable progress first.
 std::int64_t StallRoundBudget(const RobustSpec& spec, std::int64_t population);
 
-// W.h.p.-derived confirmation quorum: the smallest number of echo attempts
-// k with suppress_rate^k <= 1/population, clamped to [floor_attempts,
-// kMaxConfirmQuorum]. floor_attempts == 0 disables confirmation outright
-// (an explicit spec choice the adaptive policy respects) and returns 0.
+// W.h.p.-derived confirmation quorum for one population n and floor: the
+// smallest number of echo attempts k with suppress_rate^k <= 1/n, clamped to
+// max(floor_attempts, min(k, kMaxConfirmQuorum)) — the floor wins even over
+// the cap, so the quorum never decreases in the rate. floor_attempts == 0
+// disables confirmation outright (an explicit spec choice the adaptive
+// policy respects) and returns 0. This is the one quorum formula: ln n and
+// the rate at which the cap binds are computed once, at construction, so
+// EpochDriver can hold a model for its run and refresh its quorum after
+// every echo without a log in the common, capped case.
+class QuorumModel {
+ public:
+  QuorumModel() = default;  // confirmation disabled: Quorum returns 0
+  QuorumModel(std::int64_t population, std::int32_t floor_attempts);
+
+  std::int32_t Quorum(double suppress_rate) const;
+
+ private:
+  double log_n_ = 0.0;
+  // p* = exp(-ln n / (kMaxConfirmQuorum + 1)): at or above it the formula
+  // always reaches the cap (see Quorum).
+  double cap_rate_ = 1.0;
+  std::int32_t floor_ = 0;
+};
+
+// QuorumModel(population, floor_attempts).Quorum(suppress_rate).
 std::int32_t ConfirmQuorum(double suppress_rate, std::int64_t population,
                            std::int32_t floor_attempts);
 
@@ -265,7 +287,8 @@ std::int32_t FindPrimaryWinner(std::span<const mac::Action> actions);
 // (sim::BatchEngine::Run), which drives it at these points:
 //
 //   - CountRound() after every protocol, echo or chaff round of the epoch;
-//   - ChaffTriggered(primary_tx) after each protocol round, then
+//   - ChaffTriggered(total_transmissions, primary_transmitters) after each
+//     protocol round, then
 //     TakeChaffBurst() / ExtendChaff() around NoteDummyRound(adv_jams) for
 //     each fabricated dummy confirm round the trigger inserts;
 //   - NoteCandidate() when a suppressed candidate opens a confirmation
@@ -293,12 +316,16 @@ class EpochDriver {
   EpochDriver(const RobustSpec& spec, std::int64_t population,
               std::int32_t channels, std::uint64_t run_seed)
       : spec_(spec),
-        population_(population),
         run_seed_(run_seed),
         epoch_budget_(spec.enabled ? EpochRoundBudget(spec, population,
                                                       channels)
                                    : 0),
-        stall_budget_(spec.enabled ? StallRoundBudget(spec, population) : 0) {
+        stall_budget_(spec.enabled ? StallRoundBudget(spec, population) : 0),
+        // Only the adaptive policies read the model; the others skip its
+        // log and exp.
+        quorum_model_(spec.Adaptive()
+                          ? QuorumModel(population, spec.confirm_attempts)
+                          : QuorumModel()) {
     RefreshQuorum();
   }
 
@@ -438,15 +465,17 @@ class EpochDriver {
  private:
   // Median-of-samples estimate of the probability that an echo round is
   // suppressed (jammed or erased — the wrapper cannot tell and does not
-  // care). See robust.cpp.
+  // care): the upper median of the banked samples and the running epoch's.
+  // O(1): the banked samples are kept sorted in sorted_ring_, so the median
+  // is the running sample clamped between two of them. See robust.cpp.
   double SuppressionEstimate() const;
-  // Recomputes quorum_ from the current estimate. Called exactly where the
-  // estimator's inputs change: construction, NoteEchoRound and
-  // BeginNextEpoch's ring bank.
+  // Recomputes quorum_ from the current estimate through quorum_model_.
+  // Called exactly where the estimator's inputs change: construction,
+  // NoteEchoRound and BeginNextEpoch's ring bank. Costs no sort, and no log
+  // once the estimate reaches the cap.
   void RefreshQuorum();
 
   RobustSpec spec_;
-  std::int64_t population_ = 0;
   std::uint64_t run_seed_ = 0;
   std::int32_t epoch_ = 0;
   std::int64_t epoch_rounds_ = 0;
@@ -460,6 +489,9 @@ class EpochDriver {
   std::int64_t epoch_echo_rounds_ = 0;
   std::int64_t epoch_echo_failures_ = 0;
   double sample_ring_[kEstimatorSamples] = {};
+  // The first sample_count_ entries: sample_ring_'s samples in ascending
+  // order, re-sorted only when BeginNextEpoch banks a sample.
+  double sorted_ring_[kEstimatorSamples] = {};
   std::int32_t sample_count_ = 0;
   std::int32_t sample_next_ = 0;
   std::int64_t backoff_rounds_seen_ = 0;
@@ -467,6 +499,7 @@ class EpochDriver {
   std::int64_t adaptive_confirm_extra_ = 0;
   std::int64_t adaptive_backoff_trimmed_ = 0;
   std::int32_t confirm_quorum_peak_ = 0;
+  QuorumModel quorum_model_;
   std::int32_t quorum_ = 0;  // confirm_attempts(), refreshed by RefreshQuorum
   // Hardened obfuscation state, redrawn per retry epoch (BeginNextEpoch).
   std::int64_t jittered_pause_ = 1;

@@ -111,10 +111,14 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   // skipped and the program does not advance: node state is frozen while
   // the engine holds the floor, so the round is tallied, not resolved into
   // feedback. Callers charge node_tx_ for the fabricated transmissions.
-  // Returns the round summary so the call sites can feed the adaptive
-  // policy and the echo/chaff/backoff spend breakdown.
-  const auto fabricated_round =
-      [&](std::span<const mac::Action> fab) -> mac::RoundSummary {
+  // Every echo of an exchange, every dummy of a chaff burst and every round
+  // of a pause repeats the previous round's actions, so only the first is
+  // tallied; each `repeat` round re-judges the same channel activity under
+  // its own jam set and fault draws (Resolver::Retally, bit-identical to a
+  // tally). Returns the round summary so the call sites can feed the
+  // adaptive policy and the echo/chaff/backoff spend breakdown.
+  const auto fabricated_round = [&](std::span<const mac::Action> fab,
+                                    bool repeat) -> mac::RoundSummary {
     if (config.record_active_counts) {
       result.active_counts.push_back(static_cast<std::int64_t>(alive_.size()));
     }
@@ -122,7 +126,8 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
         adversary.PlanRound(round, config.channels);
     adv_perturbed = adv_perturbed || !adv_jams.empty();
     const mac::RoundSummary summary =
-        resolver_->Tally(fab, fault_ptr, adv_jams);
+        repeat ? resolver_->Retally(fault_ptr, adv_jams)
+               : resolver_->Tally(fab, fault_ptr, adv_jams);
     adversary.ObserveRound(*resolver_, round);
     account_round(summary);
     return summary;
@@ -134,9 +139,11 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     // adversary still plans and observes — and every reactive strategy
     // falls back to camping the primary channel on silence, so the pause
     // drains its budget.
-    for (std::int64_t pause = epochs.PauseRounds();
+    const std::int64_t pause_rounds = epochs.PauseRounds();
+    for (std::int64_t pause = pause_rounds;
          pause > 0 && round < config.max_rounds; --pause) {
-      const mac::RoundSummary pause_summary = fabricated_round({});
+      const mac::RoundSummary pause_summary =
+          fabricated_round({}, pause < pause_rounds);
       ++result.backoff_rounds;
       result.adv_jams_backoff += pause_summary.adv_jams;
       epochs.NoteBackoffRound(pause_summary.adv_jams);
@@ -267,7 +274,8 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
              round < config.max_rounds && !result.solved;
              ++attempt) {
           ++winner_tx;
-          const mac::RoundSummary echo = fabricated_round(fab_actions_);
+          const mac::RoundSummary echo =
+              fabricated_round(fab_actions_, attempt > 0);
           ++result.confirm_rounds;
           result.adv_jams_echo += echo.adv_jams;
           epochs.NoteEchoRound(echo.primary_lone_delivered, echo.adv_jams);
@@ -292,11 +300,14 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
         fab_actions_.assign(m, mac::Action::Listen(mac::kPrimaryChannel));
         fab_actions_[0] = mac::Action::Transmit(mac::kPrimaryChannel);
         fab_actions_[1] = mac::Action::Transmit(mac::kPrimaryChannel);
+        bool repeat = false;
         for (std::int32_t burst = epochs.TakeChaffBurst();
              burst > 0 && round < config.max_rounds && !result.solved;) {
           ++node_tx_[static_cast<std::size_t>(alive_[0])];
           ++node_tx_[static_cast<std::size_t>(alive_[1])];
-          const mac::RoundSummary dummy = fabricated_round(fab_actions_);
+          const mac::RoundSummary dummy =
+              fabricated_round(fab_actions_, repeat);
+          repeat = true;
           epochs.NoteDummyRound(dummy.adv_jams);
           epochs.CountRound();
           --burst;

@@ -147,8 +147,8 @@ std::uint64_t SmallLanesDigest() {
 }
 
 // robust_probing_hardened: two_active, n = 65536, C = 64, xoshiro, probing
-// adversary with budget 4096 against the hardened robust policy.
-std::uint64_t RobustHardenedDigest() {
+// adversary with budget 4096 against the robust wrapper under `policy`.
+EngineConfig RobustProbingConfig(robust::PolicyKind policy) {
   EngineConfig config = BaseConfig();
   config.population = 65536;
   config.num_active = 2;
@@ -157,15 +157,77 @@ std::uint64_t RobustHardenedDigest() {
   config.adversary.kind = adversary::Kind::kProbing;
   config.adversary.budget = 4096;
   config.robust.enabled = true;
-  config.robust.policy = robust::PolicyKind::kHardened;
-  const auto program = ProgramFor("two_active");
+  config.robust.policy = policy;
+  return config;
+}
+
+// What a robust digest's runs exercised, summed over its seeds, so a case
+// can check that it still reaches the rounds it exists to pin.
+struct RobustCoverage {
+  std::int64_t confirm_rounds = 0;
+  std::int64_t obfuscation_rounds = 0;
+  std::int64_t faults_injected = 0;
+};
+
+// Folds AddRobustRun over seeds 1..`seeds` of `algo` on BatchEngine; with a
+// fault layer configured it also folds the injector's counters, so a moved
+// fault draw shows even where the outcome survives it.
+std::uint64_t RobustDigest(const EngineConfig& base, const std::string& algo,
+                           std::uint64_t seeds,
+                           RobustCoverage* coverage = nullptr) {
+  EngineConfig config = base;
+  const auto program = ProgramFor(algo);
   BatchEngine engine;
   Digest d;
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+  RobustCoverage cov;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     config.seed = seed;
-    AddRobustRun(engine.Run(config, *program), d);
+    const RunResult r = engine.Run(config, *program);
+    AddRobustRun(r, d);
+    if (config.faults.Any()) {
+      d.Add(r.jams_injected);
+      d.Add(r.erasures_injected);
+      d.Add(r.cd_flips_injected);
+      d.Add(static_cast<std::int64_t>(r.crashed_nodes));
+    }
+    cov.confirm_rounds += r.confirm_rounds;
+    cov.obfuscation_rounds += r.obfuscation_rounds;
+    cov.faults_injected += r.faults_injected;
   }
+  if (coverage != nullptr) *coverage = cov;
   return d.value();
+}
+
+std::uint64_t RobustHardenedDigest() {
+  return RobustDigest(RobustProbingConfig(robust::PolicyKind::kHardened),
+                      "two_active", 200);
+}
+
+// The hardened probing shape over a lossy channel: echo and chaff rounds
+// run with an active fault injector (erasures, CD flips) and crashes.
+EngineConfig RobustFaultyConfig() {
+  EngineConfig config = RobustProbingConfig(robust::PolicyKind::kHardened);
+  config.faults.erasure_rate = 0.05;
+  config.faults.flaky_cd_rate = 0.02;
+  config.faults.crash_rate = 0.001;
+  return config;
+}
+
+// general, n = 65536, |A| = 64, C = 64, against the lookahead adversary
+// under the hardened wrapper: echoes over more than two live nodes, and
+// chaff bursts.
+EngineConfig GeneralLookaheadConfig() {
+  EngineConfig config = BaseConfig();
+  config.population = 65536;
+  config.num_active = 64;
+  config.channels = 64;
+  config.rng = RngKind::kXoshiro;
+  config.adversary.kind = adversary::Kind::kLookahead;
+  config.adversary.budget = 2048;
+  config.adversary.per_round_cap = 4;
+  config.robust.enabled = true;
+  config.robust.policy = robust::PolicyKind::kHardened;
+  return config;
 }
 
 TEST(EngineDigest, SweepGeneralLargeXoshiro) {
@@ -197,6 +259,56 @@ TEST(EngineDigest, RobustProbingHardened) {
     ScopedBackend forced(backend);
     EXPECT_EQ(RobustHardenedDigest(), 0x29b8f53e8e047f59ULL)
         << simd::ToString(backend);
+  }
+}
+
+TEST(EngineDigest, RobustProbingStatic) {
+  for (const simd::Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    RobustCoverage cov;
+    EXPECT_EQ(RobustDigest(RobustProbingConfig(robust::PolicyKind::kStatic),
+                           "two_active", 200, &cov),
+              0x9e06fcb100b9a0cfULL)
+        << simd::ToString(backend);
+    EXPECT_GT(cov.confirm_rounds, 0);
+  }
+}
+
+TEST(EngineDigest, RobustProbingAdaptive) {
+  for (const simd::Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    RobustCoverage cov;
+    EXPECT_EQ(
+        RobustDigest(RobustProbingConfig(robust::PolicyKind::kAdaptive),
+                     "two_active", 200, &cov),
+        0xb7b701564d0e25edULL)
+        << simd::ToString(backend);
+    EXPECT_GT(cov.confirm_rounds, 0);
+  }
+}
+
+TEST(EngineDigest, RobustProbingHardenedFaulty) {
+  for (const simd::Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    RobustCoverage cov;
+    EXPECT_EQ(RobustDigest(RobustFaultyConfig(), "two_active", 200, &cov),
+              0xd654dbfc4ef0090fULL)
+        << simd::ToString(backend);
+    EXPECT_GT(cov.confirm_rounds, 0);
+    EXPECT_GT(cov.obfuscation_rounds, 0);
+    EXPECT_GT(cov.faults_injected, 0);
+  }
+}
+
+TEST(EngineDigest, GeneralLookaheadHardened) {
+  for (const simd::Backend backend : AvailableBackends()) {
+    ScopedBackend forced(backend);
+    RobustCoverage cov;
+    EXPECT_EQ(RobustDigest(GeneralLookaheadConfig(), "general", 100, &cov),
+              0xbff029317fa1c85bULL)
+        << simd::ToString(backend);
+    EXPECT_GT(cov.confirm_rounds, 0);
+    EXPECT_GT(cov.obfuscation_rounds, 0);
   }
 }
 

@@ -310,5 +310,136 @@ TEST(Resolver, TallyMatchesResolve) {
   }
 }
 
+// Retally judges the most recent round's activity again. One Tally followed
+// by k Retally calls must equal k Tally calls on the same actions — the
+// summaries, the channel activity, every fault counter and the next draw of
+// each stream — and a Resolve on different actions afterwards must see no
+// stale fault mark, whatever jam sets (empty ones, and ones on channels no
+// node touched) the train ran under.
+TEST(Resolver, RetallyMatchesTally) {
+  FaultSpec jam;
+  jam.jam_rate = 0.3;
+  FaultSpec erasure;
+  erasure.erasure_rate = 0.4;
+  FaultSpec flaky;
+  flaky.flaky_cd_rate = 0.25;
+  FaultSpec combined;
+  combined.jam_rate = 0.15;
+  combined.erasure_rate = 0.3;
+  combined.flaky_cd_rate = 0.2;
+  const FaultSpec specs[] = {FaultSpec{}, jam, erasure, flaky, combined};
+  const auto expect_same_round = [](const RoundSummary& got,
+                                    const RoundSummary& want) {
+    EXPECT_EQ(got.total_transmissions, want.total_transmissions);
+    EXPECT_EQ(got.total_participants, want.total_participants);
+    EXPECT_EQ(got.primary_transmitters, want.primary_transmitters);
+    EXPECT_EQ(got.lone_deliveries, want.lone_deliveries);
+    EXPECT_EQ(got.primary_lone_delivered, want.primary_lone_delivered);
+    EXPECT_EQ(got.adv_jams, want.adv_jams);
+    EXPECT_EQ(got.adv_jams_effective, want.adv_jams_effective);
+  };
+  const auto expect_same_counters = [](const FaultInjector& a,
+                                       const FaultInjector& b) {
+    EXPECT_EQ(a.counters().jams, b.counters().jams);
+    EXPECT_EQ(a.counters().erasures, b.counters().erasures);
+    EXPECT_EQ(a.counters().cd_flips, b.counters().cd_flips);
+  };
+  std::uint64_t seed = 100;
+  for (const std::int32_t channels : {1, 4, 64}) {
+    for (const CdModel model :
+         {CdModel::kStrong, CdModel::kReceiverOnly, CdModel::kNone}) {
+      for (const FaultSpec& spec : specs) {
+        ++seed;
+        SCOPED_TRACE(::testing::Message()
+                     << "C=" << channels << " model "
+                     << static_cast<int>(model) << " jam " << spec.jam_rate
+                     << " erasure " << spec.erasure_rate << " flaky "
+                     << spec.flaky_cd_rate);
+        Resolver retallied(channels, model);
+        Resolver tallied(channels, model);
+        FaultInjector retally_faults(spec, seed);
+        FaultInjector tally_faults(spec, seed);
+        support::RandomSource rng(seed);
+        std::vector<Action> actions;
+        std::vector<Feedback> feedback;
+        std::vector<Feedback> want_feedback;
+        // Up to three distinct channels, drawn over all C channels, so a
+        // jam often lands where no node is.
+        const auto random_jams = [&] {
+          std::vector<ChannelId> jams;
+          const std::int64_t count = rng.UniformInt(0, std::min(channels, 3));
+          while (static_cast<std::int64_t>(jams.size()) < count) {
+            const auto ch = static_cast<ChannelId>(rng.UniformInt(1, channels));
+            if (std::find(jams.begin(), jams.end(), ch) == jams.end()) {
+              jams.push_back(ch);
+            }
+          }
+          return jams;
+        };
+        const auto random_actions = [&](std::int32_t round) {
+          actions.clear();
+          const std::int64_t m = rng.UniformInt(0, 12);
+          for (std::int64_t i = 0; i < m; ++i) {
+            const auto ch = static_cast<ChannelId>(rng.UniformInt(1, channels));
+            switch (rng.UniformInt(0, 2)) {
+              case 0:
+                actions.push_back(Action::Idle());
+                break;
+              case 1:
+                actions.push_back(Action::Listen(ch));
+                break;
+              default:
+                actions.push_back(Action::Transmit(
+                    ch, Message{static_cast<std::uint64_t>(round * 16 + i)}));
+            }
+          }
+        };
+        for (std::int32_t train = 0; train < 60; ++train) {
+          random_actions(train);
+          const std::int64_t k = rng.UniformInt(1, 8);
+          for (std::int64_t rep = 0; rep < k; ++rep) {
+            const std::vector<ChannelId> jams = random_jams();
+            const RoundSummary want =
+                tallied.Tally(actions, &tally_faults, jams);
+            const RoundSummary got =
+                rep == 0 ? retallied.Tally(actions, &retally_faults, jams)
+                         : retallied.Retally(&retally_faults, jams);
+            expect_same_round(got, want);
+            EXPECT_EQ(retallied.touched_channels(), tallied.touched_channels());
+            for (ChannelId ch = 1; ch <= channels; ++ch) {
+              const ChannelActivity& a = retallied.ActivityOf(ch);
+              const ChannelActivity& b = tallied.ActivityOf(ch);
+              EXPECT_EQ(a.transmitters, b.transmitters);
+              EXPECT_EQ(a.listeners, b.listeners);
+              EXPECT_EQ(a.lone_message, b.lone_message);
+            }
+            expect_same_counters(retally_faults, tally_faults);
+          }
+          // The next round is a fresh Resolve on other actions: a fault
+          // mark the train left behind would show in its feedback.
+          random_actions(1000 + train);
+          const std::vector<ChannelId> jams = random_jams();
+          const RoundSummary want =
+              tallied.Resolve(actions, want_feedback, &tally_faults, jams);
+          const RoundSummary got =
+              retallied.Resolve(actions, feedback, &retally_faults, jams);
+          expect_same_round(got, want);
+          ASSERT_EQ(feedback.size(), want_feedback.size());
+          for (std::size_t i = 0; i < feedback.size(); ++i) {
+            EXPECT_EQ(feedback[i].observation, want_feedback[i].observation);
+            EXPECT_EQ(feedback[i].message, want_feedback[i].message);
+          }
+          expect_same_counters(retally_faults, tally_faults);
+        }
+        for (int draw = 0; draw < 64; ++draw) {
+          EXPECT_EQ(retally_faults.DrawJam(), tally_faults.DrawJam());
+          EXPECT_EQ(retally_faults.DrawErasure(), tally_faults.DrawErasure());
+          EXPECT_EQ(retally_faults.DrawCdFlip(), tally_faults.DrawCdFlip());
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace crmc::mac

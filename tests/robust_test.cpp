@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -584,6 +585,152 @@ TEST(RobustAdaptive, CachedQuorumMatchesRecomputation) {
         }
       }
     }
+  }
+}
+
+// ConfirmQuorum's rule written out with a log on every branch, for
+// checking the cap shortcut (which skips the log) against.
+std::int32_t LogFormulaQuorum(double p, std::int64_t n, std::int32_t floor) {
+  if (floor <= 0) return 0;
+  if (p <= 0.0) return floor;
+  const std::int32_t capped = std::max(floor, robust::kMaxConfirmQuorum);
+  if (p >= 1.0) return capped;
+  const double k = std::ceil(std::log(static_cast<double>(n)) / -std::log(p));
+  if (k >= robust::kMaxConfirmQuorum) return capped;
+  return std::max(static_cast<std::int32_t>(k), floor);
+}
+
+TEST(RobustAdaptive, ConfirmQuorumMonotoneInRate) {
+  // The floor wins over the cap on every branch, so a higher suppression
+  // estimate never shrinks the quorum — not even when confirm_attempts
+  // exceeds kMaxConfirmQuorum — and a positive estimate never drops below
+  // the floor.
+  for (const std::int64_t n :
+       {std::int64_t{2}, std::int64_t{3}, std::int64_t{65536},
+        std::int64_t{1} << 20, std::int64_t{1} << 40}) {
+    // Probe the grid and both sides of the cap threshold p*.
+    const double cap_rate =
+        std::exp(-std::log(static_cast<double>(n)) /
+                 (robust::kMaxConfirmQuorum + 1));
+    std::vector<double> rates = {-0.5, 0.0, cap_rate, 1.0, 1.5};
+    for (int i = 1; i < 4000; ++i) rates.push_back(i / 4000.0);
+    double below = cap_rate;
+    double above = cap_rate;
+    for (int i = 0; i < 8; ++i) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1.0);
+      rates.push_back(below);
+      rates.push_back(above);
+    }
+    std::sort(rates.begin(), rates.end());
+    for (const std::int32_t floor : {0, 1, 3, 512, 513, 1024}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " floor=" << floor);
+      std::int32_t prev = 0;
+      for (const double p : rates) {
+        const std::int32_t q = robust::ConfirmQuorum(p, n, floor);
+        EXPECT_EQ(q, LogFormulaQuorum(p, n, floor)) << "p=" << p;
+        EXPECT_GE(q, prev) << "p=" << p;
+        if (floor > 0 && p > 0.0) {
+          EXPECT_GE(q, floor) << "p=" << p;
+        }
+        EXPECT_LE(q, std::max(floor, robust::kMaxConfirmQuorum)) << "p=" << p;
+        prev = q;
+      }
+    }
+  }
+  for (const double p : {0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(robust::ConfirmQuorum(p, 65536, 1024), 1024) << "p=" << p;
+  }
+}
+
+TEST(RobustAdaptive, CachedQuorumFastPathMatchesConfirmQuorum) {
+  // EpochDriver refreshes its quorum from a sorted copy of the banked
+  // samples and skips the log once the estimate reaches the cap. Long
+  // all-suppressed echo trains push the estimate across that threshold p*
+  // from every banked ring of 0-5 samples (ties and ring wrap included);
+  // after every echo the driver must agree with ConfirmQuorum of the
+  // sorted upper median, and both with the log formula.
+  struct Epoch {
+    std::int64_t echoes;
+    std::int64_t failures;
+  };
+  const std::vector<std::vector<Epoch>> rings = {
+      {},
+      {{1, 0}},
+      {{1000, 1000}},
+      {{3, 1}, {0, 0}, {3, 1}},
+      {{10, 10}, {1, 0}, {10, 10}},
+      {{1000, 1000}, {1000, 1000}, {5, 0}, {50, 50}},
+      {{1000, 1000}, {1, 1}, {1, 1}, {9, 3}, {700, 700}},
+      {{1, 0}, {1000, 1000}, {1000, 1000}, {1000, 1000}, {3, 3}, {3, 3}},
+  };
+  for (const std::int64_t n :
+       {std::int64_t{2}, std::int64_t{3}, std::int64_t{65536},
+        std::int64_t{1} << 20, std::int64_t{1} << 40}) {
+    const double cap_rate =
+        std::exp(-std::log(static_cast<double>(n)) /
+                 (robust::kMaxConfirmQuorum + 1));
+    std::int64_t echoes_below = 0;
+    std::int64_t echoes_above = 0;
+    for (const std::int32_t floor : {0, 1, 3, 512, 513, 1024}) {
+      for (std::size_t r = 0; r < rings.size(); ++r) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " floor=" << floor << " ring " << r);
+        RobustSpec spec;
+        spec.enabled = true;
+        spec.policy = robust::PolicyKind::kAdaptive;
+        spec.confirm_attempts = floor;
+        robust::EpochDriver driver(spec, n, 16, /*run_seed=*/1);
+        std::vector<double> ring;  // banked samples, oldest first
+        std::int64_t echoes = 0;
+        std::int64_t failures = 0;
+        const auto sample = [&] {
+          return static_cast<double>(failures + 1) /
+                 static_cast<double>(echoes + 2);
+        };
+        const auto median = [&] {
+          std::vector<double> samples = ring;
+          if (echoes > 0) samples.push_back(sample());
+          if (samples.empty()) return 0.0;
+          std::sort(samples.begin(), samples.end());
+          return samples[samples.size() / 2];
+        };
+        const auto echo = [&](bool delivered) {
+          driver.NoteEchoRound(delivered, delivered ? 0 : 1);
+          ++echoes;
+          failures += delivered ? 0 : 1;
+          const double estimate = median();
+          ASSERT_EQ(driver.confirm_attempts(),
+                    robust::ConfirmQuorum(estimate, n, floor))
+              << "echo " << echoes << " estimate " << estimate;
+          ASSERT_EQ(driver.confirm_attempts(),
+                    LogFormulaQuorum(estimate, n, floor))
+              << "echo " << echoes << " estimate " << estimate;
+        };
+        for (const Epoch& e : rings[r]) {
+          for (std::int64_t i = 0; i < e.echoes; ++i) echo(i >= e.failures);
+          driver.BeginNextEpoch();
+          if (echoes > 0) {
+            ring.push_back(sample());
+            if (ring.size() > robust::kEstimatorSamples) {
+              ring.erase(ring.begin());
+            }
+          }
+          echoes = 0;
+          failures = 0;
+          ASSERT_EQ(driver.confirm_attempts(),
+                    robust::ConfirmQuorum(median(), n, floor));
+        }
+        driver.NoteCandidate();
+        for (int i = 0; i < 1500; ++i) {
+          echo(false);
+          (median() >= cap_rate ? echoes_above : echoes_below) += 1;
+        }
+      }
+    }
+    // Every population's trains ran on both sides of p*.
+    EXPECT_GT(echoes_below, 0) << "n=" << n;
+    EXPECT_GT(echoes_above, 0) << "n=" << n;
   }
 }
 
