@@ -150,7 +150,7 @@ std::unique_ptr<Adversary> MakeAdversary(const AdversarySpec& spec);
 
 // The per-run driver. The round loop constructs one per run, calls
 // PlanRound before resolving each round and ObserveRound after, and feeds
-// the returned jam span to mac::Resolver::Resolve (or Tally).
+// the returned jam span to mac::Resolver::Resolve (or Tally, or Retally).
 class AdversaryRun {
  public:
   // Inactive driver: PlanRound always returns an empty span.
@@ -178,7 +178,7 @@ class AdversaryRun {
   // with at least one transmitter, in the resolver's first-touched order;
   // counts censored under ObsMode::kActivity). No-op unless the strategy
   // needs observations. It reads only the resolver's channel activity, so
-  // a tallied round is observed exactly like a resolved one.
+  // a tallied or re-judged round is observed exactly like a resolved one.
   void ObserveRound(const mac::Resolver& resolver, std::int64_t round);
 
   const BudgetLedger& ledger() const { return ledger_; }
