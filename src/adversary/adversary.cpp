@@ -335,8 +335,10 @@ class Learning final : public Adversary {
 // pays the quorum drain only on the gapless ones, spending nothing on
 // honeypots — the budget that first breaks the adaptive wrapper drops by an
 // order of magnitude relative to Lookahead. Under ObsMode::kActivity the
-// censored counts make collisions indistinguishable from lone transmitters,
-// and Probing degrades to holding.
+// censored counts make every primary-channel sighting look like a lone
+// claim, so Probing fights them all: against sustained primary collisions
+// it jams every round after its blind opening one, where full observation
+// would calibrate once and then hold.
 // Deterministic: never touches ctx.rng.
 class Probing final : public Adversary {
  public:

@@ -1,7 +1,9 @@
 #include "sim/step_program.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <utility>
 
@@ -40,14 +42,28 @@ std::int64_t PrimaryCoinRound(const BatchBernoulli& coin,
                               std::span<std::int64_t> node_tx,
                               std::vector<std::uint8_t>& mask,
                               FastRoundEffects* fx) {
-  mask.resize(alive.size());
+  const std::size_t m = alive.size();
+  mask.resize(m);
   const std::int64_t tx = simd::CoinMask(coin, ctx.rng, alive, mask);
-  // No transmitter means every mask byte is 0: nothing to charge. Reduce's
-  // p = 1/n rounds land here in nearly every trial.
-  if (tx != 0) {
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      node_tx[static_cast<std::size_t>(alive[k])] += mask[k];
+  // Charge only the transmitters. They are few (Reduce's coins are about
+  // 1/n, and a p = 1/n round usually has none), so the mask is read eight
+  // bytes at a time, all-zero words are skipped, and the scan stops once
+  // every transmitter is charged. Mask bytes are 0 or 1, so a word's
+  // popcount is its transmitter count.
+  std::int64_t left = tx;
+  std::size_t k = 0;
+  for (; left > 0 && k + 8 <= m; k += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, mask.data() + k, sizeof(word));
+    if (word == 0) continue;
+    for (std::size_t j = k; j < k + 8; ++j) {
+      node_tx[static_cast<std::size_t>(alive[j])] += mask[j];
     }
+    left -= std::popcount(word);
+  }
+  for (; left > 0 && k < m; ++k) {
+    node_tx[static_cast<std::size_t>(alive[k])] += mask[k];
+    left -= mask[k];
   }
   fx->transmissions += tx;
   if (tx == 1) {
@@ -74,6 +90,17 @@ bool KnockoutFinish(std::int64_t tx, std::span<const std::uint8_t> mask,
     }
   }
   return false;
+}
+
+// The same rule for one node of a materialized round: a lone transmitter is
+// the leader, a listener that heard anyone is knocked out, and either one
+// finishes.
+bool KnockoutFinished(const Action& action, const Feedback& fb) {
+  if (action.transmit) {
+    CRMC_PROTO_CHECK(!fb.Silence());
+    return fb.MessageHeard();
+  }
+  return !fb.Silence();
 }
 
 // ---------------------------------------------------------------------------
@@ -605,35 +632,53 @@ std::unique_ptr<TrialProgram> TwoActiveProgram::MakeTrialProgram() const {
 // probability 1/n_hat, n_hat square-rooted between iterations. Shared by
 // the standalone Reduce program and the composed general program; the
 // prepared Bernoullis amortize the threshold computation across all nodes
-// of a round.
+// of a round. The schedule is a pure function of the population (the
+// params are fixed per program), so Prepare rebuilds it only when the
+// population changes: the per-trial Resets of a sweep reuse it and
+// allocate nothing.
 
-std::vector<BatchBernoulli> BuildReduceSchedule(std::int64_t population,
-                                                core::ReduceParams params) {
-  const std::int32_t iterations =
-      support::CeilLgLg(
-          static_cast<std::uint64_t>(population < 2 ? 2 : population)) +
-      params.extra_iterations;
-  std::vector<BatchBernoulli> sched;
-  sched.reserve(static_cast<std::size_t>(iterations) * 2);
-  double n_hat = static_cast<double>(population);
-  for (std::int32_t iter = 0; iter < iterations; ++iter) {
-    const BatchBernoulli b(1.0 / n_hat);
-    sched.push_back(b);
-    sched.push_back(b);
-    n_hat = std::sqrt(n_hat);
-    if (n_hat < 2.0) n_hat = 2.0;
+class ReduceSchedule {
+ public:
+  explicit ReduceSchedule(core::ReduceParams params) : params_(params) {}
+
+  void Prepare(std::int64_t population) {
+    if (population == population_) return;
+    population_ = population;
+    const std::int32_t iterations =
+        support::CeilLgLg(
+            static_cast<std::uint64_t>(population < 2 ? 2 : population)) +
+        params_.extra_iterations;
+    coins_.clear();
+    double n_hat = static_cast<double>(population);
+    for (std::int32_t iter = 0; iter < iterations; ++iter) {
+      const BatchBernoulli b(1.0 / n_hat);
+      coins_.push_back(b);
+      coins_.push_back(b);
+      n_hat = std::sqrt(n_hat);
+      if (n_hat < 2.0) n_hat = 2.0;
+    }
   }
-  return sched;
-}
+
+  const BatchBernoulli& operator[](std::size_t step) const {
+    return coins_[step];
+  }
+  std::size_t size() const { return coins_.size(); }
+
+ private:
+  core::ReduceParams params_;
+  std::int64_t population_ = -1;  // the population coins_ was built for
+  std::vector<BatchBernoulli> coins_;
+};
 
 class ReduceProgram final : public StepProgram {
  public:
-  explicit ReduceProgram(core::ReduceParams params) : params_(params) {}
+  explicit ReduceProgram(core::ReduceParams params)
+      : params_(params), sched_(params) {}
 
   std::string_view name() const override { return "reduce"; }
 
   void Reset(const BatchContext& ctx) override {
-    sched_ = BuildReduceSchedule(ctx.population, params_);
+    sched_.Prepare(ctx.population);
     step_.assign(static_cast<std::size_t>(ctx.num_active), 0);
   }
 
@@ -654,19 +699,11 @@ class ReduceProgram final : public StepProgram {
                std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
-      const Feedback& fb = feedback[k];
-      if (actions[k].transmit) {
-        CRMC_PROTO_CHECK(!fb.Silence());
-        if (fb.MessageHeard()) {  // alone: leader, problem solved
-          finished[k] = 1;
-          continue;
-        }
-      } else if (!fb.Silence()) {  // heard a survivor: knocked out
+      // The leader or a knocked-out listener ends now; a survivor ends
+      // when the schedule is over.
+      if (KnockoutFinished(actions[k], feedback[k]) ||
+          static_cast<std::size_t>(++step_[s]) == sched_.size()) {
         finished[k] = 1;
-        continue;
-      }
-      if (static_cast<std::size_t>(++step_[s]) == sched_.size()) {
-        finished[k] = 1;  // schedule over: survivor terminates
       }
     }
   }
@@ -708,7 +745,7 @@ class ReduceProgram final : public StepProgram {
 
  private:
   core::ReduceParams params_;
-  std::vector<BatchBernoulli> sched_;
+  ReduceSchedule sched_;
   std::vector<std::int32_t> step_;  // index into sched_
   std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
 };
@@ -720,12 +757,12 @@ class ReduceProgram final : public StepProgram {
 // lane's alive slots in a single CoinMask call.
 class ReduceTrialProgram final : public TrialProgram {
  public:
-  explicit ReduceTrialProgram(core::ReduceParams params) : params_(params) {}
+  explicit ReduceTrialProgram(core::ReduceParams params) : sched_(params) {}
 
   std::string_view name() const override { return "reduce"; }
 
   bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
-    sched_ = BuildReduceSchedule(ctx.population, params_);
+    sched_.Prepare(ctx.population);
     set_.Reset(lanes, ctx.num_active);
     return true;
   }
@@ -764,8 +801,7 @@ class ReduceTrialProgram final : public TrialProgram {
   }
 
  private:
-  core::ReduceParams params_;
-  std::vector<BatchBernoulli> sched_;
+  ReduceSchedule sched_;
   LaneAliveSet set_;
   std::vector<std::int32_t> slots_, seg_;
   std::vector<std::uint8_t> mask_;
@@ -855,14 +891,8 @@ class IdReductionProgram final : public StepProgram {
           }
           break;
         default:
-          if (actions[k].transmit) {
-            CRMC_PROTO_CHECK(!fb.Silence());
-            if (fb.MessageHeard()) {  // alone on primary: solved outright
-              finished[k] = 1;
-              break;
-            }
-          } else if (!fb.Silence()) {
-            finished[k] = 1;
+          if (KnockoutFinished(actions[k], fb)) {
+            finished[k] = 1;  // solved outright, or knocked out
             break;
           }
           cycle_[s] = 0;
@@ -1102,21 +1132,27 @@ struct LeafMachine {
   std::vector<std::uint8_t> pc, which, probe_collided, first_res, second_res,
       idle_left;
 
+  // Sizes the columns for n slots without clearing them: a slot's state is
+  // set by Enter when its node joins the election, and in the general
+  // algorithm only the few IDReduction winners ever do.
   void Init(std::int32_t num_leaves, bool force_binary_in, std::size_t n) {
     tree.emplace(num_leaves);
     force_binary = force_binary_in;
     for (auto* col : {&leaf, &cid, &csize, &cnode_heap, &cnode_level, &l_min,
                       &l_max, &probe_dist, &k_bound}) {
-      col->assign(n, 0);
+      col->resize(n);
     }
     for (auto* col : {&pc, &which, &probe_collided, &first_res, &second_res,
                       &idle_left}) {
-      col->assign(n, 0);
+      col->resize(n);
     }
   }
 
   // Place node slot `s` on `leaf_label` as a singleton cohort; its next
-  // round is the phase-1 root check.
+  // round is the phase-1 root check. These are the columns the machine
+  // reads before it writes them; every path writes the others (bounds,
+  // probe state, idle count) first, so a reused program never sees a value
+  // an earlier run left there.
   void Enter(std::size_t s, std::int32_t leaf_label) {
     leaf[s] = leaf_label;
     cid[s] = 1;
@@ -1497,15 +1533,8 @@ class KnockoutCdProgram final : public StepProgram {
                std::span<const Feedback> feedback,
                std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
-      const Feedback& fb = feedback[k];
-      if (actions[k].transmit) {
-        CRMC_PROTO_CHECK(!fb.Silence());
-        if (fb.MessageHeard()) finished[k] = 1;  // transmitted alone: leader
-      } else if (!fb.Silence()) {
-        finished[k] = 1;  // heard someone: knocked out
-      }
+      if (KnockoutFinished(actions[k], feedback[k])) finished[k] = 1;
     }
-    (void)alive;
   }
 
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
@@ -1578,59 +1607,77 @@ std::unique_ptr<TrialProgram> KnockoutCdProgram::MakeTrialProgram() const {
 // survivors all enter IDReduction in the same round, and the nodes renamed
 // by IDReduction all enter LeafElection (on leaf = new ID) in the same
 // round.
+//
+// Every node outside LeafElection is at the same stage and step: all nodes
+// start Reduce (or the fallback) together, a node's only outcomes in a
+// round are to finish or to take the next step, and Reduce's survivors
+// enter IDReduction together. So that stage, step and IDReduction's pair
+// count are kept once for all of them, and a fused round costs its draws,
+// not a per-node write of the next step. Per node there is only a
+// LeafElection flag, IDReduction's channel pick and rename bit, and the
+// LeafElection machine.
 
 class GeneralProgram final : public StepProgram {
  public:
-  explicit GeneralProgram(core::GeneralParams params) : params_(params) {}
+  explicit GeneralProgram(core::GeneralParams params)
+      : params_(params), reduce_sched_(params.reduce) {}
 
   std::string_view name() const override { return "general"; }
 
   void Reset(const BatchContext& ctx) override {
-    eff_ = core::EffectiveChannels(ctx.channels, ctx.population);
-    fallback_ = eff_ < params_.min_channels;
+    const std::int32_t eff =
+        core::EffectiveChannels(ctx.channels, ctx.population);
+    stage_ = eff < params_.min_channels ? kFallback : kReduce;
+    step_ = 0;
+    pairs_ = 0;
     const auto n = static_cast<std::size_t>(ctx.num_active);
-    stage_.assign(n, fallback_ ? kFallback : kReduce);
-    step_.assign(n, 0);
-    chan_.assign(n, 0);
-    renamed_.assign(n, 0);
-    pairs_.assign(n, 0);
-    if (fallback_) return;
-    CRMC_REQUIRE_MSG(eff_ >= 4,
+    in_leaf_.assign(n, 0);
+    if (stage_ == kFallback) return;
+    CRMC_REQUIRE_MSG(eff >= 4,
                      "IDReduction needs at least 4 effective channels, got "
-                         << eff_);
-    reduce_sched_ = BuildReduceSchedule(ctx.population, params_.reduce);
-    spread_.emplace(1, eff_ / 2);
+                         << eff);
+    // IDReduction and LeafElection columns are only sized here. The spread
+    // round, IDReduction's first, sets a node's chan_ and renamed_, and
+    // LeafMachine::Enter sets its election state; few of the |A| nodes get
+    // that far.
+    chan_.resize(n);
+    renamed_.resize(n);
+    reduce_sched_.Prepare(ctx.population);
+    spread_.emplace(1, eff / 2);
     const double knock_k =
-        std::max(2.0, std::sqrt(static_cast<double>(eff_)) /
+        std::max(2.0, std::sqrt(static_cast<double>(eff)) /
                           params_.id_reduction.knock_divisor);
     knock_.emplace(1.0 / knock_k);
-    leaf_.Init(eff_ / 2, params_.leaf_election.force_binary_search, n);
+    leaf_.Init(eff / 2, params_.leaf_election.force_binary_search, n);
     // ClassifyChannels scratch: spread channels lie in [1, eff/2], the +3
     // covers the gather padding; must start (and is kept) all-zero.
-    counts_.assign(static_cast<std::size_t>(eff_ / 2) + 3, 0);
+    counts_.assign(static_cast<std::size_t>(eff / 2) + 3, 0);
   }
 
   void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
                    std::span<Action> actions) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
+      if (in_leaf_[s]) {
+        actions[k] = leaf_.Emit(s);
+        continue;
+      }
       support::StreamRef rng = ctx.rng[s];
-      switch (stage_[s]) {
+      switch (stage_) {
         case kFallback:
           actions[k] = coin_.Draw(rng) ? Action::Transmit(kPrimaryChannel)
                                        : Action::Listen(kPrimaryChannel);
           break;
-        case kReduce: {
-          const bool tx =
-              reduce_sched_[static_cast<std::size_t>(step_[s])].Draw(rng);
-          actions[k] = tx ? Action::Transmit(kPrimaryChannel)
-                          : Action::Listen(kPrimaryChannel);
+        case kReduce:
+          actions[k] =
+              reduce_sched_[static_cast<std::size_t>(step_)].Draw(rng)
+                  ? Action::Transmit(kPrimaryChannel)
+                  : Action::Listen(kPrimaryChannel);
           break;
-        }
         case kIdr:
-          switch (step_[s]) {
+          switch (step_) {
             case 0:
-              CRMC_CHECK_MSG(pairs_[s] < params_.id_reduction.max_pairs,
+              CRMC_CHECK_MSG(pairs_ < params_.id_reduction.max_pairs,
                              "IDReduction exceeded max_pairs — probability "
                              "of this is superpolynomially small; check "
                              "parameters");
@@ -1649,9 +1696,6 @@ class GeneralProgram final : public StepProgram {
               break;
           }
           break;
-        case kLeaf:
-          actions[k] = leaf_.Emit(s);
-          break;
       }
     }
   }
@@ -1663,201 +1707,133 @@ class GeneralProgram final : public StepProgram {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
       const Feedback& fb = feedback[k];
-      switch (stage_[s]) {
-        case kFallback:
-          if (actions[k].transmit) {
-            CRMC_PROTO_CHECK(!fb.Silence());
-            if (fb.MessageHeard()) finished[k] = 1;
-          } else if (!fb.Silence()) {
-            finished[k] = 1;
-          }
-          break;
-        case kReduce:
-          if (actions[k].transmit) {
-            CRMC_PROTO_CHECK(!fb.Silence());
-            if (fb.MessageHeard()) {  // alone: leader, problem solved
-              finished[k] = 1;
-              break;
-            }
-          } else if (!fb.Silence()) {
-            finished[k] = 1;  // knocked out
-            break;
-          }
-          if (static_cast<std::size_t>(++step_[s]) == reduce_sched_.size()) {
-            stage_[s] = kIdr;  // survivor: IDReduction starts next round
-            step_[s] = 0;
-          }
-          break;
-        case kIdr:
-          switch (step_[s]) {
-            case 0:
-              CRMC_PROTO_CHECK(!fb.Silence());
-              renamed_[s] = fb.MessageHeard() ? 1 : 0;
-              step_[s] = 1;
-              break;
-            case 1:
-              if (renamed_[s]) {
-                stage_[s] = kLeaf;  // kActive: elect over leaf = new ID
-                leaf_.Enter(s, chan_[s]);
-              } else if (!fb.Silence()) {
-                finished[k] = 1;  // someone renamed and we did not
-              } else {
-                step_[s] = 2;
-              }
-              break;
-            default:
-              if (actions[k].transmit) {
-                CRMC_PROTO_CHECK(!fb.Silence());
-                if (fb.MessageHeard()) {  // alone on primary: solved
-                  finished[k] = 1;
-                  break;
-                }
-              } else if (!fb.Silence()) {
-                finished[k] = 1;
-                break;
-              }
-              step_[s] = 0;
-              ++pairs_[s];
-              break;
-          }
-          break;
-        case kLeaf:
-          if (leaf_.Advance(s, actions[k], fb)) finished[k] = 1;
-          break;
+      if (in_leaf_[s]) {
+        if (leaf_.Advance(s, actions[k], fb)) finished[k] = 1;
+        continue;
+      }
+      if (stage_ == kIdr && step_ == 0) {
+        CRMC_PROTO_CHECK(!fb.Silence());
+        renamed_[s] = fb.MessageHeard() ? 1 : 0;  // alone on the channel
+      } else if (stage_ == kIdr && step_ == 1) {
+        if (renamed_[s]) {
+          EnterLeaf(s);  // kActive: elect over leaf = new ID
+        } else if (!fb.Silence()) {
+          finished[k] = 1;  // someone renamed and we did not
+        }
+      } else if (KnockoutFinished(actions[k], fb)) {
+        finished[k] = 1;  // the leader, or knocked out
       }
     }
+    NextStep();
   }
 
-  // Stages stay uniform across the alive set right up to LeafElection:
-  // every node starts in kReduce (or kFallback for the whole run), Reduce
-  // survivors all enter kIdr in the same round, and a confirm round either
-  // moves every renamed node to kLeaf while finishing the rest, or keeps
-  // everyone in kIdr. The kLeaf stage itself declines — its per-cohort
-  // control flow has no batched win — and the engine falls back to the
-  // generic path for the remainder of the run's rounds.
+  // The shared stage holds for every alive node until the renamed nodes
+  // enter LeafElection, and on a fused run the rest finish in that same
+  // round. The LeafElection rounds decline: their per-cohort control flow
+  // has no batched win, and the engine takes the generic path for the
+  // remainder of the run's rounds.
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
                  std::span<std::int64_t> node_tx,
                  std::span<std::uint8_t> finished,
                  FastRoundEffects* fx) override {
+    if (in_leaf_[static_cast<std::size_t>(alive[0])]) return false;
     const std::size_t m = alive.size();
-    const auto s0 = static_cast<std::size_t>(alive[0]);
-    switch (stage_[s0]) {
-      case kFallback: {
-        const std::int64_t tx =
-            PrimaryCoinRound(coin_, ctx, alive, node_tx, mask_, fx);
-        KnockoutFinish(tx, mask_, finished);
-        return true;
+    if (stage_ != kIdr || step_ == 2) {  // a coin round on the primary
+      const BatchBernoulli& coin =
+          stage_ == kFallback ? coin_
+          : stage_ == kReduce ? reduce_sched_[static_cast<std::size_t>(step_)]
+                              : *knock_;
+      const std::int64_t tx =
+          PrimaryCoinRound(coin, ctx, alive, node_tx, mask_, fx);
+      KnockoutFinish(tx, mask_, finished);
+    } else if (step_ == 0) {  // IDReduction spread over [C'/2]
+      CRMC_CHECK_MSG(pairs_ < params_.id_reduction.max_pairs,
+                     "IDReduction exceeded max_pairs — probability of this "
+                     "is superpolynomially small; check parameters");
+      chan_scratch_.resize(m);
+      simd::UniformFill(*spread_, ctx.rng, alive, chan_scratch_);
+      lone_scratch_.resize(m);
+      const simd::Occupancy occ = simd::ClassifyChannels(
+          chan_scratch_, kPrimaryChannel, counts_, touched_, lone_scratch_);
+      for (std::size_t k = 0; k < m; ++k) {
+        const auto s = static_cast<std::size_t>(alive[k]);
+        ++node_tx[s];
+        chan_[s] = chan_scratch_[k];
+        renamed_[s] = lone_scratch_[k];
       }
-      case kReduce: {
-        const auto step = static_cast<std::size_t>(step_[s0]);
-        const std::int64_t tx = PrimaryCoinRound(reduce_sched_[step], ctx,
-                                                 alive, node_tx, mask_, fx);
-        if (KnockoutFinish(tx, mask_, finished)) return true;
-        const auto next = static_cast<std::int32_t>(step + 1);
-        if (static_cast<std::size_t>(next) == reduce_sched_.size()) {
-          for (std::size_t k = 0; k < m; ++k) {
-            const auto s = static_cast<std::size_t>(alive[k]);
-            stage_[s] = kIdr;  // survivor: IDReduction starts next round
-            step_[s] = 0;
-          }
-        } else {
-          for (std::size_t k = 0; k < m; ++k) {
-            step_[static_cast<std::size_t>(alive[k])] = next;
+      fx->transmissions += static_cast<std::int64_t>(m);
+      fx->lone_deliveries += occ.lone_channels;
+      fx->primary_lone_delivered = occ.primary_lone;
+    } else if (step_ == 1) {  // confirm on the primary channel
+      std::int64_t r = 0;
+      for (std::size_t k = 0; k < m; ++k) {
+        const auto s = static_cast<std::size_t>(alive[k]);
+        r += renamed_[s];
+        node_tx[s] += renamed_[s];
+      }
+      fx->transmissions += r;
+      if (r == 1) {
+        fx->lone_deliveries += 1;
+        fx->primary_lone_delivered = true;
+      }
+      if (r >= 1) {
+        for (std::size_t k = 0; k < m; ++k) {
+          const auto s = static_cast<std::size_t>(alive[k]);
+          if (renamed_[s]) {
+            EnterLeaf(s);  // kActive: elect over leaf = new ID
+          } else {
+            finished[k] = 1;  // someone renamed and we did not
           }
         }
-        return true;
       }
-      case kIdr:
-        switch (step_[s0]) {
-          case 0: {  // spread over [C'/2]
-            CRMC_CHECK_MSG(pairs_[s0] < params_.id_reduction.max_pairs,
-                           "IDReduction exceeded max_pairs — probability "
-                           "of this is superpolynomially small; check "
-                           "parameters");
-            chan_scratch_.resize(m);
-            simd::UniformFill(*spread_, ctx.rng, alive, chan_scratch_);
-            lone_scratch_.resize(m);
-            const simd::Occupancy occ =
-                simd::ClassifyChannels(chan_scratch_, kPrimaryChannel, counts_,
-                                       touched_, lone_scratch_);
-            for (std::size_t k = 0; k < m; ++k) {
-              const auto s = static_cast<std::size_t>(alive[k]);
-              ++node_tx[s];
-              chan_[s] = chan_scratch_[k];
-              renamed_[s] = lone_scratch_[k];
-              step_[s] = 1;
-            }
-            fx->transmissions += static_cast<std::int64_t>(m);
-            fx->lone_deliveries += occ.lone_channels;
-            fx->primary_lone_delivered = occ.primary_lone;
-            return true;
-          }
-          case 1: {  // confirm on the primary channel
-            std::int64_t r = 0;
-            for (std::size_t k = 0; k < m; ++k) {
-              const auto s = static_cast<std::size_t>(alive[k]);
-              r += renamed_[s];
-              node_tx[s] += renamed_[s];
-            }
-            fx->transmissions += r;
-            if (r == 1) {
-              fx->lone_deliveries += 1;
-              fx->primary_lone_delivered = true;
-            }
-            if (r >= 1) {
-              for (std::size_t k = 0; k < m; ++k) {
-                const auto s = static_cast<std::size_t>(alive[k]);
-                if (renamed_[s]) {
-                  stage_[s] = kLeaf;  // kActive: elect over leaf = new ID
-                  leaf_.Enter(s, chan_[s]);
-                } else {
-                  finished[k] = 1;  // someone renamed and we did not
-                }
-              }
-            } else {
-              for (std::size_t k = 0; k < m; ++k) {
-                step_[static_cast<std::size_t>(alive[k])] = 2;
-              }
-            }
-            return true;
-          }
-          default: {  // knockout with probability 1/k
-            const std::int64_t tx =
-                PrimaryCoinRound(*knock_, ctx, alive, node_tx, mask_, fx);
-            if (KnockoutFinish(tx, mask_, finished)) return true;
-            for (std::size_t k = 0; k < m; ++k) {
-              const auto s = static_cast<std::size_t>(alive[k]);
-              step_[s] = 0;
-              ++pairs_[s];
-            }
-            return true;
-          }
-        }
-      case kLeaf:
-      default:
-        return false;
     }
+    NextStep();
+    return true;
   }
 
   std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
 
  private:
-  enum Stage : std::uint8_t { kFallback, kReduce, kIdr, kLeaf };
+  enum Stage : std::uint8_t { kFallback, kReduce, kIdr };
+
+  // Moves the nodes outside LeafElection one step on, after a round in
+  // which each of them either finished or took that step.
+  void NextStep() {
+    if (stage_ == kReduce) {
+      if (static_cast<std::size_t>(++step_) == reduce_sched_.size()) {
+        stage_ = kIdr;  // survivors: IDReduction starts next round
+        step_ = 0;
+      }
+    } else if (stage_ == kIdr) {
+      if (step_ == 2) {
+        step_ = 0;
+        ++pairs_;
+      } else {
+        ++step_;
+      }
+    }
+  }
+
+  void EnterLeaf(std::size_t s) {
+    in_leaf_[s] = 1;
+    leaf_.Enter(s, chan_[s]);
+  }
 
   core::GeneralParams params_;
-  std::int32_t eff_ = 0;
-  bool fallback_ = false;
-  std::vector<BatchBernoulli> reduce_sched_;
+  ReduceSchedule reduce_sched_;
   std::optional<BatchUniformInt> spread_;
   std::optional<BatchBernoulli> knock_;
   BatchBernoulli coin_{0.5};
   LeafMachine leaf_;
 
-  std::vector<std::uint8_t> stage_;
-  std::vector<std::int32_t> step_;  // reduce schedule index / IDR cycle pos
+  // Shared by every node outside LeafElection.
+  Stage stage_ = kReduce;
+  std::int32_t step_ = 0;   // Reduce schedule index / IDR cycle position
+  std::int64_t pairs_ = 0;  // completed IDR spread/confirm/knock cycles
+  // Per node.
+  std::vector<std::uint8_t> in_leaf_;
   std::vector<std::int32_t> chan_;  // IDR spread channel (leaf label later)
   std::vector<std::uint8_t> renamed_;
-  std::vector<std::int64_t> pairs_;
   // FastRound scratch (see IdReductionProgram).
   std::vector<std::uint8_t> mask_;
   std::vector<std::int32_t> chan_scratch_;
@@ -1878,7 +1854,8 @@ class GeneralProgram final : public StepProgram {
 // twin keeps every lane fused end to end.
 class GeneralTrialProgram final : public TrialProgram {
  public:
-  explicit GeneralTrialProgram(core::GeneralParams params) : params_(params) {}
+  explicit GeneralTrialProgram(core::GeneralParams params)
+      : params_(params), reduce_sched_(params.reduce) {}
 
   std::string_view name() const override { return "general"; }
 
@@ -1889,7 +1866,7 @@ class GeneralTrialProgram final : public TrialProgram {
     in_leaf_.assign(static_cast<std::size_t>(lanes), 0);
     if (fallback_) return true;
     if (eff_ < 4) return false;  // per-trial Reset throws; fall back
-    reduce_sched_ = BuildReduceSchedule(ctx.population, params_.reduce);
+    reduce_sched_.Prepare(ctx.population);
     spread_.emplace(1, eff_ / 2);
     const double knock_k =
         std::max(2.0, std::sqrt(static_cast<double>(eff_)) /
@@ -2060,7 +2037,7 @@ class GeneralTrialProgram final : public TrialProgram {
   core::GeneralParams params_;
   std::int32_t eff_ = 0;
   bool fallback_ = false;
-  std::vector<BatchBernoulli> reduce_sched_;
+  ReduceSchedule reduce_sched_;
   std::optional<BatchUniformInt> spread_;
   std::optional<BatchBernoulli> knock_;
   BatchBernoulli coin_{0.5};

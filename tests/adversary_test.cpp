@@ -394,11 +394,13 @@ TEST(AdversaryEngine, PrimaryCamperHoldsTheSolveChannelWhileBudgetLasts) {
 // Drives an AdversaryRun by hand through a scripted activity pattern and
 // checks the wrapper-aware strategies' hold/strike decisions round by round.
 struct StrategyHarness {
-  explicit StrategyHarness(Kind kind) : resolver(4) {
+  explicit StrategyHarness(Kind kind, ObsMode obs = ObsMode::kFull)
+      : resolver(4) {
     AdversarySpec spec;
     spec.kind = kind;
     spec.budget = 1000;
     spec.per_round_cap = 3;
+    spec.obs = obs;
     run = AdversaryRun(spec, /*run_seed=*/0xC0FFEE);
   }
 
@@ -514,6 +516,40 @@ TEST(AdversaryStrategies, ProbingFightsLonePrimaryClaimsUntilSilence) {
   // The claim goes quiet; the fight ends but the linger still camps the
   // primary in case the winner re-emerges.
   EXPECT_EQ(h.Step(kSilent), std::vector<mac::ChannelId>{1});
+}
+
+// Activity-only eavesdropping censors transmitter counts, so every sighting
+// of the primary channel reads as a lone claim. Under 40 rounds of 2-way
+// primary collisions, full observation calibrates once (a 24-jam strike
+// plus the 6-jam linger) and then holds; activity observation instead
+// fights every round it has seen, all but the blind opening round.
+TEST(AdversaryStrategies, ProbingUnderActivityObservationFightsPrimarySightings) {
+  const std::vector<Action> kCollision{Action::Transmit(1),
+                                       Action::Transmit(1)};
+  StrategyHarness full(Kind::kProbing);
+  StrategyHarness activity(Kind::kProbing, ObsMode::kActivity);
+  int full_jammed = 0;
+  int activity_jammed = 0;
+  int full_last_jam = -1;
+  for (int i = 0; i < 40; ++i) {
+    const auto full_jams = full.Step(kCollision);
+    const auto activity_jams = activity.Step(kCollision);
+    if (!full_jams.empty()) {
+      ++full_jammed;
+      full_last_jam = i;
+      EXPECT_EQ(full_jams, std::vector<mac::ChannelId>{1}) << "round " << i;
+    }
+    if (!activity_jams.empty()) {
+      ++activity_jammed;
+      EXPECT_EQ(activity_jams, std::vector<mac::ChannelId>{1})
+          << "round " << i;
+    }
+  }
+  EXPECT_EQ(full.run.ledger().spent(), 30);
+  EXPECT_EQ(full_jammed, 30);
+  EXPECT_EQ(full_last_jam, 30);  // rounds 1-30, then a hold to the end
+  EXPECT_EQ(activity.run.ledger().spent(), 39);
+  EXPECT_EQ(activity_jammed, 39);
 }
 
 TEST(AdversaryStrategies, HoldAccountingCountsAllowanceRoundsWithoutJams) {

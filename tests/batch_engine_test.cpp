@@ -648,6 +648,105 @@ TEST(BatchEngine, ScratchReuseAcrossShapes) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Reused programs against fresh instances. The general program and the
+// LeafElection machine size their per-node columns on Reset without
+// clearing them: a node's IDReduction and LeafElection values are set when
+// it reaches that stage. So a reused instance must never read a value that
+// an earlier run left behind. Every run of a reused program must match a
+// fresh instance on a fresh engine, field by field.
+// ---------------------------------------------------------------------------
+
+void ExpectSameBatchResult(const RunResult& fresh, const RunResult& reused,
+                           std::uint64_t seed) {
+  ExpectSameResult(fresh, reused, seed);
+  EXPECT_EQ(fresh.fused_rounds, reused.fused_rounds) << "seed=" << seed;
+  EXPECT_EQ(fresh.adv_jams_spent, reused.adv_jams_spent) << "seed=" << seed;
+  EXPECT_EQ(fresh.adv_jams_effective, reused.adv_jams_effective)
+      << "seed=" << seed;
+}
+
+TEST(BatchEngineReuse, GeneralProgramMatchesFreshInstances) {
+  struct Leg {
+    std::int64_t population;
+    std::int32_t num_active;
+    std::int32_t channels;
+    std::uint64_t first_seed;
+    int seeds;
+    bool jammed;  // one scripted jam in round 1: materialized from there
+  };
+  // |A| 4096 -> 64 -> 4096, then a leaf-heavy small-C point, then the same
+  // shapes on new seeds, jammed and pristine.
+  const Leg legs[] = {
+      {1 << 20, 4096, 256, 1, 40, false},
+      {65536, 64, 64, 1, 300, false},
+      {1 << 20, 4096, 256, 41, 40, false},
+      {16, 16, 16, 1, 400, false},
+      {65536, 64, 64, 5001, 300, true},
+      {16, 16, 16, 9001, 400, true},
+      {1 << 20, 4096, 256, 81, 40, true},
+      {16, 16, 16, 20001, 400, false},
+  };
+  for (const support::RngKind kind :
+       {support::RngKind::kXoshiro, support::RngKind::kPhilox}) {
+    auto reused = MakeGeneralProgram();
+    BatchEngine engine;
+    for (const Leg& leg : legs) {
+      EngineConfig config;
+      config.population = leg.population;
+      config.num_active = leg.num_active;
+      config.channels = leg.channels;
+      config.rng = kind;
+      if (leg.jammed) {
+        config.adversary.kind = adversary::Kind::kScripted;
+        config.adversary.budget = 1;
+        config.adversary.script.push_back({1, 2});
+      }
+      // On a pristine run FastRound declines exactly the LeafElection
+      // rounds, so these count the rounds the leg spent there.
+      std::int64_t leaf_rounds = 0;
+      for (int t = 0; t < leg.seeds; ++t) {
+        config.seed = leg.first_seed + static_cast<std::uint64_t>(t);
+        const RunResult got = engine.Run(config, *reused);
+        const auto fresh = MakeGeneralProgram();
+        const RunResult want = BatchEngine::RunOnce(config, *fresh);
+        ExpectSameBatchResult(want, got, config.seed);
+        if (::testing::Test::HasFailure()) return;
+        if (!leg.jammed) leaf_rounds += got.rounds_executed - got.fused_rounds;
+      }
+      if (!leg.jammed) {
+        EXPECT_GT(leaf_rounds, 0) << "|A|=" << leg.num_active;
+      }
+    }
+  }
+}
+
+TEST(BatchEngineReuse, LeafElectionProgramMatchesFreshInstances) {
+  constexpr std::int32_t kNumLeaves = 16;
+  support::RandomSource leaf_rng(515151);
+  for (int rep = 0; rep < 40; ++rep) {
+    const auto k = static_cast<std::int32_t>(leaf_rng.UniformInt(2, 12));
+    const std::vector<std::int64_t> sampled =
+        support::SampleWithoutReplacement(kNumLeaves, k, leaf_rng);
+    const std::vector<std::int32_t> leaves(sampled.begin(), sampled.end());
+    const auto reused = MakeLeafElectionProgram(leaves, kNumLeaves);
+    BatchEngine engine;
+    std::uint64_t seed = 3000 + 10 * static_cast<std::uint64_t>(rep);
+    for (const std::int32_t channels : {2 * kNumLeaves - 1, 64, 256, 31}) {
+      EngineConfig config;
+      config.population = 1024;
+      config.num_active = k;
+      config.channels = channels;
+      config.seed = seed++;
+      const RunResult got = engine.Run(config, *reused);
+      const auto fresh = MakeLeafElectionProgram(leaves, kNumLeaves);
+      const RunResult want = BatchEngine::RunOnce(config, *fresh);
+      ExpectSameBatchResult(want, got, config.seed);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 TEST(BatchEngine, RejectsBadConfig) {
   auto program = MakeGeneralProgram();
   BatchEngine engine;

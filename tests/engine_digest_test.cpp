@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/general.h"
 #include "harness/registry.h"
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
@@ -230,6 +231,68 @@ EngineConfig GeneralLookaheadConfig() {
   return config;
 }
 
+// The sweep_general_large shape against two scripted jams per run, each on
+// one of channels 1-8: the first lands mid-Reduce (Reduce spans rounds 0-9
+// at n = 2^20) and drops the run off the fused path, so the rest of Reduce
+// and all of IDReduction run as materialized per-node rounds; the second
+// lands in IDReduction's first cycle, where it can spoil a rename. A
+// primary-channel jam knocks listeners out; a jam elsewhere only perturbs.
+EngineConfig GeneralJammedConfig(RngKind kind, std::uint64_t seed) {
+  EngineConfig config = BaseConfig();
+  config.population = std::int64_t{1} << 20;
+  config.num_active = 4096;
+  config.channels = 256;
+  config.rng = kind;
+  config.seed = seed;
+  config.adversary.kind = adversary::Kind::kScripted;
+  config.adversary.budget = 2;
+  config.adversary.script = {
+      {static_cast<std::int64_t>(1 + seed % 9),
+       static_cast<mac::ChannelId>(1 + seed * 7 % 8)},
+      {static_cast<std::int64_t>(10 + seed % 3),
+       static_cast<mac::ChannelId>(1 + seed * 5 % 8)}};
+  return config;
+}
+
+// Rounds the jammed runs spent in each regime, summed over the seeds.
+struct JammedCoverage {
+  std::int64_t materialized_pre_leaf = 0;  // unfused Reduce/IDR rounds
+  std::int64_t leaf_rounds = 0;            // rounds in LeafElection
+  std::int64_t leaf_runs = 0;              // runs with >= 2 leaf entrants
+};
+
+std::uint64_t GeneralJammedDigest(RngKind kind, std::uint64_t seeds,
+                                  JammedCoverage* coverage = nullptr) {
+  const auto program = ProgramFor("general");
+  // The coroutine twin, recording LeafElection's per-phase stats: a run
+  // entered LeafElection with two or more nodes iff a cohort master
+  // recorded a phase, and it did so in the round after the last
+  // rename_done mark (every IDReduction node exits by then).
+  core::GeneralParams params;
+  params.leaf_election.record_phase_stats = true;
+  const ProtocolFactory coroutine = core::MakeGeneral(params);
+  BatchEngine engine;
+  Digest d;
+  JammedCoverage cov;
+  for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+    const EngineConfig config = GeneralJammedConfig(kind, seed);
+    const RunResult r = engine.Run(config, *program);
+    AddRun(r, d);
+    d.Add(r.adv_jams_spent);
+    d.Add(r.adv_jams_effective);
+    if (coverage == nullptr) continue;
+    const RunResult coro = Engine::Run(config, coroutine);
+    const bool leaf = !coro.MetricValues("le_csize").empty();
+    const std::int64_t leaf_start =
+        leaf ? coro.LastPhaseMark("rename_done") : r.rounds_executed;
+    cov.materialized_pre_leaf += leaf_start - r.fused_rounds;
+    cov.leaf_rounds += r.rounds_executed - leaf_start;
+    cov.leaf_runs += leaf ? 1 : 0;
+  }
+  if (coverage != nullptr) *coverage = cov;
+  return d.value();
+}
+
 TEST(EngineDigest, SweepGeneralLargeXoshiro) {
   for (const simd::Backend backend : AvailableBackends()) {
     ScopedBackend forced(backend);
@@ -309,6 +372,25 @@ TEST(EngineDigest, GeneralLookaheadHardened) {
         << simd::ToString(backend);
     EXPECT_GT(cov.confirm_rounds, 0);
     EXPECT_GT(cov.obfuscation_rounds, 0);
+  }
+}
+
+TEST(EngineDigest, GeneralJammedReachesLeafElection) {
+  for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
+    SCOPED_TRACE(support::ToString(kind));
+    const std::uint64_t want = kind == RngKind::kXoshiro
+                                   ? 0xe97160f2c4973d44ULL
+                                   : 0x5b3a630964745fb8ULL;
+    JammedCoverage cov;
+    EXPECT_EQ(GeneralJammedDigest(kind, 300, &cov), want);
+    EXPECT_GT(cov.materialized_pre_leaf, 0);
+    EXPECT_GT(cov.leaf_rounds, 0);
+    EXPECT_GT(cov.leaf_runs, 0);
+    for (const simd::Backend backend : AvailableBackends()) {
+      ScopedBackend forced(backend);
+      EXPECT_EQ(GeneralJammedDigest(kind, 300), want)
+          << simd::ToString(backend);
+    }
   }
 }
 
