@@ -214,6 +214,18 @@ EngineConfig RobustFaultyConfig() {
   return config;
 }
 
+// The robust probing shape against random_budgeted (budget 4096, cap 4)
+// under `policy` with per-node streams of `kind`: every round jams up to
+// four fresh random channels, so an echo train or chaff burst repeats one
+// action array under jam sets of equal size and new content.
+EngineConfig RobustRandomConfig(robust::PolicyKind policy, RngKind kind) {
+  EngineConfig config = RobustProbingConfig(policy);
+  config.rng = kind;
+  config.adversary.kind = adversary::Kind::kRandomBudgeted;
+  config.adversary.per_round_cap = 4;
+  return config;
+}
+
 // general, n = 65536, |A| = 64, C = 64, against the lookahead adversary
 // under the hardened wrapper: echoes over more than two live nodes, and
 // chaff bursts.
@@ -360,6 +372,37 @@ TEST(EngineDigest, RobustProbingHardenedFaulty) {
     EXPECT_GT(cov.confirm_rounds, 0);
     EXPECT_GT(cov.obfuscation_rounds, 0);
     EXPECT_GT(cov.faults_injected, 0);
+  }
+}
+
+TEST(EngineDigest, RobustRandomBudgetedRepeats) {
+  using robust::PolicyKind;
+  struct Case {
+    PolicyKind policy;
+    RngKind kind;
+    std::uint64_t want;
+  };
+  const Case cases[] = {
+      {PolicyKind::kAdaptive, RngKind::kXoshiro, 0x47e59114e83309d1ULL},
+      {PolicyKind::kAdaptive, RngKind::kPhilox, 0x64a61f7b7e45e586ULL},
+      {PolicyKind::kHardened, RngKind::kXoshiro, 0x96d4b6a4e5c68538ULL},
+      {PolicyKind::kHardened, RngKind::kPhilox, 0x3e9ab3911c6062caULL},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(robust::ToString(c.policy)) + "/" +
+                 support::ToString(c.kind));
+    for (const simd::Backend backend : AvailableBackends()) {
+      ScopedBackend forced(backend);
+      RobustCoverage cov;
+      EXPECT_EQ(RobustDigest(RobustRandomConfig(c.policy, c.kind),
+                             "two_active", 1000, &cov),
+                c.want)
+          << simd::ToString(backend);
+      EXPECT_GT(cov.confirm_rounds, 0);
+      if (c.policy == PolicyKind::kHardened) {
+        EXPECT_GT(cov.obfuscation_rounds, 0);
+      }
+    }
   }
 }
 
