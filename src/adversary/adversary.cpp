@@ -21,6 +21,7 @@ std::uint64_t AdvMasterSeed(std::uint64_t run_seed, std::uint64_t adv_seed) {
 class PrimaryCamper final : public Adversary {
  public:
   const char* name() const override { return "primary_camper"; }
+  void Reset(const AdversarySpec&) override {}
   void PlanJams(const PlanContext&,
                 std::vector<mac::ChannelId>& out) override {
     out.push_back(mac::kPrimaryChannel);
@@ -31,6 +32,7 @@ class GreedyReactive final : public Adversary {
  public:
   const char* name() const override { return "greedy_reactive"; }
   bool needs_observation() const override { return true; }
+  void Reset(const AdversarySpec&) override {}
 
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
@@ -87,6 +89,7 @@ class GreedyReactive final : public Adversary {
 class RandomBudgeted final : public Adversary {
  public:
   const char* name() const override { return "random_budgeted"; }
+  void Reset(const AdversarySpec&) override {}
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
     // SampleWithoutReplacement returns distinct 1-based values — exactly
@@ -163,6 +166,7 @@ class PhaseTracking final : public Adversary {
  public:
   const char* name() const override { return "phase_tracking"; }
   bool needs_observation() const override { return true; }
+  void Reset(const AdversarySpec&) override {}
 
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
@@ -199,6 +203,7 @@ class Lookahead final : public Adversary {
  public:
   const char* name() const override { return "lookahead"; }
   bool needs_observation() const override { return true; }
+  void Reset(const AdversarySpec&) override { silence_streak_ = 0; }
 
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
@@ -248,6 +253,11 @@ class Learning final : public Adversary {
 
   const char* name() const override { return "learning"; }
   bool needs_observation() const override { return true; }
+  void Reset(const AdversarySpec&) override {
+    silence_streak_ = 0;
+    longest_gap_ = 0;
+    isolated_silences_ = 0;
+  }
 
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
@@ -356,6 +366,10 @@ class Probing final : public Adversary {
 
   const char* name() const override { return "probing"; }
   bool needs_observation() const override { return true; }
+  // No scratch to keep: a fresh value is the freshly built state.
+  void Reset(const AdversarySpec& spec) override {
+    *this = Probing(spec.probe_budget);
+  }
 
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
@@ -486,16 +500,12 @@ class Probing final : public Adversary {
 
 class ScriptedAdversary final : public Adversary {
  public:
-  explicit ScriptedAdversary(std::vector<ScriptEntry> script)
-      : script_(std::move(script)) {
-    // Stable sort: entries for the same round keep their authored order.
-    std::stable_sort(script_.begin(), script_.end(),
-                     [](const ScriptEntry& a, const ScriptEntry& b) {
-                       return a.round < b.round;
-                     });
+  explicit ScriptedAdversary(const std::vector<ScriptEntry>& script) {
+    Load(script);
   }
 
   const char* name() const override { return "scripted"; }
+  void Reset(const AdversarySpec& spec) override { Load(spec.script); }
 
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
@@ -515,6 +525,16 @@ class ScriptedAdversary final : public Adversary {
   }
 
  private:
+  void Load(const std::vector<ScriptEntry>& script) {
+    script_.assign(script.begin(), script.end());
+    // Stable sort: entries for the same round keep their authored order.
+    std::stable_sort(script_.begin(), script_.end(),
+                     [](const ScriptEntry& a, const ScriptEntry& b) {
+                       return a.round < b.round;
+                     });
+    cursor_ = 0;
+  }
+
   std::vector<ScriptEntry> script_;
   std::size_t cursor_ = 0;
 };
@@ -625,9 +645,26 @@ std::unique_ptr<Adversary> MakeAdversary(const AdversarySpec& spec) {
   return nullptr;
 }
 
-AdversaryRun::AdversaryRun(const AdversarySpec& spec, std::uint64_t run_seed)
-    : strategy_(MakeAdversary(spec)), obs_(spec.obs) {
-  if (strategy_ == nullptr) return;
+AdversaryRun::AdversaryRun(const AdversarySpec& spec, std::uint64_t run_seed) {
+  Reset(spec, run_seed);
+}
+
+void AdversaryRun::Reset(const AdversarySpec& spec, std::uint64_t run_seed) {
+  active_ = spec.Budgeted();
+  needs_observation_ = false;
+  ledger_ = BudgetLedger();
+  last_obs_.Clear();
+  jams_.clear();
+  rounds_held_ = 0;
+  if (!active_) return;
+  if (strategy_ != nullptr && kind_ == spec.kind) {
+    strategy_->Reset(spec);
+  } else {
+    strategy_ = MakeAdversary(spec);
+    kind_ = spec.kind;
+  }
+  needs_observation_ = strategy_->needs_observation();
+  obs_ = spec.obs;
   ledger_ = BudgetLedger(spec.budget, spec.per_round_cap);
   rng_ = support::RandomSource::ForStream(
       AdvMasterSeed(run_seed, spec.adv_seed), kPlanStream);
@@ -636,7 +673,7 @@ AdversaryRun::AdversaryRun(const AdversarySpec& spec, std::uint64_t run_seed)
 std::span<const mac::ChannelId> AdversaryRun::PlanRound(
     std::int64_t round, std::int32_t channels) {
   jams_.clear();
-  if (strategy_ == nullptr) return {};
+  if (!active_) return {};
   const std::int32_t allowance = ledger_.RoundAllowance(channels);
   if (allowance <= 0) return {};
   PlanContext ctx;
@@ -669,9 +706,10 @@ std::span<const mac::ChannelId> AdversaryRun::PlanRound(
 }
 
 void AdversaryRun::ObserveRound(const mac::Resolver& resolver,
-                                std::int64_t round) {
-  if (!needs_observation()) return;
+                                std::int64_t round, bool repeat) {
+  if (!needs_observation_) return;
   last_obs_.round = round;
+  if (repeat) return;  // same activity, so the same sightings
   last_obs_.sightings.clear();
   for (const mac::ChannelId ch : resolver.touched_channels()) {
     const std::int32_t tx = resolver.ActivityOf(ch).transmitters;

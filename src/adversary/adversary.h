@@ -10,10 +10,11 @@
 //   - An Adversary strategy plans, each round, which channels to jam given
 //     last round's RoundObservation (observation.h) and the round allowance
 //     its BudgetLedger (budget.h) grants.
-//   - AdversaryRun is the per-run driver the round loop owns: it derives a
-//     dedicated RNG stream (independent of protocol and fault streams),
-//     enforces the budget/cap/validity contract on whatever the strategy
-//     returns, and records observations after each resolved round.
+//   - AdversaryRun is the driver the round loop owns, one per engine and
+//     reset in place for every run: it derives a dedicated RNG stream
+//     (independent of protocol and fault streams), enforces the budget/
+//     cap/validity contract on whatever the strategy returns, and records
+//     observations after each resolved round.
 //
 // Determinism contract: the planned jam set for round R is a pure function
 // of (engine seed, adv_seed, strategy, observations of rounds < R). The one
@@ -142,31 +143,40 @@ class Adversary {
   virtual bool needs_observation() const { return false; }
   virtual void PlanJams(const PlanContext& ctx,
                         std::vector<mac::ChannelId>& out) = 0;
+  // Returns the strategy to the state MakeAdversary(spec) builds, for a
+  // `spec` of its own kind, keeping the capacity of its scratch buffers.
+  virtual void Reset(const AdversarySpec& spec) = 0;
 };
 
 // Builds the strategy for `spec.kind`. Returns nullptr for kNone and
 // kObliviousRate (not driver-backed; see Kind). `spec` must validate.
 std::unique_ptr<Adversary> MakeAdversary(const AdversarySpec& spec);
 
-// The per-run driver. The round loop constructs one per run, calls
-// PlanRound before resolving each round and ObserveRound after, and feeds
-// the returned jam span to mac::Resolver::Resolve (or Tally, or Retally).
+// The driver of one run at a time. The round loop keeps one per engine and
+// resets it for every run, calls PlanRound before resolving each round and
+// ObserveRound after, and feeds the returned jam span to
+// mac::Resolver::Resolve (or Tally, or Retally).
 class AdversaryRun {
  public:
   // Inactive driver: PlanRound always returns an empty span.
   AdversaryRun() = default;
 
-  // Active iff spec.Budgeted(). The dedicated RNG stream is derived from
-  // (run_seed, spec.adv_seed) and is always xoshiro-backed, like the fault
-  // streams: the adversary draws O(cap) values per round, so counter-based
-  // batching buys nothing, and this keeps schedules identical across
-  // EngineConfig::rng kinds.
+  // Same as a default driver followed by Reset(spec, run_seed).
   AdversaryRun(const AdversarySpec& spec, std::uint64_t run_seed);
 
-  bool active() const { return strategy_ != nullptr; }
-  bool needs_observation() const {
-    return active() && strategy_->needs_observation();
-  }
+  // Starts a run of `spec`: active iff spec.Budgeted(), with a full
+  // ledger, no observation and no holds. The dedicated RNG stream is
+  // derived from (run_seed, spec.adv_seed) and is always xoshiro-backed,
+  // like the fault streams: the adversary draws O(cap) values per round,
+  // so counter-based batching buys nothing, and this keeps schedules
+  // identical across EngineConfig::rng kinds. A strategy of the same kind
+  // as the previous run's is reset in place (Adversary::Reset), so a
+  // warmed driver allocates nothing; another kind is built anew.
+  void Reset(const AdversarySpec& spec, std::uint64_t run_seed);
+
+  bool active() const { return active_; }
+  // Cached at Reset: the round loop asks every round.
+  bool needs_observation() const { return needs_observation_; }
 
   // Plans round `round`'s jam set: asks the strategy (if the allowance is
   // nonzero), enforces size/range/distinctness, charges the ledger. The
@@ -179,7 +189,11 @@ class AdversaryRun {
   // counts censored under ObsMode::kActivity). No-op unless the strategy
   // needs observations. It reads only the resolver's channel activity, so
   // a tallied or re-judged round is observed exactly like a resolved one.
-  void ObserveRound(const mac::Resolver& resolver, std::int64_t round);
+  // `repeat` says the round was re-judged (mac::Resolver::Retally) right
+  // after the round this driver observed last: the activity, and so the
+  // sightings, are unchanged, and only the observation's round is stamped.
+  void ObserveRound(const mac::Resolver& resolver, std::int64_t round,
+                    bool repeat = false);
 
   const BudgetLedger& ledger() const { return ledger_; }
 
@@ -189,7 +203,11 @@ class AdversaryRun {
   std::int64_t rounds_held() const { return rounds_held_; }
 
  private:
+  // Kept across runs, also inactive ones, for the next run of its kind.
   std::unique_ptr<Adversary> strategy_;
+  Kind kind_ = Kind::kNone;  // strategy_'s kind
+  bool active_ = false;
+  bool needs_observation_ = false;
   BudgetLedger ledger_;
   support::RandomSource rng_;
   RoundObservation last_obs_;

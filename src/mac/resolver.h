@@ -86,12 +86,20 @@ class Resolver {
   // Judges the most recent round's channel activity again under a new jam
   // set and fresh fault draws, without re-reading its actions: for a round
   // loop that repeats one action array round after round (the robust
-  // layer's echo trains and chaff bursts). Contract: bit-identical to
-  // Tally on the actions of the most recent Resolve or Tally call — the
-  // same summary, ActivityOf and touched_channels(), and the same draws
-  // from every fault stream, one CD flip per non-idle action included — so
-  // it serves rounds with an active injector too. It clears the previous
-  // round's fault marks exactly as Tally does.
+  // layer's echo trains, chaff bursts and backoff pauses). Contract:
+  // bit-identical to Tally on the actions of the most recent Resolve or
+  // Tally call — the same summary, ActivityOf and touched_channels(), and
+  // the same draws from every fault stream, one CD flip per non-idle
+  // action included — so it serves rounds with an active injector too. It
+  // clears the previous round's fault marks exactly as Tally does.
+  //
+  // Without an active injector a judgement is a pure function of the
+  // activity and the jam list, so Tally and Retally keep their summary.
+  // When no injector is active, neither now nor at the kept judgement, no
+  // Resolve came in between, and `adversary_jams` equals the previous
+  // list element by element, Retally returns the kept summary and leaves
+  // the marks as they are. An echo train jammed on the same channel every
+  // round then costs a compare per echo.
   RoundSummary Retally(FaultInjector* faults = nullptr,
                        std::span<const ChannelId> adversary_jams = {});
 
@@ -115,7 +123,8 @@ class Resolver {
   // previous fault marks, applies the adversary's jams and the oblivious
   // jam/erasure draws in first-touched order, counts lone deliveries, and
   // makes the CD-flip draws — writing `feedback` iff kWriteFeedback.
-  // Retally is Judge alone.
+  // Retally is Judge alone, or nothing when the kept judgement still
+  // holds.
   void Accumulate(std::span<const Action> actions);
   template <bool kWriteFeedback>
   RoundSummary Judge(std::span<const Action> actions,
@@ -133,6 +142,12 @@ class Resolver {
   std::vector<ChannelId> fault_marked_;
   // The accumulated half of the most recent round's summary.
   RoundSummary counts_;
+  // The summary of the latest Tally or Retally, and whether it was judged
+  // without an active injector (so fault_marked_ is its jam list and
+  // nothing else). Resolve clears the flag: the kept summary no longer
+  // describes the current activity.
+  RoundSummary judged_;
+  bool judged_clean_ = false;
 };
 
 }  // namespace crmc::mac

@@ -88,7 +88,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   mac::FaultInjector injector(EffectiveFaultSpec(config), config.seed);
   mac::FaultInjector* const fault_ptr =
       injector.active() ? &injector : nullptr;
-  adversary::AdversaryRun adversary(config.adversary, config.seed);
+  adversary_.Reset(config.adversary, config.seed);
   std::int64_t round = 0;
   std::int64_t stall_streak = 0;
   bool aborted = false;
@@ -106,7 +106,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   const bool fast_rounds = fused_rounds_enabled_ && !injector.active() &&
                            config.cd_model == mac::CdModel::kStrong &&
                            !config.record_trace &&
-                           !adversary.needs_observation() &&
+                           !adversary_.needs_observation() &&
                            !config.robust.enabled;
   // FastRound also leans on lockstep invariants ("survivors share bounds
   // and phase") that a single jam can split. A materialized jam drops the
@@ -145,22 +145,27 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   // feedback. Callers charge node_tx_ for the fabricated transmissions.
   // Every echo of an exchange, every dummy of a chaff burst and every round
   // of a pause repeats the previous round's actions, so only the first is
-  // tallied; each `repeat` round re-judges the same channel activity under
+  // tallied. Each `repeat` round re-judges the same channel activity under
   // its own jam set and fault draws (Resolver::Retally, bit-identical to a
-  // tally). Returns the round summary so the call sites can feed the
-  // adaptive policy and the echo/chaff/backoff spend breakdown.
+  // tally), which with no active injector and the previous round's jam
+  // list returns the kept judgement outright; the adversary still plans
+  // it, but only re-stamps its observation, since the sightings cannot
+  // change. An echo train the jammer meets on one channel then costs the
+  // plan, the ledger and the epoch driver's bookkeeping. Returns the round
+  // summary so the call sites can feed the adaptive policy and the echo/
+  // chaff/backoff spend breakdown.
   const auto fabricated_round = [&](std::span<const mac::Action> fab,
                                     bool repeat) -> mac::RoundSummary {
     if (config.record_active_counts) {
       result.active_counts.push_back(static_cast<std::int64_t>(alive_.size()));
     }
     const std::span<const mac::ChannelId> adv_jams =
-        adversary.PlanRound(round, config.channels);
+        adversary_.PlanRound(round, config.channels);
     adv_perturbed = adv_perturbed || !adv_jams.empty();
     const mac::RoundSummary summary =
         repeat ? resolver_->Retally(fault_ptr, adv_jams)
                : resolver_->Tally(fab, fault_ptr, adv_jams);
-    adversary.ObserveRound(*resolver_, round);
+    adversary_.ObserveRound(*resolver_, round, repeat);
     account_round(summary);
     return summary;
   };
@@ -233,7 +238,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       // observation recorded after the previous Resolve): jamming is a bet
       // on where activity will land, never a reaction to it.
       const std::span<const mac::ChannelId> adv_jams =
-          adversary.PlanRound(round, config.channels);
+          adversary_.PlanRound(round, config.channels);
       adv_perturbed = adv_perturbed || !adv_jams.empty();
       if (fast_rounds && adv_perturbed && adv_jams.empty() &&
           program.LockstepRestored(ctx, alive_)) {
@@ -275,7 +280,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       // makes this O(m), independent of num_active and C.
       const mac::RoundSummary summary =
           resolver_->Resolve(actions_, feedback_, fault_ptr, adv_jams);
-      adversary.ObserveRound(*resolver_, round);
+      adversary_.ObserveRound(*resolver_, round);
       account_round(summary);
       epochs.CountRound();
       // Hardened jam credit: a jammed protocol round is adversary-bought
@@ -365,7 +370,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       try {
         program.Advance(ctx, alive_, actions_, feedback_, finished_);
       } catch (const support::ProtocolAssumptionViolation&) {
-        if (!injector.active() && !adversary.active()) throw;
+        if (!injector.active() && !adversary_.active()) throw;
         if (epochs.CanRetry()) {
           epoch_failed = true;
           break;
@@ -428,7 +433,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   FinishRun(config, round, stall_streak,
             !aborted && !out_of_rounds && alive_.empty() && fc.crashes == 0,
             timed_out, node_tx_, result);
-  result.adv_rounds_held = adversary.rounds_held();
+  result.adv_rounds_held = adversary_.rounds_held();
   if (epochs.enabled()) {
     result.epochs_used = epochs.epoch() + 1;
     result.retries = epochs.epoch();

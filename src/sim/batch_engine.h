@@ -13,8 +13,9 @@
 // on the primary channel and that transmission is delivered (Section 3;
 // not jammed or erased), whether or not the protocol knows it.
 //
-// The instance owns all scratch and reuses it across Run calls, so a sweep
-// is allocation-free after its first trial of a given shape. One instance
+// The instance owns all scratch, the adversary driver included, and reuses
+// it across Run calls, so a sweep is allocation-free after its first trial
+// of a given shape. One instance
 // per thread; Run is not reentrant. node_reports stays empty (Engine::Run
 // appends them) and no node IDs are sampled: columnar programs are
 // anonymous, and the ID stream is separate, so skipping it moves no draw.
@@ -25,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "adversary/adversary.h"
 #include "mac/resolver.h"
 #include "sim/engine.h"
 #include "sim/step_program.h"
@@ -74,6 +76,8 @@ class BatchEngine {
 
  private:
   std::optional<mac::Resolver> resolver_;
+  // Reset for every run; keeps its strategy and buffers across runs.
+  adversary::AdversaryRun adversary_;
   support::StreamPlane rng_;  // one stream per node, reseeded per epoch
   std::vector<NodeId> alive_;
   std::vector<mac::Action> actions_;

@@ -564,6 +564,156 @@ TEST(AdversaryStrategies, HoldAccountingCountsAllowanceRoundsWithoutJams) {
   EXPECT_EQ(camper.adv_rounds_held, 0);
 }
 
+// --- the driver's repeat path and in-place reset ---------------------------
+
+const Kind kAllKinds[] = {
+    Kind::kNone,          Kind::kObliviousRate, Kind::kPrimaryCamper,
+    Kind::kGreedyReactive, Kind::kRandomBudgeted, Kind::kScripted,
+    Kind::kPhaseTracking, Kind::kLookahead,     Kind::kLearning,
+    Kind::kProbing};
+
+// A budgeted spec of `kind` on four channels; the script, the probe budget
+// and the observation mode vary with `variant`.
+AdversarySpec DriverSpec(Kind kind, int variant) {
+  AdversarySpec spec;
+  spec.kind = kind;
+  spec.obs = variant % 2 == 0 ? ObsMode::kFull : ObsMode::kActivity;
+  spec.adv_seed = static_cast<std::uint64_t>(variant);
+  if (!spec.Budgeted()) return spec;
+  spec.budget = 200 + 40 * variant;
+  spec.per_round_cap = 1 + variant % 3;
+  if (kind == Kind::kProbing) spec.probe_budget = 3 + variant;
+  if (kind == Kind::kScripted) {
+    for (std::int64_t round = variant; round < 300; round += 3 + variant) {
+      spec.script.push_back(
+          {round, static_cast<mac::ChannelId>(1 + round % 4)});
+    }
+  }
+  return spec;
+}
+
+// One of the activity patterns a robust run repeats: silence, a lone
+// primary claim (an echo), a primary collision (chaff), side-channel play,
+// a dense primary.
+std::vector<Action> PatternActions(std::int64_t pattern) {
+  switch (pattern) {
+    case 0:
+      return {Action::Listen(1), Action::Listen(1)};
+    case 1:
+      return {Action::Transmit(1, Message{7}), Action::Listen(1)};
+    case 2:
+      return {Action::Transmit(1), Action::Transmit(1), Action::Listen(1)};
+    case 3:
+      return {Action::Transmit(2, Message{2}), Action::Transmit(3),
+              Action::Transmit(3), Action::Listen(4)};
+    default:
+      return {Action::Transmit(1), Action::Transmit(1), Action::Transmit(1),
+              Action::Transmit(4, Message{4})};
+  }
+}
+
+// A round that repeats the previous round's actions changes no sighting, so
+// the driver only re-stamps its observation. Two drivers see the same
+// activity in long repeated trains; one observes every round in full, the
+// other takes the repeat path on every round after a train's first (its
+// resolver re-judges those rounds, as the round loop does). Their jam
+// plans, holds and spend must match round for round, for every kind.
+TEST(AdversaryRun, RepeatObservationMatchesFullObservation) {
+  for (const Kind kind : kAllKinds) {
+    for (int variant = 0; variant < 4; ++variant) {
+      SCOPED_TRACE(::testing::Message() << adversary::ToString(kind)
+                                        << " variant " << variant);
+      const AdversarySpec spec = DriverSpec(kind, variant);
+      AdversaryRun full(spec, /*run_seed=*/0xFEED + variant);
+      AdversaryRun repeated(spec, /*run_seed=*/0xFEED + variant);
+      ASSERT_EQ(full.needs_observation(), repeated.needs_observation());
+      Resolver full_resolver(4);
+      Resolver repeat_resolver(4);
+      support::RandomSource meta(0x7EA1 + variant);
+      std::int64_t round = 0;
+      while (round < 400) {
+        const std::vector<Action> actions =
+            PatternActions(meta.UniformInt(0, 4));
+        const std::int64_t train = meta.UniformInt(1, 24);
+        for (std::int64_t rep = 0; rep < train; ++rep, ++round) {
+          const auto full_jams = full.PlanRound(round, 4);
+          const std::vector<mac::ChannelId> want(full_jams.begin(),
+                                                 full_jams.end());
+          const auto repeat_jams = repeated.PlanRound(round, 4);
+          const std::vector<mac::ChannelId> got(repeat_jams.begin(),
+                                                repeat_jams.end());
+          ASSERT_EQ(got, want) << "round " << round;
+          full_resolver.Tally(actions, nullptr, want);
+          full.ObserveRound(full_resolver, round);
+          if (rep == 0) {
+            repeat_resolver.Tally(actions, nullptr, got);
+          } else {
+            repeat_resolver.Retally(nullptr, got);
+          }
+          repeated.ObserveRound(repeat_resolver, round, rep > 0);
+          ASSERT_EQ(repeated.rounds_held(), full.rounds_held())
+              << "round " << round;
+          ASSERT_EQ(repeated.ledger().spent(), full.ledger().spent())
+              << "round " << round;
+        }
+      }
+    }
+  }
+}
+
+// The round loop keeps one driver per engine and resets it for every run.
+// A driver reset through a sequence of specs — the same kind several times
+// in a row (its strategy reset in place, with another script, probe budget
+// or observation mode), another kind, an inactive one — must plan exactly
+// what a freshly built driver plans for each. Every run ends in silence and
+// every other run opens with it, so state a reset leaves behind (a silence
+// streak, a strike, a script cursor) shows in the next run's plans.
+TEST(AdversaryRun, ResetMatchesFreshDriver) {
+  std::vector<AdversarySpec> specs;
+  for (const Kind kind : kAllKinds) {
+    for (int variant = 0; variant < 3; ++variant) {
+      specs.push_back(DriverSpec(kind, variant));
+    }
+  }
+  support::RandomSource meta(0x2E5E7);
+  for (int run = 0; run < 60; ++run) {
+    specs.push_back(DriverSpec(kAllKinds[meta.UniformInt(0, 9)],
+                               static_cast<int>(meta.UniformInt(0, 3))));
+  }
+  AdversaryRun reused;
+  for (std::size_t run = 0; run < specs.size(); ++run) {
+    const AdversarySpec& spec = specs[run];
+    const std::uint64_t run_seed = 0xAB00 + run;
+    SCOPED_TRACE(::testing::Message()
+                 << "run " << run << " " << adversary::ToString(spec.kind));
+    reused.Reset(spec, run_seed);
+    AdversaryRun fresh(spec, run_seed);
+    ASSERT_EQ(reused.active(), fresh.active());
+    ASSERT_EQ(reused.needs_observation(), fresh.needs_observation());
+    ASSERT_EQ(reused.rounds_held(), 0);
+    ASSERT_EQ(reused.ledger().spent(), 0);
+    ASSERT_EQ(reused.ledger().total(), fresh.ledger().total());
+    Resolver reused_resolver(4);
+    Resolver fresh_resolver(4);
+    for (std::int64_t round = 0; round < 64; ++round) {
+      const bool silent = round >= 60 || (run % 2 == 0 && round < 3);
+      const std::vector<Action> actions =
+          PatternActions(silent ? 0 : meta.UniformInt(0, 4));
+      const auto a = reused.PlanRound(round, 4);
+      const std::vector<mac::ChannelId> got(a.begin(), a.end());
+      const auto b = fresh.PlanRound(round, 4);
+      const std::vector<mac::ChannelId> want(b.begin(), b.end());
+      ASSERT_EQ(got, want) << "round " << round;
+      reused_resolver.Tally(actions, nullptr, got);
+      fresh_resolver.Tally(actions, nullptr, want);
+      reused.ObserveRound(reused_resolver, round);
+      fresh.ObserveRound(fresh_resolver, round);
+    }
+    EXPECT_EQ(reused.rounds_held(), fresh.rounds_held());
+    EXPECT_EQ(reused.ledger().spent(), fresh.ledger().spent());
+  }
+}
+
 // --- determinism and purity ------------------------------------------------
 
 void ExpectIdenticalRuns(const sim::RunResult& a, const sim::RunResult& b) {

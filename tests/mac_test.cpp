@@ -441,5 +441,118 @@ TEST(Resolver, RetallyMatchesTally) {
   }
 }
 
+// Retally keeps the judgement of a round judged with no active injector
+// and returns it when the next jam list equals the previous one. Trains of
+// Retally calls, each train repeating one jam list, must equal fresh Tally
+// calls on the same actions — summaries, channel activity, fault counters
+// and the next draws of every stream — for every list shape: empty, a jam
+// on a channel no node touched, several channels, the same set in another
+// order, a shorter list that is a prefix of the previous one. Each runs
+// with no injector, an inactive one and an active one (which must draw
+// again every round), and a Resolve in between must never hit the kept
+// judgement.
+TEST(Resolver, RepeatedRetallyMatchesTally) {
+  constexpr std::int32_t kChannels = 8;
+  // Channel 1 holds a lone transmitter, 2 a collision, 3 another lone one,
+  // 4 listeners only; 5-8 stay untouched.
+  const std::vector<Action> actions = {
+      Action::Transmit(1, Message{11}), Action::Listen(1),
+      Action::Transmit(2),              Action::Transmit(2),
+      Action::Transmit(3, Message{33}), Action::Listen(4),
+      Action::Idle(),                   Action::Listen(4)};
+  // Every node listens on the primary: a different summary from `actions`.
+  const std::vector<Action> other = {Action::Listen(1), Action::Listen(1),
+                                     Action::Transmit(5)};
+  // Shrinking lists first: a list that is a prefix of the previous one
+  // must not pass for it.
+  const std::vector<std::vector<ChannelId>> trains = {
+      {1, 3, 6}, {1, 3}, {1}, {}, {6}, {3, 1}, {1, 3}, {2}, {2, 7},
+      {7, 2}, {7}, {}};
+  FaultSpec active;
+  active.jam_rate = 0.2;
+  active.erasure_rate = 0.3;
+  active.flaky_cd_rate = 0.25;
+  enum class Injector { kNone, kInactive, kActive };
+  const auto expect_same_round = [](const RoundSummary& got,
+                                    const RoundSummary& want) {
+    EXPECT_EQ(got.total_transmissions, want.total_transmissions);
+    EXPECT_EQ(got.total_participants, want.total_participants);
+    EXPECT_EQ(got.primary_transmitters, want.primary_transmitters);
+    EXPECT_EQ(got.lone_deliveries, want.lone_deliveries);
+    EXPECT_EQ(got.primary_lone_delivered, want.primary_lone_delivered);
+    EXPECT_EQ(got.adv_jams, want.adv_jams);
+    EXPECT_EQ(got.adv_jams_effective, want.adv_jams_effective);
+  };
+  std::uint64_t seed = 500;
+  for (const CdModel model : {CdModel::kStrong, CdModel::kNone}) {
+    for (const Injector kind :
+         {Injector::kNone, Injector::kInactive, Injector::kActive}) {
+      ++seed;
+      SCOPED_TRACE(::testing::Message() << "model " << static_cast<int>(model)
+                                        << " injector "
+                                        << static_cast<int>(kind));
+      const FaultSpec spec = kind == Injector::kActive ? active : FaultSpec{};
+      FaultInjector retally_injector(spec, seed);
+      FaultInjector tally_injector(spec, seed);
+      FaultInjector* const retally_faults =
+          kind == Injector::kNone ? nullptr : &retally_injector;
+      FaultInjector* const tally_faults =
+          kind == Injector::kNone ? nullptr : &tally_injector;
+      Resolver retallied(kChannels, model);
+      Resolver tallied(kChannels, model);
+      const auto expect_same_state = [&] {
+        EXPECT_EQ(retallied.touched_channels(), tallied.touched_channels());
+        for (ChannelId ch = 1; ch <= kChannels; ++ch) {
+          const ChannelActivity& a = retallied.ActivityOf(ch);
+          const ChannelActivity& b = tallied.ActivityOf(ch);
+          EXPECT_EQ(a.transmitters, b.transmitters);
+          EXPECT_EQ(a.listeners, b.listeners);
+          EXPECT_EQ(a.lone_message, b.lone_message);
+        }
+        const FaultCounters& rc = retally_injector.counters();
+        const FaultCounters& tc = tally_injector.counters();
+        EXPECT_EQ(rc.jams, tc.jams);
+        EXPECT_EQ(rc.erasures, tc.erasures);
+        EXPECT_EQ(rc.cd_flips, tc.cd_flips);
+      };
+      std::vector<Feedback> feedback;
+      std::vector<Feedback> want_feedback;
+      for (int pass = 0; pass < 2; ++pass) {
+        // The first round of each pass is tallied; every later one is a
+        // Retally, trains of five per jam list.
+        bool first = true;
+        for (const std::vector<ChannelId>& jams : trains) {
+          SCOPED_TRACE(::testing::Message() << "pass " << pass << " jams "
+                                            << ::testing::PrintToString(jams));
+          for (int rep = 0; rep < 5; ++rep) {
+            const RoundSummary want =
+                tallied.Tally(actions, tally_faults, jams);
+            const RoundSummary got =
+                first ? retallied.Tally(actions, retally_faults, jams)
+                      : retallied.Retally(retally_faults, jams);
+            first = false;
+            expect_same_round(got, want);
+            expect_same_state();
+          }
+        }
+        // A Resolve on other actions under the train's last jam list: the
+        // Retally right after judges those actions, not the kept summary.
+        const std::vector<ChannelId> jams = trains.back();
+        expect_same_round(
+            retallied.Resolve(other, feedback, retally_faults, jams),
+            tallied.Resolve(other, want_feedback, tally_faults, jams));
+        expect_same_round(retallied.Retally(retally_faults, jams),
+                          tallied.Tally(other, tally_faults, jams));
+        expect_same_state();
+      }
+      for (int draw = 0; draw < 64; ++draw) {
+        EXPECT_EQ(retally_injector.DrawJam(), tally_injector.DrawJam());
+        EXPECT_EQ(retally_injector.DrawErasure(), tally_injector.DrawErasure());
+        EXPECT_EQ(retally_injector.DrawCdFlip(), tally_injector.DrawCdFlip());
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace crmc::mac
