@@ -670,6 +670,11 @@ class ReduceSchedule {
   std::vector<BatchBernoulli> coins_;
 };
 
+// Every alive node is at the same schedule step: all start at step 0, and
+// in every round each survivor either finishes or takes the next step,
+// whatever its feedback says (a jam, an erasure or a flipped detector only
+// decides which), and a crash only removes nodes. So the step is kept once
+// for all of them.
 class ReduceProgram final : public StepProgram {
  public:
   explicit ReduceProgram(core::ReduceParams params)
@@ -679,15 +684,14 @@ class ReduceProgram final : public StepProgram {
 
   void Reset(const BatchContext& ctx) override {
     sched_.Prepare(ctx.population);
-    step_.assign(static_cast<std::size_t>(ctx.num_active), 0);
+    step_ = 0;
   }
 
   void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
                    std::span<Action> actions) override {
+    const BatchBernoulli& coin = sched_[static_cast<std::size_t>(step_)];
     for (std::size_t k = 0; k < alive.size(); ++k) {
-      const auto s = static_cast<std::size_t>(alive[k]);
-      const bool tx =
-          sched_[static_cast<std::size_t>(step_[s])].Draw(ctx.rng[s]);
+      const bool tx = coin.Draw(ctx.rng[static_cast<std::size_t>(alive[k])]);
       actions[k] = tx ? Action::Transmit(kPrimaryChannel)
                       : Action::Listen(kPrimaryChannel);
     }
@@ -697,47 +701,33 @@ class ReduceProgram final : public StepProgram {
                std::span<const Action> actions,
                std::span<const Feedback> feedback,
                std::span<std::uint8_t> finished) override {
+    // The leader or a knocked-out listener ends now; a survivor ends when
+    // the schedule is over.
+    const bool last = static_cast<std::size_t>(++step_) == sched_.size();
     for (std::size_t k = 0; k < alive.size(); ++k) {
-      const auto s = static_cast<std::size_t>(alive[k]);
-      // The leader or a knocked-out listener ends now; a survivor ends
-      // when the schedule is over.
-      if (KnockoutFinished(actions[k], feedback[k]) ||
-          static_cast<std::size_t>(++step_[s]) == sched_.size()) {
-        finished[k] = 1;
-      }
+      if (KnockoutFinished(actions[k], feedback[k]) || last) finished[k] = 1;
     }
   }
 
-  // Every alive node is at the same schedule step (survivors advance one
-  // step per round in lockstep), so one coin round covers them all.
+  // One coin round covers every survivor.
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
                  std::span<std::int64_t> node_tx,
                  std::span<std::uint8_t> finished,
                  FastRoundEffects* fx) override {
-    const auto step =
-        static_cast<std::size_t>(step_[static_cast<std::size_t>(alive[0])]);
-    const std::int64_t tx =
-        PrimaryCoinRound(sched_[step], ctx, alive, node_tx, mask_, fx);
+    const std::int64_t tx = PrimaryCoinRound(
+        sched_[static_cast<std::size_t>(step_)], ctx, alive, node_tx, mask_,
+        fx);
     if (KnockoutFinish(tx, mask_, finished)) return true;
-    const auto next = static_cast<std::int32_t>(step + 1);
-    if (static_cast<std::size_t>(next) == sched_.size()) {
+    if (static_cast<std::size_t>(++step_) == sched_.size()) {
       std::fill(finished.begin(), finished.end(), std::uint8_t{1});
-    }
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      step_[static_cast<std::size_t>(alive[k])] = next;
     }
     return true;
   }
 
-  // FastRound's only cross-node assumption is the shared schedule step. A
-  // jam can break it (a knocked-out-looking survivor keeps stepping while
-  // an erased one repeats), so verify it directly over the survivors.
+  // FastRound's only cross-node assumption is the shared step, and no
+  // feedback can split it.
   bool LockstepRestored(const BatchContext&,
-                        std::span<const NodeId> alive) override {
-    const std::int32_t step = step_[static_cast<std::size_t>(alive[0])];
-    for (const NodeId s : alive.subspan(1)) {
-      if (step_[static_cast<std::size_t>(s)] != step) return false;
-    }
+                        std::span<const NodeId>) override {
     return true;
   }
 
@@ -746,7 +736,7 @@ class ReduceProgram final : public StepProgram {
  private:
   core::ReduceParams params_;
   ReduceSchedule sched_;
-  std::vector<std::int32_t> step_;  // index into sched_
+  std::int32_t step_ = 0;           // index into sched_, shared
   std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
 };
 
@@ -813,7 +803,10 @@ std::unique_ptr<TrialProgram> ReduceProgram::MakeTrialProgram() const {
 
 // ---------------------------------------------------------------------------
 // IDReduction (core/id_reduction.cpp flattened): a three-round cycle of
-// spread / confirm / knockout until renaming succeeds.
+// spread / confirm / knockout until renaming succeeds. Alive nodes move
+// through the cycle in lockstep: in every round each survivor either
+// finishes or takes the next position, whatever its feedback says, so the
+// cycle position and the pair count are kept once for all of them.
 
 class IdReductionProgram final : public StepProgram {
  public:
@@ -834,10 +827,10 @@ class IdReductionProgram final : public StepProgram {
                           params_.knock_divisor);
     knock_.emplace(1.0 / knock_k);
     const auto n = static_cast<std::size_t>(ctx.num_active);
-    cycle_.assign(n, 0);
+    cycle_ = 0;
+    pairs_ = 0;
     chan_.assign(n, 0);
     renamed_.assign(n, 0);
-    pairs_.assign(n, 0);
     // ClassifyChannels scratch: spread channels lie in [1, eff/2], the +3
     // covers the gather padding; must start (and is kept) all-zero.
     counts_.assign(static_cast<std::size_t>(eff / 2) + 3, 0);
@@ -845,26 +838,30 @@ class IdReductionProgram final : public StepProgram {
 
   void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
                    std::span<Action> actions) override {
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      const auto s = static_cast<std::size_t>(alive[k]);
-      switch (cycle_[s]) {
-        case 0:  // spread over [C'/2]
-          CRMC_CHECK_MSG(pairs_[s] < params_.max_pairs,
-                         "IDReduction exceeded max_pairs — probability of "
-                         "this is superpolynomially small; check parameters");
+    switch (cycle_) {
+      case 0:  // spread over [C'/2]
+        CheckPairs();
+        for (std::size_t k = 0; k < alive.size(); ++k) {
+          const auto s = static_cast<std::size_t>(alive[k]);
           chan_[s] = static_cast<std::int32_t>(spread_->Draw(ctx.rng[s]));
           actions[k] = Action::Transmit(static_cast<mac::ChannelId>(chan_[s]));
-          break;
-        case 1:  // confirm on the primary channel
-          actions[k] = renamed_[s] ? Action::Transmit(kPrimaryChannel)
-                                   : Action::Listen(kPrimaryChannel);
-          break;
-        default:  // knockout with probability 1/k
-          actions[k] = knock_->Draw(ctx.rng[s])
+        }
+        break;
+      case 1:  // confirm on the primary channel
+        for (std::size_t k = 0; k < alive.size(); ++k) {
+          actions[k] = renamed_[static_cast<std::size_t>(alive[k])]
                            ? Action::Transmit(kPrimaryChannel)
                            : Action::Listen(kPrimaryChannel);
-          break;
-      }
+        }
+        break;
+      default:  // knockout with probability 1/k
+        for (std::size_t k = 0; k < alive.size(); ++k) {
+          actions[k] =
+              knock_->Draw(ctx.rng[static_cast<std::size_t>(alive[k])])
+                  ? Action::Transmit(kPrimaryChannel)
+                  : Action::Listen(kPrimaryChannel);
+        }
+        break;
     }
   }
 
@@ -875,48 +872,35 @@ class IdReductionProgram final : public StepProgram {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
       const Feedback& fb = feedback[k];
-      switch (cycle_[s]) {
+      switch (cycle_) {
         case 0:
           CRMC_PROTO_CHECK(!fb.Silence());
           renamed_[s] = fb.MessageHeard() ? 1 : 0;  // alone on the channel
-          cycle_[s] = 1;
           break;
         case 1:
           if (renamed_[s]) {
             finished[k] = 1;  // kActive with new_id = chan_[s]
           } else if (!fb.Silence()) {
             finished[k] = 1;  // someone renamed and we did not
-          } else {
-            cycle_[s] = 2;
           }
           break;
         default:
-          if (KnockoutFinished(actions[k], fb)) {
-            finished[k] = 1;  // solved outright, or knocked out
-            break;
-          }
-          cycle_[s] = 0;
-          ++pairs_[s];
+          // Solved outright, or knocked out.
+          if (KnockoutFinished(actions[k], fb)) finished[k] = 1;
           break;
       }
     }
+    NextPosition();
   }
 
-  // Alive nodes move through the spread/confirm/knock cycle in lockstep
-  // (every transition in Advance applies to all survivors of a round), so
-  // the first lane's cycle position is everyone's. pairs_ is uniform for
-  // the same reason, so the max_pairs check needs only one lane.
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
                  std::span<std::int64_t> node_tx,
                  std::span<std::uint8_t> finished,
                  FastRoundEffects* fx) override {
     const std::size_t m = alive.size();
-    const auto s0 = static_cast<std::size_t>(alive[0]);
-    switch (cycle_[s0]) {
+    switch (cycle_) {
       case 0: {  // spread over [C'/2]: everyone transmits on its pick
-        CRMC_CHECK_MSG(pairs_[s0] < params_.max_pairs,
-                       "IDReduction exceeded max_pairs — probability of "
-                       "this is superpolynomially small; check parameters");
+        CheckPairs();
         chan_scratch_.resize(m);
         simd::UniformFill(*spread_, ctx.rng, alive, chan_scratch_);
         lone_scratch_.resize(m);
@@ -927,12 +911,11 @@ class IdReductionProgram final : public StepProgram {
           ++node_tx[s];
           chan_[s] = chan_scratch_[k];
           renamed_[s] = lone_scratch_[k];
-          cycle_[s] = 1;
         }
         fx->transmissions += static_cast<std::int64_t>(m);
         fx->lone_deliveries += occ.lone_channels;
         fx->primary_lone_delivered = occ.primary_lone;
-        return true;
+        break;
       }
       case 1: {  // confirm: renamed nodes transmit on the primary channel
         std::int64_t r = 0;
@@ -949,37 +932,46 @@ class IdReductionProgram final : public StepProgram {
         if (r >= 1) {
           // Renamed nodes finish as kActive; everyone else heard them.
           std::fill(finished.begin(), finished.end(), std::uint8_t{1});
-        } else {
-          for (std::size_t k = 0; k < m; ++k) {
-            cycle_[static_cast<std::size_t>(alive[k])] = 2;
-          }
         }
-        return true;
+        break;
       }
       default: {  // knockout with probability 1/k
         const std::int64_t tx =
             PrimaryCoinRound(*knock_, ctx, alive, node_tx, mask_, fx);
-        if (KnockoutFinish(tx, mask_, finished)) return true;
-        for (std::size_t k = 0; k < m; ++k) {
-          const auto s = static_cast<std::size_t>(alive[k]);
-          cycle_[s] = 0;
-          ++pairs_[s];
-        }
-        return true;
+        KnockoutFinish(tx, mask_, finished);
+        break;
       }
     }
+    NextPosition();
+    return true;
   }
 
   std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
 
  private:
+  void CheckPairs() const {
+    CRMC_CHECK_MSG(pairs_ < params_.max_pairs,
+                   "IDReduction exceeded max_pairs — probability of this "
+                   "is superpolynomially small; check parameters");
+  }
+
+  // Moves the survivors of a round to the next cycle position.
+  void NextPosition() {
+    if (cycle_ == 2) {
+      cycle_ = 0;
+      ++pairs_;
+    } else {
+      ++cycle_;
+    }
+  }
+
   core::IdReductionParams params_;
   std::optional<BatchUniformInt> spread_;
   std::optional<BatchBernoulli> knock_;
-  std::vector<std::uint8_t> cycle_;  // 0 spread, 1 confirm, 2 knock
-  std::vector<std::int32_t> chan_;   // channel picked in the spread round
+  std::uint8_t cycle_ = 0;  // 0 spread, 1 confirm, 2 knock; shared
+  std::int64_t pairs_ = 0;  // completed cycles, shared
+  std::vector<std::int32_t> chan_;  // channel picked in the spread round
   std::vector<std::uint8_t> renamed_;
-  std::vector<std::int64_t> pairs_;
   // FastRound scratch: coin mask, channel picks, per-lane lone flags, and
   // the ClassifyChannels histogram (all-zero between rounds) + dirty list.
   std::vector<std::uint8_t> mask_;
