@@ -705,11 +705,7 @@ std::span<const mac::ChannelId> AdversaryRun::PlanRound(
   return jams_;
 }
 
-void AdversaryRun::ObserveRound(const mac::Resolver& resolver,
-                                std::int64_t round, bool repeat) {
-  if (!needs_observation_) return;
-  last_obs_.round = round;
-  if (repeat) return;  // same activity, so the same sightings
+void AdversaryRun::RecordSightings(const mac::Resolver& resolver) {
   last_obs_.sightings.clear();
   for (const mac::ChannelId ch : resolver.touched_channels()) {
     const std::int32_t tx = resolver.ActivityOf(ch).transmitters;

@@ -192,8 +192,13 @@ class AdversaryRun {
   // `repeat` says the round was re-judged (mac::Resolver::Retally) right
   // after the round this driver observed last: the activity, and so the
   // sightings, are unchanged, and only the observation's round is stamped.
+  // Defined here: on a repeated round it is one store.
   void ObserveRound(const mac::Resolver& resolver, std::int64_t round,
-                    bool repeat = false);
+                    bool repeat = false) {
+    if (!needs_observation_) return;
+    last_obs_.round = round;
+    if (!repeat) RecordSightings(resolver);
+  }
 
   const BudgetLedger& ledger() const { return ledger_; }
 
@@ -203,6 +208,9 @@ class AdversaryRun {
   std::int64_t rounds_held() const { return rounds_held_; }
 
  private:
+  // Rebuilds last_obs_'s sightings from the resolver's channel activity.
+  void RecordSightings(const mac::Resolver& resolver);
+
   // Kept across runs, also inactive ones, for the next run of its kind.
   std::unique_ptr<Adversary> strategy_;
   Kind kind_ = Kind::kNone;  // strategy_'s kind

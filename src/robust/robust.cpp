@@ -207,13 +207,25 @@ void EpochDriver::NoteEchoRound(bool delivered, std::int32_t adv_jams) {
   // watchdog one round of credit per echo so a long quorum cannot trip it.
   ++budget_extension_;
   if (exchange_echoes_ > spec_.confirm_attempts) ++adaptive_confirm_extra_;
-  RefreshQuorum();
+  // A suppressed echo raises the running sample (f + 1) / (r + 2) (f <= r),
+  // so the estimate, the sample clamped between two banked ones, cannot
+  // fall; and the quorum is constant from the cap rate up. So once an echo
+  // of this epoch has put the estimate there, the next suppressed one
+  // leaves the quorum as it is, without the division.
+  if (delivered || !estimate_capped_) RefreshQuorum();
   confirm_quorum_peak_ = std::max(confirm_quorum_peak_, quorum_);
 }
 
 void EpochDriver::RefreshQuorum() {
-  quorum_ = adaptive() ? quorum_model_.Quorum(SuppressionEstimate())
-                       : spec_.confirm_attempts;
+  if (!adaptive()) {
+    quorum_ = spec_.confirm_attempts;
+    return;
+  }
+  const double rate = SuppressionEstimate();
+  quorum_ = quorum_model_.Quorum(rate);
+  // Without a running sample the estimate is the banked median, which the
+  // epoch's first echo may lower.
+  estimate_capped_ = epoch_echo_rounds_ > 0 && quorum_model_.AtCap(rate);
 }
 
 void EpochDriver::BeginNextEpoch() {

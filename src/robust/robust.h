@@ -264,6 +264,10 @@ class QuorumModel {
   QuorumModel(std::int64_t population, std::int32_t floor_attempts);
 
   std::int32_t Quorum(double suppress_rate) const;
+  // True iff `suppress_rate` is at or above p*, where Quorum is constant.
+  bool AtCap(double suppress_rate) const {
+    return suppress_rate >= cap_rate_;
+  }
 
  private:
   double log_n_ = 0.0;
@@ -470,7 +474,7 @@ class EpochDriver {
   // is the running sample clamped between two of them. See robust.cpp.
   double SuppressionEstimate() const;
   // Recomputes quorum_ from the current estimate through quorum_model_.
-  // Called exactly where the estimator's inputs change: construction,
+  // Called where the estimator's inputs change: construction,
   // NoteEchoRound and BeginNextEpoch's ring bank. Costs no sort, and no log
   // once the estimate reaches the cap.
   void RefreshQuorum();
@@ -501,6 +505,9 @@ class EpochDriver {
   std::int32_t confirm_quorum_peak_ = 0;
   QuorumModel quorum_model_;
   std::int32_t quorum_ = 0;  // confirm_attempts(), refreshed by RefreshQuorum
+  // The last refresh included the running epoch's sample and put the
+  // estimate at the model's cap rate (see NoteEchoRound).
+  bool estimate_capped_ = false;
   // Hardened obfuscation state, redrawn per retry epoch (BeginNextEpoch).
   std::int64_t jittered_pause_ = 1;
   std::int32_t chaff_burst_ = 0;  // initial burst per trigger, drawn per epoch

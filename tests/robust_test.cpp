@@ -663,6 +663,11 @@ TEST(RobustAdaptive, CachedQuorumFastPathMatchesConfirmQuorum) {
       {{1000, 1000}, {1000, 1000}, {5, 0}, {50, 50}},
       {{1000, 1000}, {1, 1}, {1, 1}, {9, 3}, {700, 700}},
       {{1, 0}, {1000, 1000}, {1000, 1000}, {1000, 1000}, {3, 3}, {3, 3}},
+      // An estimate at the cap comes down again: a delivered echo after a
+      // suppressed run, and a lower sample joining a capped median.
+      {{60, 50}},
+      {{1000, 1000}, {40, 30}, {60, 50}},
+      {{1, 0}, {1000, 1000}},
   };
   for (const std::int64_t n :
        {std::int64_t{2}, std::int64_t{3}, std::int64_t{65536},
