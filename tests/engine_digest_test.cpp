@@ -406,6 +406,96 @@ TEST(EngineDigest, RobustRandomBudgetedRepeats) {
   }
 }
 
+// The robust probing shape under smaller budgets, every policy and a round
+// cap: what the round loop does when a protocol assumption breaks (a jam
+// that splits two_active's search fails the epoch, and with max_epochs 2
+// the static and adaptive policies' second breach aborts the run) and when
+// the probing striker's plan holds through an echo train or chaff burst
+// whose ledger runs dry before the train ends.
+struct BreachCase {
+  robust::PolicyKind policy;
+  std::int64_t budget;
+  std::int64_t max_rounds;  // 0: the harness default
+  std::uint64_t want;
+};
+
+// What the breach cases' runs reached, summed over their seeds.
+struct BreachCoverage {
+  std::int64_t assumption_violated = 0;  // runs aborted by a breach
+  // Runs whose ledger ran dry inside an echo train: the budget is spent and
+  // some echo went unjammed. Probing jams every echo while it is funded and
+  // there is no fault injector, so the train's suppressed candidate was
+  // jammed and the ledger emptied between it and that echo.
+  std::int64_t dry_in_train = 0;
+  std::int64_t timed_out = 0;
+};
+
+EngineConfig BreachConfig(const BreachCase& c) {
+  EngineConfig config = RobustProbingConfig(c.policy);
+  config.adversary.budget = c.budget;
+  if (c.policy != robust::PolicyKind::kHardened) config.robust.max_epochs = 2;
+  if (c.max_rounds > 0) config.max_rounds = c.max_rounds;
+  return config;
+}
+
+std::uint64_t BreachDigest(const BreachCase& c, BreachCoverage* coverage) {
+  EngineConfig config = BreachConfig(c);
+  const auto program = ProgramFor("two_active");
+  BatchEngine engine;
+  Digest d;
+  BreachCoverage cov;
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    config.seed = seed;
+    const RunResult r = engine.Run(config, *program);
+    AddRobustRun(r, d);
+    d.Add(r.adv_rounds_held);
+    d.Add(r.adaptive_confirm_extra);
+    d.Add(r.assumption_violated);
+    d.Add(static_cast<std::int64_t>(r.retries));
+    cov.assumption_violated += r.assumption_violated ? 1 : 0;
+    cov.dry_in_train += r.adv_jams_spent == c.budget &&
+                                r.confirm_rounds > r.adv_jams_echo
+                            ? 1
+                            : 0;
+    cov.timed_out += r.timed_out ? 1 : 0;
+  }
+  *coverage = cov;
+  return d.value();
+}
+
+TEST(EngineDigest, RobustProbingBudgetsAndBreaches) {
+  using robust::PolicyKind;
+  const BreachCase cases[] = {
+      {PolicyKind::kStatic, 300, 0, 0xc4a5ae7158d897e6ULL},
+      {PolicyKind::kAdaptive, 300, 0, 0x8e7c420582a9068aULL},
+      {PolicyKind::kAdaptive, 700, 0, 0xa0bef7d922f38ff7ULL},
+      {PolicyKind::kAdaptive, 4096, 0, 0x483789a3efa9feadULL},
+      {PolicyKind::kAdaptive, 4096, 2000, 0x161a31d46fb91a79ULL},
+      {PolicyKind::kHardened, 700, 0, 0xd3863588acb6532cULL},
+      {PolicyKind::kHardened, 4096, 0, 0xb677f5c2522e3032ULL},
+      {PolicyKind::kHardened, 4096, 2000, 0xdc361d4bf1725bb9ULL},
+  };
+  BreachCoverage total;
+  for (const BreachCase& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << robust::ToString(c.policy) << " budget " << c.budget
+                 << " max_rounds " << c.max_rounds);
+    for (const simd::Backend backend : AvailableBackends()) {
+      ScopedBackend forced(backend);
+      BreachCoverage cov;
+      EXPECT_EQ(BreachDigest(c, &cov), c.want) << simd::ToString(backend);
+      if (backend == AvailableBackends().front()) {
+        total.assumption_violated += cov.assumption_violated;
+        total.dry_in_train += cov.dry_in_train;
+        total.timed_out += c.max_rounds > 0 ? cov.timed_out : 0;
+      }
+    }
+  }
+  EXPECT_GT(total.assumption_violated, 0);
+  EXPECT_GT(total.dry_in_train, 0);
+  EXPECT_GT(total.timed_out, 0);  // the round cap cut some train
+}
+
 TEST(EngineDigest, GeneralLookaheadHardened) {
   for (const simd::Backend backend : AvailableBackends()) {
     ScopedBackend forced(backend);
