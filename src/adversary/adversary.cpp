@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 namespace crmc::adversary {
 namespace {
@@ -16,6 +17,35 @@ constexpr std::uint64_t kPlanStream = 0x7A3B17;
 std::uint64_t AdvMasterSeed(std::uint64_t run_seed, std::uint64_t adv_seed) {
   return support::SplitMix64(run_seed ^ (kAdvSeedSalt * (adv_seed + 1)))
       .Next();
+}
+
+// The driver's checks on a freshly planned list: channels in range, none
+// twice. Out of line, with the size check's failure below, so that
+// PlanRound, which runs every round, keeps the small frame of its common
+// path instead of one sized for the failure messages' string streams.
+[[gnu::noinline]] void CheckPlannedList(const Adversary& strategy,
+                                        std::span<const mac::ChannelId> jams,
+                                        std::int32_t channels) {
+  for (std::size_t i = 0; i < jams.size(); ++i) {
+    CRMC_CHECK_MSG(jams[i] >= 1 && jams[i] <= channels,
+                   "strategy " << strategy.name()
+                               << " planned out-of-range channel " << jams[i]
+                               << " of " << channels);
+    for (std::size_t j = 0; j < i; ++j) {
+      CRMC_CHECK_MSG(jams[i] != jams[j], "strategy "
+                                             << strategy.name()
+                                             << " planned duplicate channel "
+                                             << jams[i]);
+    }
+  }
+}
+
+[[noreturn, gnu::noinline, gnu::cold]] void PlanOverAllowance(
+    const Adversary& strategy, std::size_t planned, std::int32_t allowance) {
+  support::CheckFailed("planned <= allowance", __FILE__, __LINE__,
+                       std::string("strategy ") + strategy.name() +
+                           " planned " + std::to_string(planned) +
+                           " jams, allowance " + std::to_string(allowance));
 }
 
 class PrimaryCamper final : public Adversary {
@@ -371,6 +401,28 @@ class Probing final : public Adversary {
     *this = Probing(spec.probe_budget);
   }
 
+  // A repeated observation in a fight (an echo train of the claim it saw)
+  // or in an open strike with window left (a chaff burst's collisions)
+  // leaves Digest nothing to do but lengthen the echo train or spend the
+  // window and refresh the linger, and PlanJams plans the primary channel
+  // again, as it did last round. Only if last round's plan digested the
+  // observation this one repeats: otherwise the state reflects an older one.
+  bool KeepPlan(const PlanContext& ctx) override {
+    if (last_digested_ != ctx.last->round - 1) return false;
+    if (fighting_) {
+      ++echo_train_;
+    } else if (striking_ && strike_window_ > 0 &&
+               !ctx.last->sightings.empty()) {
+      --strike_window_;
+      ++strike_jams_;
+    } else {
+      return false;
+    }
+    last_digested_ = ctx.last->round;
+    linger_ = kLingerRounds;
+    return true;
+  }
+
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
     Digest(ctx);
@@ -656,6 +708,7 @@ void AdversaryRun::Reset(const AdversarySpec& spec, std::uint64_t run_seed) {
   last_obs_.Clear();
   jams_.clear();
   rounds_held_ = 0;
+  repeat_ = false;
   if (!active_) return;
   if (strategy_ != nullptr && kind_ == spec.kind) {
     strategy_->Reset(spec);
@@ -672,10 +725,12 @@ void AdversaryRun::Reset(const AdversarySpec& spec, std::uint64_t run_seed) {
 
 std::span<const mac::ChannelId> AdversaryRun::PlanRound(
     std::int64_t round, std::int32_t channels) {
-  jams_.clear();
   if (!active_) return {};
   const std::int32_t allowance = ledger_.RoundAllowance(channels);
-  if (allowance <= 0) return {};
+  if (allowance <= 0) {
+    jams_.clear();
+    return {};
+  }
   PlanContext ctx;
   ctx.round = round;
   ctx.channels = channels;
@@ -683,23 +738,17 @@ std::span<const mac::ChannelId> AdversaryRun::PlanRound(
   ctx.remaining = ledger_.remaining();
   ctx.last = last_obs_.valid() ? &last_obs_ : nullptr;
   ctx.rng = &rng_;
-  strategy_->PlanJams(ctx, jams_);
+  // A repeated observation implies the strategy planned last round: the
+  // allowance never grows back, so it was positive then too, and jams_
+  // still holds that plan.
+  if (!repeat_ || !strategy_->KeepPlan(ctx)) {
+    jams_.clear();
+    strategy_->PlanJams(ctx, jams_);
+    CheckPlannedList(*strategy_, jams_, channels);
+  }
   if (jams_.empty()) ++rounds_held_;  // had allowance, chose not to spend
-  CRMC_CHECK_MSG(static_cast<std::int32_t>(jams_.size()) <= allowance,
-                 "strategy " << strategy_->name() << " planned "
-                             << jams_.size() << " jams, allowance "
-                             << allowance);
-  for (std::size_t i = 0; i < jams_.size(); ++i) {
-    CRMC_CHECK_MSG(jams_[i] >= 1 && jams_[i] <= channels,
-                   "strategy " << strategy_->name()
-                               << " planned out-of-range channel "
-                               << jams_[i] << " of " << channels);
-    for (std::size_t j = 0; j < i; ++j) {
-      CRMC_CHECK_MSG(jams_[i] != jams_[j],
-                     "strategy " << strategy_->name()
-                                 << " planned duplicate channel "
-                                 << jams_[i]);
-    }
+  if (jams_.size() > static_cast<std::size_t>(allowance)) {
+    PlanOverAllowance(*strategy_, jams_.size(), allowance);
   }
   ledger_.Charge(static_cast<std::int32_t>(jams_.size()));
   return jams_;

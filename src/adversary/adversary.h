@@ -133,6 +133,13 @@ struct PlanContext {
 // Strategy interface. PlanJams appends up to ctx.allowance distinct
 // channels in [1, ctx.channels] to `out` (pre-cleared by the driver); the
 // driver CRMC_CHECKs those bounds and charges the ledger.
+//
+// Kept plans: when the newest observation repeats the one before it (an
+// echo train, a chaff burst or a backoff pause re-judges one round's
+// activity), the driver first asks KeepPlan. A strategy that can tell its
+// plan would come out unchanged advances its state exactly as PlanJams
+// would and returns true, and the driver reuses the previous round's list.
+// False must leave the state untouched; the driver then calls PlanJams.
 class Adversary {
  public:
   virtual ~Adversary() = default;
@@ -143,6 +150,13 @@ class Adversary {
   virtual bool needs_observation() const { return false; }
   virtual void PlanJams(const PlanContext& ctx,
                         std::vector<mac::ChannelId>& out) = 0;
+  // Called in place of PlanJams, with the same context, only when the
+  // strategy planned the previous round and ctx.last repeats the
+  // observation before it. The default always re-plans.
+  virtual bool KeepPlan(const PlanContext& ctx) {
+    (void)ctx;
+    return false;
+  }
   // Returns the strategy to the state MakeAdversary(spec) builds, for a
   // `spec` of its own kind, keeping the capacity of its scratch buffers.
   virtual void Reset(const AdversarySpec& spec) = 0;
@@ -180,7 +194,11 @@ class AdversaryRun {
 
   // Plans round `round`'s jam set: asks the strategy (if the allowance is
   // nonzero), enforces size/range/distinctness, charges the ledger. The
-  // span stays valid until the next PlanRound call.
+  // span stays valid until the next PlanRound call. After a repeated
+  // observation a strategy may keep its previous list (Adversary::KeepPlan):
+  // the size check, the hold count and the ledger charge still run, while
+  // the range and distinctness checks, which held when the list was
+  // planned, are not repeated.
   std::span<const mac::ChannelId> PlanRound(std::int64_t round,
                                             std::int32_t channels);
 
@@ -197,6 +215,7 @@ class AdversaryRun {
                     bool repeat = false) {
     if (!needs_observation_) return;
     last_obs_.round = round;
+    repeat_ = repeat;
     if (!repeat) RecordSightings(resolver);
   }
 
@@ -222,6 +241,8 @@ class AdversaryRun {
   std::vector<mac::ChannelId> jams_;
   ObsMode obs_ = ObsMode::kFull;
   std::int64_t rounds_held_ = 0;
+  // The newest observation repeats the one before it (ObserveRound).
+  bool repeat_ = false;
 };
 
 }  // namespace crmc::adversary

@@ -33,23 +33,10 @@ RoundSummary Resolver::Tally(std::span<const Action> actions,
   return judged_;
 }
 
-RoundSummary Resolver::Retally(FaultInjector* faults,
+RoundSummary Resolver::Rejudge(FaultInjector* faults,
                                std::span<const ChannelId> adversary_jams) {
-  const bool clean = faults == nullptr || !faults->active();
-  if (clean && judged_clean_ && adversary_jams.size() == fault_marked_.size()) {
-    // With no injector the marks are exactly the previous jam list, so an
-    // equal list judges the same activity to the same summary (and already
-    // passed the range and "jammed twice" checks when it was marked). A
-    // plain loop: std::equal compiles to a libc memcmp call, too heavy for
-    // a list of one or two channels.
-    std::size_t i = 0;
-    while (i < adversary_jams.size() && adversary_jams[i] == fault_marked_[i]) {
-      ++i;
-    }
-    if (i == adversary_jams.size()) return judged_;
-  }
   judged_ = Judge<false>({}, nullptr, faults, adversary_jams);
-  judged_clean_ = clean;
+  judged_clean_ = faults == nullptr || !faults->active();
   return judged_;
 }
 

@@ -99,9 +99,27 @@ class Resolver {
   // Resolve came in between, and `adversary_jams` equals the previous
   // list element by element, Retally returns the kept summary and leaves
   // the marks as they are. An echo train jammed on the same channel every
-  // round then costs a compare per echo.
+  // round then costs a compare per echo: that path is defined here, so it
+  // inlines into the round loop.
   RoundSummary Retally(FaultInjector* faults = nullptr,
-                       std::span<const ChannelId> adversary_jams = {});
+                       std::span<const ChannelId> adversary_jams = {}) {
+    const bool clean = faults == nullptr || !faults->active();
+    if (clean && judged_clean_ &&
+        adversary_jams.size() == fault_marked_.size()) {
+      // With no injector the marks are exactly the previous jam list, so an
+      // equal list judges the same activity to the same summary (and
+      // already passed the range and "jammed twice" checks when it was
+      // marked). A plain loop: std::equal compiles to a libc memcmp call,
+      // too heavy for a list of one or two channels.
+      std::size_t i = 0;
+      while (i < adversary_jams.size() &&
+             adversary_jams[i] == fault_marked_[i]) {
+        ++i;
+      }
+      if (i == adversary_jams.size()) return judged_;
+    }
+    return Rejudge(faults, adversary_jams);
+  }
 
   // Activity of a single channel in the most recent round (Resolve or
   // Tally; Retally leaves it as it was). Intended
@@ -126,6 +144,9 @@ class Resolver {
   // Retally is Judge alone, or nothing when the kept judgement still
   // holds.
   void Accumulate(std::span<const Action> actions);
+  // Retally's judgement when the kept one does not apply.
+  RoundSummary Rejudge(FaultInjector* faults,
+                       std::span<const ChannelId> adversary_jams);
   template <bool kWriteFeedback>
   RoundSummary Judge(std::span<const Action> actions,
                      std::vector<Feedback>* feedback, FaultInjector* faults,

@@ -408,7 +408,22 @@ class EpochDriver {
   // estimator, extends the epoch watchdog budget (the exchange is the
   // wrapper's own spend-forcing, not protocol stagnation) and tracks the
   // quorum escalation accounting.
-  void NoteEchoRound(bool delivered, std::int32_t adv_jams);
+  void NoteEchoRound(bool delivered, std::int32_t adv_jams) {
+    if (hardened() && adv_jams > 0) epoch_jams_seen_ = true;
+    ++exchange_echoes_;
+    if (!adaptive()) return;
+    ++epoch_echo_rounds_;
+    if (!delivered) ++epoch_echo_failures_;
+    ++budget_extension_;
+    if (exchange_echoes_ > spec_.confirm_attempts) ++adaptive_confirm_extra_;
+    // A suppressed echo raises the running sample (f + 1) / (r + 2)
+    // (f <= r), so the estimate, the sample clamped between two banked
+    // ones, cannot fall; and the quorum is constant from the cap rate up.
+    // So once an echo of this epoch has put the estimate there, the next
+    // suppressed one leaves the quorum as it is, without the division.
+    if (delivered || !estimate_capped_) RefreshQuorum();
+    confirm_quorum_peak_ = std::max(confirm_quorum_peak_, quorum_);
+  }
 
   // One backoff honeypot round resolved; `adv_jams` is the observed yield.
   // A jam landing on a honeypot is a detected probe: the adversary read

@@ -20,6 +20,21 @@ bool AnyFinished(std::span<const std::uint8_t> finished) {
   return any != 0;
 }
 
+// Appends the round's channel activity to the trace. Kept out of line: the
+// round loop's per-round accounting is inlined at every call site, and
+// traced runs are rare.
+[[gnu::noinline]] void AppendRoundTrace(const mac::Resolver& resolver,
+                                        std::int64_t round,
+                                        RunResult& result) {
+  RoundTrace rt;
+  rt.round = round;
+  for (const mac::ChannelId ch : resolver.touched_channels()) {
+    const mac::ChannelActivity& act = resolver.ActivityOf(ch);
+    rt.events.push_back(ChannelTraceEvent{ch, act.transmitters, act.listeners});
+  }
+  result.trace.push_back(std::move(rt));
+}
+
 }  // namespace
 
 void FinishRun(const EngineConfig& config, std::int64_t rounds,
@@ -122,16 +137,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     result.total_transmissions += summary.total_transmissions;
     result.adv_jams_spent += summary.adv_jams;
     result.adv_jams_effective += summary.adv_jams_effective;
-    if (config.record_trace) {
-      RoundTrace rt;
-      rt.round = round;
-      for (const mac::ChannelId ch : resolver_->touched_channels()) {
-        const mac::ChannelActivity& act = resolver_->ActivityOf(ch);
-        rt.events.push_back(
-            ChannelTraceEvent{ch, act.transmitters, act.listeners});
-      }
-      result.trace.push_back(std::move(rt));
-    }
+    if (config.record_trace) AppendRoundTrace(*resolver_, round, result);
     if (summary.primary_lone_delivered) RecordLoneDelivery(result, round);
     ++round;
   };
@@ -361,16 +367,18 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
       if (result.solved && config.stop_when_solved) break;
 
       // Advance sees the index of the round about to execute, after any
-      // echo or chaff rounds. Assumption checks fire only in Advance: a
-      // ProtocolAssumptionViolation aborts the run gracefully (or, under
-      // the robust layer, fails the epoch) when an adversarial layer really
-      // broke the guarantee it checks; otherwise it is a bug and propagates.
+      // echo or chaff rounds. Assumption checks fire only in Advance, which
+      // returns a breach rather than throwing: it aborts the run gracefully
+      // (or, under the robust layer, fails the epoch) when an adversarial
+      // layer really broke the guarantee it checks; otherwise it is a bug
+      // and is raised as a ProtocolAssumptionViolation.
       finished_.assign(m, 0);
       ctx.round = round;
-      try {
-        program.Advance(ctx, alive_, actions_, feedback_, finished_);
-      } catch (const support::ProtocolAssumptionViolation&) {
-        if (!injector.active() && !adversary_.active()) throw;
+      if (const support::AssumptionBreach breach =
+              program.Advance(ctx, alive_, actions_, feedback_, finished_)) {
+        if (!injector.active() && !adversary_.active()) {
+          support::ThrowBreach(breach);
+        }
         if (epochs.CanRetry()) {
           epoch_failed = true;
           break;

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <deque>
+#include <exception>
 #include <string_view>
 
 #include "sim/batch_engine.h"
@@ -193,11 +194,14 @@ class CoroutineProgram final : public StepProgram {
 
   // Resumes every live coroutine with its feedback, up to its next round
   // request or completion. A node that spent the round on a beacon is not
-  // resumed: its protocol action is still pending.
-  void Advance(const BatchContext& ctx, std::span<const NodeId> alive,
-               std::span<const mac::Action>,
-               std::span<const mac::Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
+  // resumed: its protocol action is still pending. A coroutine that ended
+  // on a CRMC_PROTO_CHECK is reported as the breach it threw, which stays
+  // here for support::ThrowBreach to rethrow unchanged.
+  support::AssumptionBreach Advance(const BatchContext& ctx,
+                                    std::span<const NodeId> alive,
+                                    std::span<const mac::Action>,
+                                    std::span<const mac::Feedback> feedback,
+                                    std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
       NodeContext& node = contexts_[s];
@@ -208,13 +212,21 @@ class CoroutineProgram final : public StepProgram {
       node.resume_point_.resume();
       ProtocolTask& task = tasks_[s];
       if (task.Done()) {
-        task.RethrowIfFailed();
+        try {
+          task.RethrowIfFailed();
+        } catch (const support::ProtocolAssumptionViolation& e) {
+          thrown_ = std::current_exception();
+          support::AssumptionBreach breach = e.where();
+          breach.thrown = &thrown_;
+          return breach;
+        }
         finished[k] = 1;
       } else {
         CRMC_CHECK_MSG(node.has_pending_,
                        "protocol suspended without submitting a round action");
       }
     }
+    return {};
   }
 
   // Instrumentation from the final epoch's nodes (earlier epochs' state is
@@ -237,6 +249,7 @@ class CoroutineProgram final : public StepProgram {
   std::deque<NodeContext> contexts_;  // NodeContext is immovable
   std::vector<ProtocolTask> tasks_;   // destroyed before contexts_
   std::vector<std::uint8_t> beacon_emitted_;
+  std::exception_ptr thrown_;  // the latest breach's exception
 };
 
 RunResult Engine::Run(const EngineConfig& config,

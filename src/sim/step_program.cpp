@@ -22,6 +22,7 @@ using mac::kIdleChannel;
 using mac::kPrimaryChannel;
 using mac::Message;
 using mac::Observation;
+using support::AssumptionBreach;
 using support::BatchBernoulli;
 using support::BatchUniformInt;
 using tree::ChannelTree;
@@ -94,13 +95,16 @@ bool KnockoutFinish(std::int64_t tx, std::span<const std::uint8_t> mask,
 
 // The same rule for one node of a materialized round: a lone transmitter is
 // the leader, a listener that heard anyone is knocked out, and either one
-// finishes.
-bool KnockoutFinished(const Action& action, const Feedback& fb) {
+// finishes (sets `finished`). A transmitter never hears silence.
+AssumptionBreach KnockoutFinished(const Action& action, const Feedback& fb,
+                                  std::uint8_t& finished) {
   if (action.transmit) {
-    CRMC_PROTO_CHECK(!fb.Silence());
-    return fb.MessageHeard();
+    CRMC_STEP_CHECK(!fb.Silence());
+    if (fb.MessageHeard()) finished = 1;
+  } else if (!fb.Silence()) {
+    finished = 1;
   }
-  return !fb.Silence();
+  return {};
 }
 
 // ---------------------------------------------------------------------------
@@ -244,10 +248,10 @@ class TwoActiveProgram final : public StepProgram {
     }
   }
 
-  void Advance(const BatchContext&, std::span<const NodeId> alive,
-               std::span<const Action> actions,
-               std::span<const Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
+  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
+                           std::span<const Action>,
+                           std::span<const Feedback> feedback,
+                           std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
       const Feedback& fb = feedback[k];
@@ -257,7 +261,7 @@ class TwoActiveProgram final : public StepProgram {
           if (fb.MessageHeard()) finished[k] = 1;
           break;
         case kRename:
-          CRMC_PROTO_CHECK(!fb.Silence());
+          CRMC_STEP_CHECK(!fb.Silence());
           if (fb.MessageHeard()) {  // alone: channel label becomes the ID
             phase_[s] = kSearch;
             lo_[s] = 0;
@@ -265,7 +269,7 @@ class TwoActiveProgram final : public StepProgram {
           }
           break;
         case kSearch: {
-          CRMC_PROTO_CHECK(!fb.Silence());
+          CRMC_STEP_CHECK(!fb.Silence());
           const std::int32_t mid = (lo_[s] + hi_[s]) / 2;
           if (fb.Collision()) {
             lo_[s] = mid + 1;  // still shared at `mid`: divergence is deeper
@@ -274,8 +278,7 @@ class TwoActiveProgram final : public StepProgram {
           }
           if (lo_[s] >= hi_[s]) {
             const std::int32_t split = lo_[s];
-            CRMC_PROTO_CHECK_MSG(split >= 1,
-                                 "paths cannot diverge at the root");
+            CRMC_STEP_CHECK_MSG(split >= 1, "paths cannot diverge at the root");
             phase_[s] = tree_->AncestorIsLeftChild(id_[s], split)
                             ? kFinalTx
                             : kFinalListen;
@@ -283,7 +286,7 @@ class TwoActiveProgram final : public StepProgram {
           break;
         }
         case kFinalTx:
-          CRMC_PROTO_CHECK_MSG(
+          CRMC_STEP_CHECK_MSG(
               fb.MessageHeard(),
               "two-active winner was not alone on the primary channel");
           finished[k] = 1;
@@ -292,8 +295,8 @@ class TwoActiveProgram final : public StepProgram {
           finished[k] = 1;
           break;
       }
-      (void)actions;
     }
+    return {};
   }
 
   // The two-active run is fully lockstep: in duel mode every round is a
@@ -302,7 +305,7 @@ class TwoActiveProgram final : public StepProgram {
   // or both stay; every search round updates both bounds identically), and
   // the run ends on a {kFinalTx, kFinalListen} pair. Anything else — more
   // or fewer than two nodes outside duel mode, or a same-final-phase pair,
-  // which the generic path rejects with a CRMC_PROTO_CHECK — declines.
+  // which the generic path reports as a breach — declines.
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
                  std::span<std::int64_t> node_tx,
                  std::span<std::uint8_t> finished,
@@ -391,7 +394,7 @@ class TwoActiveProgram final : public StepProgram {
   // shared non-final phase with shared search bounds, or the terminal
   // {kFinalTx, kFinalListen} pair. A same-phase final pair also reports
   // restored — FastRound declines it side-effect-free and the generic
-  // path's CRMC_PROTO_CHECK fires exactly as it would have unfused.
+  // path's Advance reports the breach exactly as it would have unfused.
   bool LockstepRestored(const BatchContext&,
                         std::span<const NodeId> alive) override {
     if (duel_) return true;
@@ -437,8 +440,8 @@ class TwoActiveProgram final : public StepProgram {
 //
 // The run is fully lockstep per lane (see TwoActiveProgram::FastRound), so
 // a pristine lane never diverges; the `diverged` escape hatch only fires on
-// states the per-trial path would reject with a CRMC_PROTO_CHECK, and the
-// trial engine's fallback rerun reproduces that exception bit-exactly.
+// states the per-trial path would report as a breach, and the trial
+// engine's fallback rerun reproduces that breach bit-exactly.
 
 class TwoActiveTrialProgram final : public TrialProgram {
  public:
@@ -697,16 +700,21 @@ class ReduceProgram final : public StepProgram {
     }
   }
 
-  void Advance(const BatchContext&, std::span<const NodeId> alive,
-               std::span<const Action> actions,
-               std::span<const Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
+  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
+                           std::span<const Action> actions,
+                           std::span<const Feedback> feedback,
+                           std::span<std::uint8_t> finished) override {
     // The leader or a knocked-out listener ends now; a survivor ends when
     // the schedule is over.
     const bool last = static_cast<std::size_t>(++step_) == sched_.size();
     for (std::size_t k = 0; k < alive.size(); ++k) {
-      if (KnockoutFinished(actions[k], feedback[k]) || last) finished[k] = 1;
+      if (const AssumptionBreach breach =
+              KnockoutFinished(actions[k], feedback[k], finished[k])) {
+        return breach;
+      }
+      if (last) finished[k] = 1;
     }
+    return {};
   }
 
   // One coin round covers every survivor.
@@ -865,16 +873,16 @@ class IdReductionProgram final : public StepProgram {
     }
   }
 
-  void Advance(const BatchContext&, std::span<const NodeId> alive,
-               std::span<const Action> actions,
-               std::span<const Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
+  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
+                           std::span<const Action> actions,
+                           std::span<const Feedback> feedback,
+                           std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
       const Feedback& fb = feedback[k];
       switch (cycle_) {
         case 0:
-          CRMC_PROTO_CHECK(!fb.Silence());
+          CRMC_STEP_CHECK(!fb.Silence());
           renamed_[s] = fb.MessageHeard() ? 1 : 0;  // alone on the channel
           break;
         case 1:
@@ -886,11 +894,15 @@ class IdReductionProgram final : public StepProgram {
           break;
         default:
           // Solved outright, or knocked out.
-          if (KnockoutFinished(actions[k], fb)) finished[k] = 1;
+          if (const AssumptionBreach breach =
+                  KnockoutFinished(actions[k], fb, finished[k])) {
+            return breach;
+          }
           break;
       }
     }
     NextPosition();
+    return {};
   }
 
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
@@ -1162,7 +1174,7 @@ struct LeafMachine {
   // Zero-round transition after the root check or an announce: either set
   // up the next (p+1)-ary refinement or conclude SplitSearch and move to
   // pairing at split_level == l_max.
-  void EnterRefinementOrPair(std::size_t s) {
+  AssumptionBreach EnterRefinementOrPair(std::size_t s) {
     if (l_max[s] > l_min[s] + 1) {
       const std::int32_t range = l_max[s] - l_min[s];
       const std::int32_t arity = force_binary ? 2 : csize[s] + 1;
@@ -1179,9 +1191,10 @@ struct LeafMachine {
         idle_left[s] = 4;
       }
     } else {
-      CRMC_PROTO_CHECK(l_max[s] >= 1 && l_max[s] <= cnode_level[s]);
+      CRMC_STEP_CHECK(l_max[s] >= 1 && l_max[s] <= cnode_level[s]);
       pc[s] = kPair;
     }
+    return {};
   }
 
   Action Emit(std::size_t s) const {
@@ -1226,22 +1239,25 @@ struct LeafMachine {
     return Action::Idle();
   }
 
-  // Returns true when node slot `s` leaves the election this round (as the
+  // Sets `leaves` when node slot `s` leaves the election this round (as the
   // leader or as a partner-less cohort going inactive).
-  bool Advance(std::size_t s, const Action& action, const Feedback& fb) {
+  AssumptionBreach Advance(std::size_t s, const Action& action,
+                           const Feedback& fb, std::uint8_t& leaves) {
     switch (pc[s]) {
       case kRoot:
-        CRMC_PROTO_CHECK(!fb.Silence());  // every cohort has a master
-        if (fb.MessageHeard()) return true;  // lone master broadcast: done
+        CRMC_STEP_CHECK(!fb.Silence());  // every cohort has a master
+        if (fb.MessageHeard()) {  // lone master broadcast: done
+          leaves = 1;
+          return {};
+        }
         l_min[s] = 0;
         l_max[s] = cnode_level[s];
-        EnterRefinementOrPair(s);
-        return false;
+        return EnterRefinementOrPair(s);
       case kProbe:
-        CRMC_PROTO_CHECK(!fb.Silence());
+        CRMC_STEP_CHECK(!fb.Silence());
         probe_collided[s] = fb.Collision() ? 1 : 0;
         pc[s] = kVerdict;
-        return false;
+        return {};
       case kVerdict: {
         // CheckLevel verdict: a collided probe already decided "shared";
         // otherwise the row channel spreads the other probers' verdict.
@@ -1255,36 +1271,38 @@ struct LeafMachine {
           second_res[s] = result;
           pc[s] = kAnnounce;
         }
-        return false;
+        return {};
       }
       case kIdleRounds:
         if (--idle_left[s] == 0) pc[s] = kAnnounce;
-        return false;
+        return {};
       case kAnnounce: {
         std::int32_t subrange;
         if (action.transmit) {
-          CRMC_PROTO_CHECK_MSG(fb.MessageHeard(),
-                               "two announcers in one cohort (subrange "
-                                   << action.message.payload << ")");
+          CRMC_STEP_CHECK_VALUE(fb.MessageHeard(),
+                                "two announcers in one cohort (subrange %lld)",
+                                action.message.payload);
           subrange = static_cast<std::int32_t>(action.message.payload);
         } else {
-          CRMC_PROTO_CHECK_MSG(fb.MessageHeard(),
-                               "cohort announcement missing on channel "
-                                   << tree->ChannelOf(cnode_heap[s]));
+          CRMC_STEP_CHECK_VALUE(fb.MessageHeard(),
+                                "cohort announcement missing on channel %lld",
+                                tree->ChannelOf(cnode_heap[s]));
           subrange = static_cast<std::int32_t>(fb.message.payload);
         }
-        CRMC_PROTO_CHECK(subrange >= 0 && subrange < k_bound[s]);
+        CRMC_STEP_CHECK(subrange >= 0 && subrange < k_bound[s]);
         // Compute both bounds before assigning: Boundary reads l_min.
         const std::int32_t new_min = Boundary(s, subrange);
         const std::int32_t new_max = Boundary(s, subrange + 1);
         l_min[s] = new_min;
         l_max[s] = new_max;
-        EnterRefinementOrPair(s);
-        return false;
+        return EnterRefinementOrPair(s);
       }
       case kPair: {
-        CRMC_PROTO_CHECK(!fb.Silence());  // our own master transmitted
-        if (!fb.Collision()) return true;  // no partner cohort: inactive
+        CRMC_STEP_CHECK(!fb.Silence());  // our own master transmitted
+        if (!fb.Collision()) {  // no partner cohort: inactive
+          leaves = 1;
+          return {};
+        }
         const std::int32_t split = l_max[s];
         if (!tree->AncestorIsLeftChild(leaf[s], split)) {
           cid[s] += csize[s];  // right-subtree cohort shifts its IDs up
@@ -1293,11 +1311,11 @@ struct LeafMachine {
         cnode_heap[s] = tree->AncestorAtLevel(leaf[s], split - 1);
         cnode_level[s] = split - 1;
         pc[s] = kRoot;
-        return false;
+        return {};
       }
     }
     CRMC_CHECK(false);  // unreachable
-    return true;
+    return {};
   }
 };
 
@@ -1329,16 +1347,18 @@ class LeafElectionProgram final : public StepProgram {
     }
   }
 
-  void Advance(const BatchContext&, std::span<const NodeId> alive,
-               std::span<const Action> actions,
-               std::span<const Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
+  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
+                           std::span<const Action> actions,
+                           std::span<const Feedback> feedback,
+                           std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
-      if (machine_.Advance(static_cast<std::size_t>(alive[k]), actions[k],
-                           feedback[k])) {
-        finished[k] = 1;
+      if (const AssumptionBreach breach =
+              machine_.Advance(static_cast<std::size_t>(alive[k]), actions[k],
+                               feedback[k], finished[k])) {
+        return breach;
       }
     }
+    return {};
   }
 
   std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
@@ -1371,9 +1391,8 @@ struct LeafLaneScratch {
 // action, resolves the lane's channels under pristine strong CD (the only
 // regime the fused path handles — see resolver.cpp's fast path), advances
 // the machines on the resulting feedback, and retires departing members.
-// A ProtocolAssumptionViolation from a machine marks the lane diverged so
-// the per-trial fallback rerun reproduces the throw. Returns true when the
-// lane fully ended.
+// A breach from a machine marks the lane diverged so the per-trial fallback
+// rerun reproduces it. Returns true when the lane fully ended.
 bool LeafLaneRound(LeafMachine& m, LaneAliveSet& set, std::int32_t lane,
                    std::span<const std::int32_t> slots,
                    std::span<std::int64_t> node_tx, LeafLaneScratch& sc,
@@ -1413,12 +1432,8 @@ bool LeafLaneRound(LeafMachine& m, LaneAliveSet& set, std::int32_t lane,
         fb.observation = Observation::kCollision;
       }
     }
-    try {
-      if (m.Advance(static_cast<std::size_t>(slots[i]), a, fb)) {
-        sc.leave[i] = 1;
-      }
-    } catch (const support::ProtocolAssumptionViolation&) {
-      fx.diverged = true;  // pristine run: per-trial Run rethrows
+    if (m.Advance(static_cast<std::size_t>(slots[i]), a, fb, sc.leave[i])) {
+      fx.diverged = true;  // pristine run: per-trial Run raises the breach
     }
   }
   for (const std::int32_t ch : sc.touched) {
@@ -1520,13 +1535,17 @@ class KnockoutCdProgram final : public StepProgram {
     }
   }
 
-  void Advance(const BatchContext&, std::span<const NodeId> alive,
-               std::span<const Action> actions,
-               std::span<const Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
+  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
+                           std::span<const Action> actions,
+                           std::span<const Feedback> feedback,
+                           std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
-      if (KnockoutFinished(actions[k], feedback[k])) finished[k] = 1;
+      if (const AssumptionBreach breach =
+              KnockoutFinished(actions[k], feedback[k], finished[k])) {
+        return breach;
+      }
     }
+    return {};
   }
 
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
@@ -1692,19 +1711,18 @@ class GeneralProgram final : public StepProgram {
     }
   }
 
-  void Advance(const BatchContext&, std::span<const NodeId> alive,
-               std::span<const Action> actions,
-               std::span<const Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
+  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
+                           std::span<const Action> actions,
+                           std::span<const Feedback> feedback,
+                           std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
       const Feedback& fb = feedback[k];
+      AssumptionBreach breach;
       if (in_leaf_[s]) {
-        if (leaf_.Advance(s, actions[k], fb)) finished[k] = 1;
-        continue;
-      }
-      if (stage_ == kIdr && step_ == 0) {
-        CRMC_PROTO_CHECK(!fb.Silence());
+        breach = leaf_.Advance(s, actions[k], fb, finished[k]);
+      } else if (stage_ == kIdr && step_ == 0) {
+        CRMC_STEP_CHECK(!fb.Silence());
         renamed_[s] = fb.MessageHeard() ? 1 : 0;  // alone on the channel
       } else if (stage_ == kIdr && step_ == 1) {
         if (renamed_[s]) {
@@ -1712,11 +1730,14 @@ class GeneralProgram final : public StepProgram {
         } else if (!fb.Silence()) {
           finished[k] = 1;  // someone renamed and we did not
         }
-      } else if (KnockoutFinished(actions[k], fb)) {
-        finished[k] = 1;  // the leader, or knocked out
+      } else {
+        // The leader, or knocked out.
+        breach = KnockoutFinished(actions[k], fb, finished[k]);
       }
+      if (breach) return breach;
     }
     NextStep();
+    return {};
   }
 
   // The shared stage holds for every alive node until the renamed nodes

@@ -28,6 +28,7 @@
 
 #include "core/params.h"
 #include "mac/channel.h"
+#include "support/assert.h"
 #include "support/rng.h"
 
 namespace crmc::sim {
@@ -159,7 +160,9 @@ class TrialProgram {
 //                       coroutine (one resume per round).
 //   Advance(...)      — consume feedback[k] for node alive[k], transition
 //                       its state, and set finished[k] = 1 when the node's
-//                       protocol terminated this round.
+//                       protocol terminated this round. Returns the first
+//                       broken model assumption it met (empty when every
+//                       check held); see the Advance declaration.
 //   FastRound(...)    — optional fused round: EmitActions + channel
 //                       resolution + Advance in one pass, skipping the
 //                       Action/Feedback arrays and mac::Resolver entirely
@@ -193,11 +196,18 @@ class StepProgram {
   virtual void EmitActions(const BatchContext& ctx,
                            std::span<const NodeId> alive,
                            std::span<mac::Action> actions) = 0;
-  virtual void Advance(const BatchContext& ctx,
-                       std::span<const NodeId> alive,
-                       std::span<const mac::Action> actions,
-                       std::span<const mac::Feedback> feedback,
-                       std::span<std::uint8_t> finished) = 0;
+  // A protocol that meets feedback its model rules out (a check in the
+  // coroutine twin's CRMC_PROTO_CHECK) stops at that node and returns the
+  // breach (CRMC_STEP_CHECK), with no exception thrown: the round loop
+  // fails the epoch or aborts the run with assumption_violated when a
+  // fault injector or adversary is active, and otherwise raises it with
+  // support::ThrowBreach, as a bug. The program's state after a breach is
+  // unspecified; the engine Resets it before any further round.
+  virtual support::AssumptionBreach Advance(
+      const BatchContext& ctx, std::span<const NodeId> alive,
+      std::span<const mac::Action> actions,
+      std::span<const mac::Feedback> feedback,
+      std::span<std::uint8_t> finished) = 0;
 
   // Executes the whole round — the draws EmitActions would make (same
   // streams, same order), strong-CD channel resolution, and the Advance

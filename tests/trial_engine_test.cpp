@@ -503,11 +503,12 @@ class TwinlessProgram : public StepProgram {
                    std::span<mac::Action> actions) override {
     inner_->EmitActions(ctx, alive, actions);
   }
-  void Advance(const BatchContext& ctx, std::span<const NodeId> alive,
-               std::span<const mac::Action> actions,
-               std::span<const mac::Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
-    inner_->Advance(ctx, alive, actions, feedback, finished);
+  support::AssumptionBreach Advance(const BatchContext& ctx,
+                                    std::span<const NodeId> alive,
+                                    std::span<const mac::Action> actions,
+                                    std::span<const mac::Feedback> feedback,
+                                    std::span<std::uint8_t> finished) override {
+    return inner_->Advance(ctx, alive, actions, feedback, finished);
   }
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
                  std::span<std::int64_t> node_tx,
