@@ -572,15 +572,17 @@ const Kind kAllKinds[] = {
     Kind::kPhaseTracking, Kind::kLookahead,     Kind::kLearning,
     Kind::kProbing};
 
-// A budgeted spec of `kind` on four channels; the script, the probe budget
-// and the observation mode vary with `variant`.
+// A budgeted spec of `kind` on four channels; the script, the probe budget,
+// the per-round cap and the observation mode vary with `variant`. Variants
+// 0-3 hold budgets of 200 or more; from 4 on the budget is a few dozen
+// channel-rounds, which a striker spends within its first engagements.
 AdversarySpec DriverSpec(Kind kind, int variant) {
   AdversarySpec spec;
   spec.kind = kind;
   spec.obs = variant % 2 == 0 ? ObsMode::kFull : ObsMode::kActivity;
   spec.adv_seed = static_cast<std::uint64_t>(variant);
   if (!spec.Budgeted()) return spec;
-  spec.budget = 200 + 40 * variant;
+  spec.budget = variant < 4 ? 200 + 40 * variant : 7 * variant;
   spec.per_round_cap = 1 + variant % 3;
   if (kind == Kind::kProbing) spec.probe_budget = 3 + variant;
   if (kind == Kind::kScripted) {
@@ -613,14 +615,24 @@ std::vector<Action> PatternActions(std::int64_t pattern) {
 }
 
 // A round that repeats the previous round's actions changes no sighting, so
-// the driver only re-stamps its observation. Two drivers see the same
-// activity in long repeated trains; one observes every round in full, the
-// other takes the repeat path on every round after a train's first (its
-// resolver re-judges those rounds, as the round loop does). Their jam
-// plans, holds and spend must match round for round, for every kind.
+// the driver only re-stamps its observation, and a strategy that can tell
+// its plan is unchanged keeps it (Adversary::KeepPlan). Two drivers see the
+// same activity in long repeated trains; one observes every round in full,
+// the other takes the repeat path on every round after a train's first
+// (its resolver re-judges those rounds, as the round loop does). Their jam
+// plans, holds and spend must match round for round, for every kind. The
+// variants run per-round caps of 1 to 3, and from variant 4 on budgets so
+// small that ledgers run dry inside trains. Now and then neither driver
+// plans a long train's second round, so a kept plan must also notice that
+// the strategy never digested the observation the next round repeats.
 TEST(AdversaryRun, RepeatObservationMatchesFullObservation) {
+  // Probing rounds where a kept plan could apply (a repeat with a plan
+  // left to keep), and ledgers that ran dry with their train still going.
+  std::int64_t probing_repeat_jams = 0;
+  std::int64_t probing_dry_mid_train = 0;
+  std::int64_t unplanned_rounds = 0;
   for (const Kind kind : kAllKinds) {
-    for (int variant = 0; variant < 4; ++variant) {
+    for (int variant = 0; variant < 8; ++variant) {
       SCOPED_TRACE(::testing::Message() << adversary::ToString(kind)
                                         << " variant " << variant);
       const AdversarySpec spec = DriverSpec(kind, variant);
@@ -634,15 +646,32 @@ TEST(AdversaryRun, RepeatObservationMatchesFullObservation) {
       while (round < 400) {
         const std::vector<Action> actions =
             PatternActions(meta.UniformInt(0, 4));
-        const std::int64_t train = meta.UniformInt(1, 24);
+        // A skipped plan opens a long train: a state digested from an
+        // older observation (a fight where the repeat shows a collision)
+        // would plan differently for longer than a strike and its linger.
+        const bool skip_second = meta.UniformInt(0, 5) == 0;
+        const std::int64_t train = skip_second ? 48 : meta.UniformInt(1, 24);
         for (std::int64_t rep = 0; rep < train; ++rep, ++round) {
-          const auto full_jams = full.PlanRound(round, 4);
-          const std::vector<mac::ChannelId> want(full_jams.begin(),
-                                                 full_jams.end());
-          const auto repeat_jams = repeated.PlanRound(round, 4);
-          const std::vector<mac::ChannelId> got(repeat_jams.begin(),
-                                                repeat_jams.end());
-          ASSERT_EQ(got, want) << "round " << round;
+          std::vector<mac::ChannelId> want;
+          std::vector<mac::ChannelId> got;
+          if (rep == 1 && skip_second) {
+            ++unplanned_rounds;
+          } else {
+            const bool had_budget = full.ledger().remaining() > 0;
+            const auto full_jams = full.PlanRound(round, 4);
+            want.assign(full_jams.begin(), full_jams.end());
+            const auto repeat_jams = repeated.PlanRound(round, 4);
+            got.assign(repeat_jams.begin(), repeat_jams.end());
+            ASSERT_EQ(got, want) << "round " << round;
+            if (kind == Kind::kProbing) {
+              probing_repeat_jams += rep > 0 && !got.empty() ? 1 : 0;
+              probing_dry_mid_train += had_budget &&
+                                               full.ledger().remaining() == 0 &&
+                                               rep > 0 && rep + 1 < train
+                                           ? 1
+                                           : 0;
+            }
+          }
           full_resolver.Tally(actions, nullptr, want);
           full.ObserveRound(full_resolver, round);
           if (rep == 0) {
@@ -659,6 +688,9 @@ TEST(AdversaryRun, RepeatObservationMatchesFullObservation) {
       }
     }
   }
+  EXPECT_GT(probing_repeat_jams, 0);
+  EXPECT_GT(probing_dry_mid_train, 0);
+  EXPECT_GT(unplanned_rounds, 0);
 }
 
 // The round loop keeps one driver per engine and resets it for every run.

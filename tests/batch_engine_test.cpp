@@ -630,6 +630,51 @@ TEST(BatchEngineFused, ScriptedJamReFusesMultiChannel) {
       << refused << " of " << eligible << " eligible runs re-fused";
 }
 
+// The knockout keeps no per-node state, so after a jam from an
+// observation-free adversary (one that leaves the run on fused rounds) its
+// LockstepRestored re-fuses the run on the next jam-free round. The fused
+// runs must match runs forced onto the generic path, and runs must re-fuse:
+// the camper jams rounds 0..budget-1 and the script jams rounds 1 and 3, so
+// a fused round after round 0 of a jammed run means a re-fuse.
+TEST(BatchEngineFused, ObservationFreeJamsReFuseKnockout) {
+  EngineConfig config;
+  config.population = 1 << 12;
+  config.num_active = 64;
+  config.channels = 1;
+  auto program = MakeKnockoutCdProgram();
+  BatchEngine fused;
+  BatchEngine generic;
+  generic.set_fused_rounds(false);
+  for (const adversary::Kind kind :
+       {adversary::Kind::kScripted, adversary::Kind::kPrimaryCamper}) {
+    SCOPED_TRACE(adversary::ToString(kind));
+    config.adversary = {};
+    config.adversary.kind = kind;
+    // Fused rounds a jammed run can have without re-fusing.
+    std::int64_t before_jams = 0;
+    if (kind == adversary::Kind::kScripted) {
+      config.adversary.budget = 2;
+      config.adversary.script = {{1, 1}, {3, 1}};
+      before_jams = 1;
+    } else {
+      config.adversary.budget = 3;
+    }
+    int refused = 0;
+    for (int t = 0; t < 600; ++t) {
+      config.seed = 64'000 + static_cast<std::uint64_t>(t);
+      const RunResult a = fused.Run(config, *program);
+      const RunResult b = generic.Run(config, *program);
+      ExpectSameResult(b, a, config.seed);
+      EXPECT_EQ(a.adv_jams_spent, b.adv_jams_spent);
+      EXPECT_EQ(a.adv_jams_effective, b.adv_jams_effective);
+      EXPECT_EQ(b.fused_rounds, 0);
+      if (::testing::Test::HasFailure()) return;
+      if (a.adv_jams_spent > 0 && a.fused_rounds > before_jams) ++refused;
+    }
+    EXPECT_GT(refused, 100);
+  }
+}
+
 // Scratch reuse across *different* shapes: one engine instance must give
 // the same answers as fresh instances when the channel count (and thus the
 // resolver) changes between runs.

@@ -3,6 +3,7 @@
 // paper's algorithms rely on *strong* CD specifically.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/two_active.h"
@@ -10,7 +11,9 @@
 #include "harness/registry.h"
 #include "mac/channel.h"
 #include "mac/resolver.h"
+#include "sim/batch_engine.h"
 #include "sim/engine.h"
+#include "sim/step_program.h"
 
 namespace crmc {
 namespace {
@@ -96,6 +99,96 @@ TEST(CdAblation, TwoActiveRequiresStrongCd) {
     EXPECT_THROW(sim::Engine::Run(config, core::MakeTwoActive()),
                  support::ProtocolAssumptionViolation)
         << "seed=" << seed;
+  }
+}
+
+// The same ablation on two_active's step program, which reports the broken
+// assumption as a result rather than throwing it: with no adversarial layer
+// a breach is a bug, so BatchEngine raises it as the exception the
+// coroutine throws, naming the failing check and where it is.
+TEST(CdAblation, TwoActiveStepProgramRaisesBreach) {
+  const auto program = sim::MakeTwoActiveProgram();
+  sim::BatchEngine engine;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    sim::EngineConfig config;
+    config.num_active = 2;
+    config.population = 1 << 16;
+    config.channels = 64;
+    config.seed = seed;
+    config.max_rounds = 200;
+    config.cd_model = CdModel::kReceiverOnly;
+    try {
+      engine.Run(config, *program);
+      ADD_FAILURE() << "no breach, seed=" << seed;
+    } catch (const support::ProtocolAssumptionViolation& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("protocol model assumption violated: "
+                           "!fb.Silence() at ",
+                           0),
+                0u)
+          << what;
+      EXPECT_NE(what.find("step_program.cpp:"), std::string::npos) << what;
+      ASSERT_NE(e.where().expr, nullptr);
+      EXPECT_STREQ(e.where().expr, "!fb.Silence()");
+      EXPECT_EQ(e.where().thrown, nullptr);
+    }
+  }
+}
+
+// With an adversary active the same breach is what the adversarial layer
+// broke: the run ends with assumption_violated (a static robust policy
+// with one epoch has no retry) and nothing is thrown, on the step program
+// and on the coroutine alike, which reach the same result.
+TEST(CdAblation, TwoActiveBreachUnderAdversaryAborts) {
+  const auto program = sim::MakeTwoActiveProgram();
+  sim::BatchEngine engine;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    sim::EngineConfig config;
+    config.num_active = 2;
+    config.population = 1 << 16;
+    config.channels = 64;
+    config.seed = seed;
+    config.max_rounds = 200;
+    config.cd_model = CdModel::kReceiverOnly;
+    config.adversary.kind = adversary::Kind::kProbing;
+    config.adversary.budget = 64;
+    config.robust.enabled = true;
+    config.robust.policy = robust::PolicyKind::kStatic;
+    config.robust.max_epochs = 1;
+    sim::RunResult batch;
+    ASSERT_NO_THROW(batch = engine.Run(config, *program)) << "seed=" << seed;
+    EXPECT_TRUE(batch.assumption_violated) << "seed=" << seed;
+    EXPECT_FALSE(batch.solved) << "seed=" << seed;
+    sim::RunResult coro;
+    ASSERT_NO_THROW(coro = sim::Engine::Run(config, core::MakeTwoActive()))
+        << "seed=" << seed;
+    EXPECT_TRUE(coro.assumption_violated) << "seed=" << seed;
+    EXPECT_EQ(coro.rounds_executed, batch.rounds_executed) << "seed=" << seed;
+  }
+}
+
+// A breach raised after the fact reads exactly like the check's own throw:
+// the static note takes its value, and a breach caught from a throw is
+// rethrown unchanged.
+TEST(CdAblation, ThrowBreachFormatsAndRethrows) {
+  const support::AssumptionBreach breach{"x > 0", "proto.cpp", 12,
+                                         "saw %lld nodes", 3};
+  try {
+    support::ThrowBreach(breach);
+  } catch (const support::ProtocolAssumptionViolation& e) {
+    EXPECT_STREQ(e.what(),
+                 "protocol model assumption violated: x > 0 at proto.cpp:12 "
+                 "(saw 3 nodes)");
+    EXPECT_STREQ(e.where().expr, "x > 0");
+    EXPECT_EQ(e.where().line, 12);
+    std::exception_ptr thrown = std::current_exception();
+    support::AssumptionBreach caught = e.where();
+    caught.thrown = &thrown;
+    try {
+      support::ThrowBreach(caught);
+    } catch (const support::ProtocolAssumptionViolation& again) {
+      EXPECT_EQ(&again, &e);  // the same exception object
+    }
   }
 }
 
