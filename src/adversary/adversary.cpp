@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 namespace crmc::adversary {
 namespace {
@@ -17,35 +16,6 @@ constexpr std::uint64_t kPlanStream = 0x7A3B17;
 std::uint64_t AdvMasterSeed(std::uint64_t run_seed, std::uint64_t adv_seed) {
   return support::SplitMix64(run_seed ^ (kAdvSeedSalt * (adv_seed + 1)))
       .Next();
-}
-
-// The driver's checks on a freshly planned list: channels in range, none
-// twice. Out of line, with the size check's failure below, so that
-// PlanRound, which runs every round, keeps the small frame of its common
-// path instead of one sized for the failure messages' string streams.
-[[gnu::noinline]] void CheckPlannedList(const Adversary& strategy,
-                                        std::span<const mac::ChannelId> jams,
-                                        std::int32_t channels) {
-  for (std::size_t i = 0; i < jams.size(); ++i) {
-    CRMC_CHECK_MSG(jams[i] >= 1 && jams[i] <= channels,
-                   "strategy " << strategy.name()
-                               << " planned out-of-range channel " << jams[i]
-                               << " of " << channels);
-    for (std::size_t j = 0; j < i; ++j) {
-      CRMC_CHECK_MSG(jams[i] != jams[j], "strategy "
-                                             << strategy.name()
-                                             << " planned duplicate channel "
-                                             << jams[i]);
-    }
-  }
-}
-
-[[noreturn, gnu::noinline, gnu::cold]] void PlanOverAllowance(
-    const Adversary& strategy, std::size_t planned, std::int32_t allowance) {
-  support::CheckFailed("planned <= allowance", __FILE__, __LINE__,
-                       std::string("strategy ") + strategy.name() +
-                           " planned " + std::to_string(planned) +
-                           " jams, allowance " + std::to_string(allowance));
 }
 
 class PrimaryCamper final : public Adversary {
@@ -738,18 +708,31 @@ std::span<const mac::ChannelId> AdversaryRun::PlanRound(
   ctx.remaining = ledger_.remaining();
   ctx.last = last_obs_.valid() ? &last_obs_ : nullptr;
   ctx.rng = &rng_;
-  // A repeated observation implies the strategy planned last round: the
-  // allowance never grows back, so it was positive then too, and jams_
-  // still holds that plan.
+  // jams_ still holds the latest plan (an allowance never grows back, so
+  // a zero one cleared nothing a later round could keep). After a repeated
+  // observation the strategy may keep it: KeepPlan checks that the plan
+  // digested the observation this one repeats.
   if (!repeat_ || !strategy_->KeepPlan(ctx)) {
     jams_.clear();
     strategy_->PlanJams(ctx, jams_);
-    CheckPlannedList(*strategy_, jams_, channels);
+    for (std::size_t i = 0; i < jams_.size(); ++i) {
+      CRMC_CHECK_MSG(jams_[i] >= 1 && jams_[i] <= channels,
+                     "strategy " << strategy_->name()
+                                 << " planned out-of-range channel "
+                                 << jams_[i] << " of " << channels);
+      for (std::size_t j = 0; j < i; ++j) {
+        CRMC_CHECK_MSG(jams_[i] != jams_[j],
+                       "strategy " << strategy_->name()
+                                   << " planned duplicate channel "
+                                   << jams_[i]);
+      }
+    }
   }
   if (jams_.empty()) ++rounds_held_;  // had allowance, chose not to spend
-  if (jams_.size() > static_cast<std::size_t>(allowance)) {
-    PlanOverAllowance(*strategy_, jams_.size(), allowance);
-  }
+  CRMC_CHECK_MSG(static_cast<std::int32_t>(jams_.size()) <= allowance,
+                 "strategy " << strategy_->name() << " planned "
+                             << jams_.size() << " jams, allowance "
+                             << allowance);
   ledger_.Charge(static_cast<std::int32_t>(jams_.size()));
   return jams_;
 }

@@ -46,26 +46,16 @@ class BudgetLedger {
   // Charge one round's jams. Exceeding the cap or the remaining budget is
   // a strategy bug: the driver hands every strategy its allowance up front.
   void Charge(std::int32_t jams) {
-    if (jams < 0 || jams > per_round_cap_ || jams > remaining()) {
-      ChargeFailed(jams);
-    }
-    spent_ += jams;
-  }
-
- private:
-  // The failure messages of Charge's checks. Out of line and cold, so the
-  // driver's every-round charge stays free of their string streams.
-  [[noreturn, gnu::noinline, gnu::cold]] void ChargeFailed(
-      std::int32_t jams) const {
     CRMC_CHECK_MSG(jams >= 0 && jams <= per_round_cap_,
                    "adversary spent " << jams << " jams in one round, cap "
                                       << per_round_cap_);
     CRMC_CHECK_MSG(jams <= remaining(),
                    "adversary overspent: " << jams << " jams with "
                                            << remaining() << " budget left");
-    std::abort();  // unreachable: one of the checks above failed
+    spent_ += jams;
   }
 
+ private:
   std::int64_t total_ = 0;
   std::int64_t spent_ = 0;
   std::int32_t per_round_cap_ = 1;
