@@ -150,9 +150,10 @@ class Adversary {
   virtual bool needs_observation() const { return false; }
   virtual void PlanJams(const PlanContext& ctx,
                         std::vector<mac::ChannelId>& out) = 0;
-  // Called in place of PlanJams, with the same context, only when the
-  // strategy planned the previous round and ctx.last repeats the
-  // observation before it. The default always re-plans.
+  // Called in place of PlanJams, with the same context, when ctx.last
+  // repeats the observation before it. True keeps the latest plan, so it
+  // is only right if that plan was made from the observation ctx.last
+  // repeats (a round may go unplanned). The default always re-plans.
   virtual bool KeepPlan(const PlanContext& ctx) {
     (void)ctx;
     return false;
