@@ -373,23 +373,22 @@ class Probing final : public Adversary {
 
   // A repeated observation in a fight (an echo train of the claim it saw)
   // or in an open strike with window left (a chaff burst's collisions)
-  // leaves Digest nothing to do but lengthen the echo train or spend the
-  // window and refresh the linger, and PlanJams plans the primary channel
-  // again, as it did last round. Only if last round's plan digested the
-  // observation this one repeats: otherwise the state reflects an older one.
+  // leaves Digest nothing to do but spend the window, and PlanJams plans
+  // the primary channel again, as it did last round. Only if last round's
+  // plan digested the observation this one repeats: otherwise the state
+  // reflects an older one. The linger needs no refresh here: it only
+  // counts down while no fight or strike is live, and the full Digest that
+  // ends a fight or strike resets it before anything reads it.
   bool KeepPlan(const PlanContext& ctx) override {
     if (last_digested_ != ctx.last->round - 1) return false;
-    if (fighting_) {
-      ++echo_train_;
-    } else if (striking_ && strike_window_ > 0 &&
-               !ctx.last->sightings.empty()) {
+    if (!fighting_) {
+      if (!striking_ || strike_window_ <= 0 || ctx.last->sightings.empty()) {
+        return false;
+      }
       --strike_window_;
       ++strike_jams_;
-    } else {
-      return false;
     }
     last_digested_ = ctx.last->round;
-    linger_ = kLingerRounds;
     return true;
   }
 
@@ -429,7 +428,7 @@ class Probing final : public Adversary {
  private:
   // Folds the newest observation (exactly once) into the striker state:
   // silence streaks (kill detection + re-arming), fight engagement on live
-  // claims, echo-train quorum estimation, and the trigger itself.
+  // claims, and the trigger itself.
   void Digest(const PlanContext& ctx) {
     if (ctx.last == nullptr || ctx.last->round == last_digested_) return;
     last_digested_ = ctx.last->round;
@@ -452,7 +451,6 @@ class Probing final : public Adversary {
         engaged_ = false;
         armed_ = true;  // quiet world: the next contention is a fresh epoch
       }
-      EndEchoTrain();
       return;
     }
     silence_streak_ = 0;
@@ -462,7 +460,6 @@ class Probing final : public Adversary {
         (ctx.last->sightings[0].transmitters == 1 ||
          ctx.last->sightings[0].transmitters < 0);
     if (lone_primary) {
-      ++echo_train_;
       // An undelivered lone primary in a continuing run is a live claim
       // (candidate, echo, or post-exchange retry). Always engage: fight
       // until the claim dies. Sparing it concedes the run to the first
@@ -473,7 +470,6 @@ class Probing final : public Adversary {
       armed_ = false;
       return;
     }
-    EndEchoTrain();
     if (fighting_ || (engaged_ && !striking_)) {
       // The claim survived the echo train (or resurfaced after a one-round
       // gap) and the epoch moved on to visible coordination. The
@@ -496,13 +492,6 @@ class Probing final : public Adversary {
         kill_depth_ > 0 ? kill_depth_ + kStrikeMargin : probe_budget_;
   }
 
-  void EndEchoTrain() {
-    if (echo_train_ >= 2) {
-      quorum_estimate_ = std::max(quorum_estimate_, echo_train_);
-    }
-    echo_train_ = 0;
-  }
-
   std::int64_t probe_budget_ = kDefaultProbeBudget;
   bool armed_ = true;       // ready to open a strike on the next trigger
   bool striking_ = false;   // camping the primary behind a trigger
@@ -515,9 +504,6 @@ class Probing final : public Adversary {
   std::int64_t kill_depth_ = -1;    // calibrated jams-to-kill; -1 unmeasured
   std::int64_t silence_streak_ = 0;
   std::int64_t last_digested_ = -1;
-  std::int64_t echo_train_ = 0;       // current lone-primary run length
-  std::int64_t quorum_estimate_ = 0;  // longest echo train seen (the
-                                      // quorum the wrapper had in force)
 };
 
 class ScriptedAdversary final : public Adversary {

@@ -36,26 +36,11 @@ TrialJobPlan PlanTrialJob(const TrialSpec& spec,
 
 namespace {
 
-// Folds one trial's counters into `fold`; the solved round itself goes to
-// the job's plane (RunTrialChunk).
+// Folds one trial into `fold`: its layer counters through
+// LayerCounters::Add, then the counts derived from its outcome. The solved
+// round itself goes to the job's plane (RunTrialChunk).
 void FoldRun(const sim::RunResult& run, TrialSetResult& fold) {
-  fold.faults_injected += run.faults_injected;
-  fold.crashed_nodes += run.crashed_nodes;
-  fold.adv_jams_spent += run.adv_jams_spent;
-  fold.adv_jams_effective += run.adv_jams_effective;
-  fold.adv_rounds_held += run.adv_rounds_held;
-  fold.adv_jams_echo += run.adv_jams_echo;
-  fold.adv_jams_backoff += run.adv_jams_backoff;
-  fold.epochs_used += run.epochs_used;
-  fold.retries += run.retries;
-  fold.confirm_rounds += run.confirm_rounds;
-  fold.backoff_rounds += run.backoff_rounds;
-  fold.adaptive_confirm_extra += run.adaptive_confirm_extra;
-  fold.adaptive_backoff_trimmed += run.adaptive_backoff_trimmed;
-  fold.confirm_quorum_peak =
-      std::max(fold.confirm_quorum_peak, run.confirm_quorum_peak);
-  fold.probe_rounds_detected += run.probe_rounds_detected;
-  fold.obfuscation_rounds += run.obfuscation_rounds;
+  fold.Add(run);
   fold.rounds_total += run.rounds_executed;
   fold.trial_lanes_peak = std::max(fold.trial_lanes_peak, run.trial_lanes);
   if (run.trial_fallback) ++fold.trial_fallbacks;
@@ -147,23 +132,7 @@ void MergeTrialFold(const TrialSetResult& part, TrialSetResult& total) {
   total.wedged += part.wedged;
   total.deluded += part.deluded;
   total.confirmed += part.confirmed;
-  total.epochs_used += part.epochs_used;
-  total.retries += part.retries;
-  total.confirm_rounds += part.confirm_rounds;
-  total.backoff_rounds += part.backoff_rounds;
-  total.adaptive_confirm_extra += part.adaptive_confirm_extra;
-  total.adaptive_backoff_trimmed += part.adaptive_backoff_trimmed;
-  total.confirm_quorum_peak =
-      std::max(total.confirm_quorum_peak, part.confirm_quorum_peak);
-  total.probe_rounds_detected += part.probe_rounds_detected;
-  total.obfuscation_rounds += part.obfuscation_rounds;
-  total.faults_injected += part.faults_injected;
-  total.crashed_nodes += part.crashed_nodes;
-  total.adv_jams_spent += part.adv_jams_spent;
-  total.adv_jams_effective += part.adv_jams_effective;
-  total.adv_rounds_held += part.adv_rounds_held;
-  total.adv_jams_echo += part.adv_jams_echo;
-  total.adv_jams_backoff += part.adv_jams_backoff;
+  total.Add(part);
   total.rounds_total += part.rounds_total;
   total.trial_lanes_peak =
       std::max(total.trial_lanes_peak, part.trial_lanes_peak);

@@ -3,7 +3,8 @@
 // Runs many independent Engine executions (different seeds) of a protocol
 // on a fixed (n, |A|, C) point, in parallel across hardware threads, and
 // collects the solved-round distribution. Every bench binary is built on
-// this.
+// this. A TrialSetResult carries the runs' sim::LayerCounters folded by
+// LayerCounters::Add, plus what the set derives from each run's outcome.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +73,11 @@ struct ProtocolHandle {
         step_program(std::move(step_program_in)) {}
 };
 
-struct TrialSetResult {
+// A trial set's outcome. The inherited sim::LayerCounters are every
+// trial's counters (solved or not) folded with LayerCounters::Add: sums,
+// and confirm_quorum_peak the max over trials. The fields below are the
+// set's own.
+struct TrialSetResult : sim::LayerCounters {
   std::vector<std::int64_t> solved_rounds;  // per solved trial (1-based count)
   // Trials that did not solve, by cause. `unsolved` is the total; the
   // breakdown below keeps failed trials out of the solved-round statistics
@@ -90,32 +95,6 @@ struct TrialSetResult {
   // (RunResult::confirmed). Equals solved_rounds.size() when the layer is
   // on; 0 when it is off.
   std::int32_t confirmed = 0;
-  // Robust-execution aggregates summed over every trial (solved or not).
-  std::int64_t epochs_used = 0;
-  std::int64_t retries = 0;
-  std::int64_t confirm_rounds = 0;
-  std::int64_t backoff_rounds = 0;
-  // Adaptive-policy aggregates (robust::PolicyKind::kAdaptive): summed
-  // extra echo rounds and trimmed honeypot rounds vs the static schedule;
-  // confirm_quorum_peak is the max over trials, not a sum.
-  std::int64_t adaptive_confirm_extra = 0;
-  std::int64_t adaptive_backoff_trimmed = 0;
-  std::int32_t confirm_quorum_peak = 0;
-  // Hardened-policy aggregates (robust::PolicyKind::kHardened), summed over
-  // every trial: bait rounds the adversary was seen jamming, and dummy
-  // confirm rounds the obfuscation schedule inserted.
-  std::int64_t probe_rounds_detected = 0;
-  std::int64_t obfuscation_rounds = 0;
-  // Fault-layer aggregates summed over every trial (solved or not).
-  std::int64_t faults_injected = 0;
-  std::int64_t crashed_nodes = 0;
-  // Adaptive-adversary aggregates, likewise summed over every trial.
-  std::int64_t adv_jams_spent = 0;
-  std::int64_t adv_jams_effective = 0;
-  // Hold/spend breakdown summed over every trial (sim::RunResult docs).
-  std::int64_t adv_rounds_held = 0;
-  std::int64_t adv_jams_echo = 0;
-  std::int64_t adv_jams_backoff = 0;
   // Rounds executed summed over every trial, solved and failed alike (a
   // failed trial contributes its max_rounds cap). The bench layer's
   // wrapper-overhead ratios are built on this total cost measure.

@@ -75,7 +75,8 @@ void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
                    std::int32_t count, TrialJobOutput& output,
                    TrialSetResult& fold);
 
-// Adds a partial fold's counters into `total` (peaks take the max).
+// Adds a partial fold into `total`: the layer counters through
+// LayerCounters::Add, the derived counts and diagnostics alongside.
 void MergeTrialFold(const TrialSetResult& part, TrialSetResult& total);
 
 // Completes a job from the merged fold of all its chunks: compacts the

@@ -434,7 +434,7 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   result.erasures_injected = fc.erasures;
   result.cd_flips_injected = fc.cd_flips;
   result.faults_injected = fc.Total();
-  result.crashed_nodes = static_cast<std::int32_t>(fc.crashes);
+  result.crashed_nodes = fc.crashes;
   const bool timed_out = (!alive_.empty() && round >= config.max_rounds &&
                           !(result.solved && config.stop_when_solved)) ||
                          out_of_rounds;

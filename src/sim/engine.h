@@ -1,13 +1,18 @@
 // Run configuration and results, and the coroutine entry point.
 //
-// EngineConfig and RunResult are shared by every executor. Engine::Run
-// runs one execution of a coroutine protocol, one coroutine per activated
-// node, on BatchEngine's round loop (sim/batch_engine.h) through an
-// adapter StepProgram in engine.cpp. The coroutine protocols read like the
-// paper's pseudocode and are the reference the columnar step programs are
-// checked against.
+// EngineConfig and RunResult are shared by every executor. RunResult's
+// per-layer counters live in one base, LayerCounters, which
+// harness::TrialSetResult inherits too: a counter is declared once and
+// folded by one rule (LayerCounters::Add).
+//
+// Engine::Run runs one execution of a coroutine protocol, one coroutine
+// per activated node, on BatchEngine's round loop (sim/batch_engine.h)
+// through an adapter StepProgram in engine.cpp. The coroutine protocols
+// read like the paper's pseudocode and are the reference the columnar step
+// programs are checked against.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -102,7 +107,91 @@ struct NodeReport {
   std::vector<std::pair<std::string, std::int64_t>> metrics;
 };
 
-struct RunResult {
+// The counters a run reports and a trial set sums (harness::TrialSetResult
+// inherits them too, and folds every trial's through Add). All zero on a
+// pristine run; each layer fills only its own. A new counter is declared
+// here and folded in Add; the defaulted == compares it everywhere, and
+// tests/run_compare.h prints it.
+struct LayerCounters {
+  // ---- Fault-layer accounting (mac/faults.h) ----
+  // Faults actually injected, all kinds (RunResult breaks the total down).
+  std::int64_t faults_injected = 0;
+  // Nodes removed by crash-stop failures (they never terminate, so
+  // all_terminated is false whenever this is nonzero).
+  std::int64_t crashed_nodes = 0;
+  // ---- Adaptive-adversary accounting (adversary/adversary.h) ----
+  // Budget the adversary spent (channel-rounds jammed) and how many of
+  // those jams suppressed a lone delivery. Zero for kNone and for
+  // kObliviousRate (whose jams land in RunResult::jams_injected instead).
+  std::int64_t adv_jams_spent = 0;
+  std::int64_t adv_jams_effective = 0;
+  // Hold/spend breakdown. rounds_held counts rounds in which a budgeted
+  // adversary had a positive allowance but planned no jam — the deliberate
+  // patience of the phase-tracking/lookahead/learning strategies. The
+  // jams_echo/jams_backoff split says where spend landed when the robust
+  // layer fabricated the round: confirmation echoes (forced spend — every
+  // echo the adversary declines to jam confirms the claim) vs backoff
+  // honeypots (wasted spend — nothing was there to suppress). Both zero
+  // without the robust layer.
+  std::int64_t adv_rounds_held = 0;
+  std::int64_t adv_jams_echo = 0;
+  std::int64_t adv_jams_backoff = 0;
+  // ---- Robust-execution accounting (robust/robust.h) ----
+  // All zero when the robust layer is disabled.
+  // Epochs entered (>= 1 whenever the layer ran).
+  std::int64_t epochs_used = 0;
+  // Epoch restarts taken (= epochs_used - 1, kept explicit for reporting).
+  std::int64_t retries = 0;
+  // Engine-inserted confirmation echo rounds actually executed.
+  std::int64_t confirm_rounds = 0;
+  // Engine-inserted all-idle backoff rounds between epochs.
+  std::int64_t backoff_rounds = 0;
+  // ---- Adaptive-policy accounting (robust::PolicyKind::kAdaptive; all
+  // zero under the static policy) ----
+  // Echo rounds executed beyond the static confirm_attempts schedule (the
+  // quorum escalation's extra spend-forcing rounds).
+  std::int64_t adaptive_confirm_extra = 0;
+  // Backoff honeypot rounds trimmed relative to the static schedule (the
+  // pause rounds NOT spent because the adversary was not feeding on them).
+  std::int64_t adaptive_backoff_trimmed = 0;
+  // Bait rounds (backoff honeypots or hardened dummy confirm rounds) the
+  // adversary was seen jamming — the wrapper's view of being probed.
+  std::int64_t probe_rounds_detected = 0;
+  // Quorum-obfuscating dummy confirm rounds the hardened policy inserted
+  // (robust::PolicyKind::kHardened; zero under the other policies).
+  std::int64_t obfuscation_rounds = 0;
+  // Largest confirmation quorum that was in force during any exchange.
+  // The one counter Add folds by max rather than by sum.
+  std::int32_t confirm_quorum_peak = 0;
+
+  // Folds `other` in: every counter sums, except the peak, which takes the
+  // max. Integer-only, so any merge order gives the same bits.
+  void Add(const LayerCounters& other) {
+    faults_injected += other.faults_injected;
+    crashed_nodes += other.crashed_nodes;
+    adv_jams_spent += other.adv_jams_spent;
+    adv_jams_effective += other.adv_jams_effective;
+    adv_rounds_held += other.adv_rounds_held;
+    adv_jams_echo += other.adv_jams_echo;
+    adv_jams_backoff += other.adv_jams_backoff;
+    epochs_used += other.epochs_used;
+    retries += other.retries;
+    confirm_rounds += other.confirm_rounds;
+    backoff_rounds += other.backoff_rounds;
+    adaptive_confirm_extra += other.adaptive_confirm_extra;
+    adaptive_backoff_trimmed += other.adaptive_backoff_trimmed;
+    probe_rounds_detected += other.probe_rounds_detected;
+    obfuscation_rounds += other.obfuscation_rounds;
+    confirm_quorum_peak = std::max(confirm_quorum_peak,
+                                   other.confirm_quorum_peak);
+  }
+
+  // Compares the counters only, also when called on two RunResults or two
+  // TrialSetResults.
+  bool operator==(const LayerCounters&) const = default;
+};
+
+struct RunResult : LayerCounters {
   bool solved = false;
   // 0-based index of the first round with a lone primary-channel
   // transmitter; -1 if never solved.
@@ -140,32 +229,10 @@ struct RunResult {
   // single node performed (the radio-network energy metric).
   std::int64_t max_node_transmissions = 0;
   double mean_node_transmissions = 0.0;
-  // ---- Fault-layer accounting (all zero on pristine runs) ----
-  // Faults actually injected, by kind and in total.
+  // Injected faults by kind; faults_injected (LayerCounters) is the total.
   std::int64_t jams_injected = 0;
   std::int64_t erasures_injected = 0;
   std::int64_t cd_flips_injected = 0;
-  std::int64_t faults_injected = 0;
-  // Nodes removed by crash-stop failures (they never terminate, so
-  // all_terminated is false whenever this is nonzero).
-  std::int32_t crashed_nodes = 0;
-  // ---- Adaptive-adversary accounting (adversary/adversary.h) ----
-  // Budget the adversary spent (channel-rounds jammed) and how many of
-  // those jams suppressed a lone delivery. Zero for kNone and for
-  // kObliviousRate (whose jams land in jams_injected above instead).
-  std::int64_t adv_jams_spent = 0;
-  std::int64_t adv_jams_effective = 0;
-  // Hold/spend breakdown. rounds_held counts rounds in which a budgeted
-  // adversary had a positive allowance but planned no jam — the deliberate
-  // patience of the phase-tracking/lookahead/learning strategies. The
-  // jams_echo/jams_backoff split says where spend landed when the robust
-  // layer fabricated the round: confirmation echoes (forced spend — every
-  // echo the adversary declines to jam confirms the claim) vs backoff
-  // honeypots (wasted spend — nothing was there to suppress). Both zero
-  // without the robust layer.
-  std::int64_t adv_rounds_held = 0;
-  std::int64_t adv_jams_echo = 0;
-  std::int64_t adv_jams_backoff = 0;
   // Livelock watchdog: length of the trailing streak of rounds in which
   // nothing happened — no channel delivered a lone message and no node
   // terminated. A Las Vegas protocol fed corrupted feedback can spin
@@ -175,40 +242,12 @@ struct RunResult {
   // True iff the run timed out AND at least half of it was trailing stall:
   // the protocol had stopped making any observable progress.
   bool wedged = false;
-  // ---- Robust-execution accounting (robust/robust.h) ----
-  // All zero/false when the robust layer is disabled. node_reports come
-  // from the final epoch's nodes (earlier epochs' protocol state is
-  // discarded on restart).
-  // Epochs entered (>= 1 whenever the layer ran).
-  std::int32_t epochs_used = 0;
-  // Epoch restarts taken (= epochs_used - 1, kept explicit for reporting).
-  std::int32_t retries = 0;
-  // Engine-inserted confirmation echo rounds actually executed.
-  std::int64_t confirm_rounds = 0;
-  // Engine-inserted all-idle backoff rounds between epochs.
-  std::int64_t backoff_rounds = 0;
   // True iff the run solved under the robust layer's confirmation
   // contract: the solving lone primary delivery either acked directly
   // (strong-CD kMessage feedback to the winner) or was re-established by a
   // confirmation echo round. With the layer on, every solve is confirmed;
   // the flag distinguishes robust-confirmed solves in mixed reporting.
   bool confirmed = false;
-  // ---- Adaptive-policy accounting (robust::PolicyKind::kAdaptive; all
-  // zero under the static policy) ----
-  // Echo rounds executed beyond the static confirm_attempts schedule (the
-  // quorum escalation's extra spend-forcing rounds).
-  std::int64_t adaptive_confirm_extra = 0;
-  // Backoff honeypot rounds trimmed relative to the static schedule (the
-  // pause rounds NOT spent because the adversary was not feeding on them).
-  std::int64_t adaptive_backoff_trimmed = 0;
-  // Largest confirmation quorum that was in force during any exchange.
-  std::int32_t confirm_quorum_peak = 0;
-  // Bait rounds (backoff honeypots or hardened dummy confirm rounds) the
-  // adversary was seen jamming — the wrapper's view of being probed.
-  std::int64_t probe_rounds_detected = 0;
-  // Quorum-obfuscating dummy confirm rounds the hardened policy inserted
-  // (robust::PolicyKind::kHardened; zero under the other policies).
-  std::int64_t obfuscation_rounds = 0;
   // True iff a protocol raised support::ProtocolAssumptionViolation while
   // faults were active (e.g. a strong-CD protocol observing the
   // "impossible" feedback an erasure produces) and the run was aborted
@@ -218,6 +257,8 @@ struct RunResult {
   std::vector<std::int64_t> node_transmissions;  // iff requested
   std::vector<RoundTrace> trace;                 // iff record_trace
 
+  // Under the robust layer, from the final epoch's nodes (earlier epochs'
+  // protocol state is discarded on restart).
   std::vector<NodeReport> node_reports;
 
   // Largest round recorded for `name` across nodes, or -1 if nobody

@@ -448,8 +448,6 @@ class TwoActiveTrialProgram final : public TrialProgram {
   explicit TwoActiveTrialProgram(core::TwoActiveParams params)
       : params_(params) {}
 
-  std::string_view name() const override { return "two_active"; }
-
   bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
     channels_ = core::EffectiveChannels(ctx.channels, ctx.population);
     if (params_.channel_cap > 0) {
@@ -757,8 +755,6 @@ class ReduceTrialProgram final : public TrialProgram {
  public:
   explicit ReduceTrialProgram(core::ReduceParams params) : sched_(params) {}
 
-  std::string_view name() const override { return "reduce"; }
-
   bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
     sched_.Prepare(ctx.population);
     set_.Reset(lanes, ctx.num_active);
@@ -1003,8 +999,6 @@ class IdReductionTrialProgram final : public TrialProgram {
  public:
   explicit IdReductionTrialProgram(core::IdReductionParams params)
       : params_(params) {}
-
-  std::string_view name() const override { return "id_reduction"; }
 
   bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
     const std::int32_t eff =
@@ -1466,8 +1460,6 @@ class LeafElectionTrialProgram final : public TrialProgram {
                            core::LeafElectionParams params)
       : leaves_(std::move(leaves)), num_leaves_(num_leaves), params_(params) {}
 
-  std::string_view name() const override { return "leaf_election"; }
-
   bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
     // The per-trial path CRMC_REQUIREs these shapes; fall back wholesale so
     // the rerun reproduces the throw.
@@ -1577,8 +1569,6 @@ class KnockoutCdProgram final : public StepProgram {
 // knockout rule.
 class KnockoutCdTrialProgram final : public TrialProgram {
  public:
-  std::string_view name() const override { return "knockout_cd"; }
-
   bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
     set_.Reset(lanes, ctx.num_active);
     return true;
@@ -1869,8 +1859,6 @@ class GeneralTrialProgram final : public TrialProgram {
  public:
   explicit GeneralTrialProgram(core::GeneralParams params)
       : params_(params), reduce_sched_(params.reduce) {}
-
-  std::string_view name() const override { return "general"; }
 
   bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
     eff_ = core::EffectiveChannels(ctx.channels, ctx.population);

@@ -8,11 +8,11 @@
 // (sim/engine.h) keeps them in per-node coroutine frames, which read like
 // the paper's pseudocode and serve as the reference semantics.
 //
-// Every program shipped here is *draw-order identical* to its coroutine
-// twin: it makes exactly the RNG draws the coroutine makes, in the same
-// order, on the same per-node stream — so it reproduces Engine::Run
-// bit-exactly for the same EngineConfig, which is what the parity suite
-// (tests/batch_engine_test.cpp) enforces.
+// Every step program is *draw-order identical* to its coroutine twin, with
+// no exception and no opt-out: it makes exactly the RNG draws the coroutine
+// makes, in the same order, on the same per-node stream — so it reproduces
+// Engine::Run bit-exactly for the same EngineConfig, which is what the
+// parity suite (tests/batch_engine_test.cpp) enforces per seed.
 //
 // Programs provided: TwoActive, Reduce, IDReduction, LeafElection, the
 // single-channel CD knockout, and the composed general algorithm
@@ -126,8 +126,6 @@ class TrialProgram {
  public:
   virtual ~TrialProgram() = default;
 
-  virtual std::string_view name() const = 0;
-
   // Sizes the state planes for `lanes` lanes of ctx.num_active nodes each
   // and sets every lane to its initial state. Returns false when the shape
   // is outside the program's lockstep-representable set (e.g. two_active
@@ -176,11 +174,6 @@ class StepProgram {
   virtual ~StepProgram() = default;
 
   virtual std::string_view name() const = 0;
-
-  // True when the program documents bit-exact draw order against its
-  // coroutine twin (all programs in this file do). Parity tests compare
-  // per-seed results when set; distributions otherwise.
-  virtual bool identical_draw_order() const { return true; }
 
   virtual void Reset(const BatchContext& ctx) = 0;
 

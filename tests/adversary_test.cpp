@@ -25,6 +25,7 @@
 #include "sim/step_program.h"
 #include "sim/task.h"
 #include "support/rng.h"
+#include "run_compare.h"
 
 namespace crmc {
 namespace {
@@ -40,6 +41,7 @@ using mac::Feedback;
 using mac::Message;
 using mac::Resolver;
 using mac::RoundSummary;
+using sim::ExpectSameRun;
 
 // --- parsing and validation ------------------------------------------------
 
@@ -748,40 +750,6 @@ TEST(AdversaryRun, ResetMatchesFreshDriver) {
 
 // --- determinism and purity ------------------------------------------------
 
-void ExpectIdenticalRuns(const sim::RunResult& a, const sim::RunResult& b) {
-  EXPECT_EQ(a.solved, b.solved);
-  EXPECT_EQ(a.solved_round, b.solved_round);
-  EXPECT_EQ(a.all_solved_rounds, b.all_solved_rounds);
-  EXPECT_EQ(a.rounds_executed, b.rounds_executed);
-  EXPECT_EQ(a.timed_out, b.timed_out);
-  EXPECT_EQ(a.all_terminated, b.all_terminated);
-  EXPECT_EQ(a.total_transmissions, b.total_transmissions);
-  EXPECT_EQ(a.max_node_transmissions, b.max_node_transmissions);
-  EXPECT_DOUBLE_EQ(a.mean_node_transmissions, b.mean_node_transmissions);
-  EXPECT_EQ(a.jams_injected, b.jams_injected);
-  EXPECT_EQ(a.erasures_injected, b.erasures_injected);
-  EXPECT_EQ(a.cd_flips_injected, b.cd_flips_injected);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.crashed_nodes, b.crashed_nodes);
-  EXPECT_EQ(a.adv_jams_spent, b.adv_jams_spent);
-  EXPECT_EQ(a.adv_jams_effective, b.adv_jams_effective);
-  EXPECT_EQ(a.stall_rounds, b.stall_rounds);
-  EXPECT_EQ(a.wedged, b.wedged);
-  EXPECT_EQ(a.assumption_violated, b.assumption_violated);
-  EXPECT_EQ(a.epochs_used, b.epochs_used);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.confirm_rounds, b.confirm_rounds);
-  EXPECT_EQ(a.backoff_rounds, b.backoff_rounds);
-  EXPECT_EQ(a.confirmed, b.confirmed);
-  EXPECT_EQ(a.adv_rounds_held, b.adv_rounds_held);
-  EXPECT_EQ(a.adv_jams_echo, b.adv_jams_echo);
-  EXPECT_EQ(a.adv_jams_backoff, b.adv_jams_backoff);
-  EXPECT_EQ(a.adaptive_confirm_extra, b.adaptive_confirm_extra);
-  EXPECT_EQ(a.adaptive_backoff_trimmed, b.adaptive_backoff_trimmed);
-  EXPECT_EQ(a.confirm_quorum_peak, b.confirm_quorum_peak);
-  EXPECT_EQ(a.probe_rounds_detected, b.probe_rounds_detected);
-  EXPECT_EQ(a.obfuscation_rounds, b.obfuscation_rounds);
-}
 
 TEST(AdversaryEngine, ScriptedReplayIsDeterministic) {
   sim::EngineConfig config;
@@ -797,7 +765,7 @@ TEST(AdversaryEngine, ScriptedReplayIsDeterministic) {
   const auto factory = core::MakeGeneral();
   const sim::RunResult first = sim::Engine::Run(config, factory);
   const sim::RunResult second = sim::Engine::Run(config, factory);
-  ExpectIdenticalRuns(first, second);
+  ExpectSameRun(first, second);
   EXPECT_GT(first.adv_jams_spent, 0);
 }
 
@@ -821,8 +789,7 @@ TEST(AdversaryEngine, ZeroBudgetIsBitIdenticalToPristine) {
       const auto factory = core::MakeGeneral();
       const sim::RunResult base = sim::Engine::Run(pristine, factory);
       const sim::RunResult guarded = sim::Engine::Run(adv, factory);
-      ExpectIdenticalRuns(base, guarded);
-      ASSERT_EQ(base.trace.size(), guarded.trace.size());
+      ExpectSameRun(base, guarded);
       EXPECT_EQ(guarded.adv_jams_spent, 0);
     }
   }
@@ -846,7 +813,7 @@ TEST(AdversaryEngine, ObliviousRateIsBitIdenticalToJamRate) {
     lowered.seed = seed;
     const sim::RunResult a = sim::Engine::Run(jammed, factory);
     const sim::RunResult b = sim::Engine::Run(lowered, factory);
-    ExpectIdenticalRuns(a, b);
+    ExpectSameRun(a, b);
     EXPECT_EQ(b.adv_jams_spent, 0);  // oblivious jams land in jams_injected
   }
 }
@@ -885,7 +852,7 @@ void CheckAdversaryParity(sim::EngineConfig config,
     const sim::RunResult coro = sim::Engine::Run(config, coroutine);
     const sim::RunResult batch = engine.Run(config, program);
     SCOPED_TRACE(::testing::Message() << "seed=" << config.seed);
-    ExpectIdenticalRuns(coro, batch);
+    ExpectSameRun(coro, batch);
     if (::testing::Test::HasFailure()) break;
   }
 }

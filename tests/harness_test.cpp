@@ -480,7 +480,6 @@ TEST(Registry, StepProgramTwinsRegistered) {
     const auto program = info.make_step()();
     ASSERT_NE(program, nullptr) << name;
     EXPECT_EQ(program->name(), info.name);
-    EXPECT_TRUE(program->identical_draw_order()) << name;
     EXPECT_TRUE(static_cast<bool>(HandleFor(info).step_program)) << name;
   }
   // Baselines without a columnar twin yield a coroutine-only handle.

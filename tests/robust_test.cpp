@@ -26,6 +26,7 @@
 #include "sim/step_program.h"
 #include "sim/task.h"
 #include "support/rng.h"
+#include "run_compare.h"
 
 namespace crmc {
 namespace {
@@ -34,6 +35,7 @@ using adversary::AdversarySpec;
 using adversary::Kind;
 using mac::Action;
 using robust::RobustSpec;
+using sim::ExpectSameRun;
 
 // --- spec validation --------------------------------------------------------
 
@@ -221,41 +223,6 @@ TEST(RobustHelpers, FindPrimaryWinnerPicksTheLoneTransmitter) {
 
 // --- shared run comparison --------------------------------------------------
 
-void ExpectIdenticalRuns(const sim::RunResult& a, const sim::RunResult& b) {
-  EXPECT_EQ(a.solved, b.solved);
-  EXPECT_EQ(a.solved_round, b.solved_round);
-  EXPECT_EQ(a.all_solved_rounds, b.all_solved_rounds);
-  EXPECT_EQ(a.rounds_executed, b.rounds_executed);
-  EXPECT_EQ(a.timed_out, b.timed_out);
-  EXPECT_EQ(a.all_terminated, b.all_terminated);
-  EXPECT_EQ(a.total_transmissions, b.total_transmissions);
-  EXPECT_EQ(a.max_node_transmissions, b.max_node_transmissions);
-  EXPECT_DOUBLE_EQ(a.mean_node_transmissions, b.mean_node_transmissions);
-  EXPECT_EQ(a.jams_injected, b.jams_injected);
-  EXPECT_EQ(a.erasures_injected, b.erasures_injected);
-  EXPECT_EQ(a.cd_flips_injected, b.cd_flips_injected);
-  EXPECT_EQ(a.faults_injected, b.faults_injected);
-  EXPECT_EQ(a.crashed_nodes, b.crashed_nodes);
-  EXPECT_EQ(a.adv_jams_spent, b.adv_jams_spent);
-  EXPECT_EQ(a.adv_jams_effective, b.adv_jams_effective);
-  EXPECT_EQ(a.stall_rounds, b.stall_rounds);
-  EXPECT_EQ(a.wedged, b.wedged);
-  EXPECT_EQ(a.assumption_violated, b.assumption_violated);
-  EXPECT_EQ(a.epochs_used, b.epochs_used);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.confirm_rounds, b.confirm_rounds);
-  EXPECT_EQ(a.backoff_rounds, b.backoff_rounds);
-  EXPECT_EQ(a.confirmed, b.confirmed);
-  EXPECT_EQ(a.adv_rounds_held, b.adv_rounds_held);
-  EXPECT_EQ(a.adv_jams_echo, b.adv_jams_echo);
-  EXPECT_EQ(a.adv_jams_backoff, b.adv_jams_backoff);
-  EXPECT_EQ(a.adaptive_confirm_extra, b.adaptive_confirm_extra);
-  EXPECT_EQ(a.adaptive_backoff_trimmed, b.adaptive_backoff_trimmed);
-  EXPECT_EQ(a.confirm_quorum_peak, b.confirm_quorum_peak);
-  EXPECT_EQ(a.probe_rounds_detected, b.probe_rounds_detected);
-  EXPECT_EQ(a.obfuscation_rounds, b.obfuscation_rounds);
-}
-
 // Wrapped-vs-unwrapped comparison: the execution must be bit-identical; the
 // robust accounting fields legitimately differ (the wrapper reports its own
 // epoch bookkeeping) and are checked by the caller.
@@ -301,7 +268,7 @@ TEST(RobustEngine, WrappedPristineRunIsBitIdenticalToUnwrapped) {
       const sim::RunResult coro = sim::Engine::Run(wrapped, factory);
       const sim::RunResult batch = engine.Run(wrapped, *program);
       ExpectSameExecution(base, coro);
-      ExpectIdenticalRuns(coro, batch);
+      ExpectSameRun(coro, batch);
       EXPECT_EQ(coro.epochs_used, 1);
       EXPECT_EQ(coro.retries, 0);
       EXPECT_EQ(coro.confirm_rounds, 0);
@@ -422,8 +389,8 @@ TEST(RobustAdaptive, PristineAdaptiveRunIsBitIdenticalToStatic) {
       const sim::RunResult stat = sim::Engine::Run(wrapped, factory);
       const sim::RunResult coro = sim::Engine::Run(adaptive, factory);
       const sim::RunResult batch = engine.Run(adaptive, *program);
-      ExpectIdenticalRuns(stat, coro);
-      ExpectIdenticalRuns(coro, batch);
+      ExpectSameRun(stat, coro);
+      ExpectSameRun(coro, batch);
       EXPECT_EQ(coro.adaptive_confirm_extra, 0);
       EXPECT_EQ(coro.adaptive_backoff_trimmed, 0);
       EXPECT_TRUE(coro.confirmed);
@@ -488,7 +455,7 @@ TEST(RobustAdaptive, HoneypotTrimsWhenTheAdversaryNeverSpendsOnBackoff) {
   sim::BatchEngine engine;
   auto program = sim::MakeGeneralProgram();
   const sim::RunResult batch = engine.Run(config, *program);
-  ExpectIdenticalRuns(coro, batch);
+  ExpectSameRun(coro, batch);
 }
 
 TEST(RobustAdaptive, HarnessAggregatesAdaptiveAndHoldAccounting) {
@@ -767,8 +734,8 @@ TEST(RobustHardened, PristineHardenedRunIsBitIdenticalToStatic) {
       const sim::RunResult stat = sim::Engine::Run(wrapped, factory);
       const sim::RunResult coro = sim::Engine::Run(hardened, factory);
       const sim::RunResult batch = engine.Run(hardened, *program);
-      ExpectIdenticalRuns(stat, coro);
-      ExpectIdenticalRuns(coro, batch);
+      ExpectSameRun(stat, coro);
+      ExpectSameRun(coro, batch);
       EXPECT_EQ(coro.obfuscation_rounds, 0);
       EXPECT_EQ(coro.probe_rounds_detected, 0);
       EXPECT_TRUE(coro.confirmed);
@@ -815,7 +782,7 @@ TEST(RobustHardened, UnchargedRetriesAndChaffOutlastTheSaturatingCamper) {
   sim::BatchEngine engine;
   auto program = sim::MakeTwoActiveProgram();
   const sim::RunResult batch = engine.Run(config, *program);
-  ExpectIdenticalRuns(coro, batch);
+  ExpectSameRun(coro, batch);
 }
 
 TEST(RobustHardened, HarnessAggregatesTheHardenedCounters) {
@@ -864,7 +831,7 @@ TEST(RobustEngine, EpochWatchdogForcesDeterministicRetries) {
   sim::BatchEngine engine;
   auto program = sim::MakeGeneralProgram();
   const sim::RunResult batch = engine.Run(config, *program);
-  ExpectIdenticalRuns(coro, batch);
+  ExpectSameRun(coro, batch);
 }
 
 TEST(RobustEngine, ScriptedRestartReplayIsDeterministicAcrossEnginesAndRngs) {
@@ -900,8 +867,8 @@ TEST(RobustEngine, ScriptedRestartReplayIsDeterministicAcrossEnginesAndRngs) {
       const sim::RunResult first = sim::Engine::Run(config, factory);
       const sim::RunResult again = sim::Engine::Run(config, factory);
       const sim::RunResult batch = engine.Run(config, *program);
-      ExpectIdenticalRuns(first, again);
-      ExpectIdenticalRuns(first, batch);
+      ExpectSameRun(first, again);
+      ExpectSameRun(first, batch);
       // The scripted jams hold the primary channel for all of epoch 0's
       // 12-round budget, so at least one restart is forced; later (clean)
       // epochs may solve inside the budget, so the exact count varies.
@@ -945,7 +912,7 @@ TEST(RobustEngine, WrappedSolvesConfirmedWhereBareFailsOutright) {
     EXPECT_TRUE(coro.confirmed);
     EXPECT_GT(coro.retries, 0);
     const sim::RunResult batch = engine.Run(wrapped, *program);
-    ExpectIdenticalRuns(coro, batch);
+    ExpectSameRun(coro, batch);
   }
 }
 
@@ -1000,7 +967,7 @@ void CheckParity(sim::EngineConfig config,
     const sim::RunResult coro = sim::Engine::Run(config, coroutine);
     const sim::RunResult batch = engine.Run(config, program);
     SCOPED_TRACE(::testing::Message() << "seed=" << config.seed);
-    ExpectIdenticalRuns(coro, batch);
+    ExpectSameRun(coro, batch);
     if (::testing::Test::HasFailure()) break;
   }
 }

@@ -31,6 +31,7 @@
 #include "sim/step_program.h"
 #include "sim/trial_engine.h"
 #include "support/rng.h"
+#include "run_compare.h"
 
 namespace crmc::harness {
 namespace {
@@ -46,22 +47,7 @@ void ExpectSameModelFields(const TrialSetResult& want,
   EXPECT_EQ(want.wedged, got.wedged);
   EXPECT_EQ(want.deluded, got.deluded);
   EXPECT_EQ(want.confirmed, got.confirmed);
-  EXPECT_EQ(want.epochs_used, got.epochs_used);
-  EXPECT_EQ(want.retries, got.retries);
-  EXPECT_EQ(want.confirm_rounds, got.confirm_rounds);
-  EXPECT_EQ(want.backoff_rounds, got.backoff_rounds);
-  EXPECT_EQ(want.adaptive_confirm_extra, got.adaptive_confirm_extra);
-  EXPECT_EQ(want.adaptive_backoff_trimmed, got.adaptive_backoff_trimmed);
-  EXPECT_EQ(want.confirm_quorum_peak, got.confirm_quorum_peak);
-  EXPECT_EQ(want.probe_rounds_detected, got.probe_rounds_detected);
-  EXPECT_EQ(want.obfuscation_rounds, got.obfuscation_rounds);
-  EXPECT_EQ(want.faults_injected, got.faults_injected);
-  EXPECT_EQ(want.crashed_nodes, got.crashed_nodes);
-  EXPECT_EQ(want.adv_jams_spent, got.adv_jams_spent);
-  EXPECT_EQ(want.adv_jams_effective, got.adv_jams_effective);
-  EXPECT_EQ(want.adv_rounds_held, got.adv_rounds_held);
-  EXPECT_EQ(want.adv_jams_echo, got.adv_jams_echo);
-  EXPECT_EQ(want.adv_jams_backoff, got.adv_jams_backoff);
+  sim::ExpectSameLayerCounters(want, got);
   EXPECT_EQ(want.rounds_total, got.rounds_total);
   EXPECT_EQ(want.summary.count, got.summary.count);
   EXPECT_EQ(want.summary.mean, got.summary.mean);
@@ -355,11 +341,7 @@ void CheckStreamedParity(TrialSpec spec, const ProtocolHandle& handle,
       ASSERT_EQ(kept.runs.size(), kept_want.size());
       for (std::size_t t = 0; t < kept_want.size(); ++t) {
         SCOPED_TRACE(::testing::Message() << "trial=" << t);
-        EXPECT_EQ(kept.runs[t].solved, kept_want[t].solved);
-        EXPECT_EQ(kept.runs[t].solved_round, kept_want[t].solved_round);
-        EXPECT_EQ(kept.runs[t].rounds_executed, kept_want[t].rounds_executed);
-        EXPECT_EQ(kept.runs[t].epochs_used, kept_want[t].epochs_used);
-        EXPECT_EQ(kept.runs[t].adv_jams_spent, kept_want[t].adv_jams_spent);
+        sim::ExpectSameRun(kept_want[t], kept.runs[t]);
       }
       kept.runs.clear();
       ExpectSameTrialSet(kept_fold, kept, "kept");

@@ -30,45 +30,10 @@
 #include "sim/trial_engine.h"
 #include "simd/dispatch.h"
 #include "support/rng.h"
+#include "run_compare.h"
 
 namespace crmc::sim {
 namespace {
-
-void ExpectSameResult(const RunResult& want, const RunResult& got,
-                      std::uint64_t seed, const char* label) {
-  SCOPED_TRACE(::testing::Message() << label << " seed=" << seed);
-  EXPECT_EQ(want.solved, got.solved);
-  EXPECT_EQ(want.solved_round, got.solved_round);
-  EXPECT_EQ(want.all_solved_rounds, got.all_solved_rounds);
-  EXPECT_EQ(want.rounds_executed, got.rounds_executed);
-  EXPECT_EQ(want.timed_out, got.timed_out);
-  EXPECT_EQ(want.all_terminated, got.all_terminated);
-  EXPECT_EQ(want.total_transmissions, got.total_transmissions);
-  EXPECT_EQ(want.jams_injected, got.jams_injected);
-  EXPECT_EQ(want.erasures_injected, got.erasures_injected);
-  EXPECT_EQ(want.cd_flips_injected, got.cd_flips_injected);
-  EXPECT_EQ(want.faults_injected, got.faults_injected);
-  EXPECT_EQ(want.crashed_nodes, got.crashed_nodes);
-  EXPECT_EQ(want.adv_jams_spent, got.adv_jams_spent);
-  EXPECT_EQ(want.adv_jams_effective, got.adv_jams_effective);
-  EXPECT_EQ(want.adv_rounds_held, got.adv_rounds_held);
-  EXPECT_EQ(want.adv_jams_echo, got.adv_jams_echo);
-  EXPECT_EQ(want.adv_jams_backoff, got.adv_jams_backoff);
-  EXPECT_EQ(want.epochs_used, got.epochs_used);
-  EXPECT_EQ(want.retries, got.retries);
-  EXPECT_EQ(want.confirm_rounds, got.confirm_rounds);
-  EXPECT_EQ(want.backoff_rounds, got.backoff_rounds);
-  EXPECT_EQ(want.confirmed, got.confirmed);
-  EXPECT_EQ(want.adaptive_confirm_extra, got.adaptive_confirm_extra);
-  EXPECT_EQ(want.adaptive_backoff_trimmed, got.adaptive_backoff_trimmed);
-  EXPECT_EQ(want.confirm_quorum_peak, got.confirm_quorum_peak);
-  EXPECT_EQ(want.stall_rounds, got.stall_rounds);
-  EXPECT_EQ(want.wedged, got.wedged);
-  EXPECT_EQ(want.assumption_violated, got.assumption_violated);
-  EXPECT_EQ(want.max_node_transmissions, got.max_node_transmissions);
-  EXPECT_DOUBLE_EQ(want.mean_node_transmissions, got.mean_node_transmissions);
-  EXPECT_EQ(want.node_transmissions, got.node_transmissions);
-}
 
 // Runs `seeds` trials through the trial-parallel executor (one Run call —
 // the engine chunks internally), the per-trial BatchEngine, and the
@@ -98,13 +63,18 @@ void CheckTrialParity(EngineConfig config, const ProtocolFactory& coroutine,
   trial_engine.Run(config, program, seed_list, lanes);
   for (std::size_t t = 0; t < seed_list.size(); ++t) {
     config.seed = seed_list[t];
+    SCOPED_TRACE(::testing::Message() << "seed=" << config.seed);
     const RunResult batch = batch_engine.Run(config, program);
-    ExpectSameResult(batch, lanes[t], config.seed, "trial-vs-batch");
+    {
+      SCOPED_TRACE("trial-vs-batch");
+      ExpectSameRun(batch, lanes[t]);
+    }
     if (expect_same_fused) {
       EXPECT_EQ(batch.fused_rounds, lanes[t].fused_rounds);
     }
     const RunResult coro = Engine::Run(config, coroutine);
-    ExpectSameResult(coro, lanes[t], config.seed, "trial-vs-coroutine");
+    SCOPED_TRACE("trial-vs-coroutine");
+    ExpectSameRun(coro, lanes[t]);
     if (::testing::Test::HasFailure()) break;  // one seed's dump is enough
   }
 }
@@ -234,7 +204,8 @@ TEST(TrialEngineParity, LaneWidthInvisible) {
     std::vector<RunResult> got(seeds.size());
     engine.Run(config, *program, seeds, got);
     for (std::size_t t = 0; t < seeds.size(); ++t) {
-      ExpectSameResult(want[t], got[t], seeds[t], "lane-width");
+      SCOPED_TRACE(::testing::Message() << "lane-width seed=" << seeds[t]);
+      ExpectSameRun(want[t], got[t]);
       if (::testing::Test::HasFailure()) return;
     }
   }
@@ -473,17 +444,7 @@ TEST(TrialEngineFallback, RobustLaneWidthInvisibleAtHarnessLevel) {
   EXPECT_EQ(narrow.solved_rounds, wide.solved_rounds);
   EXPECT_EQ(narrow.unsolved, wide.unsolved);
   EXPECT_EQ(narrow.confirmed, wide.confirmed);
-  EXPECT_EQ(narrow.epochs_used, wide.epochs_used);
-  EXPECT_EQ(narrow.retries, wide.retries);
-  EXPECT_EQ(narrow.confirm_rounds, wide.confirm_rounds);
-  EXPECT_EQ(narrow.backoff_rounds, wide.backoff_rounds);
-  EXPECT_EQ(narrow.adv_jams_spent, wide.adv_jams_spent);
-  EXPECT_EQ(narrow.adv_rounds_held, wide.adv_rounds_held);
-  EXPECT_EQ(narrow.adv_jams_echo, wide.adv_jams_echo);
-  EXPECT_EQ(narrow.adv_jams_backoff, wide.adv_jams_backoff);
-  EXPECT_EQ(narrow.adaptive_confirm_extra, wide.adaptive_confirm_extra);
-  EXPECT_EQ(narrow.adaptive_backoff_trimmed, wide.adaptive_backoff_trimmed);
-  EXPECT_EQ(narrow.confirm_quorum_peak, wide.confirm_quorum_peak);
+  ExpectSameLayerCounters(narrow, wide);
   EXPECT_EQ(narrow.rounds_total, wide.rounds_total);
 }
 
@@ -495,9 +456,6 @@ class TwinlessProgram : public StepProgram {
   explicit TwinlessProgram(std::unique_ptr<StepProgram> inner)
       : inner_(std::move(inner)) {}
   std::string_view name() const override { return inner_->name(); }
-  bool identical_draw_order() const override {
-    return inner_->identical_draw_order();
-  }
   void Reset(const BatchContext& ctx) override { inner_->Reset(ctx); }
   void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
                    std::span<mac::Action> actions) override {
@@ -607,7 +565,8 @@ TEST(TrialEngineFallback, NoFusedRoundsFallsBack) {
   for (std::size_t t = 0; t < seeds.size(); ++t) {
     config.seed = seeds[t];
     const RunResult want = generic.Run(config, *program);
-    ExpectSameResult(want, lanes[t], config.seed, "no-fused");
+    SCOPED_TRACE(::testing::Message() << "no-fused seed=" << config.seed);
+    ExpectSameRun(want, lanes[t]);
     EXPECT_EQ(lanes[t].fused_rounds, 0);
     if (::testing::Test::HasFailure()) break;
   }
