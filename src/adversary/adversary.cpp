@@ -372,28 +372,28 @@ class Probing final : public Adversary {
   }
 
   // A repeated observation in a fight (an echo train of the claim it saw)
-  // or in an open strike with window left (a chaff burst's collisions)
+  // or in an open strike after activity (a chaff burst's collisions)
   // leaves Digest nothing to do but spend the window, and PlanJams plans
-  // the primary channel again, as it did last round. Only if last round's
-  // plan digested the observation this one repeats: otherwise the state
-  // reflects an older one. The linger needs no refresh here: it only
-  // counts down while no fight or strike is live, and the full Digest that
-  // ends a fight or strike resets it before anything reads it.
-  bool KeepPlan(const PlanContext& ctx) override {
-    if (last_digested_ != ctx.last->round - 1) return false;
-    if (!fighting_) {
-      if (!striking_ || strike_window_ <= 0 || ctx.last->sightings.empty()) {
-        return false;
-      }
-      --strike_window_;
-      ++strike_jams_;
-    }
-    last_digested_ = ctx.last->round;
-    return true;
+  // the primary channel again: a fight holds as long as the repeats last,
+  // a strike for the window it has left. After silence a strike grants
+  // none: the second silent round is the kill it waits for. The linger
+  // needs no refresh: it only counts down while no fight or strike is
+  // live, and the full Digest that ends a fight or strike resets it before
+  // anything reads it.
+  std::int64_t lease() const override {
+    if (fighting_) return kUnboundedLease;
+    return striking_ && silence_streak_ == 0 ? strike_window_ : 0;
   }
 
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
+    // Settle the kept rounds as each would have planned: a strike spends
+    // its window, and each digested the observation after the one before.
+    // A fight touches neither strike counter, but no strike is open during
+    // a fight, and the next one (OpenStrike) resets both.
+    strike_window_ -= ctx.kept;
+    strike_jams_ += ctx.kept;
+    last_digested_ += ctx.kept;
     Digest(ctx);
     if (fighting_) {
       // An exchange this striker opened: jam every echo until the claim
@@ -665,6 +665,9 @@ void AdversaryRun::Reset(const AdversarySpec& spec, std::uint64_t run_seed) {
   jams_.clear();
   rounds_held_ = 0;
   repeat_ = false;
+  lease_ = 0;
+  kept_ = 0;
+  planned_from_ = -1;
   if (!active_) return;
   if (strategy_ != nullptr && kind_ == spec.kind) {
     strategy_->Reset(spec);
@@ -679,12 +682,13 @@ void AdversaryRun::Reset(const AdversarySpec& spec, std::uint64_t run_seed) {
       AdvMasterSeed(run_seed, spec.adv_seed), kPlanStream);
 }
 
-std::span<const mac::ChannelId> AdversaryRun::PlanRound(
-    std::int64_t round, std::int32_t channels) {
-  if (!active_) return {};
-  const std::int32_t allowance = ledger_.RoundAllowance(channels);
+std::span<const mac::ChannelId> AdversaryRun::Plan(std::int64_t round,
+                                                   std::int32_t channels,
+                                                   std::int32_t allowance) {
   if (allowance <= 0) {
+    // An allowance never grows back: nothing planned later can be kept.
     jams_.clear();
+    lease_ = 0;
     return {};
   }
   PlanContext ctx;
@@ -694,33 +698,25 @@ std::span<const mac::ChannelId> AdversaryRun::PlanRound(
   ctx.remaining = ledger_.remaining();
   ctx.last = last_obs_.valid() ? &last_obs_ : nullptr;
   ctx.rng = &rng_;
-  // jams_ still holds the latest plan (an allowance never grows back, so
-  // a zero one cleared nothing a later round could keep). After a repeated
-  // observation the strategy may keep it: KeepPlan checks that the plan
-  // digested the observation this one repeats.
-  if (!repeat_ || !strategy_->KeepPlan(ctx)) {
-    jams_.clear();
-    strategy_->PlanJams(ctx, jams_);
-    for (std::size_t i = 0; i < jams_.size(); ++i) {
-      CRMC_CHECK_MSG(jams_[i] >= 1 && jams_[i] <= channels,
+  ctx.kept = kept_;
+  jams_.clear();
+  strategy_->PlanJams(ctx, jams_);
+  for (std::size_t i = 0; i < jams_.size(); ++i) {
+    CRMC_CHECK_MSG(jams_[i] >= 1 && jams_[i] <= channels,
+                   "strategy " << strategy_->name()
+                               << " planned out-of-range channel "
+                               << jams_[i] << " of " << channels);
+    for (std::size_t j = 0; j < i; ++j) {
+      CRMC_CHECK_MSG(jams_[i] != jams_[j],
                      "strategy " << strategy_->name()
-                                 << " planned out-of-range channel "
-                                 << jams_[i] << " of " << channels);
-      for (std::size_t j = 0; j < i; ++j) {
-        CRMC_CHECK_MSG(jams_[i] != jams_[j],
-                       "strategy " << strategy_->name()
-                                   << " planned duplicate channel "
-                                   << jams_[i]);
-      }
+                                 << " planned duplicate channel "
+                                 << jams_[i]);
     }
   }
-  if (jams_.empty()) ++rounds_held_;  // had allowance, chose not to spend
-  CRMC_CHECK_MSG(static_cast<std::int32_t>(jams_.size()) <= allowance,
-                 "strategy " << strategy_->name() << " planned "
-                             << jams_.size() << " jams, allowance "
-                             << allowance);
-  ledger_.Charge(static_cast<std::int32_t>(jams_.size()));
-  return jams_;
+  kept_ = 0;
+  lease_ = strategy_->lease();
+  planned_from_ = last_obs_.round;
+  return Commit(allowance);
 }
 
 void AdversaryRun::RecordSightings(const mac::Resolver& resolver) {

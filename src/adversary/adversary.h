@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -35,6 +36,7 @@
 #include "adversary/observation.h"
 #include "mac/channel.h"
 #include "mac/resolver.h"
+#include "support/assert.h"
 #include "support/rng.h"
 
 namespace crmc::adversary {
@@ -128,18 +130,27 @@ struct PlanContext {
   // The adversary's dedicated RNG stream. Strategies that don't draw must
   // not touch it (determinism contract).
   support::RandomSource* rng = nullptr;
+  // Repeated rounds the driver kept the strategy's previous plan for,
+  // under the lease that plan granted (Adversary::lease), since PlanJams
+  // last ran. PlanJams settles them before it plans. Always 0 for a
+  // strategy that grants no lease.
+  std::int64_t kept = 0;
 };
 
 // Strategy interface. PlanJams appends up to ctx.allowance distinct
 // channels in [1, ctx.channels] to `out` (pre-cleared by the driver); the
 // driver CRMC_CHECKs those bounds and charges the ledger.
 //
-// Kept plans: when the newest observation repeats the one before it (an
-// echo train, a chaff burst or a backoff pause re-judges one round's
-// activity), the driver first asks KeepPlan. A strategy that can tell its
-// plan would come out unchanged advances its state exactly as PlanJams
-// would and returns true, and the driver reuses the previous round's list.
-// False must leave the state untouched; the driver then calls PlanJams.
+// Kept plans: an echo train, a chaff burst or a backoff pause re-judges
+// one round's activity round after round, so each of its observations
+// repeats the one before. A strategy that can tell its plan comes out
+// unchanged on such repeats grants a lease when it plans (lease()): the
+// number of consecutive repeated rounds the plan holds for. While the
+// newest observation repeats the one the latest plan (or kept round) was
+// made from, and lease is left, the driver reuses the list without asking
+// the strategy, and counts the round. The next PlanJams gets the count
+// (PlanContext::kept) and settles it first: the strategy's state must
+// come out exactly as if it had planned each kept round itself.
 class Adversary {
  public:
   virtual ~Adversary() = default;
@@ -150,18 +161,18 @@ class Adversary {
   virtual bool needs_observation() const { return false; }
   virtual void PlanJams(const PlanContext& ctx,
                         std::vector<mac::ChannelId>& out) = 0;
-  // Called in place of PlanJams, with the same context, when ctx.last
-  // repeats the observation before it. True keeps the latest plan, so it
-  // is only right if that plan was made from the observation ctx.last
-  // repeats (a round may go unplanned). The default always re-plans.
-  virtual bool KeepPlan(const PlanContext& ctx) {
-    (void)ctx;
-    return false;
-  }
+  // The lease the latest PlanJams granted: for how many consecutive
+  // repeated rounds right after it its plan holds (kUnboundedLease: until
+  // the observations change). The default grants none.
+  virtual std::int64_t lease() const { return 0; }
   // Returns the strategy to the state MakeAdversary(spec) builds, for a
   // `spec` of its own kind, keeping the capacity of its scratch buffers.
   virtual void Reset(const AdversarySpec& spec) = 0;
 };
+
+// A lease that lasts as long as the observations repeat.
+inline constexpr std::int64_t kUnboundedLease =
+    std::numeric_limits<std::int64_t>::max();
 
 // Builds the strategy for `spec.kind`. Returns nullptr for kNone and
 // kObliviousRate (not driver-backed; see Kind). `spec` must validate.
@@ -195,13 +206,25 @@ class AdversaryRun {
 
   // Plans round `round`'s jam set: asks the strategy (if the allowance is
   // nonzero), enforces size/range/distinctness, charges the ledger. The
-  // span stays valid until the next PlanRound call. After a repeated
-  // observation a strategy may keep its previous list (Adversary::KeepPlan):
-  // the size check, the hold count and the ledger charge still run, while
-  // the range and distinctness checks, which held when the list was
-  // planned, are not repeated.
-  std::span<const mac::ChannelId> PlanRound(std::int64_t round,
-                                            std::int32_t channels);
+  // span stays valid until the next PlanRound call. While the strategy's
+  // lease holds (see Adversary), the previous list is kept without asking
+  // it: the size check, the hold count and the ledger charge still run,
+  // while the range and distinctness checks, which held when the list was
+  // planned, are not repeated. That kept path is defined here and forced
+  // inline, so a kept round of an echo train costs the round loop no call.
+  [[gnu::always_inline]] std::span<const mac::ChannelId> PlanRound(
+      std::int64_t round, std::int32_t channels) {
+    if (!active_) return {};
+    const std::int32_t allowance = ledger_.RoundAllowance(channels);
+    if (allowance > 0 && repeat_ && lease_ > 0 &&
+        last_obs_.round == planned_from_ + 1) {
+      --lease_;
+      ++kept_;
+      planned_from_ = last_obs_.round;
+      return Commit(allowance);
+    }
+    return Plan(round, channels, allowance);
+  }
 
   // Records what the adversary saw in the round just resolved (channels
   // with at least one transmitter, in the resolver's first-touched order;
@@ -227,7 +250,27 @@ class AdversaryRun {
   // strategies' honeypot evasion shows up here; a camper never holds.
   std::int64_t rounds_held() const { return rounds_held_; }
 
+  // Repeated rounds the latest plan may still be kept for (0: the next
+  // round asks the strategy).
+  std::int64_t lease() const { return lease_; }
+
  private:
+  // PlanRound without a lease to apply: settles the kept rounds and asks
+  // the strategy (or plans nothing when the allowance is 0).
+  std::span<const mac::ChannelId> Plan(std::int64_t round,
+                                       std::int32_t channels,
+                                       std::int32_t allowance);
+  // The checks and accounting every planned or kept list passes.
+  [[gnu::always_inline]] std::span<const mac::ChannelId> Commit(
+      std::int32_t allowance) {
+    if (jams_.empty()) ++rounds_held_;  // had allowance, chose not to spend
+    CRMC_CHECK_MSG(static_cast<std::int32_t>(jams_.size()) <= allowance,
+                   "strategy " << strategy_->name() << " planned "
+                               << jams_.size() << " jams, allowance "
+                               << allowance);
+    ledger_.Charge(static_cast<std::int32_t>(jams_.size()));
+    return jams_;
+  }
   // Rebuilds last_obs_'s sightings from the resolver's channel activity.
   void RecordSightings(const mac::Resolver& resolver);
 
@@ -244,6 +287,12 @@ class AdversaryRun {
   std::int64_t rounds_held_ = 0;
   // The newest observation repeats the one before it (ObserveRound).
   bool repeat_ = false;
+  // The strategy's lease: repeated rounds left to keep jams_ for, kept
+  // rounds not yet settled, and the observation round the latest plan or
+  // kept round was made from (-1: none).
+  std::int64_t lease_ = 0;
+  std::int64_t kept_ = 0;
+  std::int64_t planned_from_ = -1;
 };
 
 }  // namespace crmc::adversary

@@ -37,7 +37,11 @@ class BudgetLedger {
 
   // How many distinct channels the adversary may jam this round: the
   // per-round cap, the unspent budget, and the channel count all bind.
-  std::int32_t RoundAllowance(std::int32_t channels) const {
+  // Both per-round calls are forced inline: the round loop asks them on
+  // every round, and Charge's failure messages would otherwise keep it out
+  // of line.
+  [[gnu::always_inline]] std::int32_t RoundAllowance(
+      std::int32_t channels) const {
     const std::int64_t cap =
         std::min<std::int64_t>({per_round_cap_, remaining(), channels});
     return static_cast<std::int32_t>(std::max<std::int64_t>(cap, 0));
@@ -45,7 +49,7 @@ class BudgetLedger {
 
   // Charge one round's jams. Exceeding the cap or the remaining budget is
   // a strategy bug: the driver hands every strategy its allowance up front.
-  void Charge(std::int32_t jams) {
+  [[gnu::always_inline]] void Charge(std::int32_t jams) {
     CRMC_CHECK_MSG(jams >= 0 && jams <= per_round_cap_,
                    "adversary spent " << jams << " jams in one round, cap "
                                       << per_round_cap_);

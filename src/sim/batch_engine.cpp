@@ -50,25 +50,37 @@ void FinishRun(const EngineConfig& config, std::int64_t rounds,
   // eight interleaved chains: a single running max is a compare and a
   // conditional move per node, each waiting on the last, and that chain
   // alone cost such a trial about 8k cycles. Integer max and sum are
-  // exact in any order.
+  // exact in any order. Below kChainsFrom nodes (a two-node trial) one
+  // running max and sum is cheaper: the final reduction reloads the eight
+  // chains, stored as scalars, with vector loads, a store-forwarding stall
+  // that a short input pays in full.
   constexpr std::size_t kChains = 8;
-  std::array<std::int64_t, kChains> max_tx{};
-  std::array<std::int64_t, kChains> sum_tx{};
-  std::size_t i = 0;
-  for (; i + kChains <= node_tx.size(); i += kChains) {
-    for (std::size_t j = 0; j < kChains; ++j) {
-      max_tx[j] = std::max(max_tx[j], node_tx[i + j]);
-      sum_tx[j] += node_tx[i + j];
+  constexpr std::size_t kChainsFrom = 16;
+  std::int64_t max_node = 0;
+  std::int64_t total = 0;
+  if (node_tx.size() < kChainsFrom) {
+    for (const std::int64_t tx : node_tx) {
+      max_node = std::max(max_node, tx);
+      total += tx;
     }
+  } else {
+    std::array<std::int64_t, kChains> max_tx{};
+    std::array<std::int64_t, kChains> sum_tx{};
+    std::size_t i = 0;
+    for (; i + kChains <= node_tx.size(); i += kChains) {
+      for (std::size_t j = 0; j < kChains; ++j) {
+        max_tx[j] = std::max(max_tx[j], node_tx[i + j]);
+        sum_tx[j] += node_tx[i + j];
+      }
+    }
+    for (; i < node_tx.size(); ++i) {
+      max_tx[0] = std::max(max_tx[0], node_tx[i]);
+      sum_tx[0] += node_tx[i];
+    }
+    max_node = *std::max_element(max_tx.begin(), max_tx.end());
+    total = std::accumulate(sum_tx.begin(), sum_tx.end(), std::int64_t{0});
   }
-  for (; i < node_tx.size(); ++i) {
-    max_tx[0] = std::max(max_tx[0], node_tx[i]);
-    sum_tx[0] += node_tx[i];
-  }
-  result.max_node_transmissions =
-      *std::max_element(max_tx.begin(), max_tx.end());
-  const std::int64_t total =
-      std::accumulate(sum_tx.begin(), sum_tx.end(), std::int64_t{0});
+  result.max_node_transmissions = max_node;
   result.mean_node_transmissions =
       static_cast<double>(total) / static_cast<double>(config.num_active);
   if (config.record_node_transmissions) {
@@ -132,8 +144,12 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   bool adv_perturbed = false;
 
   // Shared accounting for every resolved round, protocol and fabricated
-  // alike: totals, trace, solved-detection, round advance.
-  const auto account_round = [&](const mac::RoundSummary& summary) {
+  // alike: totals, trace, solved-detection, round advance. This lambda and
+  // fabricated_round below are forced inline (GCC spells that attribute
+  // this way on a lambda): with the adversary's kept plan and the kept
+  // judgement inlined too, an echo of a kept, jammed train makes no call.
+  const auto account_round =
+      [&](const mac::RoundSummary& summary) __attribute__((always_inline)) {
     result.total_transmissions += summary.total_transmissions;
     result.adv_jams_spent += summary.adv_jams;
     result.adv_jams_effective += summary.adv_jams_effective;
@@ -160,8 +176,9 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   // plan, the ledger and the epoch driver's bookkeeping. Returns the round
   // summary so the call sites can feed the adaptive policy and the echo/
   // chaff/backoff spend breakdown.
-  const auto fabricated_round = [&](std::span<const mac::Action> fab,
-                                    bool repeat) -> mac::RoundSummary {
+  const auto fabricated_round =
+      [&](std::span<const mac::Action> fab, bool repeat)
+          __attribute__((always_inline)) -> mac::RoundSummary {
     if (config.record_active_counts) {
       result.active_counts.push_back(static_cast<std::int64_t>(alive_.size()));
     }

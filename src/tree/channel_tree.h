@@ -33,14 +33,19 @@ class ChannelTree {
   std::int32_t num_tree_nodes() const { return 2 * num_leaves_ - 1; }
 
   // Heap index of the leaf labelled `leaf` (1-based label in [1, L]).
-  std::int32_t LeafHeapIndex(std::int32_t leaf) const {
+  //
+  // The per-node lookups below are forced inline: the lane engine calls
+  // them for every node of every round, and the formatting of their
+  // failure messages would otherwise keep them out of line.
+  [[gnu::always_inline]] std::int32_t LeafHeapIndex(std::int32_t leaf) const {
     CheckLeaf(leaf);
     return num_leaves_ + leaf - 1;
   }
 
   // Heap index of the level-`level` ancestor of leaf `leaf` (level 0 is the
   // root; level == height() returns the leaf itself).
-  std::int32_t AncestorAtLevel(std::int32_t leaf, std::int32_t level) const {
+  [[gnu::always_inline]] std::int32_t AncestorAtLevel(
+      std::int32_t leaf, std::int32_t level) const {
     CheckLeaf(leaf);
     CRMC_REQUIRE(level >= 0 && level <= height_);
     return LeafHeapIndex(leaf) >> (height_ - level);
@@ -48,7 +53,8 @@ class ChannelTree {
 
   // 1-based position of the level-`level` ancestor of `leaf` within its
   // level, i.e. the paper's ceil(id / 2^(h - level)) from SplitCheck.
-  std::int32_t IndexWithinLevel(std::int32_t leaf, std::int32_t level) const {
+  [[gnu::always_inline]] std::int32_t IndexWithinLevel(
+      std::int32_t leaf, std::int32_t level) const {
     return AncestorAtLevel(leaf, level) - (std::int32_t{1} << level) + 1;
   }
 
@@ -65,14 +71,15 @@ class ChannelTree {
   }
 
   // Whether a (non-root) tree node is its parent's left child.
-  static bool IsLeftChild(std::int32_t heap_index) {
+  [[gnu::always_inline]] static bool IsLeftChild(std::int32_t heap_index) {
     CRMC_REQUIRE(heap_index >= 2);
     return (heap_index & 1) == 0;
   }
 
   // Whether the level-`level` ancestor of `leaf` sits in the left subtree
   // of its parent (level >= 1).
-  bool AncestorIsLeftChild(std::int32_t leaf, std::int32_t level) const {
+  [[gnu::always_inline]] bool AncestorIsLeftChild(std::int32_t leaf,
+                                                  std::int32_t level) const {
     CRMC_REQUIRE(level >= 1);
     return IsLeftChild(AncestorAtLevel(leaf, level));
   }
@@ -86,7 +93,7 @@ class ChannelTree {
     return num_leaves;
   }
 
-  void CheckLeaf(std::int32_t leaf) const {
+  [[gnu::always_inline]] void CheckLeaf(std::int32_t leaf) const {
     CRMC_REQUIRE_MSG(leaf >= 1 && leaf <= num_leaves_,
                      "leaf label " << leaf << " outside [1, " << num_leaves_
                                    << "]");

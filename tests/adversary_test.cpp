@@ -618,21 +618,30 @@ std::vector<Action> PatternActions(std::int64_t pattern) {
 
 // A round that repeats the previous round's actions changes no sighting, so
 // the driver only re-stamps its observation, and a strategy that can tell
-// its plan is unchanged keeps it (Adversary::KeepPlan). Two drivers see the
-// same activity in long repeated trains; one observes every round in full,
-// the other takes the repeat path on every round after a train's first
-// (its resolver re-judges those rounds, as the round loop does). Their jam
-// plans, holds and spend must match round for round, for every kind. The
-// variants run per-round caps of 1 to 3, and from variant 4 on budgets so
-// small that ledgers run dry inside trains. Now and then neither driver
-// plans a long train's second round, so a kept plan must also notice that
-// the strategy never digested the observation the next round repeats.
+// its plan is unchanged grants a lease the driver keeps the plan under
+// (Adversary::lease). Two drivers see the same activity in long repeated
+// trains; one observes every round in full, the other takes the repeat
+// path on every round after a train's first (its resolver re-judges those
+// rounds, as the round loop does). Their jam plans, holds and spend must
+// match round for round, for every kind. The variants run per-round caps
+// of 1 to 3, and from variant 4 on budgets so small that ledgers run dry
+// inside trains. Now and then neither driver plans a long train's second
+// round, so a lease must also end when the strategy never digested the
+// observation the next round repeats. The test counts that each way a
+// probing lease ends is reached.
 TEST(AdversaryRun, RepeatObservationMatchesFullObservation) {
   // Probing rounds where a kept plan could apply (a repeat with a plan
   // left to keep), and ledgers that ran dry with their train still going.
   std::int64_t probing_repeat_jams = 0;
   std::int64_t probing_dry_mid_train = 0;
   std::int64_t unplanned_rounds = 0;
+  // Probing leases that ended: a strike window used up with the train
+  // still going, a fresh (non-repeated) observation, an unplanned round,
+  // and a ledger run dry.
+  std::int64_t window_out_mid_train = 0;
+  std::int64_t fresh_observation_ends_lease = 0;
+  std::int64_t unplanned_mid_lease = 0;
+  std::int64_t dry_mid_lease = 0;
   for (const Kind kind : kAllKinds) {
     for (int variant = 0; variant < 8; ++variant) {
       SCOPED_TRACE(::testing::Message() << adversary::ToString(kind)
@@ -656,8 +665,11 @@ TEST(AdversaryRun, RepeatObservationMatchesFullObservation) {
         for (std::int64_t rep = 0; rep < train; ++rep, ++round) {
           std::vector<mac::ChannelId> want;
           std::vector<mac::ChannelId> got;
+          const std::int64_t lease = repeated.lease();
+          const bool probing = kind == Kind::kProbing;
           if (rep == 1 && skip_second) {
             ++unplanned_rounds;
+            unplanned_mid_lease += probing && lease > 0 ? 1 : 0;
           } else {
             const bool had_budget = full.ledger().remaining() > 0;
             const auto full_jams = full.PlanRound(round, 4);
@@ -665,13 +677,24 @@ TEST(AdversaryRun, RepeatObservationMatchesFullObservation) {
             const auto repeat_jams = repeated.PlanRound(round, 4);
             got.assign(repeat_jams.begin(), repeat_jams.end());
             ASSERT_EQ(got, want) << "round " << round;
-            if (kind == Kind::kProbing) {
+            if (probing) {
               probing_repeat_jams += rep > 0 && !got.empty() ? 1 : 0;
               probing_dry_mid_train += had_budget &&
                                                full.ledger().remaining() == 0 &&
                                                rep > 0 && rep + 1 < train
                                            ? 1
                                            : 0;
+              // Only a strike's lease is finite, so a lease of 1 kept
+              // here is a window's last round.
+              window_out_mid_train += lease == 1 && repeated.lease() == 0 &&
+                                              had_budget && rep > 0 &&
+                                              !(rep == 2 && skip_second) &&
+                                              rep + 1 < train
+                                          ? 1
+                                          : 0;
+              fresh_observation_ends_lease +=
+                  lease > 0 && had_budget && rep == 0 ? 1 : 0;
+              dry_mid_lease += lease > 0 && !had_budget ? 1 : 0;
             }
           }
           full_resolver.Tally(actions, nullptr, want);
@@ -693,16 +716,24 @@ TEST(AdversaryRun, RepeatObservationMatchesFullObservation) {
   EXPECT_GT(probing_repeat_jams, 0);
   EXPECT_GT(probing_dry_mid_train, 0);
   EXPECT_GT(unplanned_rounds, 0);
+  EXPECT_GT(window_out_mid_train, 0);
+  EXPECT_GT(fresh_observation_ends_lease, 0);
+  EXPECT_GT(unplanned_mid_lease, 0);
+  EXPECT_GT(dry_mid_lease, 0);
 }
 
 // The round loop keeps one driver per engine and resets it for every run.
 // A driver reset through a sequence of specs — the same kind several times
 // in a row (its strategy reset in place, with another script, probe budget
 // or observation mode), another kind, an inactive one — must plan exactly
-// what a freshly built driver plans for each. Every run ends in silence and
-// every other run opens with it, so state a reset leaves behind (a silence
-// streak, a strike, a script cursor) shows in the next run's plans.
+// what a freshly built driver plans for each. Activity comes in short
+// repeated trains, observed as repeats. Every run but each fourth ends in
+// silence and every other run opens with it, so state a reset leaves
+// behind (a silence streak, a strike, a script cursor) shows in the next
+// run's plans; each fourth run ends in an echo train instead, so a reset
+// can meet a live lease with kept rounds not yet settled.
 TEST(AdversaryRun, ResetMatchesFreshDriver) {
+  std::int64_t resets_mid_lease = 0;
   std::vector<AdversarySpec> specs;
   for (const Kind kind : kAllKinds) {
     for (int variant = 0; variant < 3; ++variant) {
@@ -720,8 +751,10 @@ TEST(AdversaryRun, ResetMatchesFreshDriver) {
     const std::uint64_t run_seed = 0xAB00 + run;
     SCOPED_TRACE(::testing::Message()
                  << "run " << run << " " << adversary::ToString(spec.kind));
+    resets_mid_lease += reused.lease() > 0 ? 1 : 0;
     reused.Reset(spec, run_seed);
     AdversaryRun fresh(spec, run_seed);
+    ASSERT_EQ(reused.lease(), 0);
     ASSERT_EQ(reused.active(), fresh.active());
     ASSERT_EQ(reused.needs_observation(), fresh.needs_observation());
     ASSERT_EQ(reused.rounds_held(), 0);
@@ -729,23 +762,40 @@ TEST(AdversaryRun, ResetMatchesFreshDriver) {
     ASSERT_EQ(reused.ledger().total(), fresh.ledger().total());
     Resolver reused_resolver(4);
     Resolver fresh_resolver(4);
+    std::int64_t pattern = -1;
     for (std::int64_t round = 0; round < 64; ++round) {
-      const bool silent = round >= 60 || (run % 2 == 0 && round < 3);
-      const std::vector<Action> actions =
-          PatternActions(silent ? 0 : meta.UniformInt(0, 4));
+      const bool echo_tail = run % 4 == 3 && round >= 56;
+      const bool silent =
+          !echo_tail && (round >= 60 || (run % 2 == 0 && round < 3));
+      const std::int64_t previous = pattern;
+      if (silent) {
+        pattern = 0;
+      } else if (echo_tail) {
+        pattern = 1;  // a lone primary claim: the probing striker fights
+      } else if (pattern < 0 || meta.UniformInt(0, 2) == 0) {
+        pattern = meta.UniformInt(0, 4);
+      }
+      const bool repeat = pattern == previous;
+      const std::vector<Action> actions = PatternActions(pattern);
       const auto a = reused.PlanRound(round, 4);
       const std::vector<mac::ChannelId> got(a.begin(), a.end());
       const auto b = fresh.PlanRound(round, 4);
       const std::vector<mac::ChannelId> want(b.begin(), b.end());
       ASSERT_EQ(got, want) << "round " << round;
-      reused_resolver.Tally(actions, nullptr, got);
-      fresh_resolver.Tally(actions, nullptr, want);
-      reused.ObserveRound(reused_resolver, round);
-      fresh.ObserveRound(fresh_resolver, round);
+      if (repeat) {
+        reused_resolver.Retally(nullptr, got);
+        fresh_resolver.Retally(nullptr, want);
+      } else {
+        reused_resolver.Tally(actions, nullptr, got);
+        fresh_resolver.Tally(actions, nullptr, want);
+      }
+      reused.ObserveRound(reused_resolver, round, repeat);
+      fresh.ObserveRound(fresh_resolver, round, repeat);
     }
     EXPECT_EQ(reused.rounds_held(), fresh.rounds_held());
     EXPECT_EQ(reused.ledger().spent(), fresh.ledger().spent());
   }
+  EXPECT_GT(resets_mid_lease, 0);
 }
 
 // --- determinism and purity ------------------------------------------------
