@@ -29,9 +29,8 @@
 // engines.{coroutine,batch} block keeps the --rng generator (default
 // xoshiro) so v1/v2 baselines stay directly comparable.
 //
-// v4 extends the grid with small-active points for every newly-twinned
-// protocol (reduce, id_reduction, leaf_election, knockout_cd, general) —
-// the shapes where lanes-across-trials pays — and adds a top-level
+// v4 extends the grid with small-active points for reduce, id_reduction,
+// leaf_election, knockout_cd and general, and adds a top-level
 // `sweep_throughput` block: a whole grid of small sweep points timed twice,
 // once with the legacy per-call spawn executor (harness::RunTrialsSpawn)
 // and once enqueued on a persistent work-stealing pool
@@ -93,10 +92,12 @@ struct GridPoint {
 
 // The grid spans small/medium/large populations and channel counts for the
 // protocols with columnar twins. The (general, 65536, 1024, 64) point is the
-// acceptance benchmark quoted in docs/MODEL.md. The v4 small-active points
-// (num_active <= 16) cover every trial-parallel twin on the shapes where
-// lanes-across-trials pays — these are the points
-// tools/check_bench_json.py gates with --trial-speedup-floors.
+// acceptance benchmark quoted in docs/MODEL.md. Only two_active has a
+// trial-parallel twin, so only its points carry a `trial` block, and
+// tools/check_bench_json.py gates them with --trial-speedup-floors. The
+// other small-active points (num_active <= 16) measure small-|A| batch
+// throughput; a new trial twin for one of those protocols has to beat
+// the per-trial path there before it ships.
 const GridPoint kGrid[] = {
     {"two_active", 1 << 16, 2, 64, 3000},
     {"two_active", 1 << 20, 2, 1024, 2000},

@@ -18,10 +18,7 @@ namespace {
 
 using mac::Action;
 using mac::Feedback;
-using mac::kIdleChannel;
 using mac::kPrimaryChannel;
-using mac::Message;
-using mac::Observation;
 using support::AssumptionBreach;
 using support::BatchBernoulli;
 using support::BatchUniformInt;
@@ -105,87 +102,6 @@ AssumptionBreach KnockoutFinished(const Action& action, const Feedback& fb,
     finished = 1;
   }
   return {};
-}
-
-// ---------------------------------------------------------------------------
-// Shared plumbing for the trial-parallel twins whose knockout rounds retire
-// individual nodes while their lane continues (Reduce, IDReduction, the CD
-// knockout, and the composed general program — unlike two_active, where a
-// lane finishes all-or-nothing): per-lane alive sets live in one flat
-// [lane * num_active + node] plane and are gathered each round into a
-// lane-major slot list with per-lane segment bounds, so one kernel call
-// covers every lane's draws while the knockout rule stays lane-local.
-
-struct LaneAliveSet {
-  std::int32_t n = 0;               // nodes per lane
-  std::vector<std::uint8_t> alive;  // [lane * n + node]
-  std::vector<std::int32_t> count;  // alive nodes per lane
-
-  void Reset(std::int32_t lanes, std::int32_t nodes) {
-    n = nodes;
-    alive.assign(static_cast<std::size_t>(lanes) * nodes, 1);
-    count.assign(static_cast<std::size_t>(lanes), nodes);
-  }
-
-  void Retire(std::int32_t lane, std::int32_t slot) {
-    alive[static_cast<std::size_t>(slot)] = 0;
-    --count[static_cast<std::size_t>(lane)];
-  }
-};
-
-// Gathers the alive slots of every lane in `lanes` into `slots` (lane-major,
-// node-ascending within a lane — the order the per-trial alive list keeps,
-// so per-stream draw order is preserved) and records per-lane segment
-// bounds: lane lanes[k] owns slots [seg[k], seg[k+1]).
-void GatherAliveSlots(const LaneAliveSet& set,
-                      std::span<const std::int32_t> lanes,
-                      std::vector<std::int32_t>& slots,
-                      std::vector<std::int32_t>& seg) {
-  slots.clear();
-  seg.clear();
-  seg.push_back(0);
-  for (const std::int32_t lane : lanes) {
-    const std::int32_t base = lane * set.n;
-    for (std::int32_t j = 0; j < set.n; ++j) {
-      if (set.alive[static_cast<std::size_t>(base + j)]) {
-        slots.push_back(base + j);
-      }
-    }
-    seg.push_back(static_cast<std::int32_t>(slots.size()));
-  }
-}
-
-// Applies the strong-CD knockout rule to one lane's segment of an
-// already-evaluated coin mask: charges transmissions, retires silent
-// listeners on a 2+ round, and ends the whole lane on a lone transmission
-// (the lone leader solved the problem and every listener heard it).
-// Returns true when the lane fully ended.
-bool LaneKnockoutRound(LaneAliveSet& set, std::int32_t lane,
-                       std::span<const std::int32_t> slots,
-                       std::span<const std::uint8_t> mask,
-                       std::span<std::int64_t> node_tx, LaneEffects& fx) {
-  std::int64_t tx = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    node_tx[static_cast<std::size_t>(slots[i])] += mask[i];
-    tx += mask[i];
-  }
-  fx.transmissions = tx;
-  if (tx == 1) {
-    fx.lone_deliveries = 1;
-    fx.primary_lone_delivered = true;
-    fx.finished = true;
-    for (const std::int32_t slot : slots) set.Retire(lane, slot);
-    return true;
-  }
-  if (tx >= 2) {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (!mask[i]) {
-        set.Retire(lane, slots[i]);
-        fx.nodes_retired = true;
-      }
-    }
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -679,7 +595,7 @@ class ReduceSchedule {
 class ReduceProgram final : public StepProgram {
  public:
   explicit ReduceProgram(core::ReduceParams params)
-      : params_(params), sched_(params) {}
+      : sched_(params) {}
 
   std::string_view name() const override { return "reduce"; }
 
@@ -737,73 +653,11 @@ class ReduceProgram final : public StepProgram {
     return true;
   }
 
-  std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
-
  private:
-  core::ReduceParams params_;
   ReduceSchedule sched_;
   std::int32_t step_ = 0;           // index into sched_, shared
   std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
 };
-
-// Reduce's trial-parallel twin. Every survivor of a pristine lane sits at
-// schedule step == lockstep round (steps start at 0 and advance exactly
-// once per surviving round, and the schedule length is a pure function of
-// the shared population), so one shared sched_[round] coin covers every
-// lane's alive slots in a single CoinMask call.
-class ReduceTrialProgram final : public TrialProgram {
- public:
-  explicit ReduceTrialProgram(core::ReduceParams params) : sched_(params) {}
-
-  bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
-    sched_.Prepare(ctx.population);
-    set_.Reset(lanes, ctx.num_active);
-    return true;
-  }
-
-  void Round(const TrialContext& ctx, std::span<const std::int32_t> lanes,
-             std::span<std::int64_t> node_tx,
-             std::span<LaneEffects> effects) override {
-    const auto step = static_cast<std::size_t>(ctx.round);
-    if (step >= sched_.size()) {  // unreachable: every lane ends in time
-      for (LaneEffects& fx : effects) fx.diverged = true;
-      return;
-    }
-    GatherAliveSlots(set_, lanes, slots_, seg_);
-    mask_.resize(slots_.size());
-    simd::CoinMask(sched_[step], ctx.rng, slots_, mask_);
-    const bool last = step + 1 == sched_.size();
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const auto lo = static_cast<std::size_t>(seg_[k]);
-      const std::size_t len = static_cast<std::size_t>(seg_[k + 1]) - lo;
-      const auto lane_slots =
-          std::span<const std::int32_t>(slots_).subspan(lo, len);
-      if (!LaneKnockoutRound(set_, lanes[k], lane_slots,
-                             std::span<const std::uint8_t>(mask_).subspan(
-                                 lo, len),
-                             node_tx, effects[k]) &&
-          last) {
-        // Schedule over: the lane's survivors terminate kActive.
-        effects[k].finished = true;
-        for (const std::int32_t slot : lane_slots) {
-          if (set_.alive[static_cast<std::size_t>(slot)]) {
-            set_.Retire(lanes[k], slot);
-          }
-        }
-      }
-    }
-  }
-
- private:
-  ReduceSchedule sched_;
-  LaneAliveSet set_;
-  std::vector<std::int32_t> slots_, seg_;
-  std::vector<std::uint8_t> mask_;
-};
-
-std::unique_ptr<TrialProgram> ReduceProgram::MakeTrialProgram() const {
-  return std::make_unique<ReduceTrialProgram>(params_);
-}
 
 // ---------------------------------------------------------------------------
 // IDReduction (core/id_reduction.cpp flattened): a three-round cycle of
@@ -954,8 +808,6 @@ class IdReductionProgram final : public StepProgram {
     return true;
   }
 
-  std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
-
  private:
   void CheckPairs() const {
     CRMC_CHECK_MSG(pairs_ < params_.max_pairs,
@@ -988,127 +840,6 @@ class IdReductionProgram final : public StepProgram {
   std::vector<std::uint16_t> counts_;
   std::vector<std::int32_t> touched_;
 };
-
-// IDReduction's trial-parallel twin. Alive nodes of a pristine lane walk
-// the spread/confirm/knock cycle in lockstep and every lane starts at
-// cycle 0 on round 0, so cycle == round % 3 and pairs == round / 3 hold
-// across all live lanes — no per-lane cycle state is needed; the RNG-
-// drawing rounds (spread, knock) batch into one kernel call each while
-// channel classification stays lane-local.
-class IdReductionTrialProgram final : public TrialProgram {
- public:
-  explicit IdReductionTrialProgram(core::IdReductionParams params)
-      : params_(params) {}
-
-  bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
-    const std::int32_t eff =
-        core::EffectiveChannels(ctx.channels, ctx.population);
-    if (eff < 4) return false;  // per-trial path throws; fall back wholesale
-    spread_.emplace(1, eff / 2);
-    const double knock_k =
-        std::max(2.0, std::sqrt(static_cast<double>(eff)) /
-                          params_.knock_divisor);
-    knock_.emplace(1.0 / knock_k);
-    counts_.assign(static_cast<std::size_t>(eff / 2) + 3, 0);
-    set_.Reset(lanes, ctx.num_active);
-    renamed_.assign(set_.alive.size(), 0);
-    return true;
-  }
-
-  void Round(const TrialContext& ctx, std::span<const std::int32_t> lanes,
-             std::span<std::int64_t> node_tx,
-             std::span<LaneEffects> effects) override {
-    switch (ctx.round % 3) {
-      case 0: {  // spread over [C'/2]: everyone transmits on its pick
-        if (ctx.round / 3 >= params_.max_pairs) {
-          // The per-trial path CRMC_CHECK-aborts here; diverge so the
-          // fallback rerun reproduces the abort.
-          for (LaneEffects& fx : effects) fx.diverged = true;
-          return;
-        }
-        GatherAliveSlots(set_, lanes, slots_, seg_);
-        chan_scratch_.resize(slots_.size());
-        lone_scratch_.resize(slots_.size());
-        simd::UniformFill(*spread_, ctx.rng, slots_, chan_scratch_);
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-          const auto lo = static_cast<std::size_t>(seg_[k]);
-          const std::size_t len = static_cast<std::size_t>(seg_[k + 1]) - lo;
-          const simd::Occupancy occ = simd::ClassifyChannels(
-              std::span<const std::int32_t>(chan_scratch_).subspan(lo, len),
-              kPrimaryChannel, counts_, touched_,
-              std::span<std::uint8_t>(lone_scratch_).subspan(lo, len));
-          for (std::size_t i = lo; i < lo + len; ++i) {
-            const auto slot = static_cast<std::size_t>(slots_[i]);
-            ++node_tx[slot];
-            renamed_[slot] = lone_scratch_[i];
-          }
-          effects[k].transmissions = static_cast<std::int64_t>(len);
-          effects[k].lone_deliveries = occ.lone_channels;
-          effects[k].primary_lone_delivered = occ.primary_lone;
-        }
-        return;
-      }
-      case 1: {  // confirm: renamed nodes transmit on the primary channel
-        GatherAliveSlots(set_, lanes, slots_, seg_);
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-          const auto lo = static_cast<std::size_t>(seg_[k]);
-          const auto hi = static_cast<std::size_t>(seg_[k + 1]);
-          std::int64_t r = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const auto slot = static_cast<std::size_t>(slots_[i]);
-            r += renamed_[slot];
-            node_tx[slot] += renamed_[slot];
-          }
-          effects[k].transmissions = r;
-          if (r == 1) {
-            effects[k].lone_deliveries = 1;
-            effects[k].primary_lone_delivered = true;
-          }
-          if (r >= 1) {
-            // Renamed nodes finish as kActive; everyone else heard them.
-            effects[k].finished = true;
-            for (std::size_t i = lo; i < hi; ++i) {
-              set_.Retire(lanes[k], slots_[i]);
-            }
-          }
-        }
-        return;
-      }
-      default: {  // knockout with probability 1/k
-        GatherAliveSlots(set_, lanes, slots_, seg_);
-        mask_.resize(slots_.size());
-        simd::CoinMask(*knock_, ctx.rng, slots_, mask_);
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-          const auto lo = static_cast<std::size_t>(seg_[k]);
-          const std::size_t len = static_cast<std::size_t>(seg_[k + 1]) - lo;
-          LaneKnockoutRound(
-              set_, lanes[k],
-              std::span<const std::int32_t>(slots_).subspan(lo, len),
-              std::span<const std::uint8_t>(mask_).subspan(lo, len), node_tx,
-              effects[k]);
-        }
-        return;
-      }
-    }
-  }
-
- private:
-  core::IdReductionParams params_;
-  std::optional<BatchUniformInt> spread_;
-  std::optional<BatchBernoulli> knock_;
-  LaneAliveSet set_;
-  std::vector<std::uint8_t> renamed_;  // [lane * n + node]
-  std::vector<std::int32_t> slots_, seg_;
-  std::vector<std::uint8_t> mask_;
-  std::vector<std::int32_t> chan_scratch_;
-  std::vector<std::uint8_t> lone_scratch_;
-  std::vector<std::uint16_t> counts_;
-  std::vector<std::int32_t> touched_;
-};
-
-std::unique_ptr<TrialProgram> IdReductionProgram::MakeTrialProgram() const {
-  return std::make_unique<IdReductionTrialProgram>(params_);
-}
 
 // ---------------------------------------------------------------------------
 // LeafElection (core/leaf_election.cpp + core/split_primitives.cpp
@@ -1355,158 +1086,12 @@ class LeafElectionProgram final : public StepProgram {
     return {};
   }
 
-  std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
-
  private:
   std::vector<std::int32_t> leaves_;
   std::int32_t num_leaves_;
   core::LeafElectionParams params_;
   LeafMachine machine_;
 };
-
-// Reusable scratch for LeafLaneRound: per-lane action/feedback staging and
-// a dense per-channel transmitter histogram reset sparsely via the touched
-// list (leaf election touches a handful of tree channels per round).
-struct LeafLaneScratch {
-  std::vector<Action> actions;
-  std::vector<std::uint8_t> leave;
-  std::vector<std::int32_t> tx_count;  // [channel 0..C], all-zero between
-  std::vector<Message> lone_msg;       // valid iff tx_count[ch] == 1
-  std::vector<std::int32_t> touched;   // channels with >= 1 transmitter
-
-  void Reset(std::int32_t channels) {
-    tx_count.assign(static_cast<std::size_t>(channels) + 1, 0);
-    lone_msg.assign(static_cast<std::size_t>(channels) + 1, Message{});
-    touched.clear();
-  }
-};
-
-// Runs one leaf-election round for a single lane: emits every member's
-// action, resolves the lane's channels under pristine strong CD (the only
-// regime the fused path handles — see resolver.cpp's fast path), advances
-// the machines on the resulting feedback, and retires departing members.
-// A breach from a machine marks the lane diverged so the per-trial fallback
-// rerun reproduces it. Returns true when the lane fully ended.
-bool LeafLaneRound(LeafMachine& m, LaneAliveSet& set, std::int32_t lane,
-                   std::span<const std::int32_t> slots,
-                   std::span<std::int64_t> node_tx, LeafLaneScratch& sc,
-                   LaneEffects& fx) {
-  sc.actions.resize(slots.size());
-  sc.leave.assign(slots.size(), 0);
-  sc.touched.clear();
-  std::int64_t tx = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const auto s = static_cast<std::size_t>(slots[i]);
-    sc.actions[i] = m.Emit(s);
-    const Action& a = sc.actions[i];
-    if (a.channel == kIdleChannel || !a.transmit) continue;
-    ++tx;
-    ++node_tx[s];
-    const auto ch = static_cast<std::size_t>(a.channel);
-    if (sc.tx_count[ch]++ == 0) {
-      sc.touched.push_back(a.channel);
-      sc.lone_msg[ch] = a.message;
-    }
-  }
-  fx.transmissions = tx;
-  for (const std::int32_t ch : sc.touched) {
-    if (sc.tx_count[static_cast<std::size_t>(ch)] == 1) ++fx.lone_deliveries;
-  }
-  fx.primary_lone_delivered =
-      sc.tx_count[static_cast<std::size_t>(kPrimaryChannel)] == 1;
-  for (std::size_t i = 0; i < slots.size() && !fx.diverged; ++i) {
-    const Action& a = sc.actions[i];
-    Feedback fb{};  // idle nodes observe silence by convention
-    if (a.channel != kIdleChannel) {
-      const auto ch = static_cast<std::size_t>(a.channel);
-      if (sc.tx_count[ch] == 1) {
-        fb.observation = Observation::kMessage;
-        fb.message = sc.lone_msg[ch];
-      } else if (sc.tx_count[ch] >= 2) {
-        fb.observation = Observation::kCollision;
-      }
-    }
-    if (m.Advance(static_cast<std::size_t>(slots[i]), a, fb, sc.leave[i])) {
-      fx.diverged = true;  // pristine run: per-trial Run raises the breach
-    }
-  }
-  for (const std::int32_t ch : sc.touched) {
-    sc.tx_count[static_cast<std::size_t>(ch)] = 0;
-  }
-  if (fx.diverged) return false;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (sc.leave[i]) {
-      set.Retire(lane, slots[i]);
-      fx.nodes_retired = true;
-    }
-  }
-  if (set.count[static_cast<std::size_t>(lane)] == 0) {
-    fx.finished = true;
-    return true;
-  }
-  return false;
-}
-
-// LeafElection's trial-parallel twin. The election draws no randomness at
-// all — every lane walks the identical deterministic machine — so the win
-// is purely structural: one flat LeafMachine spanning [lane × slot] plus
-// the lane-local mini-resolver replace the full MAC resolver and per-trial
-// engine loop. Kept primarily as the composition target for the general
-// twin's kLeaf stage.
-class LeafElectionTrialProgram final : public TrialProgram {
- public:
-  LeafElectionTrialProgram(std::vector<std::int32_t> leaves,
-                           std::int32_t num_leaves,
-                           core::LeafElectionParams params)
-      : leaves_(std::move(leaves)), num_leaves_(num_leaves), params_(params) {}
-
-  bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
-    // The per-trial path CRMC_REQUIREs these shapes; fall back wholesale so
-    // the rerun reproduces the throw.
-    if (static_cast<std::size_t>(ctx.num_active) != leaves_.size()) {
-      return false;
-    }
-    if (2 * num_leaves_ - 1 > ctx.channels) return false;
-    set_.Reset(lanes, ctx.num_active);
-    machine_.Init(num_leaves_, params_.force_binary_search,
-                  set_.alive.size());
-    for (std::int32_t lane = 0; lane < lanes; ++lane) {
-      for (std::size_t j = 0; j < leaves_.size(); ++j) {
-        machine_.Enter(static_cast<std::size_t>(lane) * leaves_.size() + j,
-                       leaves_[j]);
-      }
-    }
-    scratch_.Reset(ctx.channels);
-    return true;
-  }
-
-  void Round(const TrialContext&, std::span<const std::int32_t> lanes,
-             std::span<std::int64_t> node_tx,
-             std::span<LaneEffects> effects) override {
-    GatherAliveSlots(set_, lanes, slots_, seg_);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const auto lo = static_cast<std::size_t>(seg_[k]);
-      const std::size_t len = static_cast<std::size_t>(seg_[k + 1]) - lo;
-      LeafLaneRound(machine_, set_, lanes[k],
-                    std::span<const std::int32_t>(slots_).subspan(lo, len),
-                    node_tx, scratch_, effects[k]);
-    }
-  }
-
- private:
-  std::vector<std::int32_t> leaves_;
-  std::int32_t num_leaves_;
-  core::LeafElectionParams params_;
-  LaneAliveSet set_;
-  LeafMachine machine_;
-  LeafLaneScratch scratch_;
-  std::vector<std::int32_t> slots_, seg_;
-};
-
-std::unique_ptr<TrialProgram> LeafElectionProgram::MakeTrialProgram() const {
-  return std::make_unique<LeafElectionTrialProgram>(leaves_, num_leaves_,
-                                                    params_);
-}
 
 // ---------------------------------------------------------------------------
 // The classic single-channel CD knockout (core/reduce.cpp, RunKnockoutCd):
@@ -1557,49 +1142,10 @@ class KnockoutCdProgram final : public StepProgram {
     return true;
   }
 
-  std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
-
  private:
   BatchBernoulli coin_{0.5};
   std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
 };
-
-// The knockout's trial-parallel twin: stateless beyond the alive sets, so
-// every round is one CoinMask over all lanes' survivors plus the lane-local
-// knockout rule.
-class KnockoutCdTrialProgram final : public TrialProgram {
- public:
-  bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
-    set_.Reset(lanes, ctx.num_active);
-    return true;
-  }
-
-  void Round(const TrialContext& ctx, std::span<const std::int32_t> lanes,
-             std::span<std::int64_t> node_tx,
-             std::span<LaneEffects> effects) override {
-    GatherAliveSlots(set_, lanes, slots_, seg_);
-    mask_.resize(slots_.size());
-    simd::CoinMask(coin_, ctx.rng, slots_, mask_);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const auto lo = static_cast<std::size_t>(seg_[k]);
-      const std::size_t len = static_cast<std::size_t>(seg_[k + 1]) - lo;
-      LaneKnockoutRound(set_, lanes[k],
-                        std::span<const std::int32_t>(slots_).subspan(lo, len),
-                        std::span<const std::uint8_t>(mask_).subspan(lo, len),
-                        node_tx, effects[k]);
-    }
-  }
-
- private:
-  BatchBernoulli coin_{0.5};
-  LaneAliveSet set_;
-  std::vector<std::int32_t> slots_, seg_;
-  std::vector<std::uint8_t> mask_;
-};
-
-std::unique_ptr<TrialProgram> KnockoutCdProgram::MakeTrialProgram() const {
-  return std::make_unique<KnockoutCdTrialProgram>();
-}
 
 // ---------------------------------------------------------------------------
 // The composed general algorithm (core/general.cpp): Reduce -> IDReduction
@@ -1794,8 +1340,6 @@ class GeneralProgram final : public StepProgram {
     return true;
   }
 
-  std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
-
  private:
   enum Stage : std::uint8_t { kFallback, kReduce, kIdr };
 
@@ -1844,224 +1388,6 @@ class GeneralProgram final : public StepProgram {
   std::vector<std::uint16_t> counts_;
   std::vector<std::int32_t> touched_;
 };
-
-// The composed general algorithm's trial-parallel twin. Stage positions are
-// a pure function of the lockstep round for everything before LeafElection:
-// all live lanes run Reduce for rounds [0, L) (L = schedule length — a lane
-// whose knockout resolves early ends wholesale, it never half-advances),
-// survivors all enter IDReduction at round L, and from there the cycle is
-// (round - L) % 3 with pairs (round - L) / 3. Only the LeafElection stage
-// is lane-individual: a lane leaves IDReduction at its own confirm round,
-// so a per-lane in_leaf flag routes it to the lane-local leaf resolver —
-// unlike the per-trial program, which abandons the fused path at kLeaf, the
-// twin keeps every lane fused end to end.
-class GeneralTrialProgram final : public TrialProgram {
- public:
-  explicit GeneralTrialProgram(core::GeneralParams params)
-      : params_(params), reduce_sched_(params.reduce) {}
-
-  bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
-    eff_ = core::EffectiveChannels(ctx.channels, ctx.population);
-    fallback_ = eff_ < params_.min_channels;
-    set_.Reset(lanes, ctx.num_active);
-    in_leaf_.assign(static_cast<std::size_t>(lanes), 0);
-    if (fallback_) return true;
-    if (eff_ < 4) return false;  // per-trial Reset throws; fall back
-    reduce_sched_.Prepare(ctx.population);
-    spread_.emplace(1, eff_ / 2);
-    const double knock_k =
-        std::max(2.0, std::sqrt(static_cast<double>(eff_)) /
-                          params_.id_reduction.knock_divisor);
-    knock_.emplace(1.0 / knock_k);
-    leaf_.Init(eff_ / 2, params_.leaf_election.force_binary_search,
-               set_.alive.size());
-    chan_.assign(set_.alive.size(), 0);
-    renamed_.assign(set_.alive.size(), 0);
-    counts_.assign(static_cast<std::size_t>(eff_ / 2) + 3, 0);
-    scratch_.Reset(ctx.channels);
-    return true;
-  }
-
-  void Round(const TrialContext& ctx, std::span<const std::int32_t> lanes,
-             std::span<std::int64_t> node_tx,
-             std::span<LaneEffects> effects) override {
-    if (fallback_) {  // C = O(1): the single-channel knockout, forever
-      GatherAliveSlots(set_, lanes, slots_, seg_);
-      mask_.resize(slots_.size());
-      simd::CoinMask(coin_, ctx.rng, slots_, mask_);
-      KnockoutLanes(lanes, effects, node_tx);
-      return;
-    }
-    const auto len = static_cast<std::int64_t>(reduce_sched_.size());
-    if (ctx.round < len) {  // every live lane is still in Reduce
-      GatherAliveSlots(set_, lanes, slots_, seg_);
-      mask_.resize(slots_.size());
-      simd::CoinMask(reduce_sched_[static_cast<std::size_t>(ctx.round)],
-                     ctx.rng, slots_, mask_);
-      KnockoutLanes(lanes, effects, node_tx);
-      return;
-    }
-
-    // Snapshot the stage split before processing: a lane whose confirm
-    // round moves it into the election this round must not also run a
-    // leaf round this round.
-    idr_lanes_.clear();
-    leaf_lanes_.clear();
-    idr_idx_.clear();
-    leaf_idx_.clear();
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      if (in_leaf_[static_cast<std::size_t>(lanes[k])]) {
-        leaf_lanes_.push_back(lanes[k]);
-        leaf_idx_.push_back(k);
-      } else {
-        idr_lanes_.push_back(lanes[k]);
-        idr_idx_.push_back(k);
-      }
-    }
-
-    const std::int64_t idr_round = ctx.round - len;
-    if (!idr_lanes_.empty()) {
-      switch (idr_round % 3) {
-        case 0: {  // spread over [C'/2]
-          if (idr_round / 3 >= params_.id_reduction.max_pairs) {
-            // The per-trial path CRMC_CHECK-aborts; diverge these lanes so
-            // the fallback rerun reproduces the abort.
-            for (const std::size_t k : idr_idx_) effects[k].diverged = true;
-            break;
-          }
-          GatherAliveSlots(set_, idr_lanes_, slots_, seg_);
-          chan_scratch_.resize(slots_.size());
-          lone_scratch_.resize(slots_.size());
-          simd::UniformFill(*spread_, ctx.rng, slots_, chan_scratch_);
-          for (std::size_t k = 0; k < idr_lanes_.size(); ++k) {
-            const auto lo = static_cast<std::size_t>(seg_[k]);
-            const std::size_t hi = static_cast<std::size_t>(seg_[k + 1]);
-            const simd::Occupancy occ = simd::ClassifyChannels(
-                std::span<const std::int32_t>(chan_scratch_)
-                    .subspan(lo, hi - lo),
-                kPrimaryChannel, counts_, touched_,
-                std::span<std::uint8_t>(lone_scratch_).subspan(lo, hi - lo));
-            for (std::size_t i = lo; i < hi; ++i) {
-              const auto slot = static_cast<std::size_t>(slots_[i]);
-              ++node_tx[slot];
-              chan_[slot] = chan_scratch_[i];
-              renamed_[slot] = lone_scratch_[i];
-            }
-            LaneEffects& fx = effects[idr_idx_[k]];
-            fx.transmissions = static_cast<std::int64_t>(hi - lo);
-            fx.lone_deliveries = occ.lone_channels;
-            fx.primary_lone_delivered = occ.primary_lone;
-          }
-          break;
-        }
-        case 1: {  // confirm: renamed nodes claim their new IDs
-          GatherAliveSlots(set_, idr_lanes_, slots_, seg_);
-          for (std::size_t k = 0; k < idr_lanes_.size(); ++k) {
-            const auto lo = static_cast<std::size_t>(seg_[k]);
-            const auto hi = static_cast<std::size_t>(seg_[k + 1]);
-            std::int64_t r = 0;
-            for (std::size_t i = lo; i < hi; ++i) {
-              const auto slot = static_cast<std::size_t>(slots_[i]);
-              r += renamed_[slot];
-              node_tx[slot] += renamed_[slot];
-            }
-            LaneEffects& fx = effects[idr_idx_[k]];
-            fx.transmissions = r;
-            if (r == 1) {
-              fx.lone_deliveries = 1;
-              fx.primary_lone_delivered = true;
-            }
-            if (r >= 1) {
-              // Renamed nodes enter the election on leaf = new ID; the
-              // rest heard them and finish. The lane itself stays live.
-              for (std::size_t i = lo; i < hi; ++i) {
-                const std::int32_t slot = slots_[i];
-                if (renamed_[static_cast<std::size_t>(slot)]) {
-                  leaf_.Enter(static_cast<std::size_t>(slot),
-                              chan_[static_cast<std::size_t>(slot)]);
-                } else {
-                  set_.Retire(idr_lanes_[k], slot);
-                  fx.nodes_retired = true;
-                }
-              }
-              in_leaf_[static_cast<std::size_t>(idr_lanes_[k])] = 1;
-            }
-          }
-          break;
-        }
-        default: {  // knockout with probability 1/k
-          GatherAliveSlots(set_, idr_lanes_, slots_, seg_);
-          mask_.resize(slots_.size());
-          simd::CoinMask(*knock_, ctx.rng, slots_, mask_);
-          for (std::size_t k = 0; k < idr_lanes_.size(); ++k) {
-            const auto lo = static_cast<std::size_t>(seg_[k]);
-            const std::size_t n = static_cast<std::size_t>(seg_[k + 1]) - lo;
-            LaneKnockoutRound(
-                set_, idr_lanes_[k],
-                std::span<const std::int32_t>(slots_).subspan(lo, n),
-                std::span<const std::uint8_t>(mask_).subspan(lo, n), node_tx,
-                effects[idr_idx_[k]]);
-          }
-          break;
-        }
-      }
-    }
-
-    if (!leaf_lanes_.empty()) {
-      GatherAliveSlots(set_, leaf_lanes_, slots_, seg_);
-      for (std::size_t k = 0; k < leaf_lanes_.size(); ++k) {
-        const auto lo = static_cast<std::size_t>(seg_[k]);
-        const std::size_t n = static_cast<std::size_t>(seg_[k + 1]) - lo;
-        LeafLaneRound(leaf_, set_, leaf_lanes_[k],
-                      std::span<const std::int32_t>(slots_).subspan(lo, n),
-                      node_tx, scratch_, effects[leaf_idx_[k]]);
-      }
-    }
-  }
-
- private:
-  // Applies the knockout rule to every lane of the slots_/seg_/mask_ state
-  // set up by the caller (fallback and Reduce rounds share this shape).
-  void KnockoutLanes(std::span<const std::int32_t> lanes,
-                     std::span<LaneEffects> effects,
-                     std::span<std::int64_t> node_tx) {
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const auto lo = static_cast<std::size_t>(seg_[k]);
-      const std::size_t n = static_cast<std::size_t>(seg_[k + 1]) - lo;
-      LaneKnockoutRound(set_, lanes[k],
-                        std::span<const std::int32_t>(slots_).subspan(lo, n),
-                        std::span<const std::uint8_t>(mask_).subspan(lo, n),
-                        node_tx, effects[k]);
-    }
-  }
-
-  core::GeneralParams params_;
-  std::int32_t eff_ = 0;
-  bool fallback_ = false;
-  ReduceSchedule reduce_sched_;
-  std::optional<BatchUniformInt> spread_;
-  std::optional<BatchBernoulli> knock_;
-  BatchBernoulli coin_{0.5};
-  LeafMachine leaf_;
-  LeafLaneScratch scratch_;
-
-  LaneAliveSet set_;
-  std::vector<std::uint8_t> in_leaf_;  // [lane]
-  std::vector<std::int32_t> chan_;     // [lane * n + node] spread pick
-  std::vector<std::uint8_t> renamed_;  // [lane * n + node]
-  std::vector<std::int32_t> slots_, seg_;
-  std::vector<std::int32_t> idr_lanes_, leaf_lanes_;
-  std::vector<std::size_t> idr_idx_, leaf_idx_;
-  std::vector<std::uint8_t> mask_;
-  std::vector<std::int32_t> chan_scratch_;
-  std::vector<std::uint8_t> lone_scratch_;
-  std::vector<std::uint16_t> counts_;
-  std::vector<std::int32_t> touched_;
-};
-
-std::unique_ptr<TrialProgram> GeneralProgram::MakeTrialProgram() const {
-  return std::make_unique<GeneralTrialProgram>(params_);
-}
 
 }  // namespace
 

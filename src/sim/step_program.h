@@ -71,7 +71,10 @@ struct FastRoundEffects {
 // slot lists spanning all lanes, which the existing simd:: kernels then
 // evaluate in one vectorized pass. A TrialProgram is the protocol's
 // lane-parallel twin: it owns [lane][node] state planes and executes one
-// lockstep round for every live lane per call.
+// lockstep round for every live lane per call. A twin is kept only where
+// it beats the per-trial engine at equal RNG; today that is two_active,
+// whose |A| = 2 rounds leave most of a vector idle. Every other protocol
+// runs per trial under --lanes.
 
 // Read-only parameters plus the engine-owned flat planes for one
 // trial-parallel run. `rng` is one stream plane over every lane:
@@ -85,25 +88,20 @@ struct TrialContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;
   std::int32_t channels = 1;
-  std::int64_t round = 0;  // 0-based lockstep round being executed
   support::StreamPlaneView rng;
 };
 
 // What one lockstep round did to one lane — FastRoundEffects plus the
-// lane-lifecycle bits the trial engine needs for retirement.
+// lane-lifecycle bits the trial engine needs for retirement. A two_active
+// lane ends all at once (a lone transmission or the final pair round ends
+// both nodes), so no round retires part of a lane and only a lone
+// delivery counts as progress for the stall streak.
 struct LaneEffects {
   std::int64_t transmissions = 0;
   std::int64_t lone_deliveries = 0;
   bool primary_lone_delivered = false;
-  // Every node of the lane terminated this round (a program whose nodes
-  // retire gradually keeps per-lane alive counts internally and sets this
-  // on the last node).
+  // Every node of the lane terminated this round.
   bool finished = false;
-  // At least one lane member terminated this round while the lane lives
-  // on (gradual retirement: a knockout's silent listeners, IDReduction's
-  // unrenamed losers, election departures). Counts as progress for the
-  // stall streak, mirroring the per-trial engines' `write < m` rule.
-  bool nodes_retired = false;
   // The lane left the lockstep-representable state set. The trial engine
   // retires it and re-runs that seed from scratch on the per-trial batch
   // path (with freshly seeded streams, so partial draw consumption in the

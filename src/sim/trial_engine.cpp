@@ -94,7 +94,6 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
   ctx.population = population;
   ctx.num_active = config.num_active;
   ctx.channels = config.channels;
-  ctx.round = 0;
 
   // One philox stream per (lane, node) slot of one plane; node `node` of
   // lane `lane` gets exactly the stream the coroutine engine would hand it
@@ -135,7 +134,6 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
 
   std::int64_t round = 0;
   while (!live_.empty() && round < config.max_rounds) {
-    ctx.round = round;
     effects_.assign(live_.size(), LaneEffects{});
     trial.Round(ctx, live_, node_tx_, effects_);
 
@@ -165,9 +163,8 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
         finalize(lane, round + 1, /*terminated=*/true, /*timed_out=*/false);
       } else {
         stall_[static_cast<std::size_t>(lane)] =
-            fx.lone_deliveries > 0 || fx.nodes_retired
-                ? 0
-                : stall_[static_cast<std::size_t>(lane)] + 1;
+            fx.lone_deliveries > 0 ? 0
+                                   : stall_[static_cast<std::size_t>(lane)] + 1;
       }
     }
     live_.resize(simd::CompactKeep(live_, drop_));

@@ -143,6 +143,42 @@ TEST(SweepExecutor, TwinlessLaneNoticeDedupsAndTwinnedRunsStaySilent) {
   EXPECT_EQ(laned.trial_lanes_peak, 4);
 }
 
+// A registered protocol whose step program has no trial-parallel twin:
+// --lanes takes the per-trial path on the batch engine, the notice names
+// the program (not the coroutine-engine label), and the statistics match
+// lane width 1.
+TEST(SweepExecutor, StepProgramWithoutTwinWarnsAndMatchesLaneWidthOne) {
+  TrialSpec spec;
+  spec.population = 1024;
+  spec.num_active = 64;
+  spec.channels = 64;
+  spec.rng = support::RngKind::kPhilox;
+  const ProtocolHandle general = HandleFor(AlgorithmByName("general"));
+  ASSERT_NE(general.step_program, nullptr);
+  constexpr std::int32_t kTrials = 41;
+  const TrialSetResult narrow = RunTrials(spec, general, kTrials, false, 2);
+
+  spec.lane_width = 4;
+  ::testing::internal::CaptureStderr();
+  const TrialSetResult wide = RunTrials(spec, general, kTrials, false, 2);
+  const std::string notice = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(notice.rfind("note: --lanes 4"), 0u) << notice;
+  EXPECT_NE(notice.find("general has no trial-parallel twin"),
+            std::string::npos)
+      << notice;
+  EXPECT_EQ(notice.find("(coroutine-engine run)"), std::string::npos)
+      << notice;
+  EXPECT_EQ(std::count(notice.begin(), notice.end(), '\n'), 1) << notice;
+
+  EXPECT_EQ(wide.trial_lanes_peak, 0);
+  // Every trial went to the trial engine and ran on its per-trial
+  // fallback; that diagnostic is the only difference from lane width 1.
+  EXPECT_EQ(wide.trial_fallbacks, kTrials);
+  TrialSetResult same_diagnostics = wide;
+  same_diagnostics.trial_fallbacks = narrow.trial_fallbacks;
+  ExpectSameTrialSet(narrow, same_diagnostics, "lanes=4 vs lanes=1");
+}
+
 TEST(SweepExecutor, PoolMatchesSpawnAndInlineBitExact) {
   TrialSpec spec = TwoActiveSpec();
   spec.lane_width = 8;

@@ -41,11 +41,9 @@ namespace {
 // executor's fused_rounds must also match the per-trial batch engine's
 // when expect_same_fused holds: on the lane path every round is fused,
 // exactly like a pristine per-trial FastRound run; on the fallback path
-// the trials literally run on a BatchEngine. Programs whose per-trial twin
-// materializes rounds the lane path fuses (general's LeafElection stage,
-// and LeafElection itself, have no per-trial FastRound) pass
-// expect_same_fused = false — fused_rounds is executor diagnostics, not
-// model output.
+// the trials literally run on a BatchEngine. A caller may pass
+// expect_same_fused = false to skip that check — fused_rounds is executor
+// diagnostics, not model output.
 void CheckTrialParity(EngineConfig config, const ProtocolFactory& coroutine,
                       StepProgram& program, int seeds,
                       std::int32_t lane_width = 32,
@@ -232,13 +230,14 @@ TEST(TrialEngineParity, AllBackendsBitExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Family twins (full trial-parallel coverage): every protocol of the
-// composed general algorithm — Reduce, IDReduction, LeafElection, the CD
-// knockout, and general itself — runs 2000+ seeds per compiled SIMD
-// backend, bit-exact against the per-trial BatchEngine and the coroutine
-// oracle. Configs mirror the per-trial parity suite
-// (tests/batch_engine_test.cpp) so the three-engine agreement covers the
-// same shapes.
+// The rest of the family: every protocol of the composed general algorithm
+// — Reduce, IDReduction, LeafElection, the CD knockout, and general itself
+// — runs 2000+ seeds per compiled SIMD backend through TrialBatchEngine,
+// bit-exact against the per-trial BatchEngine and the coroutine oracle.
+// None of them has a trial-parallel twin, so these cases pin the engine's
+// per-trial fallback for every family shape. Configs mirror the per-trial
+// parity suite (tests/batch_engine_test.cpp) so the three-engine agreement
+// covers the same shapes.
 // ---------------------------------------------------------------------------
 
 TEST(TrialEngineFamilyParity, Reduce2000SeedsAllBackends) {
@@ -277,16 +276,15 @@ TEST(TrialEngineFamilyParity, General2000SeedsAllBackends) {
   config.num_active = 64;
   config.channels = 64;
   auto program = MakeGeneralProgram();
-  // The per-trial batch engine materializes the LeafElection stage (no
-  // FastRound there); the lane path fuses every round — fused_rounds is
-  // executor diagnostics and legitimately differs.
+  // fused_rounds is executor diagnostics, not model output, so it is not
+  // compared here.
   CheckTrialParityAllBackends(config, core::MakeGeneral(), *program, 2000,
                               /*expect_same_fused=*/false);
 }
 
 TEST(TrialEngineFamilyParity, GeneralFewChannelsKnockoutFallback) {
   // C below min_channels routes general onto its O(1)-channel knockout
-  // protocol — the twin's fallback_ path, exercised end to end.
+  // protocol, exercised end to end.
   EngineConfig config;
   config.population = 1024;
   config.num_active = 48;
@@ -300,7 +298,7 @@ TEST(TrialEngineFamilyParity, GeneralRunToCompletion) {
   config.population = 512;
   config.num_active = 16;
   config.channels = 32;
-  config.stop_when_solved = false;  // lanes retire on termination instead
+  config.stop_when_solved = false;  // runs end on termination instead
   auto program = MakeGeneralProgram();
   CheckTrialParity(config, core::MakeGeneral(), *program, 300, 32, 10'000,
                    /*expect_same_fused=*/false);
@@ -311,7 +309,7 @@ TEST(TrialEngineFamilyParity, GeneralTimeoutMidReduce) {
   config.population = 1 << 16;
   config.num_active = 256;
   config.channels = 64;
-  config.max_rounds = 4;  // stop mid-Reduce: every lane times out together
+  config.max_rounds = 4;  // stop mid-Reduce: every run times out
   auto program = MakeGeneralProgram();
   CheckTrialParity(config, core::MakeGeneral(), *program, 200, 32, 10'000,
                    /*expect_same_fused=*/false);
@@ -448,56 +446,21 @@ TEST(TrialEngineFallback, RobustLaneWidthInvisibleAtHarnessLevel) {
   EXPECT_EQ(narrow.rounds_total, wide.rounds_total);
 }
 
-// Forwards everything to an inner program but reports no trial twin — the
-// pre-twin shape of the family programs, keeping the wholesale-fallback
-// path under test now that every shipped family program has a twin.
-class TwinlessProgram : public StepProgram {
- public:
-  explicit TwinlessProgram(std::unique_ptr<StepProgram> inner)
-      : inner_(std::move(inner)) {}
-  std::string_view name() const override { return inner_->name(); }
-  void Reset(const BatchContext& ctx) override { inner_->Reset(ctx); }
-  void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
-                   std::span<mac::Action> actions) override {
-    inner_->EmitActions(ctx, alive, actions);
-  }
-  support::AssumptionBreach Advance(const BatchContext& ctx,
-                                    std::span<const NodeId> alive,
-                                    std::span<const mac::Action> actions,
-                                    std::span<const mac::Feedback> feedback,
-                                    std::span<std::uint8_t> finished) override {
-    return inner_->Advance(ctx, alive, actions, feedback, finished);
-  }
-  bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
-                 std::span<std::int64_t> node_tx,
-                 std::span<std::uint8_t> finished,
-                 FastRoundEffects* effects) override {
-    return inner_->FastRound(ctx, alive, node_tx, finished, effects);
-  }
-  bool LockstepRestored(const BatchContext& ctx,
-                        std::span<const NodeId> alive) override {
-    return inner_->LockstepRestored(ctx, alive);
-  }
-
- private:
-  std::unique_ptr<StepProgram> inner_;
-};
-
 TEST(TrialEngineFallback, ProtocolWithoutTrialProgram) {
   EngineConfig config;
   config.population = 1024;
   config.num_active = 64;
   config.channels = 64;
-  TwinlessProgram program(MakeGeneralProgram());
-  ASSERT_EQ(program.MakeTrialProgram(), nullptr);
-  CheckTrialParity(config, core::MakeGeneral(), program, 200);
+  auto program = MakeGeneralProgram();
+  ASSERT_EQ(program->MakeTrialProgram(), nullptr);
+  CheckTrialParity(config, core::MakeGeneral(), *program, 200);
 
   // The wholesale fallback must be visible in the executor diagnostics.
   config.rng = support::RngKind::kPhilox;
   TrialBatchEngine engine(8);
   std::vector<std::uint64_t> seeds{1, 2, 3};
   std::vector<RunResult> results(seeds.size());
-  engine.Run(config, program, seeds, results);
+  engine.Run(config, *program, seeds, results);
   for (const RunResult& r : results) {
     EXPECT_TRUE(r.trial_fallback);
     EXPECT_EQ(r.trial_lanes, 0);

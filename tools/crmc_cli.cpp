@@ -130,7 +130,9 @@ using namespace crmc;
       "              debugging the fused fast rounds without a rebuild)\n"
       "              --lanes W runs W trials per SIMD lockstep chunk on\n"
       "              the trial-parallel executor (requires --rng philox;\n"
-      "              statistics are identical for every W)\n";
+      "              statistics are identical for every W); only\n"
+      "              two_active runs in lanes, other protocols run per\n"
+      "              trial and print a one-line notice\n";
   std::exit(2);
 }
 
