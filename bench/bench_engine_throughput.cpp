@@ -21,8 +21,9 @@
 //                    philox is the counter-based reproducibility mode);
 //                    `--lanes W` sets the trial-parallel lane width.
 //
-// v3 added a `trial` block to every grid point whose protocol ships a
-// trial-parallel twin (sim::TrialBatchEngine): the per-trial batch path and
+// v3 added a `trial` block to every grid point whose protocol runs in
+// trial-parallel lanes (sim::TrialBatchEngine; today two_active, as
+// sim::TwoActiveParamsOf reports): the per-trial batch path and
 // the trial-parallel executor timed over the SAME seeds, both under philox
 // (the executor's required generator), so the executor comparison is at
 // equal RNG and isolates the lanes-across-trials win. The top-level
@@ -92,11 +93,11 @@ struct GridPoint {
 
 // The grid spans small/medium/large populations and channel counts for the
 // protocols with columnar twins. The (general, 65536, 1024, 64) point is the
-// acceptance benchmark quoted in docs/MODEL.md. Only two_active has a
-// trial-parallel twin, so only its points carry a `trial` block, and
+// acceptance benchmark quoted in docs/MODEL.md. Only two_active runs in
+// trial-parallel lanes, so only its points carry a `trial` block, and
 // tools/check_bench_json.py gates them with --trial-speedup-floors. The
 // other small-active points (num_active <= 16) measure small-|A| batch
-// throughput; a new trial twin for one of those protocols has to beat
+// throughput; a lane executor for one of those protocols has to beat
 // the per-trial path there before it ships.
 const GridPoint kGrid[] = {
     {"two_active", 1 << 16, 2, 64, 3000},
@@ -555,9 +556,10 @@ int RunJsonGrid(const harness::Flags& flags) {
     sim::BatchEngine engine;
     EngineStats coro;
     EngineStats batch;
-    // v3 trial-parallel comparison (points with a TrialProgram twin only):
-    // batch vs trial executor over the same seeds, both under philox.
-    bool has_trial = false;
+    // v3 trial-parallel comparison (points whose program runs in lanes,
+    // i.e. two_active): batch vs trial executor over the same seeds, both
+    // under philox.
+    bool in_lanes = false;
     sim::EngineConfig philox_config;
     std::unique_ptr<sim::TrialBatchEngine> trial_engine;
     std::vector<std::uint64_t> seeds;
@@ -580,8 +582,8 @@ int RunJsonGrid(const harness::Flags& flags) {
     pr->config.channels = p.channels;
     pr->config.stop_when_solved = p.stop_when_solved;
     pr->config.rng = *rng_kind;
-    pr->has_trial = pr->program->MakeTrialProgram() != nullptr;
-    if (pr->has_trial) {
+    pr->in_lanes = sim::TwoActiveParamsOf(*pr->program).has_value();
+    if (pr->in_lanes) {
       pr->philox_config = pr->config;
       pr->philox_config.rng = support::RngKind::kPhilox;
       pr->trial_engine = std::make_unique<sim::TrialBatchEngine>(lane_width);
@@ -627,7 +629,7 @@ int RunJsonGrid(const harness::Flags& flags) {
       KeepBest(pr->batch,
                TimeOnePass(pr->trials, pr->p->num_active, run_batch),
                rep == 0);
-      if (!pr->has_trial) continue;
+      if (!pr->in_lanes) continue;
       // v3 comparison passes: per-trial batch and trial-parallel executor
       // over the same seeds, both under philox (equal-RNG comparison). The
       // two engines ALTERNATE A/B within the rep rather than each being
@@ -696,7 +698,7 @@ int RunJsonGrid(const harness::Flags& flags) {
     WriteEngineStats(w, batch, trials);
     w.EndObject();
     w.Key("speedup_trials_per_sec").Value(speedup);
-    if (point->has_trial) {
+    if (point->in_lanes) {
       // The executor must be running the same Monte-Carlo experiment as
       // the per-trial batch path — bit-exactness is what makes the
       // speedup a like-for-like number.

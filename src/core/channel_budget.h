@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "core/params.h"
 #include "support/bits.h"
 
 namespace crmc::core {
@@ -30,6 +31,19 @@ inline std::int32_t EffectiveChannels(std::int32_t channels,
   return static_cast<std::int32_t>(
       support::FloorPow2(static_cast<std::uint64_t>(std::max<std::int64_t>(
           usable, 1))));
+}
+
+// The channels TwoActive runs on: EffectiveChannels, clamped to the largest
+// power of two <= params.channel_cap when a cap is set. Fewer than two means
+// the single-channel coin-flip duel. The coroutine, the step program and
+// the trial engine's lanes all take their channel count from here.
+inline std::int32_t TwoActiveChannels(std::int32_t channels,
+                                      std::int64_t population,
+                                      const TwoActiveParams& params) {
+  const std::int32_t usable = EffectiveChannels(channels, population);
+  if (params.channel_cap <= 0) return usable;
+  return std::min(usable, static_cast<std::int32_t>(support::FloorPow2(
+                              static_cast<std::uint64_t>(params.channel_cap))));
 }
 
 }  // namespace crmc::core

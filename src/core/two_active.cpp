@@ -1,11 +1,8 @@
 #include "core/two_active.h"
 
-#include <algorithm>
-
 #include "core/channel_budget.h"
 #include "mac/channel.h"
 #include "support/assert.h"
-#include "support/bits.h"
 #include "tree/channel_tree.h"
 
 namespace crmc::core {
@@ -38,12 +35,8 @@ Task<void> CoinFlipDuel(NodeContext& ctx) {
 }  // namespace
 
 Task<void> TwoActiveProtocol(NodeContext& ctx, TwoActiveParams params) {
-  std::int32_t channels = EffectiveChannels(ctx.channels(), ctx.population());
-  if (params.channel_cap > 0) {
-    channels = std::min(
-        channels, static_cast<std::int32_t>(support::FloorPow2(
-                      static_cast<std::uint64_t>(params.channel_cap))));
-  }
+  const std::int32_t channels =
+      TwoActiveChannels(ctx.channels(), ctx.population(), params);
   if (channels < 2) {
     co_await CoinFlipDuel(ctx);
     co_return;

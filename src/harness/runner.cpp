@@ -18,6 +18,17 @@
 #include "support/assert.h"
 
 namespace crmc::harness {
+
+ProtocolHandle::ProtocolHandle(sim::ProtocolFactory coroutine_in,
+                               sim::StepProgramFactory step_program_in)
+    : coroutine(std::move(coroutine_in)),
+      step_program(std::move(step_program_in)) {
+  if (step_program == nullptr) return;
+  const std::unique_ptr<sim::StepProgram> program = step_program();
+  runs_in_lanes_ = sim::TwoActiveParamsOf(*program).has_value();
+  program_name_ = program->name();
+}
+
 namespace internal {
 
 TrialJobPlan PlanTrialJob(const TrialSpec& spec,
@@ -72,13 +83,13 @@ void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
     cache.program = plan.batch ? protocol.step_program() : nullptr;
     cache.batch_engine.set_fused_rounds(spec.fused_rounds);
     if (plan.lanes) {
-      // Fresh engine per job, not just per stride change: the trial engine
-      // caches the twin by StepProgram address, and a recycled allocation
-      // from a finished job could alias the new program.
-      cache.trial_engine.emplace(plan.stride);
+      // The trial engine keeps no per-program state, so it and its scratch
+      // outlive the job; only a new lane width re-creates it.
+      if (!cache.trial_engine ||
+          cache.trial_engine->lane_width() != plan.stride) {
+        cache.trial_engine.emplace(plan.stride);
+      }
       cache.trial_engine->set_fused_rounds(spec.fused_rounds);
-    } else {
-      cache.trial_engine.reset();
     }
     cache.scratch.resize(static_cast<std::size_t>(plan.stride));
   }
@@ -186,20 +197,17 @@ void ValidatePlan(const TrialSpec& spec, const internal::TrialJobPlan& plan) {
   }
 }
 
-// A lane_width > 1 request falls back per trial whenever the protocol lacks
-// a trial-program twin (no step program at all, or MakeTrialProgram returns
-// nullptr). That is correct but silently buys nothing, so say so — once per
-// protocol per process, not per grid point, so a sweep stays readable.
+// A lane_width > 1 request falls back per trial whenever the run does not
+// take the lanes (a coroutine-engine run, or a step program other than
+// two_active). That is correct but silently buys nothing, so say so — once
+// per protocol per process, not per grid point, so a sweep stays readable.
 void MaybeWarnLaneFallback(const TrialSpec& spec,
                            const ProtocolHandle& protocol,
                            const internal::TrialJobPlan& plan) {
   if (spec.lane_width <= 1) return;
-  std::unique_ptr<sim::StepProgram> probe;
-  if (plan.batch) probe = protocol.step_program();
-  const bool twin = probe != nullptr && probe->MakeTrialProgram() != nullptr;
-  if (twin) return;
+  if (plan.batch && protocol.runs_in_lanes()) return;
   const std::string label =
-      probe ? std::string(probe->name()) : std::string("this protocol");
+      plan.batch ? protocol.program_name() : std::string("this protocol");
   // Pre-format off-lock, then dedup-check and emit as one write *under* the
   // lock: releasing it between the insert and the stream (the historical
   // shape) let two threads first-warning different protocols interleave

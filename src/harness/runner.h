@@ -67,10 +67,20 @@ struct ProtocolHandle {
   // NOLINTNEXTLINE(google-explicit-constructor): deliberate adapter
   ProtocolHandle(sim::ProtocolFactory coroutine_in)
       : coroutine(std::move(coroutine_in)) {}
+  // Builds one program from the factory to derive runs_in_lanes() and
+  // program_name(), so registered and hand-built handles agree.
   ProtocolHandle(sim::ProtocolFactory coroutine_in,
-                 sim::StepProgramFactory step_program_in)
-      : coroutine(std::move(coroutine_in)),
-        step_program(std::move(step_program_in)) {}
+                 sim::StepProgramFactory step_program_in);
+
+  // Whether the step program runs in trial-parallel lanes
+  // (sim::TwoActiveParamsOf), and its name() for the --lanes notice. False
+  // and empty without a step program.
+  bool runs_in_lanes() const { return runs_in_lanes_; }
+  const std::string& program_name() const { return program_name_; }
+
+ private:
+  bool runs_in_lanes_ = false;
+  std::string program_name_;
 };
 
 // A trial set's outcome. The inherited sim::LayerCounters are every
@@ -103,10 +113,11 @@ struct TrialSetResult : sim::LayerCounters {
   // All zero when lane_width == 1 or the protocol ran per trial throughout.
   // Widest lockstep lane chunk any trial ran in (RunResult::trial_lanes).
   std::int32_t trial_lanes_peak = 0;
-  // Trials that entered the lane path and were re-run per trial (twin-less
-  // program, TrialProgram Reset declined the shape, or the lane diverged
-  // mid-run). Statistics are bit-exact either way; a high count means the
-  // requested lane width bought little.
+  // Trials that entered the lane path and were re-run per trial (a program
+  // other than two_active, a shape the lanes decline such as two_active
+  // with |A| != 2 outside the duel, or a lane that diverged mid-run).
+  // Statistics are bit-exact either way; a high count means the requested
+  // lane width bought little.
   std::int64_t trial_fallbacks = 0;
   // Rounds executed on a fused fast path, summed over every trial
   // (RunResult::fused_rounds: BatchEngine FastRound + lockstep lane
@@ -139,9 +150,11 @@ struct TrialSetResult : sim::LayerCounters {
 // merged in any order to the same bits.
 //
 // Throws std::invalid_argument when spec.lane_width < 1 (the CLI's --lanes
-// contract); a lane_width > 1 request for a protocol with no trial-program
-// twin runs fine on the per-trial path but prints a one-line stderr notice,
-// since the flag silently buying nothing is the harder bug to spot.
+// contract); a lane_width > 1 request for a protocol that does not run in
+// lanes (!protocol.runs_in_lanes(), or a coroutine-engine run) runs fine on
+// the per-trial path but prints a one-line stderr notice, once per program
+// name per process, since the flag silently buying nothing is the harder
+// bug to spot. Deciding it reads the handle and constructs nothing.
 TrialSetResult RunTrials(const TrialSpec& spec, const ProtocolHandle& protocol,
                          std::int32_t trials, bool keep_runs = false,
                          std::int32_t threads = 0);

@@ -49,12 +49,11 @@ struct TrialJobOutput {
   std::vector<sim::RunResult> runs;  // iff keep_runs
 };
 
-// One worker's reusable scratch. The program instance and the engines are
-// cached per job (keyed by job_id) so a worker that stays on one sweep
-// point is allocation-free after its first chunk. The trial engine is
-// re-created on every job switch: it caches the trial-program twin by
-// StepProgram address, and a recycled allocation could otherwise alias a
-// prior job's program.
+// One worker's reusable scratch. The program instance is built per job
+// (keyed by job_id) so a worker that stays on one sweep point is
+// allocation-free after its first chunk. The engines outlive jobs: they
+// hold no per-program state (the trial engine asks sim::TwoActiveParamsOf
+// on every call), so only a new lane width re-creates the trial engine.
 struct TrialWorkerCache {
   std::uint64_t job_id = ~std::uint64_t{0};
   std::unique_ptr<sim::StepProgram> program;

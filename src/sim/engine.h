@@ -221,7 +221,8 @@ struct RunResult : LayerCounters {
   // excluded from cross-engine parity comparisons.
   std::int32_t trial_lanes = 0;
   // True iff the trial engine started this run on the lane path and then
-  // re-ran it per trial (TrialProgram Reset declined or the lane diverged).
+  // re-ran it per trial (the lane executor declined the shape or the lane
+  // diverged).
   // The run's statistics are still bit-exact; the flag makes silent
   // wholesale fallback visible in aggregated reports instead of just slow.
   bool trial_fallback = false;

@@ -116,12 +116,7 @@ class TwoActiveProgram final : public StepProgram {
   std::string_view name() const override { return "two_active"; }
 
   void Reset(const BatchContext& ctx) override {
-    channels_ = core::EffectiveChannels(ctx.channels, ctx.population);
-    if (params_.channel_cap > 0) {
-      channels_ = std::min(
-          channels_, static_cast<std::int32_t>(support::FloorPow2(
-                         static_cast<std::uint64_t>(params_.channel_cap))));
-    }
+    channels_ = core::TwoActiveChannels(ctx.channels, ctx.population, params_);
     duel_ = channels_ < 2;
     if (!duel_) {
       tree_.emplace(channels_);
@@ -325,7 +320,7 @@ class TwoActiveProgram final : public StepProgram {
     return true;
   }
 
-  std::unique_ptr<TrialProgram> MakeTrialProgram() const override;
+  const core::TwoActiveParams& params() const { return params_; }
 
  private:
   enum Phase : std::uint8_t { kDuel, kRename, kSearch, kFinalTx, kFinalListen };
@@ -343,206 +338,6 @@ class TwoActiveProgram final : public StepProgram {
   std::vector<std::int32_t> hi_;
   std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
 };
-
-// ---------------------------------------------------------------------------
-// TwoActive's trial-parallel twin: W independent trials ("lanes") in
-// lockstep, per-lane state in flat planes, per-round draws batched across
-// lanes into one slot list per draw kind and evaluated by the simd::
-// kernels in a single vectorized pass. The per-(lane, node) streams sit in
-// the ctx.rng[lane * num_active + node] plane, so a lane's draw order is
-// exactly the per-trial FastRound's — lanes touch disjoint slots and each
-// stream is drawn at most once per round, making every lane bit-exact
-// against a solo run of its seed.
-//
-// The run is fully lockstep per lane (see TwoActiveProgram::FastRound), so
-// a pristine lane never diverges; the `diverged` escape hatch only fires on
-// states the per-trial path would report as a breach, and the trial
-// engine's fallback rerun reproduces that breach bit-exactly.
-
-class TwoActiveTrialProgram final : public TrialProgram {
- public:
-  explicit TwoActiveTrialProgram(core::TwoActiveParams params)
-      : params_(params) {}
-
-  bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
-    channels_ = core::EffectiveChannels(ctx.channels, ctx.population);
-    if (params_.channel_cap > 0) {
-      channels_ = std::min(
-          channels_, static_cast<std::int32_t>(support::FloorPow2(
-                         static_cast<std::uint64_t>(params_.channel_cap))));
-    }
-    duel_ = channels_ < 2;
-    num_active_ = ctx.num_active;
-    if (!duel_) {
-      // The tree walk is only lockstep-representable for the paper's
-      // |A| = 2 shape (the per-trial FastRound declines anything else).
-      if (ctx.num_active != 2) return false;
-      tree_.emplace(channels_);
-      rename_draw_.emplace(1, channels_);
-    }
-    const auto w = static_cast<std::size_t>(lanes);
-    phase_.assign(w, duel_ ? kDuel : kRename);
-    id0_.assign(w, 0);
-    id1_.assign(w, 0);
-    lo_.assign(w, 0);
-    hi_.assign(w, 0);
-    tx0_.assign(w, 0);
-    return true;
-  }
-
-  void Round(const TrialContext& ctx, std::span<const std::int32_t> lanes,
-             std::span<std::int64_t> node_tx,
-             std::span<LaneEffects> effects) override {
-    if (duel_) {
-      DuelRound(ctx, lanes, node_tx, effects);
-      return;
-    }
-    // Pass 1: gather the stream slots of every lane that draws this round
-    // (only renaming lanes do; search and final rounds are pure bit math).
-    rename_slots_.clear();
-    for (const std::int32_t lane : lanes) {
-      if (phase_[static_cast<std::size_t>(lane)] == kRename) {
-        rename_slots_.push_back(lane * 2);
-        rename_slots_.push_back(lane * 2 + 1);
-      }
-    }
-    rename_out_.resize(rename_slots_.size());
-    simd::UniformFill(*rename_draw_, ctx.rng, rename_slots_, rename_out_);
-
-    // Pass 2: per-lane transitions off the batched draws.
-    std::size_t rj = 0;  // read cursor into rename_out_ (pairs, lane order)
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      const auto lane = static_cast<std::size_t>(lanes[k]);
-      const std::size_t base = lane * 2;
-      LaneEffects& fx = effects[k];
-      switch (phase_[lane]) {
-        case kRename: {
-          const std::int32_t id0 = rename_out_[rj];
-          const std::int32_t id1 = rename_out_[rj + 1];
-          rj += 2;
-          id0_[lane] = id0;
-          id1_[lane] = id1;
-          ++node_tx[base];
-          ++node_tx[base + 1];
-          fx.transmissions = 2;
-          if (id0 != id1) {  // both alone: renamed, and maybe solved outright
-            fx.lone_deliveries = 2;
-            fx.primary_lone_delivered =
-                id0 == kPrimaryChannel || id1 == kPrimaryChannel;
-            phase_[lane] = kSearch;
-            lo_[lane] = 0;
-            hi_[lane] = tree_->height();
-          }
-          break;
-        }
-        case kSearch: {
-          const std::int32_t mid = (lo_[lane] + hi_[lane]) / 2;
-          const std::int32_t ch0 = tree_->IndexWithinLevel(id0_[lane], mid);
-          const std::int32_t ch1 = tree_->IndexWithinLevel(id1_[lane], mid);
-          ++node_tx[base];
-          ++node_tx[base + 1];
-          fx.transmissions = 2;
-          if (ch0 == ch1) {  // still shared at `mid`: divergence is deeper
-            lo_[lane] = mid + 1;
-          } else {
-            fx.lone_deliveries = 2;
-            fx.primary_lone_delivered =
-                ch0 == kPrimaryChannel || ch1 == kPrimaryChannel;
-            hi_[lane] = mid;
-          }
-          if (lo_[lane] >= hi_[lane]) {
-            const std::int32_t split = lo_[lane];
-            if (split < 1) {  // per-trial path: "cannot diverge at the root"
-              fx.diverged = true;
-              break;
-            }
-            const bool t0 = tree_->AncestorIsLeftChild(id0_[lane], split);
-            const bool t1 = tree_->AncestorIsLeftChild(id1_[lane], split);
-            if (t0 == t1) {  // same-final pair: generic-path check territory
-              fx.diverged = true;
-              break;
-            }
-            phase_[lane] = kFinalPair;
-            tx0_[lane] = static_cast<std::uint8_t>(t0);
-          }
-          break;
-        }
-        case kFinalPair:
-          ++node_tx[base + (tx0_[lane] ? 0 : 1)];
-          fx.transmissions = 1;
-          fx.lone_deliveries = 1;
-          fx.primary_lone_delivered = true;
-          fx.finished = true;
-          break;
-        default:
-          fx.diverged = true;
-          break;
-      }
-    }
-  }
-
- private:
-  enum Phase : std::uint8_t { kDuel, kRename, kSearch, kFinalPair };
-
-  // All-on-primary coin rounds for every lane at once: one CoinMask call
-  // over the concatenated per-lane slot segments, then a per-lane popcount
-  // of its segment. A lone transmitter ends the lane (everyone heard it).
-  void DuelRound(const TrialContext& ctx, std::span<const std::int32_t> lanes,
-                 std::span<std::int64_t> node_tx,
-                 std::span<LaneEffects> effects) {
-    const auto n = static_cast<std::size_t>(num_active_);
-    duel_slots_.clear();
-    for (const std::int32_t lane : lanes) {
-      for (std::int32_t j = 0; j < num_active_; ++j) {
-        duel_slots_.push_back(lane * num_active_ + j);
-      }
-    }
-    mask_.resize(duel_slots_.size());
-    simd::CoinMask(coin_, ctx.rng, duel_slots_, mask_);
-    std::size_t base = 0;
-    for (std::size_t k = 0; k < lanes.size(); ++k, base += n) {
-      std::int64_t tx = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        node_tx[static_cast<std::size_t>(duel_slots_[base + j])] +=
-            mask_[base + j];
-        tx += mask_[base + j];
-      }
-      LaneEffects& fx = effects[k];
-      fx.transmissions = tx;
-      if (tx == 1) {  // everyone heard the lone duel winner
-        fx.lone_deliveries = 1;
-        fx.primary_lone_delivered = true;
-        fx.finished = true;
-      }
-    }
-  }
-
-  core::TwoActiveParams params_;
-  std::int32_t channels_ = 0;
-  std::int32_t num_active_ = 0;
-  bool duel_ = false;
-  std::optional<ChannelTree> tree_;
-  std::optional<BatchUniformInt> rename_draw_;
-  BatchBernoulli coin_{0.5};
-
-  // Per-lane state planes, indexed by lane id.
-  std::vector<std::uint8_t> phase_;
-  std::vector<std::int32_t> id0_;  // renamed labels of the lane's two nodes
-  std::vector<std::int32_t> id1_;
-  std::vector<std::int32_t> lo_;  // shared SplitCheck bounds
-  std::vector<std::int32_t> hi_;
-  std::vector<std::uint8_t> tx0_;  // final round: node 0 is the transmitter
-
-  // Per-round gather scratch, reused across rounds.
-  std::vector<std::int32_t> rename_slots_;
-  std::vector<std::int32_t> rename_out_;
-  std::vector<std::int32_t> duel_slots_;
-  std::vector<std::uint8_t> mask_;
-};
-
-std::unique_ptr<TrialProgram> TwoActiveProgram::MakeTrialProgram() const {
-  return std::make_unique<TwoActiveTrialProgram>(params_);
-}
 
 // ---------------------------------------------------------------------------
 // The Reduce knockout schedule (Figure 2): two rounds per iteration at
@@ -1394,6 +1189,13 @@ class GeneralProgram final : public StepProgram {
 std::unique_ptr<StepProgram> MakeTwoActiveProgram(
     core::TwoActiveParams params) {
   return std::make_unique<TwoActiveProgram>(params);
+}
+
+std::optional<core::TwoActiveParams> TwoActiveParamsOf(
+    const StepProgram& program) {
+  const auto* two_active = dynamic_cast<const TwoActiveProgram*>(&program);
+  if (two_active == nullptr) return std::nullopt;
+  return two_active->params();
 }
 
 std::unique_ptr<StepProgram> MakeReduceProgram(core::ReduceParams params) {

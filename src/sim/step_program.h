@@ -17,11 +17,15 @@
 // Programs provided: TwoActive, Reduce, IDReduction, LeafElection, the
 // single-channel CD knockout, and the composed general algorithm
 // (Reduce -> IDReduction -> LeafElection with the C = O(1) fallback).
+// Trial-parallel lanes (sim/trial_engine.h) run two_active on the trial
+// engine's own duel executor, not through this interface; they recognise
+// a two_active program by TwoActiveParamsOf.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -57,88 +61,6 @@ struct FastRoundEffects {
   std::int64_t transmissions = 0;       // total transmissions this round
   std::int64_t lone_deliveries = 0;     // channels with exactly 1 transmitter
   bool primary_lone_delivered = false;  // primary channel had exactly 1
-};
-
-// ---------------------------------------------------------------------------
-// Trial-parallel execution (sim/trial_engine.h): lanes are whole trials.
-//
-// Within one trial the SIMD kernels can only vectorize across alive nodes,
-// which in the small-|A| regimes the paper cares about (two_active is |A|=2)
-// leaves vector units mostly idle. With counter-based Philox streams, draw i
-// of stream s is a pure function of (key, s, i), so W *independent trials*
-// can instead run in lockstep: per-(lane, node) streams live in one flat
-// [lane * num_active + node] plane and each round's draws are gathered into
-// slot lists spanning all lanes, which the existing simd:: kernels then
-// evaluate in one vectorized pass. A TrialProgram is the protocol's
-// lane-parallel twin: it owns [lane][node] state planes and executes one
-// lockstep round for every live lane per call. A twin is kept only where
-// it beats the per-trial engine at equal RNG; today that is two_active,
-// whose |A| = 2 rounds leave most of a vector idle. Every other protocol
-// runs per trial under --lanes.
-
-// Read-only parameters plus the engine-owned flat planes for one
-// trial-parallel run. `rng` is one stream plane over every lane:
-// `rng[lane * num_active + node]` is the stream node `node` of the trial
-// seeded seeds[lane] gets per trial (ForStream(seed, node + 1)). Views
-// stay valid for one TrialBatchEngine chunk. Like BatchContext it carries
-// no node IDs: only Engine::Run's coroutine adapter samples them, for
-// baselines that read NodeContext::unique_id() (none has a columnar twin),
-// and no result depends on that ID stream.
-struct TrialContext {
-  std::int64_t population = 0;
-  std::int32_t num_active = 0;
-  std::int32_t channels = 1;
-  support::StreamPlaneView rng;
-};
-
-// What one lockstep round did to one lane — FastRoundEffects plus the
-// lane-lifecycle bits the trial engine needs for retirement. A two_active
-// lane ends all at once (a lone transmission or the final pair round ends
-// both nodes), so no round retires part of a lane and only a lone
-// delivery counts as progress for the stall streak.
-struct LaneEffects {
-  std::int64_t transmissions = 0;
-  std::int64_t lone_deliveries = 0;
-  bool primary_lone_delivered = false;
-  // Every node of the lane terminated this round.
-  bool finished = false;
-  // The lane left the lockstep-representable state set. The trial engine
-  // retires it and re-runs that seed from scratch on the per-trial batch
-  // path (with freshly seeded streams, so partial draw consumption in the
-  // aborted round is harmless) — results stay bit-exact because every run
-  // is a pure function of its config. A diverged lane's other effect
-  // fields are ignored.
-  bool diverged = false;
-};
-
-// One protocol over [lane][node] state planes, executing W independent
-// trials in lockstep. Instances come from StepProgram::MakeTrialProgram and
-// are reusable (Reset) but not thread-safe, like their per-trial twins.
-//
-// Draw-order contract: within each lane, the per-node streams are consumed
-// exactly as the per-trial FastRound/EmitActions path would consume them —
-// lanes touch disjoint stream slots, so cross-lane kernel batching cannot
-// reorder draws within a stream and every lane stays bit-exact against a
-// solo run of its seed.
-class TrialProgram {
- public:
-  virtual ~TrialProgram() = default;
-
-  // Sizes the state planes for `lanes` lanes of ctx.num_active nodes each
-  // and sets every lane to its initial state. Returns false when the shape
-  // is outside the program's lockstep-representable set (e.g. two_active
-  // with num_active != 2 outside duel mode); the engine then runs every
-  // trial on the per-trial fallback path instead.
-  virtual bool Reset(const TrialContext& ctx, std::int32_t lanes) = 0;
-
-  // Executes one lockstep round for every lane in `lanes` (live lane
-  // indices, ascending). Writes effects[k] for lane lanes[k] (`effects`
-  // arrives zeroed) and charges transmissions into the flat
-  // node_tx[lane * num_active + node] plane.
-  virtual void Round(const TrialContext& ctx,
-                     std::span<const std::int32_t> lanes,
-                     std::span<std::int64_t> node_tx,
-                     std::span<LaneEffects> effects) = 0;
 };
 
 // One protocol as an explicit state machine over columnar node state.
@@ -238,14 +160,6 @@ class StepProgram {
     (void)alive;
     return false;
   }
-
-  // Returns the protocol's trial-parallel twin (a fresh instance carrying
-  // the same parameters), or nullptr when the protocol has none — the
-  // trial engine (sim/trial_engine.h) then falls back to per-trial
-  // BatchEngine runs, which stay bit-exact by construction.
-  virtual std::unique_ptr<TrialProgram> MakeTrialProgram() const {
-    return nullptr;
-  }
 };
 
 using StepProgramFactory = std::function<std::unique_ptr<StepProgram>()>;
@@ -254,6 +168,12 @@ using StepProgramFactory = std::function<std::unique_ptr<StepProgram>()>;
 // factories in core/.
 std::unique_ptr<StepProgram> MakeTwoActiveProgram(
     core::TwoActiveParams params = {});
+// The params of a program MakeTwoActiveProgram made, or nullopt for any
+// other program. This is the one answer to "does this program run in
+// trial-parallel lanes, and with which params": only two_active does
+// (sim/trial_engine.h); every other protocol runs per trial under --lanes.
+std::optional<core::TwoActiveParams> TwoActiveParamsOf(
+    const StepProgram& program);
 std::unique_ptr<StepProgram> MakeReduceProgram(core::ReduceParams params = {});
 std::unique_ptr<StepProgram> MakeIdReductionProgram(
     core::IdReductionParams params = {});

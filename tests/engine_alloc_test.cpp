@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "harness/registry.h"
+#include "harness/runner.h"
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
 #include "sim/step_program.h"
@@ -133,6 +134,29 @@ TEST(EngineAllocations, SmallLanes) {
   EXPECT_EQ(CountAllocations(
                 [&] { engine.Run(config, *program, seeds, results); }),
             0);
+}
+
+// The same shape through one warmed harness::RunTrials call at threads = 1
+// (the inline path, which is deterministic): 1,024 trials in 32-lane
+// chunks. The call builds a fresh worker cache, so this counts the job's
+// solved-round plane, the worker's program, engines and scratch. The lane
+// notice reads the handle, and the trial engine holds no per-program
+// object, so no program is built only to ask about lanes.
+TEST(EngineAllocations, SmallLanesRunTrials) {
+  harness::TrialSpec spec;
+  spec.population = std::int64_t{1} << 20;
+  spec.num_active = 2;
+  spec.channels = 1024;
+  spec.rng = RngKind::kPhilox;
+  spec.lane_width = 32;
+  const harness::ProtocolHandle handle =
+      harness::HandleFor(harness::AlgorithmByName("two_active"));
+  const auto run = [&] {
+    return harness::RunTrials(spec, handle, 1024, /*keep_runs=*/false,
+                              /*threads=*/1);
+  };
+  ASSERT_EQ(run().unsolved, 0);
+  EXPECT_EQ(CountAllocations([&] { (void)run(); }), 13);
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/two_active.h"
 #include "harness/bisect.h"
 #include "harness/json_writer.h"
 #include "harness/registry.h"
@@ -20,6 +22,7 @@
 #include "harness/table.h"
 #include "mac/channel.h"
 #include "sim/node_context.h"
+#include "sim/step_program.h"
 #include "sim/task.h"
 #include "support/rng.h"
 
@@ -480,12 +483,31 @@ TEST(Registry, StepProgramTwinsRegistered) {
     const auto program = info.make_step()();
     ASSERT_NE(program, nullptr) << name;
     EXPECT_EQ(program->name(), info.name);
-    EXPECT_TRUE(static_cast<bool>(HandleFor(info).step_program)) << name;
+    const ProtocolHandle handle = HandleFor(info);
+    EXPECT_TRUE(static_cast<bool>(handle.step_program)) << name;
+    // Only two_active runs in trial-parallel lanes, and the handle reads
+    // that off the same predicate the trial engine asks.
+    const bool lanes = info.name == "two_active";
+    EXPECT_EQ(sim::TwoActiveParamsOf(*program).has_value(), lanes) << name;
+    EXPECT_EQ(handle.runs_in_lanes(), lanes) << name;
+    EXPECT_EQ(handle.program_name(), info.name);
   }
+  // A hand-built two_active program carries its own params, and a
+  // hand-built handle agrees with the registered one.
+  const auto capped = sim::MakeTwoActiveProgram({.channel_cap = 8});
+  const std::optional<core::TwoActiveParams> params =
+      sim::TwoActiveParamsOf(*capped);
+  ASSERT_TRUE(params.has_value());
+  EXPECT_EQ(params->channel_cap, 8);
+  const ProtocolHandle hand_built(core::MakeTwoActive(),
+                                  [] { return sim::MakeTwoActiveProgram(); });
+  EXPECT_TRUE(hand_built.runs_in_lanes());
+  EXPECT_EQ(hand_built.program_name(), "two_active");
   // Baselines without a columnar twin yield a coroutine-only handle.
   const AlgorithmInfo& decay = AlgorithmByName("decay_no_cd");
   EXPECT_EQ(decay.make_step, nullptr);
   EXPECT_FALSE(static_cast<bool>(HandleFor(decay).step_program));
+  EXPECT_FALSE(HandleFor(decay).runs_in_lanes());
 }
 
 TEST(Registry, LookupByName) {

@@ -7,7 +7,7 @@
 // config. The sweeps below cover 2000+ seeds on the headline two_active
 // shape plus the duel, channel-cap, run-to-completion, timeout and
 // instrumentation variants, the per-lane fallback for faults / adversaries
-// / protocols without a trial program, the philox-only rejection, and the
+// / protocols that do not run in lanes, the philox-only rejection, and the
 // threads x lane-width statistics identity at the harness level.
 #include <gtest/gtest.h>
 
@@ -78,7 +78,7 @@ void CheckTrialParity(EngineConfig config, const ProtocolFactory& coroutine,
 }
 
 // CheckTrialParity swept over every compiled SIMD backend — the acceptance
-// bar for a new trial-program twin is 2000+ bit-exact seeds per backend.
+// bar for a new lane executor is 2000+ bit-exact seeds per backend.
 void CheckTrialParityAllBackends(const EngineConfig& config,
                                  const ProtocolFactory& coroutine,
                                  StepProgram& program, int seeds,
@@ -234,7 +234,7 @@ TEST(TrialEngineParity, AllBackendsBitExact) {
 // — Reduce, IDReduction, LeafElection, the CD knockout, and general itself
 // — runs 2000+ seeds per compiled SIMD backend through TrialBatchEngine,
 // bit-exact against the per-trial BatchEngine and the coroutine oracle.
-// None of them has a trial-parallel twin, so these cases pin the engine's
+// None of them runs in trial-parallel lanes, so these cases pin the engine's
 // per-trial fallback for every family shape. Configs mirror the per-trial
 // parity suite (tests/batch_engine_test.cpp) so the three-engine agreement
 // covers the same shapes.
@@ -452,7 +452,7 @@ TEST(TrialEngineFallback, ProtocolWithoutTrialProgram) {
   config.num_active = 64;
   config.channels = 64;
   auto program = MakeGeneralProgram();
-  ASSERT_EQ(program->MakeTrialProgram(), nullptr);
+  ASSERT_FALSE(TwoActiveParamsOf(*program).has_value());
   CheckTrialParity(config, core::MakeGeneral(), *program, 200);
 
   // The wholesale fallback must be visible in the executor diagnostics.
@@ -491,9 +491,9 @@ TEST(TrialEngineFallback, LanePathDiagnostics) {
 }
 
 TEST(TrialEngineFallback, NonDuelWideActiveSetFallsBack) {
-  // two_active has a trial program, but its non-duel lane path only covers
-  // |A| = 2; a wider active set must fall back wholesale (TrialProgram
-  // Reset declines), still bit-exact.
+  // two_active runs in lanes, but its non-duel lane path only covers
+  // |A| = 2; a wider active set must fall back wholesale (the lane
+  // executor declines the shape), still bit-exact.
   EngineConfig config;
   config.population = 1024;
   config.num_active = 5;
