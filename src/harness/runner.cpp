@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <span>
@@ -45,39 +46,11 @@ TrialJobPlan PlanTrialJob(const TrialSpec& spec,
   return plan;
 }
 
-namespace {
-
-// Folds one trial into `fold`: its layer counters through
-// LayerCounters::Add, then the counts derived from its outcome. The solved
-// round itself goes to the job's plane (RunTrialChunk).
-void FoldRun(const sim::RunResult& run, TrialSetResult& fold) {
-  fold.Add(run);
-  fold.rounds_total += run.rounds_executed;
-  fold.trial_lanes_peak = std::max(fold.trial_lanes_peak, run.trial_lanes);
-  if (run.trial_fallback) ++fold.trial_fallbacks;
-  fold.fused_rounds_total += run.fused_rounds;
-  if (run.solved) {
-    if (run.confirmed) ++fold.confirmed;
-  } else {
-    // Failed trials are counted, never folded into the round statistics:
-    // a timed-out trial's rounds_executed is just the max_rounds cap.
-    ++fold.unsolved;
-    if (run.timed_out) ++fold.timed_out;
-    if (run.assumption_violated) ++fold.aborted;
-    if (run.wedged) ++fold.wedged;
-    // The remainder terminated unsolved without violating an assumption:
-    // the nodes exited deluded (silent failure).
-    if (!run.timed_out && !run.assumption_violated) ++fold.deluded;
-  }
-}
-
-}  // namespace
-
 void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
                    const TrialJobPlan& plan, std::uint64_t job_id,
                    TrialWorkerCache& cache, std::int32_t first,
                    std::int32_t count, TrialJobOutput& output,
-                   TrialSetResult& fold) {
+                   sim::TrialFold& fold) {
   if (cache.job_id != job_id) {
     cache.job_id = job_id;
     cache.program = plan.batch ? protocol.step_program() : nullptr;
@@ -91,18 +64,10 @@ void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
       }
       cache.trial_engine->set_fused_rounds(spec.fused_rounds);
     }
-    cache.scratch.resize(static_cast<std::size_t>(plan.stride));
   }
 
-  // Kept runs are written in place; otherwise the chunk lives in scratch
-  // only until it is folded.
   const auto at = static_cast<std::size_t>(first);
   const auto n = static_cast<std::size_t>(count);
-  const std::span<sim::RunResult> out =
-      output.runs.empty()
-          ? std::span<sim::RunResult>(cache.scratch).first(n)
-          : std::span<sim::RunResult>(output.runs).subspan(at, n);
-
   sim::EngineConfig config;
   config.population = spec.population;
   config.num_active = spec.num_active;
@@ -115,50 +80,40 @@ void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
   config.adversary = spec.adversary;
   config.robust = spec.robust;
   if (plan.lanes) {
+    // A lane job never keeps runs (PlanTrialJob), so the trial engine folds
+    // the chunk itself and writes its plane slots.
     config.seed = spec.base_seed + static_cast<std::uint64_t>(first);
     cache.seeds.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       cache.seeds[i] = spec.base_seed + static_cast<std::uint64_t>(at + i);
     }
-    cache.trial_engine->Run(config, *cache.program, cache.seeds, out);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      config.seed = spec.base_seed + static_cast<std::uint64_t>(at + i);
-      out[i] = plan.batch ? cache.batch_engine.Run(config, *cache.program)
-                          : sim::Engine::Run(config, protocol.coroutine);
-    }
+    const std::span<std::int64_t> plane(output.plane);
+    cache.trial_engine->Run(config, *cache.program, cache.seeds, fold,
+                            plane.subspan(at, n));
+    return;
   }
-
   for (std::size_t i = 0; i < n; ++i) {
-    const sim::RunResult& run = out[i];
-    FoldRun(run, fold);
-    output.plane[at + i] = run.solved ? run.solved_round + 1 : 0;
+    config.seed = spec.base_seed + static_cast<std::uint64_t>(at + i);
+    sim::RunResult run = plan.batch
+                             ? cache.batch_engine.Run(config, *cache.program)
+                             : sim::Engine::Run(config, protocol.coroutine);
+    fold.Add(run);
+    output.plane[at + i] = sim::SolvedPlaneEntry(run);
+    if (!output.runs.empty()) output.runs[at + i] = std::move(run);
   }
 }
 
-void MergeTrialFold(const TrialSetResult& part, TrialSetResult& total) {
-  total.unsolved += part.unsolved;
-  total.timed_out += part.timed_out;
-  total.aborted += part.aborted;
-  total.wedged += part.wedged;
-  total.deluded += part.deluded;
-  total.confirmed += part.confirmed;
-  total.Add(part);
-  total.rounds_total += part.rounds_total;
-  total.trial_lanes_peak =
-      std::max(total.trial_lanes_peak, part.trial_lanes_peak);
-  total.trial_fallbacks += part.trial_fallbacks;
-  total.fused_rounds_total += part.fused_rounds_total;
-}
-
-TrialSetResult FinishTrialJob(TrialSetResult fold, TrialJobOutput&& output) {
+TrialSetResult FinishTrialJob(const sim::TrialFold& fold,
+                              TrialJobOutput&& output) {
+  TrialSetResult result;
+  static_cast<sim::TrialFold&>(result) = fold;
   // Unsolved trials hold 0 (solved ones >= 1): dropping them in place
   // leaves the solved rounds in trial order.
   std::erase(output.plane, 0);
-  fold.solved_rounds = std::move(output.plane);
-  fold.summary = Summarize(fold.solved_rounds);
-  fold.runs = std::move(output.runs);
-  return fold;
+  result.solved_rounds = std::move(output.plane);
+  result.summary = Summarize(result.solved_rounds);
+  result.runs = std::move(output.runs);
+  return result;
 }
 
 std::uint64_t NextTrialJobId() {
@@ -226,6 +181,36 @@ void MaybeWarnLaneFallback(const TrialSpec& spec,
   std::cerr << notice;
 }
 
+// The inline path's worker cache, parked between calls: a call takes it
+// (or builds one while another thread holds it) and parks it again when
+// done, so serial calls reuse warm engines and scratch. One parked cache
+// rather than a thread_local: a thread_local cache's first use binds and
+// registers a thread-exit destructor, which added about 20 us (10%) to
+// the first RunTrials call of a fresh crmcbench robust_probing_hardened
+// process on a 4-vCPU KVM guest.
+class ParkedCache {
+ public:
+  std::unique_ptr<internal::TrialWorkerCache> Take() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (parked_ != nullptr) return std::move(parked_);
+    }
+    return std::make_unique<internal::TrialWorkerCache>();
+  }
+
+  // Keeps `cache` for the next call unless another is parked already.
+  void Park(std::unique_ptr<internal::TrialWorkerCache> cache) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (parked_ == nullptr) parked_ = std::move(cache);
+  }
+
+ private:
+  std::mutex mu_;
+  std::unique_ptr<internal::TrialWorkerCache> parked_;  // guarded by mu_
+};
+
+ParkedCache g_inline_cache;
+
 std::int32_t ResolveThreads(std::int32_t threads, std::int32_t trials) {
   if (threads <= 0) {
     threads = static_cast<std::int32_t>(std::thread::hardware_concurrency());
@@ -250,15 +235,16 @@ TrialSetResult RunTrials(const TrialSpec& spec, const ProtocolHandle& protocol,
     // Inline path: no pool involvement, same chunk runner and fold — handy
     // under sanitizers and for debugging, and bit-identical by construction.
     internal::TrialJobOutput output(trials, keep_runs);
-    TrialSetResult fold;
-    internal::TrialWorkerCache cache;
+    sim::TrialFold fold;
+    std::unique_ptr<internal::TrialWorkerCache> cache = g_inline_cache.Take();
     const std::uint64_t job_id = internal::NextTrialJobId();
     for (std::int32_t t = 0; t < trials; t += plan.stride) {
-      internal::RunTrialChunk(spec, protocol, plan, job_id, cache, t,
+      internal::RunTrialChunk(spec, protocol, plan, job_id, *cache, t,
                               std::min(plan.stride, trials - t), output,
                               fold);
     }
-    return internal::FinishTrialJob(std::move(fold), std::move(output));
+    g_inline_cache.Park(std::move(cache));
+    return internal::FinishTrialJob(fold, std::move(output));
   }
 
   return SweepExecutor::Global()
@@ -282,11 +268,11 @@ TrialSetResult RunTrialsSpawn(const TrialSpec& spec,
   std::atomic<std::int32_t> next{0};
   // One partial fold per worker, merged after the join. A failing chunk
   // cancels the unclaimed ones; the first failure is rethrown here.
-  std::vector<TrialSetResult> parts(static_cast<std::size_t>(threads));
+  std::vector<sim::TrialFold> parts(static_cast<std::size_t>(threads));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads));
   auto worker = [&](std::size_t w) {
     internal::TrialWorkerCache cache;
-    TrialSetResult part;
+    sim::TrialFold part;
     try {
       for (std::int32_t t = 0; (t = next.fetch_add(plan.stride)) < trials;) {
         internal::RunTrialChunk(spec, protocol, plan, job_id, cache, t,
@@ -297,7 +283,7 @@ TrialSetResult RunTrialsSpawn(const TrialSpec& spec,
       errors[w] = std::current_exception();
       next.store(trials);
     }
-    parts[w] = std::move(part);
+    parts[w] = part;
   };
   if (threads == 1) {
     worker(0);
@@ -307,12 +293,12 @@ TrialSetResult RunTrialsSpawn(const TrialSpec& spec,
     for (std::size_t w = 0; w < parts.size(); ++w) pool.emplace_back(worker, w);
     for (std::thread& th : pool) th.join();
   }
-  TrialSetResult fold;
+  sim::TrialFold fold;
   for (std::size_t w = 0; w < parts.size(); ++w) {
     if (errors[w] != nullptr) std::rethrow_exception(errors[w]);
-    internal::MergeTrialFold(parts[w], fold);
+    fold.Merge(parts[w]);
   }
-  return internal::FinishTrialJob(std::move(fold), std::move(output));
+  return internal::FinishTrialJob(fold, std::move(output));
 }
 
 double MeanSolvedRounds(const TrialSpec& spec, const ProtocolHandle& protocol,

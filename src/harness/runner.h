@@ -3,8 +3,9 @@
 // Runs many independent Engine executions (different seeds) of a protocol
 // on a fixed (n, |A|, C) point, in parallel across hardware threads, and
 // collects the solved-round distribution. Every bench binary is built on
-// this. A TrialSetResult carries the runs' sim::LayerCounters folded by
-// LayerCounters::Add, plus what the set derives from each run's outcome.
+// this. A TrialSetResult carries the runs' sim::TrialFold: their
+// sim::LayerCounters folded by LayerCounters::Add, plus what the set
+// derives from each run's outcome.
 #pragma once
 
 #include <cstdint>
@@ -83,61 +84,29 @@ struct ProtocolHandle {
   std::string program_name_;
 };
 
-// A trial set's outcome. The inherited sim::LayerCounters are every
-// trial's counters (solved or not) folded with LayerCounters::Add: sums,
-// and confirm_quorum_peak the max over trials. The fields below are the
+// A trial set's outcome. The inherited sim::TrialFold holds every
+// trial's layer counters (folded with LayerCounters::Add) and the counts
+// the set derives from each trial's outcome; the fields below are the
 // set's own.
-struct TrialSetResult : sim::LayerCounters {
+struct TrialSetResult : sim::TrialFold {
   std::vector<std::int64_t> solved_rounds;  // per solved trial (1-based count)
-  // Trials that did not solve, by cause. `unsolved` is the total; the
-  // breakdown below keeps failed trials out of the solved-round statistics
-  // instead of letting a max_rounds-capped round count poison the mean.
-  std::int32_t unsolved = 0;
-  std::int32_t timed_out = 0;  // hit max_rounds
-  std::int32_t aborted = 0;    // assumption_violated (fault-induced)
-  std::int32_t wedged = 0;     // timed out with a stalled trailing half
-  // Silent failures: every node terminated believing the problem solved,
-  // yet no lone primary delivery ever landed. Counted uniformly for every
-  // protocol (the TwoActive shape included — its jammed both-terminated
-  // runs land here, not in timed_out).
-  std::int32_t deluded = 0;
-  // Trials that solved with the robust layer's delivery confirmation
-  // (RunResult::confirmed). Equals solved_rounds.size() when the layer is
-  // on; 0 when it is off.
-  std::int32_t confirmed = 0;
-  // Rounds executed summed over every trial, solved and failed alike (a
-  // failed trial contributes its max_rounds cap). The bench layer's
-  // wrapper-overhead ratios are built on this total cost measure.
-  std::int64_t rounds_total = 0;
-  // ---- Trial-parallel executor diagnostics (sim/trial_engine.h) ----
-  // All zero when lane_width == 1 or the protocol ran per trial throughout.
-  // Widest lockstep lane chunk any trial ran in (RunResult::trial_lanes).
-  std::int32_t trial_lanes_peak = 0;
-  // Trials that entered the lane path and were re-run per trial (a program
-  // other than two_active, a shape the lanes decline such as two_active
-  // with |A| != 2 outside the duel, or a lane that diverged mid-run).
-  // Statistics are bit-exact either way; a high count means the requested
-  // lane width bought little.
-  std::int64_t trial_fallbacks = 0;
-  // Rounds executed on a fused fast path, summed over every trial
-  // (RunResult::fused_rounds: BatchEngine FastRound + lockstep lane
-  // rounds). Compare against rounds_total for the materialized share.
-  std::int64_t fused_rounds_total = 0;
-  Summary summary;             // over solved_rounds only
-  std::vector<sim::RunResult> runs;  // iff keep_runs was requested
+  Summary summary;                          // over solved_rounds only
+  std::vector<sim::RunResult> runs;         // iff keep_runs was requested
 };
 
 // Runs `trials` executions with seeds base_seed + t. Results stream: each
-// worker folds its chunk's RunResults into the counters above as soon as
-// the chunk finishes, so the only per-trial state a call holds is the
-// solved-round plane (8 bytes a trial) behind `solved_rounds`, which keeps
-// trial order. Only `keep_runs` materializes a RunResult per trial, in
-// `runs` (costs memory; used by instrumentation-heavy experiments). Trials
-// are distributed over up to `threads` workers (0 = hardware concurrency)
-// of the process-wide persistent pool (harness/sweep_executor.h);
-// threads == 1 runs inline on the caller's thread. The solved-round
-// metric is reported as solved_round + 1, i.e. "the problem was solved in
-// the R-th round".
+// worker folds its chunk's trials into the counters above as soon as the
+// chunk finishes (lane chunks straight from the trial engine's per-lane
+// scratch, with no RunResult at all), so the only per-trial state a call
+// holds is the solved-round plane (8 bytes a trial) behind
+// `solved_rounds`, which keeps trial order. Only `keep_runs` materializes
+// a RunResult per trial, in `runs` (costs memory; used by
+// instrumentation-heavy experiments). Trials are distributed over up to
+// `threads` workers (0 = hardware concurrency) of the process-wide
+// persistent pool (harness/sweep_executor.h); threads == 1 runs inline on
+// the caller's thread, with a worker cache parked between calls.
+// The solved-round metric is reported as solved_round + 1, i.e. "the
+// problem was solved in the R-th round".
 //
 // When the handle carries a step program, spec.use_batch_engine holds, and
 // keep_runs is off (step programs emit no node_reports), trials dispatch to

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 
 #include "support/assert.h"
@@ -22,9 +23,47 @@ double QuantileSorted(const std::vector<std::int64_t>& sorted, double q) {
          static_cast<double>(sorted[hi]) * frac;
 }
 
-// SummarizeByCount on non-empty `values` whose extremes are known.
+// What one pass over non-empty values finds: the extremes and, when it is
+// exact, the sum.
+struct Scan {
+  std::int64_t min = 0;
+  std::int64_t max = 0;
+  // The sum as a double, set only when n * max|v| < 2^53. Then every
+  // partial sum of the values, in any order, is an integer below 2^53 in
+  // magnitude, so a running double sum never rounds and ends on exactly
+  // this value: it can stand in for SummarizeBySort's ascending sum bit
+  // for bit.
+  std::optional<double> exact_sum;
+};
+
+Scan ScanValues(const std::vector<std::int64_t>& values) {
+  Scan scan;
+  scan.min = scan.max = values.front();
+  // Summed modulo 2^64 and read only when exact, so an overflow is harmless.
+  std::uint64_t sum = 0;
+  for (const std::int64_t v : values) {
+    scan.min = v < scan.min ? v : scan.min;
+    scan.max = v > scan.max ? v : scan.max;
+    sum += static_cast<std::uint64_t>(v);
+  }
+  const auto magnitude = [](std::int64_t v) {
+    return v < 0 ? std::uint64_t{0} - static_cast<std::uint64_t>(v)
+                 : static_cast<std::uint64_t>(v);
+  };
+  const std::uint64_t largest =
+      std::max(magnitude(scan.min), magnitude(scan.max));
+  constexpr std::uint64_t kExactBelow = std::uint64_t{1} << 53;
+  if (largest <= (kExactBelow - 1) / values.size()) {
+    scan.exact_sum = static_cast<double>(static_cast<std::int64_t>(sum));
+  }
+  return scan;
+}
+
+// SummarizeByCount on non-empty `values`, given their scan.
 Summary SummarizeCounted(const std::vector<std::int64_t>& values,
-                         std::int64_t min, std::int64_t max) {
+                         const Scan& scan) {
+  const std::int64_t min = scan.min;
+  const std::int64_t max = scan.max;
   Summary s;
   s.min = min;
   s.max = max;
@@ -38,15 +77,20 @@ Summary SummarizeCounted(const std::vector<std::int64_t>& values,
   for (const std::int64_t v : values) ++counts[offset(v)];
   // Each loop below adds the values in ascending order, one addition per
   // copy, exactly as SummarizeBySort walks its sorted copy — so the sums
-  // round identically.
+  // round identically. The mean's loop runs only when the sum could round
+  // (Scan::exact_sum).
   const auto value_at = [&](std::size_t i) {
     return static_cast<std::int64_t>(static_cast<std::uint64_t>(min) + i);
   };
   s.count = static_cast<std::int64_t>(values.size());
   double sum = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const auto v = static_cast<double>(value_at(i));
-    for (std::int64_t c = counts[i]; c > 0; --c) sum += v;
+  if (scan.exact_sum) {
+    sum = *scan.exact_sum;
+  } else {
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      const auto v = static_cast<double>(value_at(i));
+      for (std::int64_t c = counts[i]; c > 0; --c) sum += v;
+    }
   }
   s.mean = sum / static_cast<double>(values.size());
   double ss = 0.0;
@@ -109,19 +153,16 @@ Summary SummarizeBySort(const std::vector<std::int64_t>& values) {
 
 Summary SummarizeByCount(const std::vector<std::int64_t>& values) {
   if (values.empty()) return Summary{};
-  const auto [min_it, max_it] =
-      std::minmax_element(values.begin(), values.end());
-  return SummarizeCounted(values, *min_it, *max_it);
+  return SummarizeCounted(values, ScanValues(values));
 }
 
 Summary Summarize(const std::vector<std::int64_t>& values) {
   if (values.empty()) return Summary{};
-  const auto [min_it, max_it] =
-      std::minmax_element(values.begin(), values.end());
+  const Scan scan = ScanValues(values);
   // Count when the counts array is no longer than a sorted copy would be.
-  const std::uint64_t span = static_cast<std::uint64_t>(*max_it) -
-                             static_cast<std::uint64_t>(*min_it);
-  return span < values.size() ? SummarizeCounted(values, *min_it, *max_it)
+  const std::uint64_t span = static_cast<std::uint64_t>(scan.max) -
+                             static_cast<std::uint64_t>(scan.min);
+  return span < values.size() ? SummarizeCounted(values, scan)
                               : SummarizeBySort(values);
 }
 

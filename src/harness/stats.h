@@ -30,8 +30,11 @@ Summary SummarizeBySort(const std::vector<std::int64_t>& values);
 
 // Counts each value's multiplicity instead of sorting, then visits the
 // values in ascending order, once per copy: the same floating-point
-// operations in the same order as SummarizeBySort. Allocates max - min + 1
-// counters, so it only pays on a narrow value range.
+// operations in the same order as SummarizeBySort. The mean's sum is the
+// exception: while n * max|v| < 2^53 that ascending double sum cannot
+// round, so it is taken once in integers instead, to the same bits.
+// Allocates max - min + 1 counters, so it only pays on a narrow value
+// range.
 Summary SummarizeByCount(const std::vector<std::int64_t>& values);
 
 // Quantile by linear interpolation on the sorted copy; q in [0, 1].

@@ -40,7 +40,7 @@ struct SweepJob {
   std::int32_t active = 0;  // workers currently on a chunk of this job
   std::exception_ptr error;  // first chunk failure; rethrown by Wait
   TrialJobOutput output;
-  TrialSetResult fold;
+  sim::TrialFold fold;
 
   // Complete = safe to hand to the waiter: every trial done, or a chunk
   // failed (further claims were cancelled) and no worker still touches us.
@@ -147,7 +147,7 @@ void SweepExecutor::WorkerLoop() {
     }
 
     lock.unlock();
-    TrialSetResult part;
+    sim::TrialFold part;
     bool failed = false;
     try {
       internal::RunTrialChunk(job->spec, job->protocol, job->plan, job->id,
@@ -164,7 +164,7 @@ void SweepExecutor::WorkerLoop() {
     --job->active;
     if (!failed) {
       job->done += count;
-      internal::MergeTrialFold(part, job->fold);
+      job->fold.Merge(part);
     }
     if (job->Complete()) {
       jobs_.erase(std::find(jobs_.begin(), jobs_.end(), job));
@@ -183,8 +183,7 @@ TrialSetResult SweepExecutor::Ticket::Wait() {
     owner_->done_cv_.wait(lock, [&] { return job->Complete(); });
   }
   if (job->error != nullptr) std::rethrow_exception(job->error);
-  return internal::FinishTrialJob(std::move(job->fold),
-                                  std::move(job->output));
+  return internal::FinishTrialJob(job->fold, std::move(job->output));
 }
 
 }  // namespace crmc::harness

@@ -10,10 +10,12 @@
 // its retiring workers backfill from the next — no join barrier, no spawn
 // cost, warm per-worker engine caches.
 //
-// Workers fold each chunk's results into the job as they finish it
-// (harness/trial_chunk.h): a job holds its solved-round plane, 8 bytes a
-// trial, and a RunResult per trial only under keep_runs. Ticket::Wait
-// compacts the plane and summarizes; nothing else is left to do serially.
+// Workers fold each chunk into the job's sim::TrialFold as they finish it
+// (harness/trial_chunk.h; a lane chunk folds inside the trial engine,
+// with no RunResult per trial): a job holds its solved-round plane, 8
+// bytes a trial, and a RunResult per trial only under keep_runs.
+// Ticket::Wait compacts the plane and summarizes; nothing else is left to
+// do serially.
 //
 // Bit-exactness: trial t of a job always runs with seed base_seed + t and
 // an EngineConfig built from the job's spec alone, and the fold's counters

@@ -9,12 +9,14 @@
 // every trial's EngineConfig (seed = base_seed + t included) is built from
 // the spec alone, never from worker or executor state.
 //
-// Results stream: a chunk runs into the worker's reusable scratch of
-// `stride` RunResults and is folded straight into a partial TrialSetResult.
-// Every fold counter is an integer sum or a max, so partials merge in any
-// order to the same bits. The only per-trial state a job keeps is its
-// solved-round plane (8 bytes a trial), compacted in trial order when the
-// job finishes. Only keep_runs materializes per-trial RunResults.
+// Results stream: a chunk is folded straight into a partial sim::TrialFold.
+// A lane chunk folds inside the trial engine, from its per-lane scratch,
+// with no RunResult per trial; a per-trial chunk folds each trial's
+// RunResult as it finishes. Every fold counter is an integer sum or a max,
+// so partials merge (TrialFold::Merge) in any order to the same bits. The
+// only per-trial state a job keeps is its solved-round plane (8 bytes a
+// trial), compacted in trial order when the job finishes. Only keep_runs
+// materializes per-trial RunResults.
 #pragma once
 
 #include <cstdint>
@@ -49,39 +51,34 @@ struct TrialJobOutput {
   std::vector<sim::RunResult> runs;  // iff keep_runs
 };
 
-// One worker's reusable scratch. The program instance is built per job
-// (keyed by job_id) so a worker that stays on one sweep point is
-// allocation-free after its first chunk. The engines outlive jobs: they
-// hold no per-program state (the trial engine asks sim::TwoActiveParamsOf
-// on every call), so only a new lane width re-creates the trial engine.
+// One worker's reusable scratch: the pool's workers each keep one, and
+// RunTrials' inline path parks one between calls. The program instance is
+// built per job (keyed by job_id) so a worker that stays on one sweep
+// point is allocation-free after its first chunk. The engines outlive
+// jobs: they hold no per-program state (the trial engine asks
+// sim::TwoActiveParamsOf on every call), so only a new lane width
+// re-creates the trial engine.
 struct TrialWorkerCache {
   std::uint64_t job_id = ~std::uint64_t{0};
   std::unique_ptr<sim::StepProgram> program;
   sim::BatchEngine batch_engine;
   std::optional<sim::TrialBatchEngine> trial_engine;
   std::vector<std::uint64_t> seeds;
-  // One chunk's results (plan.stride of them), folded and then overwritten
-  // by the next chunk, so they stay cache-resident.
-  std::vector<sim::RunResult> scratch;
 };
 
-// Runs trials [first, first + count) of the job, folds their counters into
-// `fold` and writes their slots of `output` (plane, and runs iff kept).
-// `fold.solved_rounds` is left untouched; FinishTrialJob fills it.
+// Runs trials [first, first + count) of the job, folds them into `fold`
+// and writes their slots of `output` (plane, and runs iff kept).
 void RunTrialChunk(const TrialSpec& spec, const ProtocolHandle& protocol,
                    const TrialJobPlan& plan, std::uint64_t job_id,
                    TrialWorkerCache& cache, std::int32_t first,
                    std::int32_t count, TrialJobOutput& output,
-                   TrialSetResult& fold);
-
-// Adds a partial fold into `total`: the layer counters through
-// LayerCounters::Add, the derived counts and diagnostics alongside.
-void MergeTrialFold(const TrialSetResult& part, TrialSetResult& total);
+                   sim::TrialFold& fold);
 
 // Completes a job from the merged fold of all its chunks: compacts the
 // plane into solved_rounds in trial order, summarizes, and hands over the
 // kept runs.
-TrialSetResult FinishTrialJob(TrialSetResult fold, TrialJobOutput&& output);
+TrialSetResult FinishTrialJob(const sim::TrialFold& fold,
+                              TrialJobOutput&& output);
 
 // Fresh process-unique job id for executors that need one outside the
 // SweepExecutor queue (inline and spawn paths).

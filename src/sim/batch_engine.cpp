@@ -87,7 +87,7 @@ void FinishRun(const EngineConfig& config, std::int64_t rounds,
     result.node_transmissions.assign(node_tx.begin(), node_tx.end());
   }
   result.timed_out = timed_out;
-  result.wedged = timed_out && stall_streak * 2 >= rounds;
+  result.wedged = Wedged(timed_out, stall_streak, rounds);
 }
 
 RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {

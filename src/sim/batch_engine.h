@@ -44,6 +44,12 @@ inline void RecordLoneDelivery(RunResult& result, std::int64_t round) {
   result.all_solved_rounds.push_back(round);
 }
 
+// A run is wedged iff it timed out with at least half of it trailing stall.
+inline bool Wedged(bool timed_out, std::int64_t stall_streak,
+                   std::int64_t rounds) {
+  return timed_out && stall_streak * 2 >= rounds;
+}
+
 // End-of-run fields shared by every executor: round count, trailing stall
 // streak, termination, timeout and wedge flags, and the energy summaries
 // over `node_tx` (one transmission count per node, copied into

@@ -1,9 +1,9 @@
 // Run configuration and results, and the coroutine entry point.
 //
 // EngineConfig and RunResult are shared by every executor. RunResult's
-// per-layer counters live in one base, LayerCounters, which
-// harness::TrialSetResult inherits too: a counter is declared once and
-// folded by one rule (LayerCounters::Add).
+// per-layer counters live in one base, LayerCounters, which TrialFold (and
+// through it harness::TrialSetResult) inherits too: a counter is declared
+// once and folded by one rule (LayerCounters::Add).
 //
 // Engine::Run runs one execution of a coroutine protocol, one coroutine
 // per activated node, on BatchEngine's round loop (sim/batch_engine.h)
@@ -107,11 +107,11 @@ struct NodeReport {
   std::vector<std::pair<std::string, std::int64_t>> metrics;
 };
 
-// The counters a run reports and a trial set sums (harness::TrialSetResult
-// inherits them too, and folds every trial's through Add). All zero on a
-// pristine run; each layer fills only its own. A new counter is declared
-// here and folded in Add; the defaulted == compares it everywhere, and
-// tests/run_compare.h prints it.
+// The counters a run reports and a trial set sums (TrialFold inherits them
+// too, and folds every trial's through Add). All zero on a pristine run;
+// each layer fills only its own. A new counter is declared here and folded
+// in Add; the defaulted == compares it everywhere, and tests/run_compare.h
+// prints it.
 struct LayerCounters {
   // ---- Fault-layer accounting (mac/faults.h) ----
   // Faults actually injected, all kinds (RunResult breaks the total down).
@@ -186,8 +186,7 @@ struct LayerCounters {
                                    other.confirm_quorum_peak);
   }
 
-  // Compares the counters only, also when called on two RunResults or two
-  // TrialSetResults.
+  // Compares the counters only, also when called on two RunResults.
   bool operator==(const LayerCounters&) const = default;
 };
 
@@ -284,6 +283,106 @@ struct RunResult : LayerCounters {
   const ReportIndex& Index() const;
   mutable std::shared_ptr<const ReportIndex> report_index_;
 };
+
+// The counters a trial set folds from its trials (harness::TrialSetResult
+// inherits them): every trial's LayerCounters through LayerCounters::Add,
+// plus what the set derives from each trial's outcome. Integer sums and
+// maxes only, so partial folds merge in any order to the same bits. A new
+// per-set counter is declared here and folded in AddOutcome or Add, and
+// merged in Merge; the defaulted == compares it.
+struct TrialFold : LayerCounters {
+  // Trials that did not solve, by cause. `unsolved` is the total; the
+  // breakdown below keeps failed trials out of the solved-round statistics
+  // instead of letting a max_rounds-capped round count poison the mean.
+  std::int32_t unsolved = 0;
+  std::int32_t timed_out = 0;  // hit max_rounds
+  std::int32_t aborted = 0;    // assumption_violated (fault-induced)
+  std::int32_t wedged = 0;     // timed out with a stalled trailing half
+  // Silent failures: every node terminated believing the problem solved,
+  // yet no lone primary delivery ever landed. Counted uniformly for every
+  // protocol (the TwoActive shape included — its jammed both-terminated
+  // runs land here, not in timed_out).
+  std::int32_t deluded = 0;
+  // Trials that solved with the robust layer's delivery confirmation
+  // (RunResult::confirmed). Equals the solved count when the layer is on;
+  // 0 when it is off.
+  std::int32_t confirmed = 0;
+  // Rounds executed summed over every trial, solved and failed alike (a
+  // failed trial contributes its max_rounds cap). The bench layer's
+  // wrapper-overhead ratios are built on this total cost measure.
+  std::int64_t rounds_total = 0;
+  // ---- Trial-parallel executor diagnostics (sim/trial_engine.h) ----
+  // All zero when lane_width == 1 or the protocol ran per trial throughout.
+  // Widest lockstep lane chunk any trial ran in (RunResult::trial_lanes).
+  std::int32_t trial_lanes_peak = 0;
+  // Trials that entered the lane path and were re-run per trial (a program
+  // other than two_active, a shape the lanes decline such as two_active
+  // with |A| != 2 outside the duel, or a lane that diverged mid-run).
+  // Statistics are bit-exact either way; a high count means the requested
+  // lane width bought little.
+  std::int64_t trial_fallbacks = 0;
+  // Rounds executed on a fused fast path, summed over every trial
+  // (RunResult::fused_rounds: BatchEngine FastRound + lockstep lane
+  // rounds). Compare against rounds_total for the materialized share.
+  std::int64_t fused_rounds_total = 0;
+
+  // Folds one trial: its layer counters, its outcome and the executor
+  // diagnostics.
+  void Add(const RunResult& run) {
+    LayerCounters::Add(run);
+    AddOutcome(run.solved, run.confirmed, run.timed_out,
+               run.assumption_violated, run.wedged, run.rounds_executed);
+    trial_lanes_peak = std::max(trial_lanes_peak, run.trial_lanes);
+    if (run.trial_fallback) ++trial_fallbacks;
+    fused_rounds_total += run.fused_rounds;
+  }
+
+  // The part of Add a trial's outcome decides: its rounds and, if it did
+  // not solve, its cause. The trial engine's lanes, which report no layer
+  // counters, fold through this without building a RunResult.
+  void AddOutcome(bool solved, bool solve_confirmed, bool hit_max_rounds,
+                  bool assumption_violated, bool stalled,
+                  std::int64_t rounds) {
+    rounds_total += rounds;
+    if (solved) {
+      if (solve_confirmed) ++confirmed;
+      return;
+    }
+    // Failed trials are counted, never folded into the round statistics:
+    // a timed-out trial's rounds are just the max_rounds cap.
+    ++unsolved;
+    if (hit_max_rounds) ++timed_out;
+    if (assumption_violated) ++aborted;
+    if (stalled) ++wedged;
+    // The remainder terminated unsolved without violating an assumption:
+    // the nodes exited deluded (silent failure).
+    if (!hit_max_rounds && !assumption_violated) ++deluded;
+  }
+
+  // Adds a partial fold.
+  void Merge(const TrialFold& part) {
+    LayerCounters::Add(part);
+    unsolved += part.unsolved;
+    timed_out += part.timed_out;
+    aborted += part.aborted;
+    wedged += part.wedged;
+    deluded += part.deluded;
+    confirmed += part.confirmed;
+    rounds_total += part.rounds_total;
+    trial_lanes_peak = std::max(trial_lanes_peak, part.trial_lanes_peak);
+    trial_fallbacks += part.trial_fallbacks;
+    fused_rounds_total += part.fused_rounds_total;
+  }
+
+  // Compares every fold counter, layer counters included.
+  bool operator==(const TrialFold&) const = default;
+};
+
+// A trial's entry in a solved-round plane: solved_round + 1, or 0 if the
+// trial did not solve.
+inline std::int64_t SolvedPlaneEntry(const RunResult& run) {
+  return run.solved ? run.solved_round + 1 : 0;
+}
 
 class Engine {
  public:

@@ -191,11 +191,101 @@ void TrialBatchEngine::set_fused_rounds(bool enabled) {
   fallback_.set_fused_rounds(enabled);
 }
 
+// ---------------------------------------------------------------------------
+// Sinks: what the lane loop and the per-trial fallback do with a trial.
+// Both see the same calls in the same order; only ResultSink builds a
+// RunResult.
+
+class TrialBatchEngine::ResultSink {
+ public:
+  ResultSink(const EngineConfig& config, std::span<RunResult> results)
+      : config_(config), results_(results) {}
+
+  // Trials [offset, offset + lanes) start on the lane path.
+  void BeginChunk(std::size_t offset, std::size_t lanes) {
+    std::fill_n(results_.begin() + static_cast<std::ptrdiff_t>(offset),
+                lanes, RunResult{});
+  }
+  // What lockstep round `round` did to trial i.
+  void Round(std::size_t i, std::int64_t round, const LaneRound& fx) {
+    RunResult& r = results_[i];
+    r.total_transmissions += fx.transmissions;
+    if (fx.primary_lone_delivered) RecordLoneDelivery(r, round);
+  }
+  // Trial i left the lane loop after `rounds` rounds, every one fused.
+  void Retire(std::size_t i, std::int64_t rounds, const LaneTally& tally,
+              bool terminated, bool timed_out, std::int32_t lanes,
+              std::span<const std::int64_t> node_tx) {
+    RunResult& r = results_[i];
+    r.fused_rounds = rounds;
+    r.trial_lanes = lanes;
+    FinishRun(config_, rounds, tally.stall, terminated, timed_out, node_tx,
+              r);
+  }
+  // Trial i ran per trial.
+  void Fallback(std::size_t i, RunResult&& run) {
+    results_[i] = std::move(run);
+  }
+
+ private:
+  const EngineConfig& config_;
+  std::span<RunResult> results_;
+};
+
+class TrialBatchEngine::FoldSink {
+ public:
+  FoldSink(TrialFold& fold, std::span<std::int64_t> plane)
+      : fold_(fold), plane_(plane) {}
+
+  void BeginChunk(std::size_t /*offset*/, std::size_t /*lanes*/) {}
+  void Round(std::size_t /*i*/, std::int64_t /*round*/,
+             const LaneRound& /*fx*/) {}
+  // What fold_.Add would add for the RunResult ResultSink::Retire builds:
+  // a lane reports no layer counters, never confirms a solve or breaks an
+  // assumption, and fuses every round it runs.
+  void Retire(std::size_t i, std::int64_t rounds, const LaneTally& tally,
+              bool /*terminated*/, bool timed_out, std::int32_t lanes,
+              std::span<const std::int64_t> /*node_tx*/) {
+    plane_[i] = tally.solved_round + 1;
+    fold_.AddOutcome(tally.solved_round >= 0, /*solve_confirmed=*/false,
+                     timed_out, /*assumption_violated=*/false,
+                     Wedged(timed_out, tally.stall, rounds), rounds);
+    fold_.fused_rounds_total += rounds;
+    fold_.trial_lanes_peak = std::max(fold_.trial_lanes_peak, lanes);
+  }
+  void Fallback(std::size_t i, RunResult&& run) {
+    plane_[i] = SolvedPlaneEntry(run);
+    fold_.Add(run);
+  }
+
+ private:
+  TrialFold& fold_;
+  std::span<std::int64_t> plane_;
+};
+
 void TrialBatchEngine::Run(const EngineConfig& config, StepProgram& program,
                            std::span<const std::uint64_t> seeds,
                            std::span<RunResult> results) {
-  ValidateEngineConfig(config);
   CRMC_REQUIRE(seeds.size() == results.size());
+  ResultSink sink(config, results);
+  RunInto(config, program, seeds, sink);
+}
+
+void TrialBatchEngine::Run(const EngineConfig& config, StepProgram& program,
+                           std::span<const std::uint64_t> seeds,
+                           TrialFold& fold,
+                           std::span<std::int64_t> solved_plane) {
+  CRMC_REQUIRE(seeds.size() == solved_plane.size());
+  FoldSink sink(fold, solved_plane);
+  RunInto(config, program, seeds, sink);
+}
+
+template <typename Sink>
+void TrialBatchEngine::RunInto(const EngineConfig& config,
+                               StepProgram& program,
+                               std::span<const std::uint64_t> seeds,
+                               Sink& sink) {
+  const std::int64_t population = ValidateEngineConfig(config);
   if (config.rng != support::RngKind::kPhilox) {
     throw std::invalid_argument(
         "trial-parallel executor requires rng == philox: lockstep lanes "
@@ -223,39 +313,45 @@ void TrialBatchEngine::Run(const EngineConfig& config, StepProgram& program,
   if (!lane_fusible) {
     live_.resize(seeds.size());
     std::iota(live_.begin(), live_.end(), 0);
-    RunFallback(config, program, seeds, results, live_);
+    RunFallback(config, program, seeds, 0, live_, sink);
     return;
   }
 
   for (std::size_t offset = 0; offset < seeds.size();
        offset += static_cast<std::size_t>(lane_width_)) {
-    const std::size_t w = std::min(static_cast<std::size_t>(lane_width_),
-                                   seeds.size() - offset);
-    RunLaneChunk(config, program, *params, seeds.subspan(offset, w),
-                 results.subspan(offset, w));
+    const std::span<const std::uint64_t> chunk = seeds.subspan(
+        offset, std::min(static_cast<std::size_t>(lane_width_),
+                         seeds.size() - offset));
+    RunLaneChunk(config, *params, population, chunk, offset, sink);
+    if (!fallback_lanes_.empty()) {
+      RunFallback(config, program, chunk, offset, fallback_lanes_, sink);
+    }
   }
 }
 
+template <typename Sink>
 void TrialBatchEngine::RunFallback(const EngineConfig& config,
                                    StepProgram& program,
                                    std::span<const std::uint64_t> seeds,
-                                   std::span<RunResult> results,
-                                   std::span<const std::int32_t> lanes) {
+                                   std::size_t offset,
+                                   std::span<const std::int32_t> lanes,
+                                   Sink& sink) {
   EngineConfig solo = config;
   for (const std::int32_t lane : lanes) {
     const auto i = static_cast<std::size_t>(lane);
     solo.seed = seeds[i];
-    results[i] = fallback_.Run(solo, program);
-    results[i].trial_fallback = true;
+    RunResult run = fallback_.Run(solo, program);
+    run.trial_fallback = true;
+    sink.Fallback(offset + i, std::move(run));
   }
 }
 
+template <typename Sink>
 void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
-                                    StepProgram& program,
                                     const core::TwoActiveParams& params,
+                                    std::int64_t population,
                                     std::span<const std::uint64_t> seeds,
-                                    std::span<RunResult> results) {
-  const std::int64_t population = ValidateEngineConfig(config);
+                                    std::size_t offset, Sink& sink) {
   const auto n = static_cast<std::size_t>(config.num_active);
   const auto w = seeds.size();
 
@@ -276,24 +372,21 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
   std::iota(live_.begin(), live_.end(), 0);
   if (!lanes_.Reset(params, population, config.num_active, config.channels,
                     w)) {
-    RunFallback(config, program, seeds, results, live_);
+    fallback_lanes_.assign(live_.begin(), live_.end());
     return;
   }
 
   node_tx_.assign(w * n, 0);
-  stall_.assign(w, 0);
-  std::fill(results.begin(), results.end(), RunResult{});
+  tally_.assign(w, LaneTally{});
+  sink.BeginChunk(offset, w);
 
-  // Finalizes one retired lane's result. Every executed lane round is a
-  // fused round.
-  const auto finalize = [&](std::int32_t lane, std::int64_t rounds,
-                            bool terminated, bool timed_out) {
+  // Hands one retired lane to the sink.
+  const auto retire = [&](std::int32_t lane, std::int64_t rounds,
+                          bool terminated, bool timed_out) {
     const auto i = static_cast<std::size_t>(lane);
-    RunResult& r = results[i];
-    r.fused_rounds = rounds;
-    r.trial_lanes = static_cast<std::int32_t>(w);
-    FinishRun(config, rounds, stall_[i], terminated, timed_out,
-              std::span<const std::int64_t>(node_tx_).subspan(i * n, n), r);
+    sink.Retire(offset + i, rounds, tally_[i], terminated, timed_out,
+                static_cast<std::int32_t>(w),
+                std::span<const std::int64_t>(node_tx_).subspan(i * n, n));
   };
 
   std::int64_t round = 0;
@@ -306,24 +399,26 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
         fallback_lanes_.push_back(lane);
         return;
       }
-      RunResult& r = results[static_cast<std::size_t>(lane)];
-      r.total_transmissions += fx.transmissions;
-      if (fx.primary_lone_delivered) RecordLoneDelivery(r, round);
+      const auto i = static_cast<std::size_t>(lane);
+      LaneTally& tally = tally_[i];
+      sink.Round(offset + i, round, fx);
+      if (fx.primary_lone_delivered && tally.solved_round < 0) {
+        tally.solved_round = round;
+      }
       // Retirement order mirrors BatchEngine's fused path: the solving
       // round ends the run *before* the alive set is compacted (so
       // all_terminated stays false and the stall streak keeps its
       // pre-round value), and only then do finished lanes terminate
       // (post-compaction: alive empty, progress resets the streak).
-      std::int64_t& stall = stall_[static_cast<std::size_t>(lane)];
-      if (r.solved && config.stop_when_solved) {
+      if (tally.solved_round >= 0 && config.stop_when_solved) {
         drop_[k] = 1;
-        finalize(lane, round + 1, /*terminated=*/false, /*timed_out=*/false);
+        retire(lane, round + 1, /*terminated=*/false, /*timed_out=*/false);
       } else if (fx.finished) {
         drop_[k] = 1;
-        stall = 0;
-        finalize(lane, round + 1, /*terminated=*/true, /*timed_out=*/false);
+        tally.stall = 0;
+        retire(lane, round + 1, /*terminated=*/true, /*timed_out=*/false);
       } else {
-        stall = fx.lone_deliveries > 0 ? 0 : stall + 1;
+        tally.stall = fx.lone_deliveries > 0 ? 0 : tally.stall + 1;
       }
     });
     live_.resize(simd::CompactKeep(live_, drop_));
@@ -335,11 +430,7 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
   // !stop_when_solved lane that never terminated times out exactly as it
   // would per-trial.
   for (const std::int32_t lane : live_) {
-    finalize(lane, round, /*terminated=*/false, /*timed_out=*/true);
-  }
-
-  if (!fallback_lanes_.empty()) {
-    RunFallback(config, program, seeds, results, fallback_lanes_);
+    retire(lane, round, /*terminated=*/false, /*timed_out=*/true);
   }
 }
 

@@ -74,6 +74,16 @@ class TrialBatchEngine {
   void Run(const EngineConfig& config, StepProgram& program,
            std::span<const std::uint64_t> seeds, std::span<RunResult> results);
 
+  // Runs the same trials, but folds them instead of writing RunResults:
+  // trial i is added to `fold` exactly as fold.Add(results[i]) would add
+  // it, and solved_plane[i] = SolvedPlaneEntry(results[i]). A lane trial
+  // folds straight from the lane loop's per-lane scratch and builds no
+  // RunResult; a trial that runs per trial folds its RunResult. The same
+  // lane loop serves both entries.
+  void Run(const EngineConfig& config, StepProgram& program,
+           std::span<const std::uint64_t> seeds, TrialFold& fold,
+           std::span<std::int64_t> solved_plane);
+
  private:
   // two_active over W lockstep lanes (defined in trial_engine.cpp). A
   // lane's draws are exactly the per-trial FastRound's: lanes touch
@@ -125,15 +135,38 @@ class TrialBatchEngine {
     std::vector<std::uint8_t> mask_;
   };
 
-  void RunLaneChunk(const EngineConfig& config, StepProgram& program,
+  // Where finished trials go (defined in trial_engine.cpp): ResultSink
+  // writes a RunResult per trial, FoldSink folds each trial into a
+  // TrialFold and a solved-round plane. Trial indices are into the call's
+  // seeds.
+  class ResultSink;
+  class FoldSink;
+
+  // What the lane loop keeps per lane besides the protocol state.
+  struct LaneTally {
+    std::int64_t solved_round = -1;  // first lone primary delivery
+    std::int64_t stall = 0;          // trailing stall streak
+  };
+
+  // Validates, then runs every trial on the lane path (in lane_width()
+  // chunks) or, for a config outside the lane-fusible set, per trial.
+  template <typename Sink>
+  void RunInto(const EngineConfig& config, StepProgram& program,
+               std::span<const std::uint64_t> seeds, Sink& sink);
+  // The lane loop: trials [offset, offset + w) of the call, w <= lane
+  // width. Lanes that must re-run per trial are left in fallback_lanes_
+  // (ids within the chunk).
+  template <typename Sink>
+  void RunLaneChunk(const EngineConfig& config,
                     const core::TwoActiveParams& params,
-                    std::span<const std::uint64_t> seeds,
-                    std::span<RunResult> results);
-  // Per-trial BatchEngine runs for `lanes` (indices into seeds/results).
+                    std::int64_t population,
+                    std::span<const std::uint64_t> seeds, std::size_t offset,
+                    Sink& sink);
+  // Per-trial BatchEngine runs of trials offset + lanes[k].
+  template <typename Sink>
   void RunFallback(const EngineConfig& config, StepProgram& program,
-                   std::span<const std::uint64_t> seeds,
-                   std::span<RunResult> results,
-                   std::span<const std::int32_t> lanes);
+                   std::span<const std::uint64_t> seeds, std::size_t offset,
+                   std::span<const std::int32_t> lanes, Sink& sink);
 
   std::int32_t lane_width_;
   bool fused_rounds_enabled_ = true;
@@ -145,7 +178,7 @@ class TrialBatchEngine {
   std::vector<std::int64_t> node_tx_;       // [lane * num_active + node]
   std::vector<std::int32_t> live_;          // live lane ids, ascending
   std::vector<std::uint8_t> drop_;
-  std::vector<std::int64_t> stall_;  // per-lane trailing stall streak
+  std::vector<LaneTally> tally_;  // indexed by lane id
   std::vector<std::int32_t> fallback_lanes_;
 };
 

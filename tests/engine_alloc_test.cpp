@@ -138,10 +138,13 @@ TEST(EngineAllocations, SmallLanes) {
 
 // The same shape through one warmed harness::RunTrials call at threads = 1
 // (the inline path, which is deterministic): 1,024 trials in 32-lane
-// chunks. The call builds a fresh worker cache, so this counts the job's
-// solved-round plane, the worker's program, engines and scratch. The lane
-// notice reads the handle, and the trial engine holds no per-program
-// object, so no program is built only to ask about lanes.
+// chunks. The inline path parks its worker cache between calls, so the
+// engines and their scratch are warm, and the lane chunks fold with no
+// RunResult. What
+// is left is per call: the job's solved-round plane, the job's program and
+// Summarize's counts. The lane notice reads the handle, and the trial
+// engine holds no per-program object, so no program is built only to ask
+// about lanes.
 TEST(EngineAllocations, SmallLanesRunTrials) {
   harness::TrialSpec spec;
   spec.population = std::int64_t{1} << 20;
@@ -156,7 +159,7 @@ TEST(EngineAllocations, SmallLanesRunTrials) {
                               /*threads=*/1);
   };
   ASSERT_EQ(run().unsolved, 0);
-  EXPECT_EQ(CountAllocations([&] { (void)run(); }), 13);
+  EXPECT_EQ(CountAllocations([&] { (void)run(); }), 3);
 }
 
 }  // namespace

@@ -113,6 +113,51 @@ TEST(Stats, CountingSummaryMatchesSortBitForBit) {
   }
 }
 
+// Summarize takes the mean's sum once in integers while n * max|v| < 2^53
+// and falls back to the ascending double sum past that bound. On both
+// sides of it, with negative and mixed-sign values, counted and sorted,
+// the result must match SummarizeBySort bit for bit.
+TEST(Stats, SummaryMatchesSortAcrossTheExactSumBound) {
+  support::RandomSource rng(0xb0a7d);
+  constexpr std::int64_t kExactBelow = std::int64_t{1} << 53;
+  for (std::int32_t rep = 0; rep < 400; ++rep) {
+    const std::int64_t n = rng.UniformInt(1, 2000);
+    // The largest magnitude whose n copies still sum exactly.
+    const std::int64_t bound = (kExactBelow - 1) / n;
+    const std::int64_t sign = rng.UniformInt(0, 1) == 0 ? 1 : -1;
+    // A narrow window is counted, a wide one sorted.
+    const std::int64_t width = (rep / 4) % 2 == 0 ? n - 1 : 4 * n + 10;
+    std::vector<std::int64_t> values;
+    switch (rep % 4) {
+      case 0:  // at the bound: the integer sum
+      case 1:  // one past it: the double sum
+      case 2: {  // far past it, where the double sum rounds
+        const std::int64_t largest = rep % 4 == 0   ? bound
+                                     : rep % 4 == 1 ? bound + 1
+                                                    : bound * 64 + rep;
+        values.push_back(sign * largest);
+        while (static_cast<std::int64_t>(values.size()) < n) {
+          values.push_back(sign * (largest - rng.UniformInt(0, width)));
+        }
+        break;
+      }
+      default:  // small, both signs
+        while (static_cast<std::int64_t>(values.size()) < n) {
+          values.push_back(rng.UniformInt(-width / 2, width / 2));
+        }
+        break;
+    }
+    std::swap(values.front(), values[static_cast<std::size_t>(
+                                  rng.UniformInt(0, n - 1))]);
+    SCOPED_TRACE(::testing::Message() << "rep " << rep << ", n " << n
+                                      << ", first " << values.front());
+    const Summary sorted = SummarizeBySort(values);
+    ExpectSameSummaryBits(sorted, SummarizeByCount(values));
+    ExpectSameSummaryBits(sorted, Summarize(values));
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 TEST(Stats, JainFairnessDegenerateCasesPinnedAtOne) {
   EXPECT_DOUBLE_EQ(JainFairness({}), 1.0);
   EXPECT_DOUBLE_EQ(JainFairness({7.0}), 1.0);

@@ -36,6 +36,19 @@ inline void PrintTo(const LayerCounters& c, std::ostream* os) {
       << c.confirm_quorum_peak << "}";
 }
 
+// gtest's printer for TrialFold values: the set's own counters, then the
+// layer counters.
+inline void PrintTo(const TrialFold& f, std::ostream* os) {
+  *os << "{unsolved " << f.unsolved << ", timed_out " << f.timed_out
+      << ", aborted " << f.aborted << ", wedged " << f.wedged
+      << ", deluded " << f.deluded << ", confirmed " << f.confirmed
+      << ", rounds_total " << f.rounds_total << ", trial_lanes_peak "
+      << f.trial_lanes_peak << ", trial_fallbacks " << f.trial_fallbacks
+      << ", fused_rounds_total " << f.fused_rounds_total << ", ";
+  PrintTo(static_cast<const LayerCounters&>(f), os);
+  *os << "}";
+}
+
 // Every layer counter; takes RunResults and TrialSetResults alike.
 inline void ExpectSameLayerCounters(const LayerCounters& want,
                                     const LayerCounters& got) {

@@ -118,13 +118,13 @@ Task<int> Nest(int depth) {
 
 Task<void> RunNest(int depth, int* out) { *out = co_await Nest(depth); }
 
-// ASan (and other sanitizers) insert instrumented frames that defeat the
+// ASan and TSan insert instrumented frames that defeat the
 // symmetric-transfer tail call, so sanitized builds also take the shallow
 // path even when optimized.
-#if defined(__SANITIZE_ADDRESS__)
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define CRMC_TASK_TEST_SANITIZED 1
 #elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
 #define CRMC_TASK_TEST_SANITIZED 1
 #endif
 #endif

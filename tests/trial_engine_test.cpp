@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -533,6 +534,127 @@ TEST(TrialEngineFallback, NoFusedRoundsFallsBack) {
     EXPECT_EQ(lanes[t].fused_rounds, 0);
     if (::testing::Test::HasFailure()) break;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The fold entry: Run(config, program, seeds, fold, plane) must add exactly
+// what TrialFold::Add adds over Run(config, program, seeds, results), and
+// write SolvedPlaneEntry of every result, at every lane width. It is called
+// on two uneven parts of the seeds into one fold, as harness chunks do.
+// Returns the fold, for the callers' reach checks.
+// ---------------------------------------------------------------------------
+
+TrialFold CheckFoldMatchesResults(EngineConfig config, StepProgram& program,
+                                  int seeds) {
+  config.rng = support::RngKind::kPhilox;
+  std::vector<std::uint64_t> seed_list(static_cast<std::size_t>(seeds));
+  for (std::size_t t = 0; t < seed_list.size(); ++t) {
+    seed_list[t] = 20'000 + static_cast<std::uint64_t>(t);
+  }
+  const std::size_t split = seed_list.size() / 3;
+  TrialFold reached;
+  for (const std::int32_t width : {1, 7, 32, 33}) {
+    SCOPED_TRACE(::testing::Message() << "lane width " << width);
+    TrialBatchEngine engine(width);
+    std::vector<RunResult> results(seed_list.size());
+    engine.Run(config, program, seed_list, results);
+    TrialFold want;
+    std::vector<std::int64_t> want_plane;
+    for (const RunResult& r : results) {
+      want.Add(r);
+      want_plane.push_back(SolvedPlaneEntry(r));
+    }
+
+    TrialFold got;
+    std::vector<std::int64_t> plane(seed_list.size(), -7);
+    const std::span<const std::uint64_t> all(seed_list);
+    engine.Run(config, program, all.first(split), got,
+               std::span<std::int64_t>(plane).first(split));
+    engine.Run(config, program, all.subspan(split), got,
+               std::span<std::int64_t>(plane).subspan(split));
+    EXPECT_EQ(want, got);
+    EXPECT_EQ(want_plane, plane);
+    if (::testing::Test::HasFailure()) break;
+    reached.Merge(got);
+  }
+  return reached;
+}
+
+TEST(TrialEngineFold, DuelMatchesResults) {
+  EngineConfig config;
+  config.population = 1024;
+  config.num_active = 2;
+  config.channels = 1;
+  auto program = MakeTwoActiveProgram();
+  const TrialFold two = CheckFoldMatchesResults(config, *program, 300);
+  EXPECT_EQ(two.unsolved, 0);
+  EXPECT_EQ(two.trial_lanes_peak, 33);
+  EXPECT_EQ(two.fused_rounds_total, two.rounds_total);
+
+  // 48 duelling nodes never see a lone transmitter in 64 rounds: every
+  // lane times out on a stall as long as the run, so every one is wedged.
+  config.num_active = 48;
+  config.max_rounds = 64;
+  const TrialFold wide = CheckFoldMatchesResults(config, *program, 200);
+  EXPECT_GT(wide.timed_out, 0);
+  EXPECT_EQ(wide.wedged, wide.timed_out);
+  EXPECT_EQ(wide.trial_fallbacks, 0);
+}
+
+TEST(TrialEngineFold, RenameSearchFinalMatchesResults) {
+  EngineConfig config;
+  config.population = std::int64_t{1} << 20;
+  config.num_active = 2;
+  config.channels = 1024;
+  auto program = MakeTwoActiveProgram();
+  for (const bool stop_when_solved : {true, false}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "stop_when_solved " << stop_when_solved);
+    config.stop_when_solved = stop_when_solved;
+    const TrialFold fold = CheckFoldMatchesResults(config, *program, 300);
+    EXPECT_EQ(fold.unsolved, 0);
+    EXPECT_EQ(fold.trial_fallbacks, 0);
+    EXPECT_EQ(fold.trial_lanes_peak, 33);
+    EXPECT_GT(fold.rounds_total, 4 * 300);
+  }
+}
+
+// A max_rounds cut inside the search: lanes time out mid-run, some after a
+// stall of at least half the run (wedged) and some not.
+TEST(TrialEngineFold, MaxRoundsCutMatchesResults) {
+  EngineConfig config;
+  config.population = 1 << 16;
+  config.num_active = 2;
+  config.channels = 4;
+  config.max_rounds = 3;
+  auto program = MakeTwoActiveProgram();
+  const TrialFold fold = CheckFoldMatchesResults(config, *program, 400);
+  EXPECT_GT(fold.wedged, 0);
+  EXPECT_GT(fold.timed_out, fold.wedged);
+  EXPECT_EQ(fold.unsolved, fold.timed_out);
+}
+
+// Trials that run per trial fold their RunResults: a whole chunk the lanes
+// decline (|A| = 3 outside the duel) and a jammed config outside the
+// lane-fusible set, whose layer counters the fold must carry.
+TEST(TrialEngineFold, FallbacksMatchResults) {
+  EngineConfig config;
+  config.population = 1024;
+  config.num_active = 3;
+  config.channels = 16;
+  config.max_rounds = 3;  // see NonDuelWideActiveSetFallsBack
+  auto program = MakeTwoActiveProgram();
+  const TrialFold declined = CheckFoldMatchesResults(config, *program, 200);
+  EXPECT_EQ(declined.trial_fallbacks, 4 * 200);
+  EXPECT_EQ(declined.trial_lanes_peak, 0);
+
+  config.num_active = 2;
+  config.max_rounds = 500;
+  config.faults.jam_rate = 0.2;
+  const TrialFold jammed = CheckFoldMatchesResults(config, *program, 200);
+  EXPECT_EQ(jammed.trial_fallbacks, 4 * 200);
+  EXPECT_GT(jammed.faults_injected, 0);
+  EXPECT_GT(jammed.unsolved, 0);
 }
 
 // ---------------------------------------------------------------------------

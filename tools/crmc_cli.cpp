@@ -295,6 +295,16 @@ void RejectUnknownFlags(const harness::Flags& flags) {
   if (!unknown.empty()) Usage("unknown flag --" + unknown.front());
 }
 
+// An algorithm specified for |A| = 2 runs with it; a note says so when the
+// flags asked for another size.
+void ForceTwoActive(const harness::AlgorithmInfo& info,
+                    std::int32_t& num_active) {
+  if (!info.requires_two_active || num_active == 2) return;
+  std::cerr << "note: " << info.name << " is specified for --active 2; "
+            << "forcing it\n";
+  num_active = 2;
+}
+
 int CmdList() {
   harness::Table table({"name", "description"});
   for (const harness::AlgorithmInfo& info : harness::Algorithms()) {
@@ -318,11 +328,7 @@ int CmdRun(const harness::Flags& flags) {
   RejectUnknownFlags(flags);
 
   const harness::AlgorithmInfo& info = harness::AlgorithmByName(algo);
-  if (info.requires_two_active && config.num_active != 2) {
-    std::cerr << "note: " << algo << " is specified for --active 2; "
-              << "forcing it\n";
-    config.num_active = 2;
-  }
+  ForceTwoActive(info, config.num_active);
   const sim::RunResult r = sim::Engine::Run(config, info.make());
 
   if (config.record_trace) {
@@ -492,9 +498,15 @@ int CmdSweep(const harness::Flags& flags) {
   if (vary != "channels" && vary != "active") {
     Usage("--vary must be 'channels' or 'active'");
   }
+  const harness::AlgorithmInfo& info = harness::AlgorithmByName(algo);
+  if (info.requires_two_active && vary == "active") {
+    Usage(algo +
+          " is specified for --active 2, so --vary active has nothing to "
+          "sweep; use --vary channels");
+  }
+  ForceTwoActive(info, base.num_active);
 
-  const harness::ProtocolHandle handle =
-      harness::HandleFor(harness::AlgorithmByName(algo));
+  const harness::ProtocolHandle handle = harness::HandleFor(info);
   harness::Table table({vary, "mean", "q" + harness::FormatDouble(quantile, 2),
                         "max"});
   TrialStatsLine trial_stats;
