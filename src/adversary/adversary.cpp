@@ -20,7 +20,6 @@ std::uint64_t AdvMasterSeed(std::uint64_t run_seed, std::uint64_t adv_seed) {
 
 class PrimaryCamper final : public Adversary {
  public:
-  const char* name() const override { return "primary_camper"; }
   void Reset(const AdversarySpec&) override {}
   void PlanJams(const PlanContext&,
                 std::vector<mac::ChannelId>& out) override {
@@ -30,7 +29,6 @@ class PrimaryCamper final : public Adversary {
 
 class GreedyReactive final : public Adversary {
  public:
-  const char* name() const override { return "greedy_reactive"; }
   bool needs_observation() const override { return true; }
   void Reset(const AdversarySpec&) override {}
 
@@ -88,7 +86,6 @@ class GreedyReactive final : public Adversary {
 
 class RandomBudgeted final : public Adversary {
  public:
-  const char* name() const override { return "random_budgeted"; }
   void Reset(const AdversarySpec&) override {}
   void PlanJams(const PlanContext& ctx,
                 std::vector<mac::ChannelId>& out) override {
@@ -164,7 +161,6 @@ bool PlanEndgameJams(const PlanContext& ctx,
 // Deterministic: never touches ctx.rng.
 class PhaseTracking final : public Adversary {
  public:
-  const char* name() const override { return "phase_tracking"; }
   bool needs_observation() const override { return true; }
   void Reset(const AdversarySpec&) override {}
 
@@ -201,7 +197,6 @@ class PhaseTracking final : public Adversary {
 // Deterministic: never touches ctx.rng.
 class Lookahead final : public Adversary {
  public:
-  const char* name() const override { return "lookahead"; }
   bool needs_observation() const override { return true; }
   void Reset(const AdversarySpec&) override { silence_streak_ = 0; }
 
@@ -251,7 +246,6 @@ class Learning final : public Adversary {
  public:
   static constexpr std::int64_t kTrimSignals = 3;
 
-  const char* name() const override { return "learning"; }
   bool needs_observation() const override { return true; }
   void Reset(const AdversarySpec&) override {
     silence_streak_ = 0;
@@ -364,7 +358,6 @@ class Probing final : public Adversary {
   explicit Probing(std::int64_t probe_budget)
       : probe_budget_(probe_budget > 0 ? probe_budget : kDefaultProbeBudget) {}
 
-  const char* name() const override { return "probing"; }
   bool needs_observation() const override { return true; }
   // No scratch to keep: a fresh value is the freshly built state.
   void Reset(const AdversarySpec& spec) override {
@@ -512,7 +505,6 @@ class ScriptedAdversary final : public Adversary {
     Load(script);
   }
 
-  const char* name() const override { return "scripted"; }
   void Reset(const AdversarySpec& spec) override { Load(spec.script); }
 
   void PlanJams(const PlanContext& ctx,
@@ -703,14 +695,13 @@ std::span<const mac::ChannelId> AdversaryRun::Plan(std::int64_t round,
   strategy_->PlanJams(ctx, jams_);
   for (std::size_t i = 0; i < jams_.size(); ++i) {
     CRMC_CHECK_MSG(jams_[i] >= 1 && jams_[i] <= channels,
-                   "strategy " << strategy_->name()
-                               << " planned out-of-range channel "
-                               << jams_[i] << " of " << channels);
+                   "strategy " << ToString(kind_)
+                             << " planned out-of-range channel " << jams_[i]
+                             << " of " << channels);
     for (std::size_t j = 0; j < i; ++j) {
       CRMC_CHECK_MSG(jams_[i] != jams_[j],
-                     "strategy " << strategy_->name()
-                                 << " planned duplicate channel "
-                                 << jams_[i]);
+                     "strategy " << ToString(kind_)
+                               << " planned duplicate channel " << jams_[i]);
     }
   }
   kept_ = 0;

@@ -154,7 +154,6 @@ struct PlanContext {
 class Adversary {
  public:
   virtual ~Adversary() = default;
-  virtual const char* name() const = 0;
   // Whether the strategy reads RoundObservations. Observation-free
   // strategies let the batch engine keep its fused SIMD round loop alive
   // whenever the planned jam set is empty (e.g. after budget exhaustion).
@@ -265,9 +264,9 @@ class AdversaryRun {
       std::int32_t allowance) {
     if (jams_.empty()) ++rounds_held_;  // had allowance, chose not to spend
     CRMC_CHECK_MSG(static_cast<std::int32_t>(jams_.size()) <= allowance,
-                   "strategy " << strategy_->name() << " planned "
-                               << jams_.size() << " jams, allowance "
-                               << allowance);
+                   "strategy " << ToString(kind_) << " planned "
+                             << jams_.size() << " jams, allowance "
+                             << allowance);
     ledger_.Charge(static_cast<std::int32_t>(jams_.size()));
     return jams_;
   }

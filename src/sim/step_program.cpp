@@ -1,3 +1,15 @@
+// The columnar step programs. Each stage of the general algorithm is
+// written once, as stage code that keeps its own per-node columns and
+// shared step: KnockoutStage (Reduce's coin rounds, or the fair-coin CD
+// knockout), IdrCycle (IDReduction's spread / confirm / knock cycle) and
+// LeafMachine (LeafElection). Each exposes a per-node materialized round
+// (emit an action, advance on feedback) and, where the stage has one, a
+// whole fused round. The standalone programs run one stage over every
+// alive node; GeneralProgram runs them in sequence, dispatching each node
+// to its stage. The stages leave what a node does when its stage ends to
+// the program: a survivor of Reduce's schedule finishes alone and enters
+// IDReduction in General, and a node renamed by IDReduction finishes alone
+// and enters LeafElection in General.
 #include "sim/step_program.h"
 
 #include <algorithm>
@@ -71,13 +83,19 @@ std::int64_t PrimaryCoinRound(const BatchBernoulli& coin,
   return tx;
 }
 
-// Strong-CD knockout finish rule (CD knockout, Reduce rounds, IDReduction
-// knock round): one transmitter ends everyone (the lone leader plus every
-// listener that heard it), two or more end the listeners only, zero end no
-// one. Returns true when every alive node finished — callers can skip their
+// One fused knockout coin round (the CD knockout, a Reduce round,
+// IDReduction's knock round): PrimaryCoinRound, then the strong-CD finish
+// rule. One transmitter ends everyone (the lone leader plus every listener
+// that heard it), two or more end the listeners only, zero end no one.
+// Returns true when every alive node finished, so callers can skip their
 // survivor transitions.
-bool KnockoutFinish(std::int64_t tx, std::span<const std::uint8_t> mask,
-                    std::span<std::uint8_t> finished) {
+bool FusedKnockout(const BatchBernoulli& coin, const BatchContext& ctx,
+                   std::span<const NodeId> alive,
+                   std::span<std::int64_t> node_tx,
+                   std::vector<std::uint8_t>& mask,
+                   std::span<std::uint8_t> finished, FastRoundEffects* fx) {
+  const std::int64_t tx =
+      PrimaryCoinRound(coin, ctx, alive, node_tx, mask, fx);
   if (tx == 1) {
     std::fill(finished.begin(), finished.end(), std::uint8_t{1});
     return true;
@@ -90,9 +108,16 @@ bool KnockoutFinish(std::int64_t tx, std::span<const std::uint8_t> mask,
   return false;
 }
 
-// The same rule for one node of a materialized round: a lone transmitter is
-// the leader, a listener that heard anyone is knocked out, and either one
-// finishes (sets `finished`). A transmitter never hears silence.
+// The same round for one node, materialized. Its action: transmit on the
+// primary channel with the coin's probability, else listen there.
+Action CoinAction(const BatchBernoulli& coin, support::StreamRef rng) {
+  return coin.Draw(rng) ? Action::Transmit(kPrimaryChannel)
+                        : Action::Listen(kPrimaryChannel);
+}
+
+// Its finish rule: a lone transmitter is the leader, a listener that heard
+// anyone is knocked out, and either one finishes (sets `finished`). A
+// transmitter never hears silence.
 AssumptionBreach KnockoutFinished(const Action& action, const Feedback& fb,
                                   std::uint8_t& finished) {
   if (action.transmit) {
@@ -136,8 +161,7 @@ class TwoActiveProgram final : public StepProgram {
       support::StreamRef rng = ctx.rng[s];
       switch (phase_[s]) {
         case kDuel:
-          actions[k] = coin_.Draw(rng) ? Action::Transmit(kPrimaryChannel)
-                                       : Action::Listen(kPrimaryChannel);
+          actions[k] = CoinAction(coin_, rng);
           break;
         case kRename:
           id_[s] = static_cast<std::int32_t>(rename_draw_->Draw(rng));
@@ -340,21 +364,34 @@ class TwoActiveProgram final : public StepProgram {
 };
 
 // ---------------------------------------------------------------------------
-// The Reduce knockout schedule (Figure 2): two rounds per iteration at
-// probability 1/n_hat, n_hat square-rooted between iterations. Shared by
-// the standalone Reduce program and the composed general program; the
-// prepared Bernoullis amortize the threshold computation across all nodes
-// of a round. The schedule is a pure function of the population (the
-// params are fixed per program), so Prepare rebuilds it only when the
-// population changes: the per-trial Resets of a sweep reuse it and
+// Knockout coin rounds on the primary channel: the whole of the classic
+// single-channel CD knockout (core/reduce.cpp, RunKnockoutCd: a fair coin
+// every round until someone wins, also the general algorithm's C = O(1)
+// fallback) and of Reduce (core/reduce.cpp: the schedule of Figure 2, two
+// rounds per iteration at probability 1/n_hat, n_hat square-rooted between
+// iterations). The prepared Bernoullis amortize the threshold computation
+// across all nodes of a round. The schedule is a pure function of the
+// population (the params are fixed per program), so it is rebuilt only
+// when the population changes: the per-trial Resets of a sweep reuse it and
 // allocate nothing.
+//
+// Every alive node is at the same step: all start at step 0, and in every
+// round each survivor either finishes or takes the next step, whatever its
+// feedback says (a jam, an erasure or a flipped detector only decides
+// which), and a crash only removes nodes. So the step is kept once for all
+// of them. What a survivor of Reduce's schedule does next is the caller's:
+// it finishes when Reduce runs alone, and starts IDReduction in the
+// general algorithm.
 
-class ReduceSchedule {
+class KnockoutStage {
  public:
-  explicit ReduceSchedule(core::ReduceParams params) : params_(params) {}
+  explicit KnockoutStage(core::ReduceParams params) : params_(params) {}
 
-  void Prepare(std::int64_t population) {
-    if (population == population_) return;
+  // Starts Reduce's schedule for `population`, or the fair-coin knockout.
+  void Start(bool fair, std::int64_t population) {
+    fair_ = fair;
+    step_ = 0;
+    if (fair || population == population_) return;
     population_ = population;
     const std::int32_t iterations =
         support::CeilLgLg(
@@ -371,86 +408,83 @@ class ReduceSchedule {
     }
   }
 
-  const BatchBernoulli& operator[](std::size_t step) const {
-    return coins_[step];
+  const BatchBernoulli& coin() const {
+    return fair_ ? fair_coin_ : coins_[step_];
   }
-  std::size_t size() const { return coins_.size(); }
+
+  // Moves the survivors of a round to the next step. Returns true when
+  // Reduce's schedule is over; the fair knockout never ends.
+  bool Next() { return !fair_ && ++step_ == coins_.size(); }
 
  private:
   core::ReduceParams params_;
+  bool fair_ = false;
+  BatchBernoulli fair_coin_{0.5};
   std::int64_t population_ = -1;  // the population coins_ was built for
   std::vector<BatchBernoulli> coins_;
+  std::size_t step_ = 0;  // index into coins_, shared
 };
 
-// Every alive node is at the same schedule step: all start at step 0, and
-// in every round each survivor either finishes or takes the next step,
-// whatever its feedback says (a jam, an erasure or a flipped detector only
-// decides which), and a crash only removes nodes. So the step is kept once
-// for all of them.
-class ReduceProgram final : public StepProgram {
+// Reduce alone, or the CD knockout alone: every alive node is in the stage.
+class KnockoutProgram final : public StepProgram {
  public:
-  explicit ReduceProgram(core::ReduceParams params)
-      : sched_(params) {}
+  KnockoutProgram(core::ReduceParams params, bool fair)
+      : fair_(fair), stage_(params) {}
 
-  std::string_view name() const override { return "reduce"; }
+  std::string_view name() const override {
+    return fair_ ? "knockout_cd" : "reduce";
+  }
 
   void Reset(const BatchContext& ctx) override {
-    sched_.Prepare(ctx.population);
-    step_ = 0;
+    stage_.Start(fair_, ctx.population);
   }
 
   void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
                    std::span<Action> actions) override {
-    const BatchBernoulli& coin = sched_[static_cast<std::size_t>(step_)];
     for (std::size_t k = 0; k < alive.size(); ++k) {
-      const bool tx = coin.Draw(ctx.rng[static_cast<std::size_t>(alive[k])]);
-      actions[k] = tx ? Action::Transmit(kPrimaryChannel)
-                      : Action::Listen(kPrimaryChannel);
+      actions[k] = CoinAction(stage_.coin(),
+                              ctx.rng[static_cast<std::size_t>(alive[k])]);
     }
   }
 
-  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
+  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId>,
                            std::span<const Action> actions,
                            std::span<const Feedback> feedback,
                            std::span<std::uint8_t> finished) override {
-    // The leader or a knocked-out listener ends now; a survivor ends when
-    // the schedule is over.
-    const bool last = static_cast<std::size_t>(++step_) == sched_.size();
-    for (std::size_t k = 0; k < alive.size(); ++k) {
+    for (std::size_t k = 0; k < finished.size(); ++k) {
       if (const AssumptionBreach breach =
               KnockoutFinished(actions[k], feedback[k], finished[k])) {
         return breach;
       }
-      if (last) finished[k] = 1;
+    }
+    if (stage_.Next()) {  // Reduce's survivors end with its schedule
+      std::fill(finished.begin(), finished.end(), std::uint8_t{1});
     }
     return {};
   }
 
-  // One coin round covers every survivor.
   bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
                  std::span<std::int64_t> node_tx,
                  std::span<std::uint8_t> finished,
                  FastRoundEffects* fx) override {
-    const std::int64_t tx = PrimaryCoinRound(
-        sched_[static_cast<std::size_t>(step_)], ctx, alive, node_tx, mask_,
-        fx);
-    if (KnockoutFinish(tx, mask_, finished)) return true;
-    if (static_cast<std::size_t>(++step_) == sched_.size()) {
+    if (!FusedKnockout(stage_.coin(), ctx, alive, node_tx, mask_, finished,
+                       fx) &&
+        stage_.Next()) {
       std::fill(finished.begin(), finished.end(), std::uint8_t{1});
     }
     return true;
   }
 
   // FastRound's only cross-node assumption is the shared step, and no
-  // feedback can split it.
+  // feedback can split it: a jammed run re-fuses at once.
   bool LockstepRestored(const BatchContext&,
                         std::span<const NodeId>) override {
     return true;
   }
 
  private:
-  ReduceSchedule sched_;
-  std::int32_t step_ = 0;           // index into sched_, shared
+  bool fair_;
+  KnockoutStage stage_;
   std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
 };
 
@@ -458,19 +492,22 @@ class ReduceProgram final : public StepProgram {
 // IDReduction (core/id_reduction.cpp flattened): a three-round cycle of
 // spread / confirm / knockout until renaming succeeds. Alive nodes move
 // through the cycle in lockstep: in every round each survivor either
-// finishes or takes the next position, whatever its feedback says, so the
-// cycle position and the pair count are kept once for all of them.
+// leaves the cycle or takes the next position, whatever its feedback says,
+// so the cycle position and the pair count are kept once for all of them.
+//
+// A node renamed at the confirm round leaves the cycle with its spread
+// channel as its new ID (chan). The caller's `renamed(finished, s)` says
+// what it does next: it finishes when IDReduction runs alone, and enters
+// LeafElection in the general algorithm.
 
-class IdReductionProgram final : public StepProgram {
+class IdrCycle {
  public:
-  explicit IdReductionProgram(core::IdReductionParams params)
-      : params_(params) {}
+  explicit IdrCycle(core::IdReductionParams params) : params_(params) {}
 
-  std::string_view name() const override { return "id_reduction"; }
-
-  void Reset(const BatchContext& ctx) override {
-    const std::int32_t eff =
-        core::EffectiveChannels(ctx.channels, ctx.population);
+  // Starts the cycle over `eff` effective channels for `n` node slots. The
+  // columns are only sized: the spread round, the cycle's first, writes a
+  // node's chan and rename bit before any round reads them.
+  void Reset(std::int32_t eff, std::size_t n) {
     CRMC_REQUIRE_MSG(eff >= 4,
                      "IDReduction needs at least 4 effective channels, got "
                          << eff);
@@ -479,83 +516,70 @@ class IdReductionProgram final : public StepProgram {
         std::max(2.0, std::sqrt(static_cast<double>(eff)) /
                           params_.knock_divisor);
     knock_.emplace(1.0 / knock_k);
-    const auto n = static_cast<std::size_t>(ctx.num_active);
-    cycle_ = 0;
+    pos_ = 0;
     pairs_ = 0;
-    chan_.assign(n, 0);
-    renamed_.assign(n, 0);
+    chan_.resize(n);
+    renamed_.resize(n);
     // ClassifyChannels scratch: spread channels lie in [1, eff/2], the +3
     // covers the gather padding; must start (and is kept) all-zero.
     counts_.assign(static_cast<std::size_t>(eff / 2) + 3, 0);
   }
 
-  void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
-                   std::span<Action> actions) override {
-    switch (cycle_) {
+  std::int32_t chan(std::size_t s) const { return chan_[s]; }
+
+  Action Emit(std::size_t s, support::StreamRef rng) {
+    switch (pos_) {
       case 0:  // spread over [C'/2]
         CheckPairs();
-        for (std::size_t k = 0; k < alive.size(); ++k) {
-          const auto s = static_cast<std::size_t>(alive[k]);
-          chan_[s] = static_cast<std::int32_t>(spread_->Draw(ctx.rng[s]));
-          actions[k] = Action::Transmit(static_cast<mac::ChannelId>(chan_[s]));
-        }
-        break;
+        chan_[s] = static_cast<std::int32_t>(spread_->Draw(rng));
+        return Action::Transmit(static_cast<mac::ChannelId>(chan_[s]));
       case 1:  // confirm on the primary channel
-        for (std::size_t k = 0; k < alive.size(); ++k) {
-          actions[k] = renamed_[static_cast<std::size_t>(alive[k])]
-                           ? Action::Transmit(kPrimaryChannel)
+        return renamed_[s] ? Action::Transmit(kPrimaryChannel)
                            : Action::Listen(kPrimaryChannel);
-        }
-        break;
       default:  // knockout with probability 1/k
-        for (std::size_t k = 0; k < alive.size(); ++k) {
-          actions[k] =
-              knock_->Draw(ctx.rng[static_cast<std::size_t>(alive[k])])
-                  ? Action::Transmit(kPrimaryChannel)
-                  : Action::Listen(kPrimaryChannel);
+        return CoinAction(*knock_, rng);
+    }
+  }
+
+  template <class Renamed>
+  AssumptionBreach Advance(std::size_t s, const Action& action,
+                           const Feedback& fb, std::uint8_t& finished,
+                           Renamed&& renamed) {
+    switch (pos_) {
+      case 0:
+        CRMC_STEP_CHECK(!fb.Silence());
+        renamed_[s] = fb.MessageHeard() ? 1 : 0;  // alone on the channel
+        return {};
+      case 1:
+        if (renamed_[s]) {
+          renamed(finished, s);  // kActive with new_id = chan_[s]
+        } else if (!fb.Silence()) {
+          finished = 1;  // someone renamed and we did not
         }
-        break;
+        return {};
+      default:  // solved outright, or knocked out
+        return KnockoutFinished(action, fb, finished);
     }
   }
 
-  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
-                           std::span<const Action> actions,
-                           std::span<const Feedback> feedback,
-                           std::span<std::uint8_t> finished) override {
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      const auto s = static_cast<std::size_t>(alive[k]);
-      const Feedback& fb = feedback[k];
-      switch (cycle_) {
-        case 0:
-          CRMC_STEP_CHECK(!fb.Silence());
-          renamed_[s] = fb.MessageHeard() ? 1 : 0;  // alone on the channel
-          break;
-        case 1:
-          if (renamed_[s]) {
-            finished[k] = 1;  // kActive with new_id = chan_[s]
-          } else if (!fb.Silence()) {
-            finished[k] = 1;  // someone renamed and we did not
-          }
-          break;
-        default:
-          // Solved outright, or knocked out.
-          if (const AssumptionBreach breach =
-                  KnockoutFinished(actions[k], fb, finished[k])) {
-            return breach;
-          }
-          break;
-      }
+  // Moves the survivors of a round to the next cycle position.
+  void Next() {
+    if (pos_ == 2) {
+      pos_ = 0;
+      ++pairs_;
+    } else {
+      ++pos_;
     }
-    NextPosition();
-    return {};
   }
 
-  bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
+  // The whole round fused, Next included.
+  template <class Renamed>
+  void FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
                  std::span<std::int64_t> node_tx,
-                 std::span<std::uint8_t> finished,
-                 FastRoundEffects* fx) override {
+                 std::span<std::uint8_t> finished, FastRoundEffects* fx,
+                 Renamed&& renamed) {
     const std::size_t m = alive.size();
-    switch (cycle_) {
+    switch (pos_) {
       case 0: {  // spread over [C'/2]: everyone transmits on its pick
         CheckPairs();
         chan_scratch_.resize(m);
@@ -586,21 +610,22 @@ class IdReductionProgram final : public StepProgram {
           fx->lone_deliveries += 1;
           fx->primary_lone_delivered = true;
         }
-        if (r >= 1) {
-          // Renamed nodes finish as kActive; everyone else heard them.
-          std::fill(finished.begin(), finished.end(), std::uint8_t{1});
+        if (r == 0) break;
+        for (std::size_t k = 0; k < m; ++k) {
+          const auto s = static_cast<std::size_t>(alive[k]);
+          if (renamed_[s]) {
+            renamed(finished[k], s);
+          } else {
+            finished[k] = 1;  // heard the renamed nodes
+          }
         }
         break;
       }
-      default: {  // knockout with probability 1/k
-        const std::int64_t tx =
-            PrimaryCoinRound(*knock_, ctx, alive, node_tx, mask_, fx);
-        KnockoutFinish(tx, mask_, finished);
+      default:
+        FusedKnockout(*knock_, ctx, alive, node_tx, mask_, finished, fx);
         break;
-      }
     }
-    NextPosition();
-    return true;
+    Next();
   }
 
  private:
@@ -610,20 +635,10 @@ class IdReductionProgram final : public StepProgram {
                    "is superpolynomially small; check parameters");
   }
 
-  // Moves the survivors of a round to the next cycle position.
-  void NextPosition() {
-    if (cycle_ == 2) {
-      cycle_ = 0;
-      ++pairs_;
-    } else {
-      ++cycle_;
-    }
-  }
-
   core::IdReductionParams params_;
   std::optional<BatchUniformInt> spread_;
   std::optional<BatchBernoulli> knock_;
-  std::uint8_t cycle_ = 0;  // 0 spread, 1 confirm, 2 knock; shared
+  std::uint8_t pos_ = 0;    // 0 spread, 1 confirm, 2 knock; shared
   std::int64_t pairs_ = 0;  // completed cycles, shared
   std::vector<std::int32_t> chan_;  // channel picked in the spread round
   std::vector<std::uint8_t> renamed_;
@@ -634,6 +649,56 @@ class IdReductionProgram final : public StepProgram {
   std::vector<std::uint8_t> lone_scratch_;
   std::vector<std::uint16_t> counts_;
   std::vector<std::int32_t> touched_;
+};
+
+class IdReductionProgram final : public StepProgram {
+ public:
+  explicit IdReductionProgram(core::IdReductionParams params)
+      : idr_(params) {}
+
+  std::string_view name() const override { return "id_reduction"; }
+
+  void Reset(const BatchContext& ctx) override {
+    idr_.Reset(core::EffectiveChannels(ctx.channels, ctx.population),
+               static_cast<std::size_t>(ctx.num_active));
+  }
+
+  void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
+                   std::span<Action> actions) override {
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      const auto s = static_cast<std::size_t>(alive[k]);
+      actions[k] = idr_.Emit(s, ctx.rng[s]);
+    }
+  }
+
+  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
+                           std::span<const Action> actions,
+                           std::span<const Feedback> feedback,
+                           std::span<std::uint8_t> finished) override {
+    for (std::size_t k = 0; k < alive.size(); ++k) {
+      if (const AssumptionBreach breach =
+              idr_.Advance(static_cast<std::size_t>(alive[k]), actions[k],
+                           feedback[k], finished[k], Finish)) {
+        return breach;
+      }
+    }
+    idr_.Next();
+    return {};
+  }
+
+  bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
+                 std::span<std::int64_t> node_tx,
+                 std::span<std::uint8_t> finished,
+                 FastRoundEffects* fx) override {
+    idr_.FastRound(ctx, alive, node_tx, finished, fx, Finish);
+    return true;
+  }
+
+ private:
+  // A renamed node ends the run as kActive.
+  static void Finish(std::uint8_t& finished, std::size_t) { finished = 1; }
+
+  IdrCycle idr_;
 };
 
 // ---------------------------------------------------------------------------
@@ -889,111 +954,41 @@ class LeafElectionProgram final : public StepProgram {
 };
 
 // ---------------------------------------------------------------------------
-// The classic single-channel CD knockout (core/reduce.cpp, RunKnockoutCd):
-// also the general algorithm's C = O(1) fallback.
-
-class KnockoutCdProgram final : public StepProgram {
- public:
-  std::string_view name() const override { return "knockout_cd"; }
-
-  void Reset(const BatchContext&) override {}
-
-  void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
-                   std::span<Action> actions) override {
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      const auto s = static_cast<std::size_t>(alive[k]);
-      actions[k] = coin_.Draw(ctx.rng[s]) ? Action::Transmit(kPrimaryChannel)
-                                          : Action::Listen(kPrimaryChannel);
-    }
-  }
-
-  AssumptionBreach Advance(const BatchContext&, std::span<const NodeId> alive,
-                           std::span<const Action> actions,
-                           std::span<const Feedback> feedback,
-                           std::span<std::uint8_t> finished) override {
-    for (std::size_t k = 0; k < alive.size(); ++k) {
-      if (const AssumptionBreach breach =
-              KnockoutFinished(actions[k], feedback[k], finished[k])) {
-        return breach;
-      }
-    }
-    return {};
-  }
-
-  bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
-                 std::span<std::int64_t> node_tx,
-                 std::span<std::uint8_t> finished,
-                 FastRoundEffects* fx) override {
-    const std::int64_t tx =
-        PrimaryCoinRound(coin_, ctx, alive, node_tx, mask_, fx);
-    KnockoutFinish(tx, mask_, finished);
-    return true;
-  }
-
-  // The knockout carries no per-node state at all, so any surviving set is
-  // lockstep-representable and a jammed run re-fuses immediately.
-  bool LockstepRestored(const BatchContext&,
-                        std::span<const NodeId>) override {
-    return true;
-  }
-
- private:
-  BatchBernoulli coin_{0.5};
-  std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
-};
-
-// ---------------------------------------------------------------------------
 // The composed general algorithm (core/general.cpp): Reduce -> IDReduction
-// -> LeafElection, with the single-channel knockout fallback for C = O(1).
-// Stage transitions replicate the coroutine step composition: Reduce
-// survivors all enter IDReduction in the same round, and the nodes renamed
-// by IDReduction all enter LeafElection (on leaf = new ID) in the same
-// round.
+// -> LeafElection, with the single-channel knockout fallback for C = O(1),
+// run on the shared stage code above. Stage transitions replicate the
+// coroutine step composition: Reduce survivors all enter IDReduction in
+// the same round, and the nodes renamed by IDReduction all enter
+// LeafElection (on leaf = new ID) in the same round.
 //
-// Every node outside LeafElection is at the same stage and step: all nodes
-// start Reduce (or the fallback) together, a node's only outcomes in a
-// round are to finish or to take the next step, and Reduce's survivors
-// enter IDReduction together. So that stage, step and IDReduction's pair
-// count are kept once for all of them, and a fused round costs its draws,
-// not a per-node write of the next step. Per node there is only a
-// LeafElection flag, IDReduction's channel pick and rename bit, and the
-// LeafElection machine.
+// Every node outside LeafElection is at the same stage: all nodes start
+// Reduce (or the fallback) together, and the stages keep their step once
+// for all their nodes, so a fused round costs its draws, not a per-node
+// write of the next step. Per node there is only a LeafElection flag,
+// IDReduction's channel pick and rename bit, and the LeafElection machine.
 
 class GeneralProgram final : public StepProgram {
  public:
   explicit GeneralProgram(core::GeneralParams params)
-      : params_(params), reduce_sched_(params.reduce) {}
+      : params_(params), knock_(params.reduce), idr_(params.id_reduction) {}
 
   std::string_view name() const override { return "general"; }
 
   void Reset(const BatchContext& ctx) override {
     const std::int32_t eff =
         core::EffectiveChannels(ctx.channels, ctx.population);
-    stage_ = eff < params_.min_channels ? kFallback : kReduce;
-    step_ = 0;
-    pairs_ = 0;
+    const bool fallback = eff < params_.min_channels;
+    stage_ = kKnockout;
     const auto n = static_cast<std::size_t>(ctx.num_active);
     in_leaf_.assign(n, 0);
-    if (stage_ == kFallback) return;
-    CRMC_REQUIRE_MSG(eff >= 4,
-                     "IDReduction needs at least 4 effective channels, got "
-                         << eff);
-    // IDReduction and LeafElection columns are only sized here. The spread
-    // round, IDReduction's first, sets a node's chan_ and renamed_, and
-    // LeafMachine::Enter sets its election state; few of the |A| nodes get
-    // that far.
-    chan_.resize(n);
-    renamed_.resize(n);
-    reduce_sched_.Prepare(ctx.population);
-    spread_.emplace(1, eff / 2);
-    const double knock_k =
-        std::max(2.0, std::sqrt(static_cast<double>(eff)) /
-                          params_.id_reduction.knock_divisor);
-    knock_.emplace(1.0 / knock_k);
-    leaf_.Init(eff / 2, params_.leaf_election.force_binary_search, n);
-    // ClassifyChannels scratch: spread channels lie in [1, eff/2], the +3
-    // covers the gather padding; must start (and is kept) all-zero.
-    counts_.assign(static_cast<std::size_t>(eff / 2) + 3, 0);
+    if (!fallback) {
+      // The IDReduction and LeafElection columns are only sized: a node's
+      // values there are set when it reaches that stage, and few of the
+      // |A| nodes get that far.
+      idr_.Reset(eff, n);
+      leaf_.Init(eff / 2, params_.leaf_election.force_binary_search, n);
+    }
+    knock_.Start(fallback, ctx.population);
   }
 
   void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
@@ -1002,42 +997,10 @@ class GeneralProgram final : public StepProgram {
       const auto s = static_cast<std::size_t>(alive[k]);
       if (in_leaf_[s]) {
         actions[k] = leaf_.Emit(s);
-        continue;
-      }
-      support::StreamRef rng = ctx.rng[s];
-      switch (stage_) {
-        case kFallback:
-          actions[k] = coin_.Draw(rng) ? Action::Transmit(kPrimaryChannel)
-                                       : Action::Listen(kPrimaryChannel);
-          break;
-        case kReduce:
-          actions[k] =
-              reduce_sched_[static_cast<std::size_t>(step_)].Draw(rng)
-                  ? Action::Transmit(kPrimaryChannel)
-                  : Action::Listen(kPrimaryChannel);
-          break;
-        case kIdr:
-          switch (step_) {
-            case 0:
-              CRMC_CHECK_MSG(pairs_ < params_.id_reduction.max_pairs,
-                             "IDReduction exceeded max_pairs — probability "
-                             "of this is superpolynomially small; check "
-                             "parameters");
-              chan_[s] = static_cast<std::int32_t>(spread_->Draw(rng));
-              actions[k] =
-                  Action::Transmit(static_cast<mac::ChannelId>(chan_[s]));
-              break;
-            case 1:
-              actions[k] = renamed_[s] ? Action::Transmit(kPrimaryChannel)
-                                       : Action::Listen(kPrimaryChannel);
-              break;
-            default:
-              actions[k] = knock_->Draw(rng)
-                               ? Action::Transmit(kPrimaryChannel)
-                               : Action::Listen(kPrimaryChannel);
-              break;
-          }
-          break;
+      } else if (stage_ == kIdr) {
+        actions[k] = idr_.Emit(s, ctx.rng[s]);
+      } else {
+        actions[k] = CoinAction(knock_.coin(), ctx.rng[s]);
       }
     }
   }
@@ -1048,22 +1011,15 @@ class GeneralProgram final : public StepProgram {
                            std::span<std::uint8_t> finished) override {
     for (std::size_t k = 0; k < alive.size(); ++k) {
       const auto s = static_cast<std::size_t>(alive[k]);
-      const Feedback& fb = feedback[k];
       AssumptionBreach breach;
       if (in_leaf_[s]) {
-        breach = leaf_.Advance(s, actions[k], fb, finished[k]);
-      } else if (stage_ == kIdr && step_ == 0) {
-        CRMC_STEP_CHECK(!fb.Silence());
-        renamed_[s] = fb.MessageHeard() ? 1 : 0;  // alone on the channel
-      } else if (stage_ == kIdr && step_ == 1) {
-        if (renamed_[s]) {
-          EnterLeaf(s);  // kActive: elect over leaf = new ID
-        } else if (!fb.Silence()) {
-          finished[k] = 1;  // someone renamed and we did not
-        }
+        breach = leaf_.Advance(s, actions[k], feedback[k], finished[k]);
+      } else if (stage_ == kIdr) {
+        breach = idr_.Advance(
+            s, actions[k], feedback[k], finished[k],
+            [this](std::uint8_t&, std::size_t r) { EnterLeaf(r); });
       } else {
-        // The leader, or knocked out.
-        breach = KnockoutFinished(actions[k], fb, finished[k]);
+        breach = KnockoutFinished(actions[k], feedback[k], finished[k]);
       }
       if (breach) return breach;
     }
@@ -1081,107 +1037,42 @@ class GeneralProgram final : public StepProgram {
                  std::span<std::uint8_t> finished,
                  FastRoundEffects* fx) override {
     if (in_leaf_[static_cast<std::size_t>(alive[0])]) return false;
-    const std::size_t m = alive.size();
-    if (stage_ != kIdr || step_ == 2) {  // a coin round on the primary
-      const BatchBernoulli& coin =
-          stage_ == kFallback ? coin_
-          : stage_ == kReduce ? reduce_sched_[static_cast<std::size_t>(step_)]
-                              : *knock_;
-      const std::int64_t tx =
-          PrimaryCoinRound(coin, ctx, alive, node_tx, mask_, fx);
-      KnockoutFinish(tx, mask_, finished);
-    } else if (step_ == 0) {  // IDReduction spread over [C'/2]
-      CRMC_CHECK_MSG(pairs_ < params_.id_reduction.max_pairs,
-                     "IDReduction exceeded max_pairs — probability of this "
-                     "is superpolynomially small; check parameters");
-      chan_scratch_.resize(m);
-      simd::UniformFill(*spread_, ctx.rng, alive, chan_scratch_);
-      lone_scratch_.resize(m);
-      const simd::Occupancy occ = simd::ClassifyChannels(
-          chan_scratch_, kPrimaryChannel, counts_, touched_, lone_scratch_);
-      for (std::size_t k = 0; k < m; ++k) {
-        const auto s = static_cast<std::size_t>(alive[k]);
-        ++node_tx[s];
-        chan_[s] = chan_scratch_[k];
-        renamed_[s] = lone_scratch_[k];
-      }
-      fx->transmissions += static_cast<std::int64_t>(m);
-      fx->lone_deliveries += occ.lone_channels;
-      fx->primary_lone_delivered = occ.primary_lone;
-    } else if (step_ == 1) {  // confirm on the primary channel
-      std::int64_t r = 0;
-      for (std::size_t k = 0; k < m; ++k) {
-        const auto s = static_cast<std::size_t>(alive[k]);
-        r += renamed_[s];
-        node_tx[s] += renamed_[s];
-      }
-      fx->transmissions += r;
-      if (r == 1) {
-        fx->lone_deliveries += 1;
-        fx->primary_lone_delivered = true;
-      }
-      if (r >= 1) {
-        for (std::size_t k = 0; k < m; ++k) {
-          const auto s = static_cast<std::size_t>(alive[k]);
-          if (renamed_[s]) {
-            EnterLeaf(s);  // kActive: elect over leaf = new ID
-          } else {
-            finished[k] = 1;  // someone renamed and we did not
-          }
-        }
-      }
+    if (stage_ == kIdr) {
+      idr_.FastRound(ctx, alive, node_tx, finished, fx,
+                     [this](std::uint8_t&, std::size_t s) { EnterLeaf(s); });
+    } else {
+      FusedKnockout(knock_.coin(), ctx, alive, node_tx, mask_, finished, fx);
+      NextStep();
     }
-    NextStep();
     return true;
   }
 
  private:
-  enum Stage : std::uint8_t { kFallback, kReduce, kIdr };
+  enum Stage : std::uint8_t { kKnockout, kIdr };
 
   // Moves the nodes outside LeafElection one step on, after a round in
   // which each of them either finished or took that step.
   void NextStep() {
-    if (stage_ == kReduce) {
-      if (static_cast<std::size_t>(++step_) == reduce_sched_.size()) {
-        stage_ = kIdr;  // survivors: IDReduction starts next round
-        step_ = 0;
-      }
-    } else if (stage_ == kIdr) {
-      if (step_ == 2) {
-        step_ = 0;
-        ++pairs_;
-      } else {
-        ++step_;
-      }
+    if (stage_ == kIdr) {
+      idr_.Next();
+    } else if (knock_.Next()) {
+      stage_ = kIdr;  // survivors: IDReduction starts next round
     }
   }
 
+  // An IDReduction renamed node elects over leaf = new ID.
   void EnterLeaf(std::size_t s) {
     in_leaf_[s] = 1;
-    leaf_.Enter(s, chan_[s]);
+    leaf_.Enter(s, idr_.chan(s));
   }
 
   core::GeneralParams params_;
-  ReduceSchedule reduce_sched_;
-  std::optional<BatchUniformInt> spread_;
-  std::optional<BatchBernoulli> knock_;
-  BatchBernoulli coin_{0.5};
+  KnockoutStage knock_;  // Reduce, or the fallback
+  IdrCycle idr_;
   LeafMachine leaf_;
-
-  // Shared by every node outside LeafElection.
-  Stage stage_ = kReduce;
-  std::int32_t step_ = 0;   // Reduce schedule index / IDR cycle position
-  std::int64_t pairs_ = 0;  // completed IDR spread/confirm/knock cycles
-  // Per node.
+  Stage stage_ = kKnockout;  // shared by every node outside LeafElection
   std::vector<std::uint8_t> in_leaf_;
-  std::vector<std::int32_t> chan_;  // IDR spread channel (leaf label later)
-  std::vector<std::uint8_t> renamed_;
-  // FastRound scratch (see IdReductionProgram).
-  std::vector<std::uint8_t> mask_;
-  std::vector<std::int32_t> chan_scratch_;
-  std::vector<std::uint8_t> lone_scratch_;
-  std::vector<std::uint16_t> counts_;
-  std::vector<std::int32_t> touched_;
+  std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
 };
 
 }  // namespace
@@ -1199,7 +1090,7 @@ std::optional<core::TwoActiveParams> TwoActiveParamsOf(
 }
 
 std::unique_ptr<StepProgram> MakeReduceProgram(core::ReduceParams params) {
-  return std::make_unique<ReduceProgram>(params);
+  return std::make_unique<KnockoutProgram>(params, /*fair=*/false);
 }
 
 std::unique_ptr<StepProgram> MakeIdReductionProgram(
@@ -1215,7 +1106,8 @@ std::unique_ptr<StepProgram> MakeLeafElectionProgram(
 }
 
 std::unique_ptr<StepProgram> MakeKnockoutCdProgram() {
-  return std::make_unique<KnockoutCdProgram>();
+  return std::make_unique<KnockoutProgram>(core::ReduceParams{},
+                                           /*fair=*/true);
 }
 
 std::unique_ptr<StepProgram> MakeGeneralProgram(core::GeneralParams params) {

@@ -17,6 +17,11 @@
 // Programs provided: TwoActive, Reduce, IDReduction, LeafElection, the
 // single-channel CD knockout, and the composed general algorithm
 // (Reduce -> IDReduction -> LeafElection with the C = O(1) fallback).
+// Each stage of the general algorithm is written once in step_program.cpp
+// (Reduce and the CD knockout share one knockout stage). The standalone
+// programs run one stage over every alive node; the general program runs
+// the same stage code in sequence and moves a node to the next stage where
+// the standalone program would finish it.
 // Trial-parallel lanes (sim/trial_engine.h) run two_active on the trial
 // engine's own duel executor, not through this interface; they recognise
 // a two_active program by TwoActiveParamsOf.

@@ -286,6 +286,7 @@ TEST(BatchEngineParity, KnockoutCd) {
   config.channels = 1;
   auto program = MakeKnockoutCdProgram();
   CheckParity(config, core::MakeKnockoutCd(), *program, 500);
+  CheckMaterializedParity(config, core::MakeKnockoutCd(), *program, 60);
 }
 
 // LeafElection is deterministic given the leaf assignment (it draws no
@@ -387,6 +388,72 @@ TEST(BatchEngineFaultParity, KnockoutUnderFlakyCd) {
   config.faults.flaky_cd_rate = 0.05;
   auto program = MakeKnockoutCdProgram();
   CheckParity(config, core::MakeKnockoutCd(), *program, 200);
+}
+
+// The standalone Reduce and IDReduction programs under every fault kind at
+// once, both generators. The coroutine twin's runs must show that jams,
+// erasures, CD flips and crashes all fired, and for IDReduction that some
+// node was renamed at a confirm round.
+void CheckStandaloneUnderAllFaults(EngineConfig config,
+                                   const ProtocolFactory& coroutine,
+                                   StepProgram& program,
+                                   const char* confirm_mark) {
+  config.max_rounds = 2000;
+  config.stop_when_solved = false;
+  config.faults.jam_rate = 0.1;
+  config.faults.erasure_rate = 0.05;
+  config.faults.flaky_cd_rate = 0.05;
+  config.faults.crash_rate = 0.01;
+  for (const support::RngKind kind :
+       {support::RngKind::kXoshiro, support::RngKind::kPhilox}) {
+    config.rng = kind;
+    SCOPED_TRACE(::testing::Message()
+                 << "philox=" << (kind == support::RngKind::kPhilox));
+    BatchEngine engine;
+    std::int64_t jams = 0, erasures = 0, flips = 0, crashed = 0, confirms = 0;
+    for (int t = 0; t < 300; ++t) {
+      config.seed = 71'000 + static_cast<std::uint64_t>(t);
+      const RunResult coro = Engine::Run(config, coroutine);
+      const RunResult batch = engine.Run(config, program);
+      SCOPED_TRACE(::testing::Message() << "seed=" << config.seed);
+      ExpectSameRun(coro, batch);
+      if (::testing::Test::HasFailure()) return;
+      jams += batch.jams_injected;
+      erasures += batch.erasures_injected;
+      flips += batch.cd_flips_injected;
+      crashed += batch.crashed_nodes;
+      if (confirm_mark != nullptr && coro.LastPhaseMark(confirm_mark) >= 0) {
+        ++confirms;
+      }
+    }
+    EXPECT_GT(jams, 0);
+    EXPECT_GT(erasures, 0);
+    EXPECT_GT(flips, 0);
+    EXPECT_GT(crashed, 0);
+    if (confirm_mark != nullptr) {
+      EXPECT_GT(confirms, 0);
+    }
+  }
+}
+
+TEST(BatchEngineFaultParity, ReduceUnderAllFaults) {
+  EngineConfig config;
+  config.population = 4096;
+  config.num_active = 32;
+  config.channels = 1;
+  auto program = MakeReduceProgram();
+  CheckStandaloneUnderAllFaults(config, core::MakeReduceOnly(), *program,
+                                nullptr);
+}
+
+TEST(BatchEngineFaultParity, IdReductionUnderAllFaults) {
+  EngineConfig config;
+  config.population = 1 << 16;
+  config.num_active = 16;
+  config.channels = 64;
+  auto program = MakeIdReductionProgram();
+  CheckStandaloneUnderAllFaults(config, core::MakeIdReductionOnly(), *program,
+                                "idr_renamed");
 }
 
 // The fault_seed must select a different adversary over the same protocol
@@ -744,6 +811,61 @@ TEST(BatchEngineReuse, GeneralProgramMatchesFreshInstances) {
       }
       if (!leg.jammed) {
         EXPECT_GT(leaf_rounds, 0) << "|A|=" << leg.num_active;
+      }
+    }
+  }
+}
+
+// The standalone Reduce, IDReduction and CD knockout programs run on the
+// same stage code as the general program, so each reused instance must
+// match fresh ones across n, |A|, C and jammed vs. pristine legs.
+TEST(BatchEngineReuse, StandaloneStageProgramsMatchFreshInstances) {
+  struct Leg {
+    std::int64_t population;
+    std::int32_t num_active;
+    std::int32_t channels;
+    bool jammed;  // one scripted jam on the primary channel in round 1
+  };
+  const Leg legs[] = {
+      {1 << 16, 64, 64, false}, {4096, 16, 32, false}, {1 << 16, 64, 64, true},
+      {1 << 20, 256, 256, false}, {4096, 16, 32, true}, {1 << 16, 8, 16, false},
+  };
+  const struct {
+    const char* name;
+    StepProgramFactory make;
+  } programs[] = {
+      {"reduce", [] { return MakeReduceProgram(); }},
+      {"id_reduction", [] { return MakeIdReductionProgram(); }},
+      {"knockout_cd", [] { return MakeKnockoutCdProgram(); }},
+  };
+  for (const auto& p : programs) {
+    SCOPED_TRACE(p.name);
+    for (const support::RngKind kind :
+         {support::RngKind::kXoshiro, support::RngKind::kPhilox}) {
+      const auto reused = p.make();
+      BatchEngine engine;
+      std::uint64_t seed = 81'000;
+      for (const Leg& leg : legs) {
+        EngineConfig config;
+        config.population = leg.population;
+        config.num_active = leg.num_active;
+        config.channels = leg.channels;
+        config.rng = kind;
+        config.stop_when_solved = false;
+        config.max_rounds = 2000;
+        if (leg.jammed) {
+          config.adversary.kind = adversary::Kind::kScripted;
+          config.adversary.budget = 1;
+          config.adversary.script.push_back({1, 1});
+        }
+        for (int t = 0; t < 40; ++t) {
+          config.seed = seed++;
+          const RunResult got = engine.Run(config, *reused);
+          const auto fresh = p.make();
+          const RunResult want = BatchEngine::RunOnce(config, *fresh);
+          ExpectSameBatchResult(want, got, config.seed);
+          if (::testing::Test::HasFailure()) return;
+        }
       }
     }
   }

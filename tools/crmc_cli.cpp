@@ -507,8 +507,9 @@ int CmdSweep(const harness::Flags& flags) {
   ForceTwoActive(info, base.num_active);
 
   const harness::ProtocolHandle handle = harness::HandleFor(info);
-  harness::Table table({vary, "mean", "q" + harness::FormatDouble(quantile, 2),
-                        "max"});
+  std::string quantile_label = "q";
+  quantile_label += harness::FormatDouble(quantile, 2);
+  harness::Table table({vary, "mean", quantile_label, "max"});
   TrialStatsLine trial_stats;
   for (const std::int64_t v : values) {
     harness::TrialSpec spec = base;
