@@ -101,8 +101,10 @@ bool FusedKnockout(const BatchBernoulli& coin, const BatchContext& ctx,
     return true;
   }
   if (tx >= 2) {
-    for (std::size_t k = 0; k < mask.size(); ++k) {
-      finished[k] = static_cast<std::uint8_t>(!mask[k]);
+    // Through a span: a byte store could alias the vector's own fields.
+    const std::span<const std::uint8_t> sent = mask;
+    for (std::size_t k = 0; k < sent.size(); ++k) {
+      finished[k] = static_cast<std::uint8_t>(!sent[k]);
     }
   }
   return false;
