@@ -1,158 +1,98 @@
 #include "sim/trial_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
 
 #include "core/channel_budget.h"
 #include "simd/kernels.h"
 #include "support/assert.h"
+#include "support/bits.h"
 
 namespace crmc::sim {
 namespace {
 
-using mac::kPrimaryChannel;
-
-// What one lockstep round did to one lane: the per-trial fused round's
-// effects plus the lane's lifecycle. A two_active lane ends all at once (a
-// lone transmission or the final pair round ends both nodes), so no round
-// retires part of a lane and only a lone delivery counts as progress for
-// the stall streak.
-struct LaneRound : FastRoundEffects {
-  bool finished = false;  // every node of the lane terminated
-  // The lane left the lockstep set, in a state the per-trial path reports
-  // as a breach. The engine re-runs that seed from scratch per trial (with
-  // freshly seeded streams, so the aborted round's draws are harmless),
-  // which reproduces the breach bit-exactly. The other fields are ignored.
-  bool diverged = false;
-};
+// How a lane ends in round `round` on a lone primary delivery that is also
+// its last round (the duel's winner). A solve that stops the run ends it
+// before the nodes finish, with the streak it met; every earlier round of
+// a live lane was a stall.
+core::TwoActiveOutcome SolvedInRound(std::int64_t round,
+                                     bool stop_when_solved) {
+  return {.rounds = round + 1,
+          .stall = stop_when_solved ? round : 0,
+          .solved_round = round,
+          .primary = 1,
+          .terminated = !stop_when_solved};
+}
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// TrialBatchEngine::TwoActiveLanes. The run is fully lockstep per lane (see
-// the per-trial FastRound in step_program.cpp): in the duel every round is
-// a primary-channel coin round; otherwise the lane's two nodes rename
-// together, share their search bounds and end on a {transmit, listen}
-// pair. So a pristine lane never diverges.
+// TrialBatchEngine::TwoActiveLanes. In the duel every round is a
+// primary-channel coin round for every node, ending on the first lone
+// transmitter. Otherwise both nodes of a lane rename together; the round
+// their labels differ ends the lane, with the rest of its run (SplitCheck
+// and the final pair round, see the per-trial FastRound in
+// step_program.cpp) computed by core::SplitCheck. So a live lane has
+// stalled in every round it ran, and a pristine lane never diverges.
 
 bool TrialBatchEngine::TwoActiveLanes::Reset(
     const core::TwoActiveParams& params, std::int64_t population,
-    std::int32_t num_active, std::int32_t channels, std::size_t lanes) {
+    std::int32_t num_active, std::int32_t channels, std::size_t max_lanes) {
   const std::int32_t usable =
       core::TwoActiveChannels(channels, population, params);
   duel_ = usable < 2;
   num_active_ = num_active;
   if (!duel_) {
     if (num_active != 2) return false;
-    tree_.emplace(usable);
+    const auto height = static_cast<std::int32_t>(
+        support::FloorLog2(static_cast<std::uint64_t>(usable)));
+    if (!split_check_ || split_check_->height() != height) {
+      split_check_.emplace(height);
+    }
     rename_draw_.emplace(1, usable);
   }
-  lanes_.assign(lanes, Lane{.phase = duel_ ? kDuel : kRename});
   // A round gathers at most every stream slot of the chunk.
-  slots_.reserve(lanes * static_cast<std::size_t>(num_active));
+  slots_.reserve(max_lanes * static_cast<std::size_t>(num_active));
   return true;
 }
 
 template <typename Retire>
-void TrialBatchEngine::TwoActiveLanes::Round(
-    support::StreamPlaneView rng, std::span<const std::int32_t> live,
-    std::span<std::int64_t> node_tx, Retire&& retire) {
-  if (duel_) {
-    DuelRound(rng, live, node_tx, retire);
-    return;
+void TrialBatchEngine::TwoActiveLanes::Run(support::StreamPlaneView rng,
+                                           std::vector<std::int32_t>& live,
+                                           std::int64_t max_rounds,
+                                           bool stop_when_solved,
+                                           std::span<std::int64_t> node_tx,
+                                           Retire&& retire) {
+  std::int64_t round = 0;
+  for (; !live.empty() && round < max_rounds; ++round) {
+    live.resize(duel_ ? DuelRound(rng, live, round, stop_when_solved,
+                                  node_tx, retire)
+                      : RenameRound(rng, live, round, max_rounds,
+                                    stop_when_solved, node_tx, retire));
   }
-  // Pass 1: gather the stream slots of every lane that draws this round
-  // (only renaming lanes do; search and final rounds are pure bit math).
-  slots_.clear();
+  // Lanes still live hit max_rounds, having stalled in every round: no
+  // lone transmitter in the duel, a collision in every rename round.
   for (const std::int32_t lane : live) {
-    if (lanes_[static_cast<std::size_t>(lane)].phase == kRename) {
-      slots_.push_back(lane * 2);
-      slots_.push_back(lane * 2 + 1);
+    if (!duel_) {
+      node_tx[static_cast<std::size_t>(lane) * 2] = round;
+      node_tx[static_cast<std::size_t>(lane) * 2 + 1] = round;
     }
+    retire(lane, core::TwoActiveOutcome{
+                     .rounds = round, .stall = round, .timed_out = true});
   }
-  draws_.resize(slots_.size());
-  simd::UniformFill(*rename_draw_, rng, slots_, draws_);
-
-  // Pass 2: per-lane transitions off the batched draws.
-  std::size_t rj = 0;  // read cursor into draws_ (pairs, lane order)
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    const auto lane = static_cast<std::size_t>(live[k]);
-    const std::size_t base = lane * 2;
-    Lane& s = lanes_[lane];
-    LaneRound fx;
-    switch (s.phase) {
-      case kRename: {
-        s.id0 = draws_[rj];
-        s.id1 = draws_[rj + 1];
-        rj += 2;
-        ++node_tx[base];
-        ++node_tx[base + 1];
-        fx.transmissions = 2;
-        if (s.id0 != s.id1) {  // both alone: renamed, and maybe solved outright
-          fx.lone_deliveries = 2;
-          fx.primary_lone_delivered =
-              s.id0 == kPrimaryChannel || s.id1 == kPrimaryChannel;
-          s.phase = kSearch;
-          s.lo = 0;
-          s.hi = tree_->height();
-        }
-        break;
-      }
-      case kSearch: {
-        const std::int32_t mid = (s.lo + s.hi) / 2;
-        const std::int32_t ch0 = tree_->IndexWithinLevel(s.id0, mid);
-        const std::int32_t ch1 = tree_->IndexWithinLevel(s.id1, mid);
-        ++node_tx[base];
-        ++node_tx[base + 1];
-        fx.transmissions = 2;
-        if (ch0 == ch1) {  // still shared at `mid`: divergence is deeper
-          s.lo = mid + 1;
-        } else {
-          fx.lone_deliveries = 2;
-          fx.primary_lone_delivered =
-              ch0 == kPrimaryChannel || ch1 == kPrimaryChannel;
-          s.hi = mid;
-        }
-        if (s.lo >= s.hi) {
-          const std::int32_t split = s.lo;
-          if (split < 1) {  // per-trial path: "cannot diverge at the root"
-            fx.diverged = true;
-            break;
-          }
-          const bool t0 = tree_->AncestorIsLeftChild(s.id0, split);
-          const bool t1 = tree_->AncestorIsLeftChild(s.id1, split);
-          if (t0 == t1) {  // same-final pair: generic-path check territory
-            fx.diverged = true;
-            break;
-          }
-          s.phase = kFinalPair;
-          s.tx0 = t0;
-        }
-        break;
-      }
-      case kFinalPair:
-        ++node_tx[base + (s.tx0 ? 0 : 1)];
-        fx.transmissions = 1;
-        fx.lone_deliveries = 1;
-        fx.primary_lone_delivered = true;
-        fx.finished = true;
-        break;
-      default:
-        fx.diverged = true;
-        break;
-    }
-    retire(k, fx);
-  }
+  live.clear();
 }
 
 // All-on-primary coin rounds for every lane at once: one CoinMask call over
 // the concatenated per-lane slot segments, then a per-lane popcount of its
 // segment. A lone transmitter ends the lane (everyone heard it).
 template <typename Retire>
-void TrialBatchEngine::TwoActiveLanes::DuelRound(
-    support::StreamPlaneView rng, std::span<const std::int32_t> live,
-    std::span<std::int64_t> node_tx, Retire&& retire) {
+std::size_t TrialBatchEngine::TwoActiveLanes::DuelRound(
+    support::StreamPlaneView rng, std::span<std::int32_t> live,
+    std::int64_t round, bool stop_when_solved,
+    std::span<std::int64_t> node_tx, Retire& retire) {
   const auto n = static_cast<std::size_t>(num_active_);
   slots_.clear();
   for (const std::int32_t lane : live) {
@@ -162,20 +102,51 @@ void TrialBatchEngine::TwoActiveLanes::DuelRound(
   }
   mask_.resize(slots_.size());
   simd::CoinMask(coin_, rng, slots_, mask_);
+  std::size_t kept = 0;
   std::size_t base = 0;
   for (std::size_t k = 0; k < live.size(); ++k, base += n) {
-    LaneRound fx;
+    std::int32_t transmitters = 0;
     for (std::size_t j = 0; j < n; ++j) {
       node_tx[static_cast<std::size_t>(slots_[base + j])] += mask_[base + j];
-      fx.transmissions += mask_[base + j];
+      transmitters += mask_[base + j];
     }
-    if (fx.transmissions == 1) {  // everyone heard the lone duel winner
-      fx.lone_deliveries = 1;
-      fx.primary_lone_delivered = true;
-      fx.finished = true;
+    if (transmitters == 1) {
+      retire(live[k], SolvedInRound(round, stop_when_solved));
+    } else {
+      live[kept++] = live[k];
     }
-    retire(k, fx);
   }
+  return kept;
+}
+
+// Both nodes of every lane draw a label and transmit on it. Equal labels
+// collide and the lane renames again next round; distinct labels end it.
+template <typename Retire>
+std::size_t TrialBatchEngine::TwoActiveLanes::RenameRound(
+    support::StreamPlaneView rng, std::span<std::int32_t> live,
+    std::int64_t round, std::int64_t max_rounds, bool stop_when_solved,
+    std::span<std::int64_t> node_tx, Retire& retire) {
+  slots_.clear();
+  for (const std::int32_t lane : live) {
+    slots_.push_back(lane * 2);
+    slots_.push_back(lane * 2 + 1);
+  }
+  draws_.resize(slots_.size());
+  simd::UniformFill(*rename_draw_, rng, slots_, draws_);
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    const std::int32_t id0 = draws_[2 * k];
+    const std::int32_t id1 = draws_[2 * k + 1];
+    if (id0 == id1) {
+      live[kept++] = live[k];
+      continue;
+    }
+    const auto lane = static_cast<std::size_t>(live[k]);
+    retire(live[k], split_check_->Finish(
+                        id0, id1, round, max_rounds, stop_when_solved,
+                        node_tx.subspan(lane * 2).first<2>()));
+  }
+  return kept;
 }
 
 // ---------------------------------------------------------------------------
@@ -201,26 +172,20 @@ class TrialBatchEngine::ResultSink {
   ResultSink(const EngineConfig& config, std::span<RunResult> results)
       : config_(config), results_(results) {}
 
-  // Trials [offset, offset + lanes) start on the lane path.
-  void BeginChunk(std::size_t offset, std::size_t lanes) {
-    std::fill_n(results_.begin() + static_cast<std::ptrdiff_t>(offset),
-                lanes, RunResult{});
-  }
-  // What lockstep round `round` did to trial i.
-  void Round(std::size_t i, std::int64_t round, const LaneRound& fx) {
-    RunResult& r = results_[i];
-    r.total_transmissions += fx.transmissions;
-    if (fx.primary_lone_delivered) RecordLoneDelivery(r, round);
-  }
-  // Trial i left the lane loop after `rounds` rounds, every one fused.
-  void Retire(std::size_t i, std::int64_t rounds, const LaneTally& tally,
-              bool terminated, bool timed_out, std::int32_t lanes,
-              std::span<const std::int64_t> node_tx) {
-    RunResult& r = results_[i];
-    r.fused_rounds = rounds;
+  // Lane trial i ended as `outcome`, on a chunk of `lanes` lanes, with
+  // every round fused.
+  void Retire(std::size_t i, const core::TwoActiveOutcome& outcome,
+              std::int32_t lanes, std::span<const std::int64_t> node_tx) {
+    RunResult& r = results_[i] = RunResult{};
+    for (std::uint32_t m = outcome.primary; m != 0; m &= m - 1) {
+      RecordLoneDelivery(r, outcome.solved_round + std::countr_zero(m));
+    }
+    r.total_transmissions =
+        std::accumulate(node_tx.begin(), node_tx.end(), std::int64_t{0});
+    r.fused_rounds = outcome.rounds;
     r.trial_lanes = lanes;
-    FinishRun(config_, rounds, tally.stall, terminated, timed_out, node_tx,
-              r);
+    FinishRun(config_, outcome.rounds, outcome.stall, outcome.terminated,
+              outcome.timed_out, node_tx, r);
   }
   // Trial i ran per trial.
   void Fallback(std::size_t i, RunResult&& run) {
@@ -237,20 +202,17 @@ class TrialBatchEngine::FoldSink {
   FoldSink(TrialFold& fold, std::span<std::int64_t> plane)
       : fold_(fold), plane_(plane) {}
 
-  void BeginChunk(std::size_t /*offset*/, std::size_t /*lanes*/) {}
-  void Round(std::size_t /*i*/, std::int64_t /*round*/,
-             const LaneRound& /*fx*/) {}
   // What fold_.Add would add for the RunResult ResultSink::Retire builds:
   // a lane reports no layer counters, never confirms a solve or breaks an
   // assumption, and fuses every round it runs.
-  void Retire(std::size_t i, std::int64_t rounds, const LaneTally& tally,
-              bool /*terminated*/, bool timed_out, std::int32_t lanes,
-              std::span<const std::int64_t> /*node_tx*/) {
-    plane_[i] = tally.solved_round + 1;
-    fold_.AddOutcome(tally.solved_round >= 0, /*solve_confirmed=*/false,
-                     timed_out, /*assumption_violated=*/false,
-                     Wedged(timed_out, tally.stall, rounds), rounds);
-    fold_.fused_rounds_total += rounds;
+  void Retire(std::size_t i, const core::TwoActiveOutcome& outcome,
+              std::int32_t lanes, std::span<const std::int64_t> /*node_tx*/) {
+    plane_[i] = outcome.solved_round + 1;
+    fold_.AddOutcome(outcome.solved_round >= 0, /*solve_confirmed=*/false,
+                     outcome.timed_out, /*assumption_violated=*/false,
+                     Wedged(outcome.timed_out, outcome.stall, outcome.rounds),
+                     outcome.rounds);
+    fold_.fused_rounds_total += outcome.rounds;
     fold_.trial_lanes_peak = std::max(fold_.trial_lanes_peak, lanes);
   }
   void Fallback(std::size_t i, RunResult&& run) {
@@ -301,7 +263,8 @@ void TrialBatchEngine::RunInto(const EngineConfig& config,
   // lane at a time. Any adversary kind forces fallback: even a plan that
   // never fires advances adversary/ledger state the lane path does not
   // model. record_active_counts is per-round instrumentation the retiring
-  // lane loop does not keep.
+  // lane loop does not keep. Last, the lanes must take the shape: |A| = 2
+  // outside the duel.
   const std::optional<core::TwoActiveParams> params =
       TwoActiveParamsOf(program);
   const bool lane_fusible =
@@ -309,23 +272,21 @@ void TrialBatchEngine::RunInto(const EngineConfig& config,
       config.cd_model == mac::CdModel::kStrong && !config.record_trace &&
       !config.record_active_counts && !config.robust.enabled &&
       !EffectiveFaultSpec(config).Any() &&
-      config.adversary.kind == adversary::Kind::kNone;
+      config.adversary.kind == adversary::Kind::kNone &&
+      lanes_.Reset(*params, population, config.num_active, config.channels,
+                   static_cast<std::size_t>(lane_width_));
   if (!lane_fusible) {
-    live_.resize(seeds.size());
-    std::iota(live_.begin(), live_.end(), 0);
-    RunFallback(config, program, seeds, 0, live_, sink);
+    RunFallback(config, program, seeds, sink);
     return;
   }
 
   for (std::size_t offset = 0; offset < seeds.size();
        offset += static_cast<std::size_t>(lane_width_)) {
-    const std::span<const std::uint64_t> chunk = seeds.subspan(
-        offset, std::min(static_cast<std::size_t>(lane_width_),
-                         seeds.size() - offset));
-    RunLaneChunk(config, *params, population, chunk, offset, sink);
-    if (!fallback_lanes_.empty()) {
-      RunFallback(config, program, chunk, offset, fallback_lanes_, sink);
-    }
+    RunLaneChunk(config,
+                 seeds.subspan(offset,
+                               std::min(static_cast<std::size_t>(lane_width_),
+                                        seeds.size() - offset)),
+                 offset, sink);
   }
 }
 
@@ -333,23 +294,18 @@ template <typename Sink>
 void TrialBatchEngine::RunFallback(const EngineConfig& config,
                                    StepProgram& program,
                                    std::span<const std::uint64_t> seeds,
-                                   std::size_t offset,
-                                   std::span<const std::int32_t> lanes,
                                    Sink& sink) {
   EngineConfig solo = config;
-  for (const std::int32_t lane : lanes) {
-    const auto i = static_cast<std::size_t>(lane);
+  for (std::size_t i = 0; i < seeds.size(); ++i) {
     solo.seed = seeds[i];
     RunResult run = fallback_.Run(solo, program);
     run.trial_fallback = true;
-    sink.Fallback(offset + i, std::move(run));
+    sink.Fallback(i, std::move(run));
   }
 }
 
 template <typename Sink>
 void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
-                                    const core::TwoActiveParams& params,
-                                    std::int64_t population,
                                     std::span<const std::uint64_t> seeds,
                                     std::size_t offset, Sink& sink) {
   const auto n = static_cast<std::size_t>(config.num_active);
@@ -357,81 +313,24 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
 
   // One philox stream per (lane, node) slot of one plane; node `node` of
   // lane `lane` gets exactly the stream the coroutine engine would hand it
-  // for seed seeds[lane] (ForStream(seed, node + 1)). Each lane seeds its
-  // own window of the plane (Subspan), straight into the word planes. The
-  // separate ID-sampling stream (0x1d5eed) is not materialized: the lanes
-  // consume no sampled IDs and no result field depends on that stream.
+  // for seed seeds[lane] (ForStream(seed, node + 1)), all seeded by one
+  // call straight into the word planes. The separate ID-sampling stream
+  // (0x1d5eed) is not materialized: the lanes consume no sampled IDs and
+  // no result field depends on that stream.
   rng_.Resize(w * n, config.rng);
-  const support::StreamPlaneView rng = rng_.view();
-  for (std::size_t lane = 0; lane < w; ++lane) {
-    simd::SeedStreams(seeds[lane], 1, rng.Subspan(lane * n, n));
-  }
+  simd::SeedStreams(seeds, 1, rng_.view());
 
-  fallback_lanes_.clear();
   live_.resize(w);
   std::iota(live_.begin(), live_.end(), 0);
-  if (!lanes_.Reset(params, population, config.num_active, config.channels,
-                    w)) {
-    fallback_lanes_.assign(live_.begin(), live_.end());
-    return;
-  }
-
   node_tx_.assign(w * n, 0);
-  tally_.assign(w, LaneTally{});
-  sink.BeginChunk(offset, w);
-
-  // Hands one retired lane to the sink.
-  const auto retire = [&](std::int32_t lane, std::int64_t rounds,
-                          bool terminated, bool timed_out) {
-    const auto i = static_cast<std::size_t>(lane);
-    sink.Retire(offset + i, rounds, tally_[i], terminated, timed_out,
-                static_cast<std::int32_t>(w),
-                std::span<const std::int64_t>(node_tx_).subspan(i * n, n));
-  };
-
-  std::int64_t round = 0;
-  while (!live_.empty() && round < config.max_rounds) {
-    drop_.assign(live_.size(), 0);
-    lanes_.Round(rng, live_, node_tx_, [&](std::size_t k, const LaneRound& fx) {
-      const std::int32_t lane = live_[k];
-      if (fx.diverged) {
-        drop_[k] = 1;
-        fallback_lanes_.push_back(lane);
-        return;
-      }
-      const auto i = static_cast<std::size_t>(lane);
-      LaneTally& tally = tally_[i];
-      sink.Round(offset + i, round, fx);
-      if (fx.primary_lone_delivered && tally.solved_round < 0) {
-        tally.solved_round = round;
-      }
-      // Retirement order mirrors BatchEngine's fused path: the solving
-      // round ends the run *before* the alive set is compacted (so
-      // all_terminated stays false and the stall streak keeps its
-      // pre-round value), and only then do finished lanes terminate
-      // (post-compaction: alive empty, progress resets the streak).
-      if (tally.solved_round >= 0 && config.stop_when_solved) {
-        drop_[k] = 1;
-        retire(lane, round + 1, /*terminated=*/false, /*timed_out=*/false);
-      } else if (fx.finished) {
-        drop_[k] = 1;
-        tally.stall = 0;
-        retire(lane, round + 1, /*terminated=*/true, /*timed_out=*/false);
-      } else {
-        tally.stall = fx.lone_deliveries > 0 ? 0 : tally.stall + 1;
-      }
-    });
-    live_.resize(simd::CompactKeep(live_, drop_));
-    ++round;
-  }
-
-  // Lanes still live hit max_rounds. timed_out is unconditional here: the
-  // stop_when_solved carve-out retired its lanes above, and a solved
-  // !stop_when_solved lane that never terminated times out exactly as it
-  // would per-trial.
-  for (const std::int32_t lane : live_) {
-    retire(lane, round, /*terminated=*/false, /*timed_out=*/true);
-  }
+  lanes_.Run(rng_.view(), live_, config.max_rounds, config.stop_when_solved,
+             node_tx_,
+             [&](std::int32_t lane, const core::TwoActiveOutcome& outcome) {
+               const auto i = static_cast<std::size_t>(lane);
+               sink.Retire(offset + i, outcome, static_cast<std::int32_t>(w),
+                           std::span<const std::int64_t>(node_tx_).subspan(
+                               i * n, n));
+             });
 }
 
 }  // namespace crmc::sim

@@ -41,11 +41,11 @@
 #include <vector>
 
 #include "core/params.h"
+#include "core/split_check.h"
 #include "sim/batch_engine.h"
 #include "sim/engine.h"
 #include "sim/step_program.h"
 #include "support/rng.h"
-#include "tree/channel_tree.h"
 
 namespace crmc::sim {
 
@@ -85,50 +85,50 @@ class TrialBatchEngine {
            std::span<std::int64_t> solved_plane);
 
  private:
-  // two_active over W lockstep lanes (defined in trial_engine.cpp). A
-  // lane's draws are exactly the per-trial FastRound's: lanes touch
-  // disjoint stream slots and each stream is drawn at most once per round,
-  // so cross-lane batching reorders no draw within a stream.
+  // two_active over W lanes (defined in trial_engine.cpp). Lanes run in
+  // lockstep only while they draw: the duel's coin rounds and the rename
+  // rounds. A lane's draws are exactly the per-trial FastRound's: lanes
+  // touch disjoint stream slots and each stream is drawn at most once per
+  // round, so cross-lane batching reorders no draw within a stream. A lane
+  // whose rename round gives its nodes distinct labels ends in that round:
+  // core::SplitCheck computes the rest of its run from the two labels.
   class TwoActiveLanes {
    public:
-    // Sets `lanes` lanes to their initial state. Returns false when the
-    // shape is outside the lockstep set (|A| != 2 outside the duel, which
-    // the per-trial FastRound declines too).
+    // Sets the executor up for `channels` and up to `max_lanes` lanes.
+    // Returns false when the shape is outside the lane set (|A| != 2
+    // outside the duel, which the per-trial FastRound declines too).
     bool Reset(const core::TwoActiveParams& params, std::int64_t population,
                std::int32_t num_active, std::int32_t channels,
-               std::size_t lanes);
+               std::size_t max_lanes);
 
-    // Executes one lockstep round for every lane in `live` (ascending lane
-    // ids), charging transmissions into node_tx[lane * num_active + node],
-    // and then calls retire(k, round) with what the round did to lane
-    // live[k], in order.
+    // Runs every lane in `live` (ascending lane ids) to its end, cut at
+    // max_rounds, writing each node's transmissions to
+    // node_tx[lane * num_active + node] (zeroed by the caller), and calls
+    // retire(lane, outcome) as each lane ends. Leaves `live` empty.
     template <typename Retire>
-    void Round(support::StreamPlaneView rng,
-               std::span<const std::int32_t> live,
-               std::span<std::int64_t> node_tx, Retire&& retire);
+    void Run(support::StreamPlaneView rng, std::vector<std::int32_t>& live,
+             std::int64_t max_rounds, bool stop_when_solved,
+             std::span<std::int64_t> node_tx, Retire&& retire);
 
    private:
-    enum Phase : std::uint8_t { kDuel, kRename, kSearch, kFinalPair };
-    struct Lane {
-      std::uint8_t phase = kDuel;
-      bool tx0 = false;      // final round: node 0 is the transmitter
-      std::int32_t id0 = 0;  // renamed labels of the lane's two nodes
-      std::int32_t id1 = 0;
-      std::int32_t lo = 0;  // shared SplitCheck bounds
-      std::int32_t hi = 0;
-    };
-
+    // One round of every lane in `live`; ended lanes are retired and the
+    // rest compacted to the front of `live`. Returns how many are left.
     template <typename Retire>
-    void DuelRound(support::StreamPlaneView rng,
-                   std::span<const std::int32_t> live,
-                   std::span<std::int64_t> node_tx, Retire&& retire);
+    std::size_t DuelRound(support::StreamPlaneView rng,
+                          std::span<std::int32_t> live, std::int64_t round,
+                          bool stop_when_solved,
+                          std::span<std::int64_t> node_tx, Retire& retire);
+    template <typename Retire>
+    std::size_t RenameRound(support::StreamPlaneView rng,
+                            std::span<std::int32_t> live, std::int64_t round,
+                            std::int64_t max_rounds, bool stop_when_solved,
+                            std::span<std::int64_t> node_tx, Retire& retire);
 
     std::int32_t num_active_ = 0;
     bool duel_ = false;
-    std::optional<tree::ChannelTree> tree_;
+    std::optional<core::SplitCheck> split_check_;
     std::optional<support::BatchUniformInt> rename_draw_;
     support::BatchBernoulli coin_{0.5};
-    std::vector<Lane> lanes_;  // indexed by lane id
     // Per-round gather scratch, reused across rounds.
     std::vector<std::int32_t> slots_;
     std::vector<std::int32_t> draws_;
@@ -142,31 +142,21 @@ class TrialBatchEngine {
   class ResultSink;
   class FoldSink;
 
-  // What the lane loop keeps per lane besides the protocol state.
-  struct LaneTally {
-    std::int64_t solved_round = -1;  // first lone primary delivery
-    std::int64_t stall = 0;          // trailing stall streak
-  };
-
   // Validates, then runs every trial on the lane path (in lane_width()
   // chunks) or, for a config outside the lane-fusible set, per trial.
   template <typename Sink>
   void RunInto(const EngineConfig& config, StepProgram& program,
                std::span<const std::uint64_t> seeds, Sink& sink);
   // The lane loop: trials [offset, offset + w) of the call, w <= lane
-  // width. Lanes that must re-run per trial are left in fallback_lanes_
-  // (ids within the chunk).
+  // width.
   template <typename Sink>
   void RunLaneChunk(const EngineConfig& config,
-                    const core::TwoActiveParams& params,
-                    std::int64_t population,
                     std::span<const std::uint64_t> seeds, std::size_t offset,
                     Sink& sink);
-  // Per-trial BatchEngine runs of trials offset + lanes[k].
+  // Per-trial BatchEngine runs of every trial.
   template <typename Sink>
   void RunFallback(const EngineConfig& config, StepProgram& program,
-                   std::span<const std::uint64_t> seeds, std::size_t offset,
-                   std::span<const std::int32_t> lanes, Sink& sink);
+                   std::span<const std::uint64_t> seeds, Sink& sink);
 
   std::int32_t lane_width_;
   bool fused_rounds_enabled_ = true;
@@ -175,11 +165,8 @@ class TrialBatchEngine {
 
   // Flat per-chunk planes and scratch, reused across chunks and calls.
   support::StreamPlane rng_;           // [lane * num_active + node]
-  std::vector<std::int64_t> node_tx_;       // [lane * num_active + node]
-  std::vector<std::int32_t> live_;          // live lane ids, ascending
-  std::vector<std::uint8_t> drop_;
-  std::vector<LaneTally> tally_;  // indexed by lane id
-  std::vector<std::int32_t> fallback_lanes_;
+  std::vector<std::int64_t> node_tx_;  // [lane * num_active + node]
+  std::vector<std::int32_t> live_;     // live lane ids, ascending
 };
 
 }  // namespace crmc::sim

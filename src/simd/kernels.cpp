@@ -66,6 +66,26 @@ void SeedStreamsScalar(std::uint64_t master_seed, std::uint64_t first_stream,
   }
 }
 
+void SeedStreamsScalar(std::span<const std::uint64_t> master_seeds,
+                       std::uint64_t first_stream,
+                       support::StreamPlaneView out) {
+  if (master_seeds.empty()) return;
+  const std::size_t m = out.size() / master_seeds.size();
+  std::uint64_t* w0 = out.plane(0);
+  std::uint64_t* w1 = out.plane(1);
+  std::uint64_t* w2 = out.plane(2);
+  std::uint64_t* w3 = out.plane(3);
+  std::size_t slot = 0;
+  for (const std::uint64_t master : master_seeds) {
+    for (std::size_t k = 0; k < m; ++k, ++slot) {
+      support::StreamCore::Seed(master,
+                                first_stream + static_cast<std::uint64_t>(k),
+                                out.kind(), w0[slot], w1[slot], w2[slot],
+                                w3[slot]);
+    }
+  }
+}
+
 Occupancy ClassifyChannelsScalar(std::span<const std::int32_t> channels,
                                  std::int32_t primary,
                                  std::span<std::uint16_t> counts,
@@ -226,6 +246,23 @@ void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
 #endif
     default:
       return internal::SeedStreamsScalar(master_seed, first_stream, out);
+  }
+}
+
+void SeedStreams(std::span<const std::uint64_t> master_seeds,
+                 std::uint64_t first_stream, support::StreamPlaneView out) {
+  CRMC_CHECK(master_seeds.empty() ? out.size() == 0
+                                  : out.size() % master_seeds.size() == 0);
+  // One call seeds a whole trial-engine chunk (64 streams for 32
+  // two-node lanes), so the eight-stream AVX-512 steps apply here even
+  // where each master seeds only two streams.
+  switch (out.size() < 8 ? Backend::kScalar : ActiveBackend()) {
+#if defined(CRMC_SIMD_HAS_AVX512)
+    case Backend::kAvx512:
+      return internal::SeedStreamsAvx512(master_seeds, first_stream, out);
+#endif
+    default:
+      return internal::SeedStreamsScalar(master_seeds, first_stream, out);
   }
 }
 

@@ -65,6 +65,12 @@ std::size_t CompactKeepDispatch(std::span<std::int32_t> ids,
 // the measured reason.
 void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
                  support::StreamPlaneView out);
+// The same for several master seeds in one call: with m = out.size() /
+// master_seeds.size() (a whole number), slot j * m + k gets stream
+// first_stream + k of master_seeds[j]. The trial engine seeds a whole
+// chunk this way, lane j's nodes from trial j's seed.
+void SeedStreams(std::span<const std::uint64_t> master_seeds,
+                 std::uint64_t first_stream, support::StreamPlaneView out);
 
 // Draws one Bernoulli per slot: mask[k] = coin.Draw(rng[alive[k]]) for
 // every k, bit-exact with the scalar call (including consuming no draw for

@@ -31,6 +31,9 @@ Occupancy ClassifyChannelsScalar(std::span<const std::int32_t> channels,
                                  std::span<std::uint8_t> lone);
 void SeedStreamsScalar(std::uint64_t master_seed, std::uint64_t first_stream,
                        support::StreamPlaneView out);
+void SeedStreamsScalar(std::span<const std::uint64_t> master_seeds,
+                       std::uint64_t first_stream,
+                       support::StreamPlaneView out);
 
 // Finishes one bounded draw whose first 64-bit draw `x` was generated out
 // of line and already consumed from `rs`: Lemire's multiply, with a
@@ -79,6 +82,9 @@ Occupancy ClassifyChannelsAvx2(std::span<const std::int32_t> channels,
 
 #if defined(CRMC_SIMD_HAS_AVX512)
 void SeedStreamsAvx512(std::uint64_t master_seed, std::uint64_t first_stream,
+                       support::StreamPlaneView out);
+void SeedStreamsAvx512(std::span<const std::uint64_t> master_seeds,
+                       std::uint64_t first_stream,
                        support::StreamPlaneView out);
 #endif
 

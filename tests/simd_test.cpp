@@ -158,6 +158,51 @@ TEST(SeedStreams, MatchesForStreamEveryBackendBothKinds) {
   }
 }
 
+// The several-master overload: slot j * m + k is stream first + k of
+// master j. Sizes straddle the eight-stream AVX-512 step (a step spans
+// masters) and leave a scalar tail; each run seeds a window at offset 3
+// whose neighbours must keep their words.
+TEST(SeedStreams, SeveralMastersMatchForStreamEveryBackendBothKinds) {
+  for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
+    for (const std::size_t masters : {0, 1, 3, 4, 5, 33}) {
+      for (const std::size_t m : {1, 2, 3, 8}) {
+        std::vector<std::uint64_t> seeds(masters);
+        for (std::size_t j = 0; j < masters; ++j) {
+          seeds[j] = 0x9e3779b97f4a7c15ULL * (j + 1);
+        }
+        const std::size_t n = masters * m;
+        for (const Backend backend : AvailableBackends()) {
+          ScopedBackend forced(backend);
+          StreamPlane got;
+          got.Resize(n + 5, kind);
+          for (std::size_t i = 0; i < n + 5; ++i) {
+            for (int w = 0; w < 4; ++w) got[i].word(w) = 0xabad1dea + i;
+          }
+          SeedStreams(seeds, 7, got.view().Subspan(3, n));
+          for (std::size_t i = 0; i < n + 5; ++i) {
+            const std::string where =
+                std::string(ToString(backend)) +
+                " kind=" + support::ToString(kind) +
+                " masters=" + std::to_string(masters) +
+                " m=" + std::to_string(m) + " slot=" + std::to_string(i);
+            if (i < 3 || i >= 3 + n) {
+              for (int w = 0; w < 4; ++w) {
+                EXPECT_EQ(got[i].word(w), 0xabad1dea + i) << where;
+              }
+              continue;
+            }
+            const std::size_t slot = i - 3;
+            ExpectSameStream(got[i],
+                             RandomSource::ForStream(seeds[slot / m],
+                                                     7 + slot % m, kind),
+                             where);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(CoinMask, BitExactAcrossBackends) {
   const std::size_t kLanes = 519;
   std::vector<std::int32_t> alive(kLanes);

@@ -3,16 +3,42 @@
 
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <set>
 #include <utility>
 #include <vector>
 
+#include "support/assert.h"
 #include "support/bits.h"
 #include "support/rng.h"
 #include "support/small_vector.h"
 
+// gcov writes its counters at exit, which abort skips. In a coverage
+// build this flushes them from a child about to abort, so a check's
+// failure path counts as run; in every other build it is null.
+extern "C" void __gcov_dump() __attribute__((weak));
+
 namespace crmc::support {
 namespace {
+
+void FlushCoverageThenAbort(int /*signal*/) {
+  if (__gcov_dump != nullptr) __gcov_dump();
+  std::signal(SIGABRT, SIG_DFL);
+  std::raise(SIGABRT);
+}
+
+// A failed CRMC_CHECK prints the expression and its location, then aborts.
+TEST(CheckDeathTest, FailedCheckReportsAndAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const int three = 3;
+  EXPECT_EXIT(
+      {
+        std::signal(SIGABRT, FlushCoverageThenAbort);
+        CRMC_CHECK_MSG(three < 2, "three is " << three);
+      },
+      ::testing::KilledBySignal(SIGABRT),
+      "CRMC_CHECK failed: three < 2 at .*support_test.cpp:[0-9]+ three is 3");
+}
 
 TEST(Bits, FloorLog2) {
   EXPECT_EQ(FloorLog2(1), 0);

@@ -172,6 +172,55 @@ TEST(TrialEngineParity, TwoActiveTimeout) {
   CheckTrialParity(config, core::MakeTwoActive(), *program, 500);
 }
 
+// Every max_rounds from 1 through h + 3 on a height-6 tree, with and
+// without stop_when_solved: the cut falls among the rename rounds, inside
+// the search, before the final pair round, and after the run has ended.
+// Each lane is compared with a per-trial BatchEngine run; the coroutine
+// twin's phase marks show that some cuts land mid-search and some after
+// the search, before the final pair round.
+TEST(TrialEngineParity, TwoActiveEveryMaxRoundsCut) {
+  EngineConfig config;
+  config.population = 1 << 12;
+  config.num_active = 2;
+  config.channels = 64;  // a tree of height 6
+  config.rng = support::RngKind::kPhilox;
+  auto program = MakeTwoActiveProgram();
+  TrialBatchEngine trial_engine;
+  BatchEngine batch_engine;
+  std::vector<std::uint64_t> seeds(200);
+  for (std::size_t t = 0; t < seeds.size(); ++t) {
+    seeds[t] = 40'000 + static_cast<std::uint64_t>(t);
+  }
+  std::int64_t cut_mid_search = 0;
+  std::int64_t cut_before_final = 0;
+  for (const bool stop_when_solved : {true, false}) {
+    config.stop_when_solved = stop_when_solved;
+    for (std::int64_t max_rounds = 1; max_rounds <= 6 + 3; ++max_rounds) {
+      config.max_rounds = max_rounds;
+      std::vector<RunResult> lanes(seeds.size());
+      trial_engine.Run(config, *program, seeds, lanes);
+      for (std::size_t t = 0; t < seeds.size(); ++t) {
+        config.seed = seeds[t];
+        SCOPED_TRACE(::testing::Message()
+                     << "stop_when_solved=" << stop_when_solved
+                     << " max_rounds=" << max_rounds << " seed=" << config.seed);
+        const RunResult batch = batch_engine.Run(config, *program);
+        ExpectSameRun(batch, lanes[t]);
+        EXPECT_EQ(batch.fused_rounds, lanes[t].fused_rounds);
+        if (::testing::Test::HasFailure()) return;
+        if (!lanes[t].timed_out) continue;
+        const RunResult coro = Engine::Run(config, core::MakeTwoActive());
+        const bool renamed = coro.LastPhaseMark("rename_done") >= 0;
+        const bool searched = coro.LastPhaseMark("search_done") >= 0;
+        cut_mid_search += renamed && !searched;
+        cut_before_final += searched;
+      }
+    }
+  }
+  EXPECT_GT(cut_mid_search, 0);
+  EXPECT_GT(cut_before_final, 0);
+}
+
 TEST(TrialEngineParity, TwoActiveNodeTransmissions) {
   EngineConfig config;
   config.population = 256;
@@ -632,6 +681,27 @@ TEST(TrialEngineFold, MaxRoundsCutMatchesResults) {
   EXPECT_GT(fold.wedged, 0);
   EXPECT_GT(fold.timed_out, fold.wedged);
   EXPECT_EQ(fold.unsolved, fold.timed_out);
+}
+
+// Every max_rounds cut from 1 through h + 3 (h = 6), without
+// stop_when_solved: folds of sets where some lanes time out and some
+// solve.
+TEST(TrialEngineFold, EveryMaxRoundsCutMatchesResults) {
+  EngineConfig config;
+  config.population = 1 << 12;
+  config.num_active = 2;
+  config.channels = 64;
+  config.stop_when_solved = false;
+  auto program = MakeTwoActiveProgram();
+  std::int64_t mixed_sets = 0;
+  for (std::int64_t max_rounds = 1; max_rounds <= 6 + 3; ++max_rounds) {
+    SCOPED_TRACE(::testing::Message() << "max_rounds " << max_rounds);
+    config.max_rounds = max_rounds;
+    const TrialFold fold = CheckFoldMatchesResults(config, *program, 100);
+    // The fold merges four lane widths of 100 trials each.
+    mixed_sets += fold.timed_out > 0 && fold.unsolved < 4 * 100;
+  }
+  EXPECT_GT(mixed_sets, 0);
 }
 
 // Trials that run per trial fold their RunResults: a whole chunk the lanes
