@@ -11,22 +11,6 @@
 #include "support/bits.h"
 
 namespace crmc::sim {
-namespace {
-
-// How a lane ends in round `round` on a lone primary delivery that is also
-// its last round (the duel's winner). A solve that stops the run ends it
-// before the nodes finish, with the streak it met; every earlier round of
-// a live lane was a stall.
-core::TwoActiveOutcome SolvedInRound(std::int64_t round,
-                                     bool stop_when_solved) {
-  return {.rounds = round + 1,
-          .stall = stop_when_solved ? round : 0,
-          .solved_round = round,
-          .primary = 1,
-          .terminated = !stop_when_solved};
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // TrialBatchEngine::TwoActiveLanes. In the duel every round is a
@@ -111,7 +95,14 @@ std::size_t TrialBatchEngine::TwoActiveLanes::DuelRound(
       transmitters += mask_[base + j];
     }
     if (transmitters == 1) {
-      retire(live[k], SolvedInRound(round, stop_when_solved));
+      // Everyone heard the lone transmitter. A solve that stops the run
+      // ends it before the nodes finish, with the streak it met.
+      retire(live[k], core::TwoActiveOutcome{
+                          .rounds = round + 1,
+                          .stall = stop_when_solved ? round : 0,
+                          .solved_round = round,
+                          .primary = 1,
+                          .terminated = !stop_when_solved});
     } else {
       live[kept++] = live[k];
     }

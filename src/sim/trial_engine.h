@@ -1,20 +1,23 @@
 // Trial-parallel executor: SIMD lanes are whole trials.
 //
 // TrialBatchEngine runs W independent trials of one (config, protocol)
-// point in lockstep — per-(lane, node) RNG streams live in one flat
-// [lane * num_active + node] plane, per-lane state in one plane indexed by
-// lane, and each round's draws across every lane are gathered into slot
-// lists and evaluated by the simd:: kernels in one vectorized pass. Within
-// a trial the kernels can only vectorize across alive nodes, which in the
-// paper's small-|A| regimes (two_active is |A| = 2) leaves vector units
-// mostly idle and per-trial setup dominating; across trials the lanes are
-// arbitrarily many and embarrassingly independent.
+// point together: per-(lane, node) RNG streams live in one flat
+// [lane * num_active + node] plane, seeded for the whole chunk in one
+// call, and each round's draws across every live lane are gathered into
+// one slot list and evaluated by the simd:: kernels in one vectorized
+// pass. Within a trial the kernels can only vectorize across alive nodes,
+// which in the paper's small-|A| regimes (two_active is |A| = 2) leaves
+// vector units mostly idle and per-trial setup dominating; across trials
+// the lanes are arbitrarily many and embarrassingly independent.
 //
 // Only two_active runs in lanes, on the engine's own duel executor
-// (TwoActiveLanes below): it is the one protocol whose lockstep rounds beat
-// the per-trial engine at equal RNG. Run recognises it with
+// (TwoActiveLanes below): it is the one protocol whose lanes beat the
+// per-trial engine at equal RNG. Run recognises it with
 // sim::TwoActiveParamsOf (sim/step_program.h) on every call; any other
-// program runs per trial.
+// program runs per trial. Lanes step together only while they draw: the
+// duel's coin rounds, and the rename rounds. The round a lane's two nodes
+// draw distinct labels ends the lane, with core::SplitCheck
+// (core/split_check.h) computing the rest of its run from the labels.
 //
 // Philox-only: lockstep lanes need counter-based streams, where draw i of
 // stream s is a pure function of (key, s, i) and a SIMD group of lanes can
@@ -26,11 +29,9 @@
 //
 // Every trial stays bit-exact against BatchEngine::Run (and hence the
 // coroutine oracle) on the same per-trial config. Configs outside the
-// lockstep-fusible set — faults, adversaries, weak CD, traces, the robust
-// layer, a program other than two_active, or two_active with |A| != 2
-// outside the duel — fall back to per-trial BatchEngine runs, one lane at
-// a time; a lane that diverges mid-run (a state the per-trial path would
-// reject) is re-run from scratch the same way, which reproduces the
+// lane set — faults, adversaries, weak CD, traces, the robust layer, a
+// program other than two_active, or two_active with |A| != 2 outside the
+// duel — run every trial on a per-trial BatchEngine, which reproduces the
 // per-trial behaviour exactly because every run is a pure function of its
 // config.
 #pragma once

@@ -236,9 +236,8 @@ void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
   // that multiply with three 32-bit ones plus shifts, losing to scalar
   // `imul`. So every other backend takes the scalar expansion, which still
   // writes the word planes in place. A span shorter than one eight-stream
-  // step (the trial engine seeds two streams per lane for two_active) goes
-  // scalar under every backend: through the AVX-512 kernel, 32 two-stream
-  // calls took ~25% longer.
+  // step goes scalar under every backend: through the AVX-512 kernel, 32
+  // two-stream calls took ~25% longer.
   switch (out.size() < 8 ? Backend::kScalar : ActiveBackend()) {
 #if defined(CRMC_SIMD_HAS_AVX512)
     case Backend::kAvx512:
@@ -253,17 +252,11 @@ void SeedStreams(std::span<const std::uint64_t> master_seeds,
                  std::uint64_t first_stream, support::StreamPlaneView out) {
   CRMC_CHECK(master_seeds.empty() ? out.size() == 0
                                   : out.size() % master_seeds.size() == 0);
-  // One call seeds a whole trial-engine chunk (64 streams for 32
-  // two-node lanes), so the eight-stream AVX-512 steps apply here even
-  // where each master seeds only two streams.
-  switch (out.size() < 8 ? Backend::kScalar : ActiveBackend()) {
-#if defined(CRMC_SIMD_HAS_AVX512)
-    case Backend::kAvx512:
-      return internal::SeedStreamsAvx512(master_seeds, first_stream, out);
-#endif
-    default:
-      return internal::SeedStreamsScalar(master_seeds, first_stream, out);
-  }
+  // Scalar under every backend. An AVX-512 version that gathered each
+  // eight-stream step's (master, stream) pairs through memory took 260-280
+  // ns per trial-engine chunk (32 masters x 2 philox streams) against
+  // 150-175 ns for this loop; the per-lane calls it replaced took 350-420.
+  internal::SeedStreamsScalar(master_seeds, first_stream, out);
 }
 
 void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,

@@ -68,7 +68,8 @@ void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
 // The same for several master seeds in one call: with m = out.size() /
 // master_seeds.size() (a whole number), slot j * m + k gets stream
 // first_stream + k of master_seeds[j]. The trial engine seeds a whole
-// chunk this way, lane j's nodes from trial j's seed.
+// chunk this way, lane j's nodes from trial j's seed. Scalar under every
+// backend (see kernels.cpp).
 void SeedStreams(std::span<const std::uint64_t> master_seeds,
                  std::uint64_t first_stream, support::StreamPlaneView out);
 

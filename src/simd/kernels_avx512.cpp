@@ -20,13 +20,11 @@
 #include <immintrin.h>
 
 // GCC 12's avx512fintrin.h passes _mm512_undefined_epi32() as the unused
-// merge source of unmasked ops, which -Wmaybe-uninitialized (or
-// -Wuninitialized, on a path it proves) reports once the intrinsics are
-// inlined (GCC bug 105593). The warning is about the header, not this
-// file.
+// merge source of unmasked ops, which -Wmaybe-uninitialized reports once
+// the intrinsics are inlined (GCC bug 105593). The warning is about the
+// header, not this file.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#pragma GCC diagnostic ignored "-Wuninitialized"
 #endif
 
 #include "simd/kernels_impl.h"
@@ -62,78 +60,39 @@ inline void StorePlanes8(support::StreamPlaneView out, std::size_t k,
   }
 }
 
-// Seeds slots k..k+8: lane j is stream stream[j] of master seed master[j].
-inline void Seed8(__m512i master, __m512i stream, support::RngKind kind,
-                  support::StreamPlaneView out, std::size_t k) {
-  const __m512i gamma = Splat(SplitMix64::kGamma);
-  // The premixed SplitMix64 state, advanced once: its output is the
-  // xoshiro seed or the philox key.
-  const __m512i state = _mm512_xor_si512(
-      master, _mm512_mullo_epi64(Splat(support::StreamCore::kStreamMix),
-                                 _mm512_add_epi64(stream, Splat(1))));
-  const __m512i seed = Mix(_mm512_add_epi64(state, gamma));
-  if (kind == support::RngKind::kXoshiro) {
-    // Xoshiro state word i is output i + 1 of SplitMix64(seed).
-    const __m512i s1 = _mm512_add_epi64(seed, gamma);
-    const __m512i s2 = _mm512_add_epi64(s1, gamma);
-    const __m512i s3 = _mm512_add_epi64(s2, gamma);
-    const __m512i s4 = _mm512_add_epi64(s3, gamma);
-    StorePlanes8(out, k, {Mix(s1), Mix(s2), Mix(s3), Mix(s4)});
-  } else {
-    const __m512i zero = _mm512_setzero_si512();
-    StorePlanes8(out, k, {seed, stream, zero, zero});
-  }
-}
-
 }  // namespace
 
 void SeedStreamsAvx512(std::uint64_t master_seed, std::uint64_t first_stream,
                        support::StreamPlaneView out) {
   const std::size_t m = out.size();
+  const support::RngKind kind = out.kind();
+  const __m512i gamma = Splat(SplitMix64::kGamma);
   const __m512i master = Splat(master_seed);
+  const __m512i premix = Splat(support::StreamCore::kStreamMix);
   __m512i stream = _mm512_add_epi64(Splat(first_stream),
                                     _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
   std::size_t k = 0;
   for (; k + 8 <= m; k += 8) {
-    Seed8(master, stream, out.kind(), out, k);
+    // The premixed SplitMix64 state, advanced once: its output is the
+    // xoshiro seed or the philox key.
+    const __m512i state = _mm512_xor_si512(
+        master, _mm512_mullo_epi64(premix, _mm512_add_epi64(stream, Splat(1))));
+    const __m512i seed = Mix(_mm512_add_epi64(state, gamma));
+    if (kind == support::RngKind::kXoshiro) {
+      // Xoshiro state word i is output i + 1 of SplitMix64(seed).
+      const __m512i s1 = _mm512_add_epi64(seed, gamma);
+      const __m512i s2 = _mm512_add_epi64(s1, gamma);
+      const __m512i s3 = _mm512_add_epi64(s2, gamma);
+      const __m512i s4 = _mm512_add_epi64(s3, gamma);
+      StorePlanes8(out, k, {Mix(s1), Mix(s2), Mix(s3), Mix(s4)});
+    } else {
+      const __m512i zero = _mm512_setzero_si512();
+      StorePlanes8(out, k, {seed, stream, zero, zero});
+    }
     stream = _mm512_add_epi64(stream, Splat(8));
   }
   if (k < m) {
     SeedStreamsScalar(master_seed, first_stream + k, out.Subspan(k, m - k));
-  }
-}
-
-void SeedStreamsAvx512(std::span<const std::uint64_t> master_seeds,
-                       std::uint64_t first_stream,
-                       support::StreamPlaneView out) {
-  if (master_seeds.empty()) return;
-  const std::size_t size = out.size();
-  const std::size_t m = size / master_seeds.size();
-  // Each step gathers its eight (master, stream) pairs: slot k is stream
-  // first_stream + k % m of master_seeds[k / m], walked with two counters.
-  alignas(64) std::uint64_t masters[8];
-  alignas(64) std::uint64_t streams[8];
-  std::size_t j = 0;  // master of the next slot
-  std::size_t s = 0;  // its stream offset
-  std::size_t k = 0;
-  for (; k + 8 <= size; k += 8) {
-    for (std::size_t l = 0; l < 8; ++l) {
-      masters[l] = master_seeds[j];
-      streams[l] = first_stream + s;
-      if (++s == m) {
-        s = 0;
-        ++j;
-      }
-    }
-    Seed8(_mm512_load_si512(masters), _mm512_load_si512(streams), out.kind(),
-          out, k);
-  }
-  for (; k < size; ++k) {
-    SeedStreamsScalar(master_seeds[j], first_stream + s, out.Subspan(k, 1));
-    if (++s == m) {
-      s = 0;
-      ++j;
-    }
   }
 }
 

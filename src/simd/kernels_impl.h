@@ -83,9 +83,6 @@ Occupancy ClassifyChannelsAvx2(std::span<const std::int32_t> channels,
 #if defined(CRMC_SIMD_HAS_AVX512)
 void SeedStreamsAvx512(std::uint64_t master_seed, std::uint64_t first_stream,
                        support::StreamPlaneView out);
-void SeedStreamsAvx512(std::span<const std::uint64_t> master_seeds,
-                       std::uint64_t first_stream,
-                       support::StreamPlaneView out);
 #endif
 
 }  // namespace crmc::simd::internal

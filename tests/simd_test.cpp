@@ -159,8 +159,7 @@ TEST(SeedStreams, MatchesForStreamEveryBackendBothKinds) {
 }
 
 // The several-master overload: slot j * m + k is stream first + k of
-// master j. Sizes straddle the eight-stream AVX-512 step (a step spans
-// masters) and leave a scalar tail; each run seeds a window at offset 3
+// master j, under every backend. Each run seeds a window at offset 3
 // whose neighbours must keep their words.
 TEST(SeedStreams, SeveralMastersMatchForStreamEveryBackendBothKinds) {
   for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
